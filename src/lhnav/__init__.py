@@ -13,7 +13,7 @@ from .world import (
     observe,
     subtask_success,
 )
-from .expert import expert_next_action, expert_rollout, geodesic_distance
+from .expert import expert_next_action, geodesic_distance
 from .taskforge import Subtask, TaskSpec, sample_spawn, sample_task
 from .splitter import Segment, StepByStepTask, split_trajectory
 from .metrics import EpisodeResult, SubtaskRecord, aggregate, cgt, csr, isr, tar

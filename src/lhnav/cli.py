@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .runner import RunConfig, format_report_table, load_report, run_suite
+from .runner import POLICIES, RunConfig, format_report_table, load_report, run_suite
 from .scenegen import generate_scene
 from .splitter import render_step_instruction, split_trajectory, tag_segment
 from .taskforge import (
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rollout", help="run a policy over a task suite")
     p.add_argument("--scenes", required=True)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--policy", default="expert", choices=["expert", "random", "memory", "stop"])
+    p.add_argument("--policy", default="expert", choices=POLICIES)
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

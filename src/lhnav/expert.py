@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .world import Action, AgentState, Scene, bearing_to, subtask_success
 from .world import RobotConfig, ROBOTS
-from .trajectory import StepRecord, SubtaskSpan, Trajectory
 
 SQRT2 = math.sqrt(2.0)
 
@@ -24,10 +23,6 @@ UNREACHABLE = math.inf
 
 
 class UnreachableTargetError(ValueError):
-    pass
-
-
-class BudgetExhaustedError(RuntimeError):
     pass
 
 
@@ -182,71 +177,3 @@ def expert_next_action(
         return Action.MOVE_FORWARD
     return Action.TURN_LEFT if error > 0 else Action.TURN_RIGHT
 
-
-def expert_rollout(
-    scene: Scene,
-    start: AgentState,
-    targets: list[str],
-    robot: RobotConfig | None = None,
-    budget: int = 500,
-    task_id: str = "rollout",
-) -> Trajectory:
-    """Run the expert through an ordered target list, one stop per target.
-
-    Each subtask records the geodesic distance from its start pose as the
-    ground-truth path length.  Raises when a target is unreachable or the
-    per-subtask budget runs out.
-    """
-    from .world import apply_action
-
-    robot = robot or ROBOTS["spot"]
-    state = start
-    steps: list[StepRecord] = []
-    spans: list[SubtaskSpan] = []
-    for sub_idx, target in enumerate(targets):
-        obj = scene.object(target)
-        gt = geodesic_distance(scene, state.position, obj.position)
-        if gt == UNREACHABLE:
-            raise UnreachableTargetError(f"target {target!r} unreachable")
-        seg_start = len(steps)
-        stopped = False
-        for _ in range(budget):
-            action = expert_next_action(scene, state, target, robot)
-            result = apply_action(scene, state, action, robot)
-            steps.append(
-                StepRecord(
-                    index=len(steps),
-                    state=state,
-                    action=action,
-                    collided=result.collided,
-                    obs_id=f"obs-{len(steps)}",
-                    subtask=sub_idx,
-                )
-            )
-            state = result.state
-            if result.stopped:
-                stopped = True
-                break
-        if not stopped:
-            raise BudgetExhaustedError(
-                f"expert exceeded {budget} steps on subtask {sub_idx} ({target!r})"
-            )
-        spans.append(
-            SubtaskSpan(
-                index=sub_idx,
-                kind="move_to",
-                target_id=target,
-                start=seg_start,
-                end=len(steps),
-                gt=gt,
-                stopped=True,
-            )
-        )
-    return Trajectory(
-        task_id=task_id,
-        scene_id=scene.scene_id,
-        robot=robot.name,
-        steps=steps,
-        spans=spans,
-        final_state=state,
-    )

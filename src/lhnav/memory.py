@@ -206,12 +206,6 @@ class LongTermStore:
         return store
 
 
-def retrieve_topk(
-    store: LongTermStore, target: str, query: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    return store.retrieve_topk(target, query)
-
-
 def weight_decision(
     decision: np.ndarray, retrieved_acts: list[np.ndarray]
 ) -> tuple[np.ndarray, bool]:

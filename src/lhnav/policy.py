@@ -1,6 +1,6 @@
 """Pluggable per-step decision makers.
 
-A policy backend maps (instruction, scene representation, short-term
+A policy backend maps (step context, scene representation, short-term
 memory) to a 4-way decision vector over (stop, turn_left, move_forward,
 turn_right) plus a confidence.  The shipped learnable backend is a linear
 softmax over concatenated features with an analytic gradient, trained by
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -34,6 +34,7 @@ from .world import (
     ROBOTS,
     RobotConfig,
     Scene,
+    View,
     observe,
 )
 from . import expert as expert_mod
@@ -71,53 +72,41 @@ class EmbeddingOracle:
         norm = float(np.linalg.norm(v))
         return v / norm
 
-    def embed_view(self, view) -> np.ndarray:
+    def _embed_closest(self, sightings) -> np.ndarray:
+        """Embed the closest sighting of each category."""
         closest: dict[str, float] = {}
-        for s in view.objects:
+        for s in sightings:
             if s.category not in closest or s.range < closest[s.category]:
                 closest[s.category] = s.range
         return self._embed_pairs(sorted(closest.items()))
+
+    def embed_view(self, view: View) -> np.ndarray:
+        return self._embed_closest(view.objects)
 
     def embed_observation(self, obs: Observation) -> np.ndarray:
-        closest: dict[str, float] = {}
-        for s in obs.visible():
-            if s.category not in closest or s.range < closest[s.category]:
-                closest[s.category] = s.range
-        return self._embed_pairs(sorted(closest.items()))
-
-
-def embed_observation(oracle: EmbeddingOracle, obs: Observation) -> np.ndarray:
-    return oracle.embed_observation(obs)
+        return self._embed_closest(obs.visible())
 
 
 @dataclass(frozen=True)
 class SceneRepresentation:
-    """Directional view embeddings plus step-indexed history entries."""
+    """Directional view embeddings and the navigation stage."""
 
     views: tuple[tuple[str, np.ndarray], ...]  # ordered left/front/right
-    history: tuple[tuple[int, np.ndarray], ...]
     stage: int = 0
 
     def __post_init__(self) -> None:
         if len(self.views) != 3:
             raise ValueError("scene representation needs exactly 3 view slots")
-        indices = [i for i, _ in self.history]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("history step indices must strictly increase")
 
     def feature(self) -> np.ndarray:
         return np.concatenate([vec for _, vec in self.views])
 
 
 def build_scene_representation(
-    oracle: EmbeddingOracle,
-    obs: Observation,
-    memory: ShortTermMemory | None = None,
-    stage: int = 0,
+    oracle: EmbeddingOracle, obs: Observation, stage: int = 0
 ) -> SceneRepresentation:
     views = tuple((v.direction, oracle.embed_view(v)) for v in obs.views)
-    history = tuple(enumerate(memory.entries)) if memory is not None else ()
-    return SceneRepresentation(views=views, history=history, stage=stage)
+    return SceneRepresentation(views=views, stage=stage)
 
 
 # -- backends -----------------------------------------------------------------
@@ -126,7 +115,7 @@ def build_scene_representation(
 class PolicyBackend(Protocol):
     def decide(
         self,
-        instruction: str,
+        ctx: StepContext,
         scene_rep: SceneRepresentation,
         memory: ShortTermMemory,
     ) -> tuple[np.ndarray, float]: ...
@@ -170,7 +159,7 @@ class LinearSoftmaxBackend:
         e = np.exp(logits)
         return e / e.sum()
 
-    def decide(self, instruction, scene_rep, memory):
+    def decide(self, ctx, scene_rep, memory):
         p = self.probabilities(self.features(scene_rep, memory))
         return p, float(p.max())
 
@@ -203,31 +192,17 @@ class LinearSoftmaxBackend:
 class UniformBackend:
     """Flat decision vector; useful as a weighting-path probe."""
 
-    def decide(self, instruction, scene_rep, memory):
+    def decide(self, ctx, scene_rep, memory):
         return uniform_decision(), 1.0 / N_ACTIONS
 
 
 class ExpertTeacherBackend:
-    """Emits a one-hot on the expert action for the bound step context.
+    """Emits a one-hot on the expert action for the step context, so it
+    exercises the full memory/weighting path while never being the reason
+    an episode fails."""
 
-    The memory policy rebinds the context before every decide call, so this
-    backend exercises the full memory/weighting path while never being the
-    reason an episode fails.
-    """
-
-    def __init__(self) -> None:
-        self._ctx: tuple[Scene, AgentState, str, RobotConfig] | None = None
-
-    def set_context(
-        self, scene: Scene, state: AgentState, target_id: str, robot: RobotConfig
-    ) -> None:
-        self._ctx = (scene, state, target_id, robot)
-
-    def decide(self, instruction, scene_rep, memory):
-        if self._ctx is None:
-            raise RuntimeError("teacher backend has no bound context")
-        scene, state, target_id, robot = self._ctx
-        action = expert_mod.expert_next_action(scene, state, target_id, robot)
+    def decide(self, ctx, scene_rep, memory):
+        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
         return one_hot(action), 1.0
 
 
@@ -271,46 +246,85 @@ class TrainReport:
     final_loss: float
 
 
+class _ImitationRecorder:
+    """Expert control for one episode that records, before each action, the
+    features the backend would see and the expert's label.
+
+    Short-term memory folds in the backend's own confidences, so training
+    features match evaluation features.
+    """
+
+    def __init__(
+        self, backend: LinearSoftmaxBackend, oracle: EmbeddingOracle, capacity: int
+    ):
+        self.backend = backend
+        self.oracle = oracle
+        self.memory = ShortTermMemory(capacity=capacity)
+        self.dataset: list[tuple[np.ndarray, int]] = []
+
+    def begin_episode(self, scene, task, robot, seed):
+        pass
+
+    def act(self, ctx: StepContext) -> Action:
+        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        obs = observe(ctx.scene, ctx.state, ctx.robot)
+        rep = build_scene_representation(self.oracle, obs, stage=ctx.stage)
+        features = self.backend.features(rep, self.memory)
+        self.dataset.append((features, int(action)))
+        probs = self.backend.probabilities(features)
+        self.memory = forget_and_append(
+            self.memory, self.oracle.embed_observation(obs), float(probs.max())
+        )
+        return action
+
+
 def collect_imitation_dataset(
     scene: Scene,
-    task,
+    task: TaskSpec,
     backend: LinearSoftmaxBackend,
     oracle: EmbeddingOracle | None = None,
     robot: RobotConfig | None = None,
     budget: int = 500,
     capacity: int = 32,
     start: AgentState | None = None,
-):
-    """Roll the expert through a task, featurizing every step exactly the
-    way the backend will see it; labels are the expert actions.
+) -> list[tuple[np.ndarray, int]]:
+    """Roll the expert through a task with the runner's episode loop and
+    return one (features, expert action index) pair per step.
 
-    Memory along the rollout is maintained with the backend's own
-    confidences, so training features match evaluation features.
+    The robot defaults to the task's own; a given robot must be a stock
+    platform, since the episode loop looks robots up by name.
     """
-    from .taskforge import sample_spawn
-    from .world import apply_action
+    from . import runner
 
-    oracle = oracle or EmbeddingOracle(dim=backend.embed_dim)
-    robot = robot or ROBOTS["spot"]
-    state = start if start is not None else sample_spawn(scene, task)
-    mem = ShortTermMemory(capacity=capacity)
-    dataset = []
-    for stage, sub in enumerate(task.move_targets()):
-        for _ in range(budget):
-            action = expert_mod.expert_next_action(scene, state, sub.object_id, robot)
-            obs = observe(scene, state, robot)
-            rep = build_scene_representation(oracle, obs, memory=mem, stage=stage)
-            features = backend.features(rep, mem)
-            dataset.append((features, int(action)))
-            probs = backend.probabilities(features)
-            mem = forget_and_append(
-                mem, oracle.embed_observation(obs), float(probs.max())
-            )
-            result = apply_action(scene, state, action, robot)
-            state = result.state
-            if result.stopped:
-                break
-    return dataset
+    if robot is not None:
+        if ROBOTS.get(robot.name) != robot:
+            raise ValueError(f"imitation needs a stock robot, not {robot.name!r}")
+        task = replace(task, robot=robot.name)
+    recorder = _ImitationRecorder(
+        backend, oracle or EmbeddingOracle(dim=backend.embed_dim), capacity
+    )
+    runner.run_episode(scene, task, recorder, runner.RunConfig(budget=budget), start=start)
+    return recorder.dataset
+
+
+def _batch(data) -> tuple[np.ndarray, np.ndarray]:
+    X = np.stack([np.asarray(x, dtype=float) for x, _ in data])
+    y = np.array([int(a) for _, a in data])
+    return X, y
+
+
+def _descend(
+    backend: LinearSoftmaxBackend, plan, lr: float, X_all: np.ndarray, y_all: np.ndarray
+) -> TrainReport:
+    """One full-batch gradient step per planned (X, y) batch; the loss of
+    each is measured before its update, the final loss on (X_all, y_all)."""
+    losses = []
+    for X, y in plan:
+        loss, grad = loss_and_grad(backend, X, y)
+        losses.append(loss)
+        backend.set_params(backend.get_params() - lr * grad)
+    final_loss, _ = loss_and_grad(backend, X_all, y_all)
+    return TrainReport(losses=losses, final_loss=final_loss)
 
 
 def train_schedule(
@@ -330,26 +344,14 @@ def train_schedule(
         raise ValueError("both data sources must be nonempty")
     if mode not in ("alternate", "two_stage"):
         raise ValueError(f"unknown schedule {mode!r}")
-
-    def batch(data):
-        X = np.stack([np.asarray(x, dtype=float) for x, _ in data])
-        y = np.array([int(a) for _, a in data])
-        return X, y
-
-    sources = [batch(rollout_data), batch(stored_data)]
-    losses: list[float] = []
+    rollout, stored = _batch(rollout_data), _batch(stored_data)
     if mode == "alternate":
-        plan = [sources[i % 2] for i in range(2 * epochs)]
+        plan = [rollout, stored] * epochs
     else:
-        plan = [sources[1]] * epochs + [sources[0]] * epochs
-    for X, y in plan:
-        loss, grad = loss_and_grad(backend, X, y)
-        losses.append(loss)
-        backend.set_params(backend.get_params() - lr * grad)
-    X_all = np.concatenate([sources[0][0], sources[1][0]])
-    y_all = np.concatenate([sources[0][1], sources[1][1]])
-    final_loss, _ = loss_and_grad(backend, X_all, y_all)
-    return TrainReport(losses=losses, final_loss=final_loss)
+        plan = [stored] * epochs + [rollout] * epochs
+    X_all = np.concatenate([rollout[0], stored[0]])
+    y_all = np.concatenate([rollout[1], stored[1]])
+    return _descend(backend, plan, lr, X_all, y_all)
 
 
 def train_backend(
@@ -366,70 +368,32 @@ def train_backend(
     """
     if not len(dataset):
         raise ValueError("training dataset must be nonempty")
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
-    y = np.array([int(a) for _, a in dataset])
-    losses = []
-    for _ in range(epochs):
-        loss, grad = loss_and_grad(backend, X, y)
-        losses.append(loss)
-        theta = backend.get_params() - lr * grad
-        backend.set_params(theta)
-    final_loss, _ = loss_and_grad(backend, X, y)
-    return TrainReport(losses=losses, final_loss=final_loss)
-
-
-# -- chain-of-thought seam --------------------------------------------------------
-
-
-class CotFeedback(Protocol):
-    def refine(self, instruction: str, history) -> list[str]: ...
-
-
-class RuleBasedCotFeedback:
-    """Rule-based stand-in for an LLM planner: the subgoal list is the
-    task's own navigation target categories, in order."""
-
-    def __init__(self, scene: Scene, task: TaskSpec):
-        self._subgoals = [
-            scene.object(s.object_id).category for s in task.move_targets()
-        ]
-
-    def refine(self, instruction: str, history) -> list[str]:
-        return list(self._subgoals)
+    X, y = _batch(dataset)
+    return _descend(backend, [(X, y)] * epochs, lr, X, y)
 
 
 # -- one decision step of the memory pipeline ---------------------------------------
 
 
 def memory_policy_step(
-    instruction: str,
-    obs: Observation,
+    ctx: StepContext,
     mem: ShortTermMemory,
     store: LongTermStore,
     backend: PolicyBackend,
     oracle: EmbeddingOracle,
-    target_category: str,
-    stage: int = 0,
-    use_argmax: bool = True,
-    rng: random.Random | None = None,
     pooling: str = "pair",
 ) -> tuple[Action, ShortTermMemory]:
-    """One decision step: embed, decide, weight by retrieved actions, pick
-    an action, and fold the observation into short-term memory."""
-    scene_rep = build_scene_representation(oracle, obs, memory=mem, stage=stage)
-    decision, confidence = backend.decide(instruction, scene_rep, mem)
+    """One decision step: observe, embed, decide, weight by the actions
+    retrieved for the target's category, take the argmax, and fold the
+    observation into short-term memory."""
+    obs = observe(ctx.scene, ctx.state, ctx.robot)
+    scene_rep = build_scene_representation(oracle, obs, stage=ctx.stage)
+    decision, confidence = backend.decide(ctx, scene_rep, mem)
     fused = oracle.embed_observation(obs)
-    retrieved = store.retrieve_topk(target_category, fused)
+    retrieved = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
     if retrieved:
         decision, _ = weight_decision(decision, [act for _, act in retrieved])
-    if use_argmax:
-        action = Action(int(np.argmax(decision)))
-    else:
-        if rng is None:
-            raise ValueError("sampling mode needs an rng")
-        total = float(decision.sum())
-        probs = decision / total if total > 0 else uniform_decision()
-        action = Action(rng.choices(range(N_ACTIONS), weights=probs)[0])
+    action = Action(int(np.argmax(decision)))
     mem = forget_and_append(mem, fused, confidence, window=pooling)
     return action, mem
 
@@ -445,8 +409,6 @@ class StepContext:
     task: TaskSpec
     target_id: str
     stage: int           # ordinal of the current navigation stage
-    step_in_subtask: int
-    instruction: str
 
 
 class Policy(Protocol):
@@ -490,8 +452,7 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting, refreshed by the chain-of-thought seam at stage
-    starts and every cot_period steps."""
+    short-term forgetting."""
 
     def __init__(
         self,
@@ -499,55 +460,20 @@ class MemoryPolicy:
         store: LongTermStore | None = None,
         oracle: EmbeddingOracle | None = None,
         capacity: int = 32,
-        use_argmax: bool = True,
-        cot_period: int = 10,
         pooling: str = "pair",
     ):
         self.backend = backend
         self.store = store if store is not None else LongTermStore()
         self.oracle = oracle or EmbeddingOracle()
         self.capacity = capacity
-        self.use_argmax = use_argmax
-        self.cot_period = cot_period
         self.pooling = pooling
         self.memory = ShortTermMemory(capacity=capacity)
-        self._cot: RuleBasedCotFeedback | None = None
-        self._subgoals: list[str] = []
-        self._rng = random.Random(0)
-        self._last_stage = -1
 
     def begin_episode(self, scene, task, robot, seed):
         self.memory = ShortTermMemory(capacity=self.capacity)
-        self._cot = RuleBasedCotFeedback(scene, task)
-        self._subgoals = []
-        self._rng = random.Random(f"memory-policy:{task.id}:{seed}")
-        self._last_stage = -1
 
     def act(self, ctx: StepContext) -> Action:
-        stage_started = ctx.stage != self._last_stage
-        if self._cot is not None and (
-            stage_started or ctx.step_in_subtask % self.cot_period == 0
-        ):
-            self._subgoals = self._cot.refine(ctx.instruction, self.memory.entries)
-        self._last_stage = ctx.stage
-        if self._subgoals and ctx.stage < len(self._subgoals):
-            target_category = self._subgoals[ctx.stage]
-        else:
-            target_category = ctx.scene.object(ctx.target_id).category
-        if hasattr(self.backend, "set_context"):
-            self.backend.set_context(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
-        obs = observe(ctx.scene, ctx.state, ctx.robot)
         action, self.memory = memory_policy_step(
-            ctx.instruction,
-            obs,
-            self.memory,
-            self.store,
-            self.backend,
-            self.oracle,
-            target_category,
-            stage=ctx.stage,
-            use_argmax=self.use_argmax,
-            rng=self._rng,
-            pooling=self.pooling,
+            ctx, self.memory, self.store, self.backend, self.oracle, self.pooling
         )
         return action

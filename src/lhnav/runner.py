@@ -22,6 +22,7 @@ from . import metrics as metrics_mod
 from .expert import UnreachableTargetError, geodesic_distance
 from .metrics import EpisodeResult, SubtaskRecord
 from .policy import (
+    EmbeddingOracle,
     ExpertPolicy,
     LinearSoftmaxBackend,
     MemoryPolicy,
@@ -45,6 +46,9 @@ from .world import (
 )
 
 
+POLICIES = ("expert", "random", "memory", "stop")
+
+
 @dataclass
 class RunConfig:
     budget: int = 500          # steps per navigation subtask
@@ -62,6 +66,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.embed_dim < 2:
+            raise ValueError("embed_dim must be at least 2")
 
     def config_hash(self) -> str:
         stable = {
@@ -90,6 +100,7 @@ def make_policy(cfg: RunConfig) -> Policy:
         return MemoryPolicy(
             backend,
             store=store,
+            oracle=EmbeddingOracle(dim=cfg.embed_dim),
             capacity=cfg.memory_capacity,
             pooling="triple" if cfg.literal_pooling else "pair",
         )
@@ -139,7 +150,7 @@ def run_episode(
             oracle_hit = False
             path_taken = 0.0
             stopped = False
-            for step_i in range(cfg.budget):
+            for _ in range(cfg.budget):
                 if subtask_success(scene, state, sub.object_id, robot):
                     oracle_hit = True
                 ctx = StepContext(
@@ -149,8 +160,6 @@ def run_episode(
                     task=task,
                     target_id=sub.object_id,
                     stage=stage,
-                    step_in_subtask=step_i,
-                    instruction=task.instruction,
                 )
                 action = policy.act(ctx)
                 result = apply_action(scene, state, action, robot)

@@ -125,7 +125,9 @@ class Trajectory:
     def load(cls, path: str | Path) -> "Trajectory":
         with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        header = json.loads(lines[0])
+        header = json.loads(lines[0]) if lines else None
+        if not isinstance(header, dict) or "final_pose" not in header:
+            raise ValueError(f"trajectory file {path} has no header line")
         steps = [StepRecord.from_dict(json.loads(ln)) for ln in lines[1:]]
         fx, fy, fh_deg = header["final_pose"]
         return cls(

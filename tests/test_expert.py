@@ -4,21 +4,35 @@ import random
 import pytest
 
 from lhnav.expert import (
-    BudgetExhaustedError,
     UnreachableTargetError,
     compute_field,
     expert_next_action,
-    expert_rollout,
     geodesic_distance,
 )
+from lhnav.policy import ExpertPolicy
+from lhnav.runner import RunConfig, run_episode
 from lhnav.scenegen import generate_scene
-from lhnav.taskforge import sample_spawn, sample_task
+from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, Scene, subtask_success
 
 from conftest import scene_from
 from reference_impls import relaxation_distances
 
 SPOT = ROBOTS["spot"]
+
+
+def expert_episode(scene, start, targets, budget=500):
+    """The expert through an ordered target list, one navigation subtask
+    per target."""
+    task = TaskSpec(
+        id="rollout",
+        instruction="",
+        subtasks=tuple(Subtask(kind=MOVE_TO, object_id=t) for t in targets),
+        robot=SPOT.name,
+        scene_id=scene.scene_id,
+        seed=0,
+    )
+    return run_episode(scene, task, ExpertPolicy(), RunConfig(budget=budget), start=start)
 
 
 class TestGeodesicDistance:
@@ -113,7 +127,7 @@ class TestExpertNextAction:
 class TestExpertRollout:
     def test_near_terminal_start(self, corridor_scene):
         s = AgentState(position=corridor_scene.cell_center((1, 5)), heading=0.0)
-        traj = expert_rollout(corridor_scene, s, ["box-0"], SPOT)
+        traj, _ = expert_episode(corridor_scene, s, ["box-0"])
         assert [r.action for r in traj.steps] == [Action.STOP]
         assert traj.spans[0].stopped
 
@@ -124,7 +138,7 @@ class TestExpertRollout:
             objects=[("m-0", "mug", (1, 9), True), ("p-0", "pot", (1, 17), True)],
         )
         start = AgentState(position=scene.cell_center((1, 1)), heading=0.0)
-        traj = expert_rollout(scene, start, ["m-0", "p-0"], SPOT)
+        traj, _ = expert_episode(scene, start, ["m-0", "p-0"])
         assert len(traj.spans) == 2 and all(s.stopped for s in traj.spans)
         # each leg's recorded length equals the geodesic from its start pose
         assert traj.spans[0].gt == geodesic_distance(
@@ -144,14 +158,16 @@ class TestExpertRollout:
     def test_unreachable_second_target_errors_after_first(self, sealed_scene):
         start = AgentState(position=sealed_scene.cell_center((3, 3)), heading=0.0)
         with pytest.raises(UnreachableTargetError):
-            expert_rollout(sealed_scene, start, ["cup-0", "jar-0"], SPOT)
+            expert_episode(sealed_scene, start, ["cup-0", "jar-0"])
 
-    def test_budget_exhaustion_errors(self):
+    def test_budget_exhaustion_truncates(self):
         rows = ["#" * 30, "#" + "." * 28 + "#", "#" * 30]
         scene = scene_from(rows, objects=[("far-0", "flag", (1, 28), True)])
         start = AgentState(position=scene.cell_center((1, 1)), heading=0.0)
-        with pytest.raises(BudgetExhaustedError):
-            expert_rollout(scene, start, ["far-0"], SPOT, budget=5)
+        traj, result = expert_episode(scene, start, ["far-0"], budget=5)
+        assert len(traj.steps) == 5 and not traj.spans[0].stopped
+        (record,) = result.records
+        assert record.truncated and not record.success
 
 
 class TestExpertProperty:
@@ -161,12 +177,11 @@ class TestExpertProperty:
         for seed in range(25):
             scene = generate_scene(seed=seed + 1000, size=20, regions=4)
             task = sample_task(scene, seed=seed)
-            start = sample_spawn(scene, task)
-            targets = [s.object_id for s in task.move_targets()]
-            traj = expert_rollout(scene, start, targets, SPOT, budget=500)
-            end_states = []
-            state = start
-            for span in traj.spans:
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig(budget=500))
+            moves = [span for span in traj.spans if span.kind == MOVE_TO]
+            assert len(moves) == len(task.move_targets())
+            for span in moves:
+                assert span.stopped
                 final = traj.steps[span.end - 1].state  # pose at the stop
                 assert subtask_success(scene, final, span.target_id, SPOT)
                 ne = geodesic_distance(

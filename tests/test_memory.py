@@ -11,7 +11,6 @@ from lhnav.memory import (
     entropy_argmin,
     forget_and_append,
     pool_candidates,
-    retrieve_topk,
     weight_decision,
 )
 
@@ -137,7 +136,7 @@ class TestRetrieveTopk:
         a2 = np.array([0.0, 0.0, 1.0, 0.0])
         store.add("mug", e1, a1)
         store.add("mug", e2, a2)
-        got = retrieve_topk(store, "mug", e1)
+        got = store.retrieve_topk("mug", e1)
         assert np.allclose(got[0][0], e1) and np.allclose(got[0][1], a1)
 
     def test_orthogonal_query_prefers_parallel(self):

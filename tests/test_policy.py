@@ -10,7 +10,6 @@ from lhnav.policy import (
     LinearSoftmaxBackend,
     MemoryPolicy,
     RandomPolicy,
-    RuleBasedCotFeedback,
     SceneRepresentation,
     StepContext,
     UniformBackend,
@@ -20,10 +19,32 @@ from lhnav.policy import (
     one_hot,
     train_backend,
 )
-from lhnav.taskforge import sample_spawn, sample_task
+from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe
 
 SPOT = ROBOTS["spot"]
+
+
+def step_context(scene, state, target_id, task=None, stage=0):
+    """A runner step context; the task defaults to one navigation subtask
+    to the target."""
+    if task is None:
+        task = TaskSpec(
+            id="t",
+            instruction="",
+            subtasks=(Subtask(kind=MOVE_TO, object_id=target_id),),
+            robot=SPOT.name,
+            scene_id=scene.scene_id,
+            seed=0,
+        )
+    return StepContext(
+        scene=scene,
+        state=state,
+        robot=SPOT,
+        task=task,
+        target_id=target_id,
+        stage=stage,
+    )
 
 
 class TestEmbeddingOracle:
@@ -69,24 +90,16 @@ class TestEmbeddingOracle:
 class TestSceneRepresentation:
     def test_three_view_slots_required(self):
         with pytest.raises(ValueError):
-            SceneRepresentation(views=(("left", np.ones(4)),), history=())
+            SceneRepresentation(views=(("left", np.ones(4)),))
 
     def test_build_from_observation(self, open_scene):
         oracle = EmbeddingOracle(dim=16)
         s = AgentState(position=open_scene.cell_center((3, 3)), heading=0.0)
         obs = observe(open_scene, s, SPOT)
-        mem = ShortTermMemory(capacity=4)
-        rep = build_scene_representation(oracle, obs, memory=mem, stage=1)
+        rep = build_scene_representation(oracle, obs, stage=1)
         assert [d for d, _ in rep.views] == ["left", "front", "right"]
         assert rep.feature().shape == (48,)
         assert rep.stage == 1
-
-    def test_history_indices_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            SceneRepresentation(
-                views=(("left", np.ones(2)), ("front", np.ones(2)), ("right", np.ones(2))),
-                history=((1, np.ones(2)), (1, np.ones(2))),
-            )
 
 
 def random_features(rng, backend, n):
@@ -187,6 +200,21 @@ class TestTraining:
         # the trace ends with the expert's stop on the final stage
         assert dataset[-1][1] == int(Action.STOP)
 
+    def test_imitation_labels_are_the_expert_episode_actions(self, two_room_scene):
+        from lhnav.policy import ExpertPolicy, collect_imitation_dataset
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.world import RobotConfig
+
+        task = sample_task(two_room_scene, ROBOTS["stretch"], seed=7)
+        traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
+        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        dataset = collect_imitation_dataset(two_room_scene, task, backend)
+        assert [y for _, y in dataset] == [int(a) for a in traj.actions()]
+        with pytest.raises(ValueError, match="stock robot"):
+            collect_imitation_dataset(
+                two_room_scene, task, backend, robot=RobotConfig(name="spot", camera_height=2.0)
+            )
+
     @pytest.mark.parametrize("mode", ["alternate", "two_stage"])
     def test_train_schedule_modes_reduce_loss(self, two_room_scene, mode):
         from lhnav.policy import collect_imitation_dataset, train_schedule
@@ -204,49 +232,46 @@ class TestTraining:
 
 
 class TestMemoryPolicyStep:
-    def _obs(self, scene):
+    def _ctx(self, scene):
         s = AgentState(position=scene.cell_center((2, 2)), heading=0.0)
-        return observe(scene, s, SPOT)
+        return step_context(scene, s, "box-0")
 
     def test_store_weighting_dominates_uniform_backend(self, open_scene):
         oracle = EmbeddingOracle(dim=16)
-        obs = self._obs(open_scene)
+        ctx = self._ctx(open_scene)
         store = LongTermStore(k=3)
         store.add(
             "box",
-            oracle.embed_observation(obs),
+            oracle.embed_observation(observe(open_scene, ctx.state, SPOT)),
             np.array([0.0, 0.0, 1.0, 0.0]),
         )
         mem = ShortTermMemory(capacity=8)
         action, mem2 = memory_policy_step(
-            "go", obs, mem, store, UniformBackend(), oracle, "box"
+            ctx, mem, store, UniformBackend(), oracle
         )
         assert action == Action.MOVE_FORWARD
         assert len(mem2) == 1
 
     def test_empty_store_uses_backend_argmax(self, open_scene):
         oracle = EmbeddingOracle(dim=16)
-        obs = self._obs(open_scene)
 
         class Fixed:
-            def decide(self, instruction, rep, mem):
+            def decide(self, ctx, rep, mem):
                 return np.array([0.05, 0.6, 0.15, 0.2]), 0.6
 
         action, _ = memory_policy_step(
-            "go", obs, ShortTermMemory(capacity=4), LongTermStore(), Fixed(), oracle, "box"
+            self._ctx(open_scene), ShortTermMemory(capacity=4), LongTermStore(), Fixed(), oracle
         )
         assert action == Action.TURN_LEFT
 
     def test_memory_growth_capped(self, open_scene):
         oracle = EmbeddingOracle(dim=8)
-        obs = self._obs(open_scene)
+        ctx = self._ctx(open_scene)
         mem = ShortTermMemory(capacity=3)
         store = LongTermStore()
         for i in range(10):
             before = len(mem)
-            _, mem = memory_policy_step(
-                "go", obs, mem, store, UniformBackend(), oracle, "box"
-            )
+            _, mem = memory_policy_step(ctx, mem, store, UniformBackend(), oracle)
             assert len(mem) in (before + 1, mem.capacity)
         assert len(mem) == 3
 
@@ -258,26 +283,28 @@ class TestPolicies:
         for _ in range(2):
             pol = RandomPolicy()
             pol.begin_episode(two_room_scene, task, SPOT, seed=5)
-            ctx = StepContext(
-                scene=two_room_scene,
-                state=sample_spawn(two_room_scene, task),
-                robot=SPOT,
-                task=task,
-                target_id="bag-0",
-                stage=0,
-                step_in_subtask=0,
-                instruction=task.instruction,
+            ctx = step_context(
+                two_room_scene, sample_spawn(two_room_scene, task), "bag-0", task=task
             )
             traces.append([pol.act(ctx) for _ in range(50)])
         assert traces[0] == traces[1]
 
-    def test_cot_stub_returns_target_categories(self, two_room_scene):
+    def test_memory_policy_retrieves_by_stage_target_category(self, two_room_scene):
+        # each stage weights the decision by its own target's bucket
         task = sample_task(two_room_scene, seed=7)
-        cot = RuleBasedCotFeedback(two_room_scene, task)
-        subgoals = cot.refine(task.instruction, [])
-        assert subgoals == ["bag", "desk"]
-        scene_cats = {o.category for o in two_room_scene.objects}
-        assert all(g in scene_cats for g in subgoals)
+        assert [s.object_id for s in task.move_targets()] == ["bag-0", "desk-0"]
+        oracle = EmbeddingOracle(dim=16)
+        store = LongTermStore(k=1)
+        store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
+        store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
+        pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
+        pol.begin_episode(two_room_scene, task, SPOT, seed=0)
+        state = sample_spawn(two_room_scene, task)
+        actions = [
+            pol.act(step_context(two_room_scene, state, target, task=task, stage=stage))
+            for stage, target in enumerate(["bag-0", "desk-0"])
+        ]
+        assert actions == [Action.MOVE_FORWARD, Action.TURN_RIGHT]
 
     def test_memory_policy_never_mutates_store(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)
@@ -291,18 +318,8 @@ class TestPolicies:
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
         pol.begin_episode(two_room_scene, task, SPOT, seed=0)
         state = sample_spawn(two_room_scene, task)
-        for i in range(20):
-            ctx = StepContext(
-                scene=two_room_scene,
-                state=state,
-                robot=SPOT,
-                task=task,
-                target_id="bag-0",
-                stage=0,
-                step_in_subtask=i,
-                instruction=task.instruction,
-            )
-            pol.act(ctx)
+        for _ in range(20):
+            pol.act(step_context(two_room_scene, state, "bag-0", task=task))
         assert len(store.buckets) == len(snapshot)
         for (t, entries), (t2, entries2) in zip(snapshot, store.buckets.items()):
             assert t == t2 and len(entries) == len(entries2)
@@ -312,8 +329,7 @@ class TestPolicies:
     def test_expert_teacher_backend_emits_one_hot(self, corridor_scene):
         backend = ExpertTeacherBackend()
         s = AgentState(position=corridor_scene.cell_center((1, 1)), heading=0.0)
-        backend.set_context(corridor_scene, s, "box-0", SPOT)
-        decision, conf = backend.decide("go", None, None)
+        decision, conf = backend.decide(step_context(corridor_scene, s, "box-0"), None, None)
         assert np.array_equal(decision, one_hot(Action.MOVE_FORWARD))
         assert conf == 1.0
 

@@ -6,6 +6,7 @@ import pytest
 from lhnav.expert import geodesic_distance
 from lhnav.metrics import EpisodeResult
 from lhnav.runner import (
+    POLICIES,
     RunConfig,
     format_report_table,
     make_policy,
@@ -92,12 +93,34 @@ class TestRunEpisode:
             )
             assert record.gt == expected
 
+    def test_memory_policy_follows_embed_dim(self, two_room_scene):
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        cfg = RunConfig(policy="memory", embed_dim=16, budget=5)
+        policy = make_policy(cfg)
+        assert policy.oracle.dim == 16
+        traj, result = run_episode(two_room_scene, task, policy, cfg)
+        assert len(traj.steps) == sum(r.steps for r in result.records) > 0
+
     def test_wrong_scene_pairing_rejected(self, two_room_scene):
         scene2 = generate_scene(seed=77, size=20)
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="expert")
         with pytest.raises(ValueError):
             run_episode(scene2, task, make_policy(cfg), cfg)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("policy", "bogus"), ("workers", 0), ("embed_dim", 1), ("budget", 0)],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_policy_builds(self, policy):
+        make_policy(RunConfig(policy=policy))
 
 
 class TestTrajectoryFiles:
@@ -116,6 +139,15 @@ class TestTrajectoryFiles:
         path2 = tmp_path / "t2.jsonl"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n  \n", '{"i":0,"pose":[1,1,0],"action":"stop"}\n']
+    )
+    def test_missing_header_names_path(self, tmp_path, text):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="broken.jsonl"):
+            Trajectory.load(path)
 
 
 class TestRunSuite:
