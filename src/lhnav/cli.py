@@ -25,7 +25,7 @@ from .taskforge import (
     save_tasks,
 )
 from .trajectory import Trajectory
-from .world import ROBOTS, Action, Scene
+from .world import ROBOTS, Action, Scene, stock_robot
 
 
 def load_config_file(path: str | None) -> dict[str, str]:
@@ -112,19 +112,22 @@ def cmd_gen_tasks(args, cfg_file) -> int:
 
 
 def cmd_rollout(args, cfg_file) -> int:
+    try:
+        cfg = RunConfig(
+            budget=args.budget,
+            seed=args.seed,
+            policy=args.policy,
+            literal_ne=args.literal_ne,
+            literal_ce=args.literal_ce,
+            literal_pooling=args.literal_pooling,
+            workers=args.workers,
+            store_path=args.store or cfg_file.get("store_path", ""),
+            out_dir=args.out,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     scenes = _load_scenes(args.scenes)
     tasks = load_tasks(args.tasks)
-    cfg = RunConfig(
-        budget=args.budget,
-        seed=args.seed,
-        policy=args.policy,
-        literal_ne=args.literal_ne,
-        literal_ce=args.literal_ce,
-        literal_pooling=args.literal_pooling,
-        workers=args.workers,
-        store_path=args.store or cfg_file.get("store_path", ""),
-        out_dir=args.out,
-    )
     report = run_suite(scenes, tasks, cfg)
     print(format_report_table(report))
     return 0
@@ -138,7 +141,7 @@ def cmd_split(args, cfg_file) -> int:
     for f in files:
         traj = Trajectory.load(f)
         scene = scenes[traj.scene_id]
-        robot = ROBOTS.get(traj.robot, ROBOTS["spot"])
+        robot = stock_robot(traj.robot)
         for span in traj.spans:
             if span.kind != "move_to":
                 continue
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal-ce", action="store_true")
     p.add_argument("--literal-pooling", action="store_true")
     p.add_argument("--out", default="runs")
-    p.set_defaults(func=cmd_rollout)
+    p.set_defaults(func=cmd_rollout, usage_error=p.error)
 
     p = sub.add_parser("split", help="split trajectories into step-by-step tasks")
     p.add_argument("--trajectories", required=True)

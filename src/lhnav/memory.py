@@ -131,6 +131,15 @@ def forget_and_append(
     )
 
 
+def _check_length(target: str, bucket, embedding: np.ndarray) -> None:
+    """A bucket holds embeddings of one length."""
+    if bucket and embedding.shape != bucket[0][0].shape:
+        raise ValueError(
+            f"target {target!r}: embedding of length {embedding.size} "
+            f"does not match the bucket's length {bucket[0][0].size}"
+        )
+
+
 class LongTermStore:
     """Per-target buckets of (observation embedding, action distribution).
 
@@ -155,7 +164,9 @@ class LongTermStore:
             raise ValueError(f"action distribution must have length {N_ACTIONS}")
         if np.any(act < 0) or abs(float(act.sum()) - 1.0) > 1e-9:
             raise ValueError("action distribution must be nonnegative and sum to 1")
-        self.buckets.setdefault(target, []).append((obs, act))
+        bucket = self.buckets.setdefault(target, [])
+        _check_length(target, bucket, obs)
+        bucket.append((obs, act))
 
     def rank(self, target: str, query: np.ndarray) -> list[int]:
         """Bucket indices sorted by descending cosine similarity to the query;
@@ -165,6 +176,7 @@ class LongTermStore:
         if qn == 0.0:
             raise ValueError("query embedding must be nonzero")
         bucket = self.buckets.get(target, [])
+        _check_length(target, bucket, q)
         sims = [float(np.dot(obs, q) / (np.linalg.norm(obs) * qn)) for obs, _ in bucket]
         order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
         return order

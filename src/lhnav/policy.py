@@ -1,11 +1,13 @@
 """Pluggable per-step decision makers.
 
-A policy backend maps (step context, scene representation, short-term
-memory) to a 4-way decision vector over (stop, turn_left, move_forward,
-turn_right) plus a confidence.  The shipped learnable backend is a linear
-softmax over concatenated features with an analytic gradient, trained by
-full-batch gradient descent against expert actions.  A deterministic
-hashing oracle stands in for the frozen visual encoder.
+A policy backend maps (step context, concatenated left/front/right view
+embeddings, short-term memory) to a 4-way decision vector over (stop,
+turn_left, move_forward, turn_right) plus a confidence.  The shipped
+learnable backend is a linear softmax over concatenated features with an
+analytic gradient, trained by full-batch gradient descent against expert
+actions.  Imitation data comes from the memory policy itself, driven by
+the expert, so training and rollout share one feature pipeline.  A
+deterministic hashing oracle stands in for the frozen visual encoder.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
@@ -31,7 +33,6 @@ from .world import (
     Action,
     AgentState,
     Observation,
-    ROBOTS,
     RobotConfig,
     Scene,
     View,
@@ -87,28 +88,6 @@ class EmbeddingOracle:
         return self._embed_closest(obs.visible())
 
 
-@dataclass(frozen=True)
-class SceneRepresentation:
-    """Directional view embeddings and the navigation stage."""
-
-    views: tuple[tuple[str, np.ndarray], ...]  # ordered left/front/right
-    stage: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.views) != 3:
-            raise ValueError("scene representation needs exactly 3 view slots")
-
-    def feature(self) -> np.ndarray:
-        return np.concatenate([vec for _, vec in self.views])
-
-
-def build_scene_representation(
-    oracle: EmbeddingOracle, obs: Observation, stage: int = 0
-) -> SceneRepresentation:
-    views = tuple((v.direction, oracle.embed_view(v)) for v in obs.views)
-    return SceneRepresentation(views=views, stage=stage)
-
-
 # -- backends -----------------------------------------------------------------
 
 
@@ -116,7 +95,7 @@ class PolicyBackend(Protocol):
     def decide(
         self,
         ctx: StepContext,
-        scene_rep: SceneRepresentation,
+        views: np.ndarray,
         memory: ShortTermMemory,
     ) -> tuple[np.ndarray, float]: ...
 
@@ -132,7 +111,7 @@ def one_hot(action: Action) -> np.ndarray:
 
 
 class LinearSoftmaxBackend:
-    """Softmax over a linear map of (scene embedding, mean short-term
+    """Softmax over a linear map of (view embeddings, mean short-term
     memory, stage one-hot).  Confidence is the probability of the action the
     backend itself would take."""
 
@@ -145,13 +124,11 @@ class LinearSoftmaxBackend:
         self.literal_ce = literal_ce
 
     def features(
-        self, scene_rep: SceneRepresentation, memory: ShortTermMemory
+        self, ctx: StepContext, views: np.ndarray, memory: ShortTermMemory
     ) -> np.ndarray:
         stage_hot = np.zeros(MAX_STAGES)
-        stage_hot[min(scene_rep.stage, MAX_STAGES - 1)] = 1.0
-        return np.concatenate(
-            [scene_rep.feature(), memory.mean_entry(self.embed_dim), stage_hot]
-        )
+        stage_hot[min(ctx.stage, MAX_STAGES - 1)] = 1.0
+        return np.concatenate([views, memory.mean_entry(self.embed_dim), stage_hot])
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         logits = self.W @ x + self.b
@@ -159,8 +136,8 @@ class LinearSoftmaxBackend:
         e = np.exp(logits)
         return e / e.sum()
 
-    def decide(self, ctx, scene_rep, memory):
-        p = self.probabilities(self.features(scene_rep, memory))
+    def decide(self, ctx, views, memory):
+        p = self.probabilities(self.features(ctx, views, memory))
         return p, float(p.max())
 
     # -- parameter plumbing for training and persistence --
@@ -176,6 +153,7 @@ class LinearSoftmaxBackend:
     def save(self, path: str | Path) -> None:
         payload = {
             "embed_dim": self.embed_dim,
+            "literal_ce": self.literal_ce,
             "n_actions": N_ACTIONS,
             "theta": self.get_params().tolist(),
         }
@@ -183,16 +161,31 @@ class LinearSoftmaxBackend:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearSoftmaxBackend":
+        """Weights written by save; a file without literal_ce reads as the
+        default loss."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        backend = cls(embed_dim=payload["embed_dim"])
-        backend.set_params(np.array(payload["theta"]))
+        if payload["n_actions"] != N_ACTIONS:
+            raise ValueError(
+                f"{path}: weights are for {payload['n_actions']} actions, not {N_ACTIONS}"
+            )
+        backend = cls(
+            embed_dim=payload["embed_dim"], literal_ce=payload.get("literal_ce", False)
+        )
+        theta = np.array(payload["theta"], dtype=float)
+        expected = backend.get_params().size
+        if theta.shape != (expected,):
+            raise ValueError(
+                f"{path}: theta has {theta.size} values, "
+                f"embed_dim {backend.embed_dim} needs {expected}"
+            )
+        backend.set_params(theta)
         return backend
 
 
 class UniformBackend:
     """Flat decision vector; useful as a weighting-path probe."""
 
-    def decide(self, ctx, scene_rep, memory):
+    def decide(self, ctx, views, memory):
         return uniform_decision(), 1.0 / N_ACTIONS
 
 
@@ -201,9 +194,26 @@ class ExpertTeacherBackend:
     exercises the full memory/weighting path while never being the reason
     an episode fails."""
 
-    def decide(self, ctx, scene_rep, memory):
+    def decide(self, ctx, views, memory):
         action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
         return one_hot(action), 1.0
+
+
+class _ImitationTeacher:
+    """Expert decisions for imitation: a one-hot on the expert action, with
+    the student's confidence on its own features, so short-term memory
+    folds in what evaluation would fold.  Records one (student features,
+    expert action index) pair per decision."""
+
+    def __init__(self, student: LinearSoftmaxBackend):
+        self.student = student
+        self.dataset: list[tuple[np.ndarray, int]] = []
+
+    def decide(self, ctx, views, memory):
+        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        features = self.student.features(ctx, views, memory)
+        self.dataset.append((features, int(action)))
+        return one_hot(action), float(self.student.probabilities(features).max())
 
 
 # -- training -------------------------------------------------------------------
@@ -246,112 +256,25 @@ class TrainReport:
     final_loss: float
 
 
-class _ImitationRecorder:
-    """Expert control for one episode that records, before each action, the
-    features the backend would see and the expert's label.
-
-    Short-term memory folds in the backend's own confidences, so training
-    features match evaluation features.
-    """
-
-    def __init__(
-        self, backend: LinearSoftmaxBackend, oracle: EmbeddingOracle, capacity: int
-    ):
-        self.backend = backend
-        self.oracle = oracle
-        self.memory = ShortTermMemory(capacity=capacity)
-        self.dataset: list[tuple[np.ndarray, int]] = []
-
-    def begin_episode(self, scene, task, robot, seed):
-        pass
-
-    def act(self, ctx: StepContext) -> Action:
-        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
-        obs = observe(ctx.scene, ctx.state, ctx.robot)
-        rep = build_scene_representation(self.oracle, obs, stage=ctx.stage)
-        features = self.backend.features(rep, self.memory)
-        self.dataset.append((features, int(action)))
-        probs = self.backend.probabilities(features)
-        self.memory = forget_and_append(
-            self.memory, self.oracle.embed_observation(obs), float(probs.max())
-        )
-        return action
-
-
 def collect_imitation_dataset(
     scene: Scene,
     task: TaskSpec,
     backend: LinearSoftmaxBackend,
     oracle: EmbeddingOracle | None = None,
-    robot: RobotConfig | None = None,
     budget: int = 500,
     capacity: int = 32,
-    start: AgentState | None = None,
 ) -> list[tuple[np.ndarray, int]]:
-    """Roll the expert through a task with the runner's episode loop and
-    return one (features, expert action index) pair per step.
-
-    The robot defaults to the task's own; a given robot must be a stock
-    platform, since the episode loop looks robots up by name.
-    """
+    """Drive the memory policy (empty long-term store) with the expert
+    through one episode and return one (features, expert action index)
+    pair per step, the features being those the backend would see."""
     from . import runner
 
-    if robot is not None:
-        if ROBOTS.get(robot.name) != robot:
-            raise ValueError(f"imitation needs a stock robot, not {robot.name!r}")
-        task = replace(task, robot=robot.name)
-    recorder = _ImitationRecorder(
-        backend, oracle or EmbeddingOracle(dim=backend.embed_dim), capacity
+    teacher = _ImitationTeacher(backend)
+    policy = MemoryPolicy(
+        teacher, oracle=oracle or EmbeddingOracle(dim=backend.embed_dim), capacity=capacity
     )
-    runner.run_episode(scene, task, recorder, runner.RunConfig(budget=budget), start=start)
-    return recorder.dataset
-
-
-def _batch(data) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in data])
-    y = np.array([int(a) for _, a in data])
-    return X, y
-
-
-def _descend(
-    backend: LinearSoftmaxBackend, plan, lr: float, X_all: np.ndarray, y_all: np.ndarray
-) -> TrainReport:
-    """One full-batch gradient step per planned (X, y) batch; the loss of
-    each is measured before its update, the final loss on (X_all, y_all)."""
-    losses = []
-    for X, y in plan:
-        loss, grad = loss_and_grad(backend, X, y)
-        losses.append(loss)
-        backend.set_params(backend.get_params() - lr * grad)
-    final_loss, _ = loss_and_grad(backend, X_all, y_all)
-    return TrainReport(losses=losses, final_loss=final_loss)
-
-
-def train_schedule(
-    backend: LinearSoftmaxBackend,
-    rollout_data,
-    stored_data,
-    epochs: int = 100,
-    lr: float = 0.5,
-    mode: str = "alternate",
-) -> TrainReport:
-    """Combine fresh expert-rollout batches with stored-trajectory batches.
-
-    "alternate" interleaves one full-batch step on each source per epoch;
-    "two_stage" trains on the stored data first, then on the rollouts.
-    """
-    if not len(rollout_data) or not len(stored_data):
-        raise ValueError("both data sources must be nonempty")
-    if mode not in ("alternate", "two_stage"):
-        raise ValueError(f"unknown schedule {mode!r}")
-    rollout, stored = _batch(rollout_data), _batch(stored_data)
-    if mode == "alternate":
-        plan = [rollout, stored] * epochs
-    else:
-        plan = [stored] * epochs + [rollout] * epochs
-    X_all = np.concatenate([rollout[0], stored[0]])
-    y_all = np.concatenate([rollout[1], stored[1]])
-    return _descend(backend, plan, lr, X_all, y_all)
+    runner.run_episode(scene, task, policy, runner.RunConfig(budget=budget))
+    return teacher.dataset
 
 
 def train_backend(
@@ -368,8 +291,15 @@ def train_backend(
     """
     if not len(dataset):
         raise ValueError("training dataset must be nonempty")
-    X, y = _batch(dataset)
-    return _descend(backend, [(X, y)] * epochs, lr, X, y)
+    X = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
+    y = np.array([int(a) for _, a in dataset])
+    losses = []
+    for _ in range(epochs):
+        loss, grad = loss_and_grad(backend, X, y)
+        losses.append(loss)
+        backend.set_params(backend.get_params() - lr * grad)
+    final_loss, _ = loss_and_grad(backend, X, y)
+    return TrainReport(losses=losses, final_loss=final_loss)
 
 
 # -- one decision step of the memory pipeline ---------------------------------------
@@ -387,8 +317,8 @@ def memory_policy_step(
     retrieved for the target's category, take the argmax, and fold the
     observation into short-term memory."""
     obs = observe(ctx.scene, ctx.state, ctx.robot)
-    scene_rep = build_scene_representation(oracle, obs, stage=ctx.stage)
-    decision, confidence = backend.decide(ctx, scene_rep, mem)
+    views = np.concatenate([oracle.embed_view(v) for v in obs.views])
+    decision, confidence = backend.decide(ctx, views, mem)
     fused = oracle.embed_observation(obs)
     retrieved = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
     if retrieved:

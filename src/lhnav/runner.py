@@ -35,12 +35,12 @@ from .memory import LongTermStore
 from .taskforge import GRAB, MOVE_TO, RELEASE, TaskSpec, sample_spawn
 from .trajectory import StepRecord, SubtaskSpan, Trajectory
 from .world import (
-    ROBOTS,
     AgentState,
     Scene,
     apply_action,
     apply_grab,
     apply_release,
+    stock_robot,
     subtask_success,
     validate_state,
 )
@@ -123,7 +123,7 @@ def run_episode(
         raise ValueError(
             f"task {task.id!r} pairs with {task.scene_id!r}, not {scene.scene_id!r}"
         )
-    robot = ROBOTS.get(task.robot, ROBOTS["spot"])
+    robot = stock_robot(task.robot)
     state = start if start is not None else sample_spawn(scene, task)
     validate_state(scene, state)
     policy.begin_episode(scene, task, robot, cfg.seed)

@@ -110,7 +110,7 @@ class LlmClientConfig:
 
 def load_prompt(name: str) -> str:
     """Prompt templates shipped with the package (forward_task,
-    step_instruction, decision)."""
+    step_instruction)."""
     return (_PROMPT_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 

@@ -93,6 +93,13 @@ ROBOTS = {
 }
 
 
+def stock_robot(name: str) -> RobotConfig:
+    """The stock robot a task or trajectory names."""
+    if name not in ROBOTS:
+        raise ValueError(f"unknown robot {name!r}; choose from {sorted(ROBOTS)}")
+    return ROBOTS[name]
+
+
 def normalize_heading(deg: float) -> float:
     """Wrap a heading into [0, 360)."""
     h = deg % 360.0

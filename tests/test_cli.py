@@ -66,6 +66,44 @@ class TestPipeline:
         ) == 0
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag", ["--workers", "--budget"])
+    def test_rejected_run_config_is_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, flag
+    ):
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "rollout", "--scenes", str(tmp_path / "scene.json"),
+                "--tasks", str(tmp_path / "t.json"), "--out", str(tmp_path / "run"),
+                flag, "0",
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lhnav rollout")
+        assert flag[2:] in err.splitlines()[-1]
+
+    def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.taskforge import sample_task
+
+        two_room_scene.save(tmp_path / "scene.json")
+        traj, _ = run_episode(
+            two_room_scene, sample_task(two_room_scene, seed=7), ExpertPolicy(), RunConfig()
+        )
+        traj.robot = "spott"
+        traj.save(tmp_path / "t.jsonl")
+        with pytest.raises(ValueError, match="'spott'"):
+            run_cli(
+                "split", "--trajectories", str(tmp_path / "t.jsonl"),
+                "--scenes", str(tmp_path / "scene.json"), "--out", str(tmp_path / "s.json"),
+            )
+
+
 class TestConfigFile:
     def test_key_value_parsing(self, tmp_path):
         cfg = tmp_path / "lhnav.cfg"

@@ -152,6 +152,17 @@ class TestRetrieveTopk:
         store = LongTermStore()
         assert store.retrieve_topk("ghost", np.array([1.0])) == []
 
+    def test_embedding_length_must_match_bucket(self):
+        store = LongTermStore()
+        act = np.array([1.0, 0.0, 0.0, 0.0])
+        store.add("mug", np.ones(64), act)
+        with pytest.raises(ValueError, match=r"'mug'.* 16 .* 64"):
+            store.add("mug", np.ones(16), act)
+        with pytest.raises(ValueError, match=r"'mug'.* 16 .* 64"):
+            store.rank("mug", np.ones(16))
+        store.add("cup", np.ones(16), act)  # each bucket keeps its own length
+        assert len(store) == 2
+
     def test_zero_query_raises(self):
         store = LongTermStore()
         store.add("mug", np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))

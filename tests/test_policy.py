@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -10,10 +11,8 @@ from lhnav.policy import (
     LinearSoftmaxBackend,
     MemoryPolicy,
     RandomPolicy,
-    SceneRepresentation,
     StepContext,
     UniformBackend,
-    build_scene_representation,
     loss_and_grad,
     memory_policy_step,
     one_hot,
@@ -87,19 +86,20 @@ class TestEmbeddingOracle:
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
-class TestSceneRepresentation:
-    def test_three_view_slots_required(self):
-        with pytest.raises(ValueError):
-            SceneRepresentation(views=(("left", np.ones(4)),))
-
-    def test_build_from_observation(self, open_scene):
+class TestLinearSoftmaxBackend:
+    def test_features_are_views_memory_and_stage(self, open_scene):
+        backend = LinearSoftmaxBackend(embed_dim=16)
         oracle = EmbeddingOracle(dim=16)
         s = AgentState(position=open_scene.cell_center((3, 3)), heading=0.0)
         obs = observe(open_scene, s, SPOT)
-        rep = build_scene_representation(oracle, obs, stage=1)
-        assert [d for d, _ in rep.views] == ["left", "front", "right"]
-        assert rep.feature().shape == (48,)
-        assert rep.stage == 1
+        assert [v.direction for v in obs.views] == ["left", "front", "right"]
+        views = np.concatenate([oracle.embed_view(v) for v in obs.views])
+        mem = ShortTermMemory(entries=(np.ones(16), np.zeros(16)), confidences=(0.5, 0.5))
+        x = backend.features(step_context(open_scene, s, "box-0", stage=1), views, mem)
+        assert x.shape == (backend.feature_dim,) == (68,)
+        assert np.array_equal(x[:48], views)
+        assert np.array_equal(x[48:64], np.full(16, 0.5))
+        assert np.array_equal(x[64:], [0.0, 1.0, 0.0, 0.0])
 
 
 def random_features(rng, backend, n):
@@ -184,6 +184,27 @@ class TestTraining:
         loaded = LinearSoftmaxBackend.load(path)
         assert np.array_equal(loaded.get_params(), backend.get_params())
 
+    def test_weights_keep_literal_ce(self, tmp_path):
+        path = tmp_path / "weights.json"
+        LinearSoftmaxBackend(embed_dim=2, literal_ce=True).save(path)
+        assert LinearSoftmaxBackend.load(path).literal_ce is True
+        payload = json.loads(path.read_text())
+        del payload["literal_ce"]
+        path.write_text(json.dumps(payload))
+        assert LinearSoftmaxBackend.load(path).literal_ce is False
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_actions", 5), ("embed_dim", 3), ("theta", [0.0] * 7)]
+    )
+    def test_weights_with_wrong_shape_name_the_path(self, tmp_path, field, value):
+        path = tmp_path / "weights.json"
+        LinearSoftmaxBackend(embed_dim=2).save(path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="weights.json"):
+            LinearSoftmaxBackend.load(path)
+
     def test_collect_imitation_dataset_matches_backend_features(self, two_room_scene):
         from lhnav.policy import collect_imitation_dataset
 
@@ -200,35 +221,58 @@ class TestTraining:
         # the trace ends with the expert's stop on the final stage
         assert dataset[-1][1] == int(Action.STOP)
 
+    def test_imitation_pairs_match_plain_loop_with_forgetting(self, two_room_scene):
+        # a small capacity makes short-term forgetting merge entries while
+        # the features are recorded
+        from lhnav.expert import expert_next_action
+        from lhnav.memory import forget_and_append
+        from lhnav.policy import ExpertPolicy, collect_imitation_dataset
+        from lhnav.runner import RunConfig, run_episode
+
+        stretch = ROBOTS["stretch"]
+        task = sample_task(two_room_scene, stretch, seed=7)
+        backend = LinearSoftmaxBackend(embed_dim=16, seed=4)
+        backend.set_params(np.random.default_rng(8).normal(0, 0.5, backend.get_params().shape))
+        oracle = EmbeddingOracle(dim=16)
+        dataset = collect_imitation_dataset(
+            two_room_scene, task, backend, oracle=oracle, budget=60, capacity=3
+        )
+
+        traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig(budget=60))
+        stage_of = {}
+        for span in traj.spans:
+            if span.kind == MOVE_TO:
+                stage_of[span.index] = (len(stage_of), span.target_id)
+        mem = ShortTermMemory(capacity=3)
+        expected = []
+        for step in traj.steps:
+            stage, target = stage_of[step.subtask]
+            obs = observe(two_room_scene, step.state, stretch)
+            stage_hot = np.zeros(4)
+            stage_hot[stage] = 1.0
+            x = np.concatenate(
+                [oracle.embed_view(v) for v in obs.views] + [mem.mean_entry(16), stage_hot]
+            )
+            label = expert_next_action(two_room_scene, step.state, target, stretch)
+            expected.append((x, int(label)))
+            confidence = float(backend.probabilities(x).max())
+            mem = forget_and_append(mem, oracle.embed_observation(obs), confidence)
+
+        assert len(expected) > 3 and len(stage_of) > 1
+        assert len(dataset) == len(expected)
+        for (x, y), (x_ref, y_ref) in zip(dataset, expected):
+            assert y == y_ref
+            assert np.array_equal(x, x_ref)
+
     def test_imitation_labels_are_the_expert_episode_actions(self, two_room_scene):
         from lhnav.policy import ExpertPolicy, collect_imitation_dataset
         from lhnav.runner import RunConfig, run_episode
-        from lhnav.world import RobotConfig
 
         task = sample_task(two_room_scene, ROBOTS["stretch"], seed=7)
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
         backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
         dataset = collect_imitation_dataset(two_room_scene, task, backend)
         assert [y for _, y in dataset] == [int(a) for a in traj.actions()]
-        with pytest.raises(ValueError, match="stock robot"):
-            collect_imitation_dataset(
-                two_room_scene, task, backend, robot=RobotConfig(name="spot", camera_height=2.0)
-            )
-
-    @pytest.mark.parametrize("mode", ["alternate", "two_stage"])
-    def test_train_schedule_modes_reduce_loss(self, two_room_scene, mode):
-        from lhnav.policy import collect_imitation_dataset, train_schedule
-
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=1)
-        oracle = EmbeddingOracle(dim=16)
-        rollout = collect_imitation_dataset(
-            two_room_scene, sample_task(two_room_scene, SPOT, seed=7), backend, oracle=oracle
-        )
-        stored = collect_imitation_dataset(
-            two_room_scene, sample_task(two_room_scene, SPOT, seed=8), backend, oracle=oracle
-        )
-        report = train_schedule(backend, rollout, stored, epochs=40, lr=0.3, mode=mode)
-        assert report.final_loss < report.losses[0]
 
 
 class TestMemoryPolicyStep:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,12 @@ class TestRunEpisode:
         assert policy.oracle.dim == 16
         traj, result = run_episode(two_room_scene, task, policy, cfg)
         assert len(traj.steps) == sum(r.steps for r in result.records) > 0
+
+    def test_unknown_robot_rejected(self, two_room_scene):
+        task = replace(sample_task(two_room_scene, SPOT, seed=7), robot="spott")
+        cfg = RunConfig(policy="expert")
+        with pytest.raises(ValueError, match=r"'spott'.*'spot', 'stretch'"):
+            run_episode(two_room_scene, task, make_policy(cfg), cfg)
 
     def test_wrong_scene_pairing_rejected(self, two_room_scene):
         scene2 = generate_scene(seed=77, size=20)
