@@ -17,6 +17,8 @@ from .runner import POLICIES, RunConfig, format_report_table, load_report, run_s
 from .scenegen import generate_scene
 from .splitter import render_step_instruction, split_trajectory, tag_segment
 from .taskforge import (
+    MAX_STAGES,
+    MIN_STAGES,
     LlmClientConfig,
     SceneTooSparseError,
     generate_via_llm,
@@ -57,16 +59,26 @@ def _load_scenes(path: str) -> dict[str, Scene]:
 
 
 def _parse_stage_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """N or LO..HI; argparse turns a rejection into a usage error."""
+    lo, sep, hi = text.partition("..")
+    try:
+        stages = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    if not stages or not MIN_STAGES <= stages[0] <= stages[-1] <= MAX_STAGES:
+        raise argparse.ArgumentTypeError(
+            f"stage range {text!r} is not a nonempty range within {MIN_STAGES}..{MAX_STAGES}"
+        )
+    return stages
 
 
 def cmd_gen_scene(args, cfg_file) -> int:
-    scene = generate_scene(
-        seed=args.seed, size=args.size, regions=args.regions, objects_per_region=args.objects
-    )
+    try:
+        scene = generate_scene(
+            seed=args.seed, size=args.size, regions=args.regions, objects_per_region=args.objects
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scene.scene_id}.json"
@@ -77,7 +89,6 @@ def cmd_gen_scene(args, cfg_file) -> int:
 
 def cmd_gen_tasks(args, cfg_file) -> int:
     scenes = _load_scenes(args.scenes)
-    stage_range = _parse_stage_range(args.subtasks)
     endpoint = (
         os.environ.get("LHNAV_LLM_ENDPOINT")
         or args.llm_endpoint
@@ -101,7 +112,7 @@ def cmd_gen_tasks(args, cfg_file) -> int:
         else:
             try:
                 tasks.append(
-                    sample_task(scene, robot, seed=seed, allowed_stages=stage_range)
+                    sample_task(scene, robot, seed=seed, allowed_stages=args.subtasks)
                 )
             except SceneTooSparseError as exc:
                 print(f"skipping scene {scene.scene_id}: {exc}", file=sys.stderr)
@@ -126,6 +137,10 @@ def cmd_rollout(args, cfg_file) -> int:
         )
     except ValueError as exc:
         args.usage_error(str(exc))
+    if cfg.policy == "memory" and cfg.store_path and not Path(cfg.store_path).is_file():
+        args.usage_error(
+            f"store file {cfg.store_path} does not exist or is not a regular file"
+        )
     scenes = _load_scenes(args.scenes)
     tasks = load_tasks(args.tasks)
     report = run_suite(scenes, tasks, cfg)
@@ -191,12 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regions", type=int, default=4)
     p.add_argument("--objects", type=int, default=4)
     p.add_argument("--out", default="scenes")
-    p.set_defaults(func=cmd_gen_scene)
+    p.set_defaults(func=cmd_gen_scene, usage_error=p.error)
 
     p = sub.add_parser("gen-tasks", help="sample tasks for existing scenes")
     p.add_argument("--scenes", required=True)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--subtasks", default="2..4", help="navigation stage range, e.g. 2..4")
+    p.add_argument(
+        "--subtasks", default="2..4", type=_parse_stage_range,
+        help="navigation stage range, e.g. 2..4",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     p.add_argument("--llm-endpoint", default="")

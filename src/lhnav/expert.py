@@ -62,14 +62,26 @@ def grid_neighbors(scene: Scene, cell: tuple[int, int]):
             yield (r + dr, c + dc), True
 
 
+def neighbor_table(scene: Scene) -> dict[tuple[int, int], tuple]:
+    """Every free cell's grid_neighbors moves, in the same order; built
+    once per scene."""
+    if scene._moves is None:
+        scene._moves = {
+            cell: tuple(grid_neighbors(scene, cell)) for cell in scene.free_cells()
+        }
+    return scene._moves
+
+
 def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
     """Dijkstra over the 8-connected grid from a source cell."""
-    if not scene.is_free(*source):
+    moves = neighbor_table(scene)
+    if source not in moves:
         raise ValueError(f"source cell {source} is occupied")
     steps: dict[tuple[int, int], tuple[int, int]] = {source: (0, 0)}
     pred: dict[tuple[int, int], tuple[int, int]] = {}
-    # priority uses the float value; distinct (axis, diag) pairs cannot
-    # collide at grid scale because sqrt(2) is irrational
+    # priority uses the float value axis + diag * SQRT2; distinct (axis,
+    # diag) pairs cannot collide at grid scale because sqrt(2) is irrational
+    value: dict[tuple[int, int], float] = {source: 0.0}
     heap: list[tuple[float, int, int]] = [(0.0, *source)]
     done: set[tuple[int, int]] = set()
     while heap:
@@ -79,13 +91,16 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
             continue
         done.add(cell)
         a, d = steps[cell]
-        for nb, diag in grid_neighbors(scene, cell):
-            cand = (a, d + 1) if diag else (a + 1, d)
-            cur = steps.get(nb)
-            if cur is None or cand[0] + cand[1] * SQRT2 < cur[0] + cur[1] * SQRT2:
-                steps[nb] = cand
+        axis_step, axis_val = (a + 1, d), (a + 1) + d * SQRT2
+        diag_step, diag_val = (a, d + 1), a + (d + 1) * SQRT2
+        for nb, diag in moves[cell]:
+            val = diag_val if diag else axis_val
+            cur = value.get(nb)
+            if cur is None or val < cur:
+                steps[nb] = diag_step if diag else axis_step
+                value[nb] = val
                 pred[nb] = cell
-                heapq.heappush(heap, (cand[0] + cand[1] * SQRT2, *nb))
+                heapq.heappush(heap, (val, *nb))
     return GeodesicField(source=source, steps=steps, pred=pred, cell_size=scene.cell_size)
 
 
@@ -105,6 +120,10 @@ def geodesic_distance(
     """Shortest 8-connected path length between the cells of two points.
 
     Returns math.inf when the points lie in different connected components.
+    The field is the one from b's cell, so pass the fixed end (a goal) as
+    b: every query toward one goal then shares one Dijkstra.  The distance
+    is exactly symmetric, because the shortest (axis, diag) step pair is
+    unique and diagonal legality does not depend on the direction.
     """
     ca = scene.cell_of(a)
     cb = scene.cell_of(b)
@@ -112,29 +131,22 @@ def geodesic_distance(
         raise ValueError(f"point {a} lies in an occupied cell")
     if not scene.is_free(*cb):
         raise ValueError(f"point {b} lies in an occupied cell")
-    return field_from(scene, ca).distance(cb)
+    return field_from(scene, cb).distance(ca)
 
 
 # -- expert policy ----------------------------------------------------------
 
-# fixed probe order keeps the waypoint choice deterministic
-_NEIGHBOR_ORDER = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
-
-
 def _next_waypoint(
     scene: Scene, field: GeodesicField, cell: tuple[int, int]
 ) -> tuple[int, int] | None:
-    """The adjacent cell that strictly descends the distance field."""
+    """The adjacent cell that strictly descends the distance field; the
+    fixed grid_neighbors order keeps the choice deterministic."""
     best = None
     best_key = field.steps[cell]
     best_val = best_key[0] + best_key[1] * SQRT2
-    for dr, dc in _NEIGHBOR_ORDER:
-        nb = (cell[0] + dr, cell[1] + dc)
+    for nb, _ in neighbor_table(scene)[cell]:
         s = field.steps.get(nb)
         if s is None:
-            continue
-        diag = dr != 0 and dc != 0
-        if diag and not (scene.is_free(cell[0] + dr, cell[1]) and scene.is_free(cell[0], cell[1] + dc)):
             continue
         val = s[0] + s[1] * SQRT2
         if val < best_val:

@@ -83,7 +83,9 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def make_policy(cfg: RunConfig) -> Policy:
+def make_policy(cfg: RunConfig, store: LongTermStore | None = None) -> Policy:
+    """A fresh policy for one episode.  The memory policy reads the given
+    store, which it never writes; without one its store is empty."""
     if cfg.policy == "expert":
         return ExpertPolicy()
     if cfg.policy == "random":
@@ -93,9 +95,6 @@ def make_policy(cfg: RunConfig) -> Policy:
     if cfg.policy == "memory":
         backend = LinearSoftmaxBackend(
             embed_dim=cfg.embed_dim, seed=cfg.seed, literal_ce=cfg.literal_ce
-        )
-        store = (
-            LongTermStore.load(cfg.store_path) if cfg.store_path else LongTermStore()
         )
         return MemoryPolicy(
             backend,
@@ -252,8 +251,8 @@ def run_episode(
 
 
 def _episode_job(args) -> tuple[str, dict]:
-    scene, task, cfg = args
-    policy = make_policy(cfg)
+    scene, task, cfg, store = args
+    policy = make_policy(cfg, store)
     trajectory, result = run_episode(scene, task, policy, cfg)
     if cfg.out_dir:
         traj_dir = Path(cfg.out_dir) / "trajectories"
@@ -270,15 +269,18 @@ def run_suite(
     """Run every task, write trajectories, and aggregate a report.
 
     The reduction sorts episodes by task id, so shuffled task order and any
-    worker count produce the same report.
+    worker count produce the same report.  The memory policy's store is
+    loaded once, before any episode, and every episode reads that copy.
     """
     if not tasks:
         raise ValueError("suite needs at least one task")
-    jobs = []
     for task in tasks:
         if task.scene_id not in scenes:
             raise ValueError(f"task {task.id!r} references unknown scene {task.scene_id!r}")
-        jobs.append((scenes[task.scene_id], task, cfg))
+    store = None
+    if cfg.policy == "memory" and cfg.store_path:
+        store = LongTermStore.load(cfg.store_path)
+    jobs = [(scenes[task.scene_id], task, cfg, store) for task in tasks]
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

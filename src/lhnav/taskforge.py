@@ -186,7 +186,9 @@ def _pick_target(rng: random.Random, scene: Scene, pool, prev_obj, used: set[str
             o
             for o in candidates
             if o.region_id != prev_obj.region_id
-            and geodesic_distance(scene, prev_obj.position, o.position)
+            # the previous target is the fixed end, so all candidates share
+            # its geodesic field
+            and geodesic_distance(scene, o.position, prev_obj.position)
             >= MIN_TARGET_SEPARATION
         ]
         if not spread:

@@ -171,8 +171,16 @@ class Scene:
         for r in self.regions:
             for c in r.cells:
                 self._region_of_cell[c] = r
-        # per-instance cache for geodesic fields, keyed by source cell
+        self._free = frozenset(
+            (r, c)
+            for r, row in enumerate(self.grid)
+            for c, ch in enumerate(row)
+            if ch == FREE
+        )
+        # per-instance caches of the expert module: geodesic fields keyed by
+        # source cell, and the legal moves of every free cell
         self._field_cache: dict[tuple[int, int], object] = {}
+        self._moves: dict | None = None
         self._validate()
 
     # -- geometry helpers ---------------------------------------------------
@@ -190,9 +198,8 @@ class Scene:
         return f"scene-{self.seed}"
 
     def is_free(self, row: int, col: int) -> bool:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            return False
-        return self.grid[row][col] == FREE
+        """False for occupied cells and for cells outside the grid."""
+        return (row, col) in self._free
 
     def cell_of(self, point: tuple[float, float]) -> tuple[int, int]:
         x, y = point
@@ -203,12 +210,8 @@ class Scene:
         return ((col + 0.5) * self.cell_size, (row + 0.5) * self.cell_size)
 
     def free_cells(self) -> list[tuple[int, int]]:
-        return [
-            (r, c)
-            for r in range(self.rows)
-            for c in range(self.cols)
-            if self.grid[r][c] == FREE
-        ]
+        """Free cells in row-major order."""
+        return sorted(self._free)
 
     def object(self, object_id: str) -> ObjectInstance:
         try:

@@ -4,6 +4,16 @@ against.  Deliberately primitive: plain loops, no shared helpers."""
 import math
 
 
+# -- occupancy: index the grid rows directly -------------------------------------
+
+
+def grid_is_free(rows, row, col):
+    """A cell is free when it lies inside the grid and holds '.'."""
+    if row < 0 or col < 0 or row >= len(rows) or col >= len(rows[0]):
+        return False
+    return rows[row][col] == "."
+
+
 # -- grid geodesics: Bellman-Ford style relaxation until fixpoint --------------
 
 

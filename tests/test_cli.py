@@ -86,6 +86,51 @@ class TestUsageErrors:
         assert err.startswith("usage: lhnav rollout")
         assert flag[2:] in err.splitlines()[-1]
 
+    def test_missing_store_is_a_usage_error(self, tmp_path, capsys, monkeypatch, two_room_scene):
+        from lhnav import runner
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        episodes = []
+        monkeypatch.setattr(runner, "run_episode", lambda *a, **k: episodes.append(a))
+        missing = str(tmp_path / "missing.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "rollout", "--scenes", str(tmp_path / "scene.json"),
+                "--tasks", str(tmp_path / "t.json"), "--out", str(tmp_path / "run"),
+                "--policy", "memory", "--store", missing,
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lhnav rollout")
+        assert missing in err.splitlines()[-1]
+        assert episodes == []
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["gen-scene", "--size", "3"], "size"),
+            (["gen-scene", "--regions", "0"], "regions"),
+            (["gen-scene", "--objects", "1"], "objects"),
+            (["gen-tasks", "--scenes", "scenes", "--subtasks", "x"], "--subtasks"),
+            (["gen-tasks", "--scenes", "scenes", "--subtasks", "4..2"], "--subtasks"),
+            (["gen-tasks", "--scenes", "scenes", "--subtasks", "7"], "--subtasks"),
+        ],
+        ids=[
+            "size", "regions", "objects",
+            "subtasks-not-a-range", "subtasks-empty", "subtasks-out-of-bounds",
+        ],
+    )
+    def test_rejected_generator_flag_is_a_usage_error(self, tmp_path, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lhnav {argv[0]}")
+        assert named in err.splitlines()[-1]
+        assert not (tmp_path / "out").exists()
+
     def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):
         from lhnav.policy import ExpertPolicy
         from lhnav.runner import RunConfig, run_episode

@@ -8,6 +8,8 @@ from lhnav.expert import (
     compute_field,
     expert_next_action,
     geodesic_distance,
+    grid_neighbors,
+    neighbor_table,
 )
 from lhnav.policy import ExpertPolicy
 from lhnav.runner import RunConfig, run_episode
@@ -103,6 +105,31 @@ class TestGeodesicDistance:
         # distances decrease along predecessor chains
         for cell, prev in field.pred.items():
             assert field.distance(prev) < field.distance(cell)
+
+
+class TestFieldReuse:
+    def test_one_field_per_move_target(self):
+        for seed in range(12):
+            generated = generate_scene(seed=seed + 300)
+            task = sample_task(generated, seed=seed, allowed_stages=[2 + seed % 3])
+            # a freshly loaded scene, as a CLI run has: sampling the task
+            # filled the generated scene's cache
+            scene = Scene.from_dict(generated.to_dict())
+            run_episode(scene, task, ExpertPolicy(), RunConfig(budget=500))
+            targets = {
+                scene.cell_of(scene.object(sub.object_id).position)
+                for sub in task.move_targets()
+            }
+            assert set(scene._field_cache) == targets
+            assert targets <= {scene.cell_of(o.position) for o in scene.objects}
+
+    def test_neighbor_table_is_grid_neighbors(self):
+        for seed, size, regions in ((1, 24, 4), (2, 13, 2), (3, 31, 9)):
+            scene = generate_scene(seed=seed, size=size, regions=regions)
+            table = neighbor_table(scene)
+            assert sorted(table) == scene.free_cells()
+            for cell in scene.free_cells():
+                assert list(table[cell]) == list(grid_neighbors(scene, cell))
 
 
 class TestExpertNextAction:

@@ -2,9 +2,11 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lhnav.expert import geodesic_distance
+from lhnav.memory import LongTermStore
 from lhnav.metrics import EpisodeResult
 from lhnav.runner import (
     POLICIES,
@@ -192,6 +194,45 @@ class TestRunSuite:
         cfg1 = RunConfig(policy="random", seed=4, budget=30, workers=1)
         cfg2 = RunConfig(policy="random", seed=4, budget=30, workers=2)
         assert run_suite(scenes, tasks, cfg1)["aggregate"] == run_suite(scenes, tasks, cfg2)["aggregate"]
+
+    def test_memory_suite_loads_store_once_for_any_worker_count(self, tmp_path, monkeypatch):
+        scenes, tasks = small_suite(n_scenes=3, tasks_per_scene=1)
+        rng = np.random.default_rng(0)
+        store = LongTermStore()
+        for scene in scenes.values():
+            for obj in scene.objects:
+                for _ in range(4):
+                    store.add(obj.category, rng.random(64) + 0.01, rng.dirichlet(np.ones(4)))
+        store.save(tmp_path / "store.jsonl")
+
+        # each call appends a line, so calls in forked pool workers count too
+        calls = tmp_path / "loads.txt"
+        load = LongTermStore.load.__func__
+
+        def counting_load(cls, path, k=5):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{path}\n")
+            return load(cls, path, k)
+
+        monkeypatch.setattr(LongTermStore, "load", classmethod(counting_load))
+        reports, trajectories = [], []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = RunConfig(
+                policy="memory", budget=15, workers=workers,
+                store_path=str(tmp_path / "store.jsonl"), out_dir=str(out),
+            )
+            reports.append(run_suite(scenes, tasks, cfg))
+            assert calls.read_text(encoding="utf-8").splitlines() == [cfg.store_path]
+            calls.unlink()
+            files = sorted((out / "trajectories").glob("*.jsonl"))
+            assert len(files) == len(tasks)
+            trajectories.append([f.read_bytes() for f in files])
+        assert reports[0] == reports[1]
+        assert trajectories[0] == trajectories[1]
+        # the store is read: without it the same suite acts differently
+        bare = run_suite(scenes, tasks, RunConfig(policy="memory", budget=15))
+        assert bare["results"] != reports[0]["results"]
 
     def test_results_reload_to_same_metrics(self, tmp_path):
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=1)

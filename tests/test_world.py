@@ -21,6 +21,7 @@ from lhnav.world import (
 )
 
 from conftest import scene_from
+from reference_impls import grid_is_free
 
 SPOT = ROBOTS["spot"]
 
@@ -209,6 +210,21 @@ class TestSceneValidation:
         )
         with pytest.raises(SceneValidationError):
             Scene(grid=rows, regions=[region], objects=[bad])
+
+    def test_is_free_matches_grid_lookup_including_outer_ring(self):
+        from lhnav.scenegen import generate_scene
+
+        for seed, size, regions in ((1, 24, 4), (2, 13, 2), (3, 31, 9)):
+            scene = generate_scene(seed=seed, size=size, regions=regions)
+            for r in range(-1, scene.rows + 1):
+                for c in range(-1, scene.cols + 1):
+                    assert scene.is_free(r, c) == grid_is_free(scene.grid, r, c), (r, c)
+            assert scene.free_cells() == [
+                (r, c)
+                for r in range(scene.rows)
+                for c in range(scene.cols)
+                if grid_is_free(scene.grid, r, c)
+            ]
 
     def test_round_trip_is_bit_exact(self, tmp_path, two_room_scene):
         p1 = tmp_path / "a.json"
