@@ -1,8 +1,9 @@
 """Command-line entry points: scene/task generation, rollouts, trajectory
 splitting, and metric reports.
 
-A plain key=value config file seeds the defaults; explicit flags override
-it, and LHNAV_LLM_ENDPOINT overrides the task-generation endpoint.
+Every value comes from a flag.  The one exception is the task-generation
+endpoint: LHNAV_LLM_ENDPOINT, when set, wins over --llm-endpoint, and
+without either gen-tasks samples tasks offline.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .splitter import render_step_instruction, split_trajectory, tag_segment
 from .taskforge import (
     MAX_STAGES,
     MIN_STAGES,
-    LlmClientConfig,
     SceneTooSparseError,
     generate_via_llm,
     load_tasks,
@@ -28,22 +28,6 @@ from .taskforge import (
 )
 from .trajectory import Trajectory
 from .world import ROBOTS, Action, Scene, stock_robot
-
-
-def load_config_file(path: str | None) -> dict[str, str]:
-    """Plain key=value lines; blank lines and # comments ignored."""
-    if not path:
-        return {}
-    values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {raw!r} is not key=value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
 
 
 def _load_scenes(path: str) -> dict[str, Scene]:
@@ -72,7 +56,7 @@ def _parse_stage_range(text: str) -> list[int]:
     return stages
 
 
-def cmd_gen_scene(args, cfg_file) -> int:
+def cmd_gen_scene(args) -> int:
     try:
         scene = generate_scene(
             seed=args.seed, size=args.size, regions=args.regions, objects_per_region=args.objects
@@ -87,13 +71,9 @@ def cmd_gen_scene(args, cfg_file) -> int:
     return 0
 
 
-def cmd_gen_tasks(args, cfg_file) -> int:
+def cmd_gen_tasks(args) -> int:
     scenes = _load_scenes(args.scenes)
-    endpoint = (
-        os.environ.get("LHNAV_LLM_ENDPOINT")
-        or args.llm_endpoint
-        or cfg_file.get("llm_endpoint", "")
-    )
+    endpoint = os.environ.get("LHNAV_LLM_ENDPOINT") or args.llm_endpoint
     robot = ROBOTS[args.robot]
     tasks = []
     scene_list = [scenes[k] for k in sorted(scenes)]
@@ -107,8 +87,7 @@ def cmd_gen_tasks(args, cfg_file) -> int:
         attempts_left -= 1
         scene = scene_list[len(tasks) % len(scene_list)]
         if endpoint:
-            cfg = LlmClientConfig(endpoint=endpoint, enabled=True)
-            tasks.append(generate_via_llm(scene, robot, cfg, seed=seed))
+            tasks.append(generate_via_llm(scene, robot, endpoint, seed=seed))
         else:
             try:
                 tasks.append(
@@ -122,7 +101,7 @@ def cmd_gen_tasks(args, cfg_file) -> int:
     return 0
 
 
-def cmd_rollout(args, cfg_file) -> int:
+def cmd_rollout(args) -> int:
     try:
         cfg = RunConfig(
             budget=args.budget,
@@ -132,7 +111,7 @@ def cmd_rollout(args, cfg_file) -> int:
             literal_ce=args.literal_ce,
             literal_pooling=args.literal_pooling,
             workers=args.workers,
-            store_path=args.store or cfg_file.get("store_path", ""),
+            store_path=args.store,
             out_dir=args.out,
         )
     except ValueError as exc:
@@ -148,14 +127,19 @@ def cmd_rollout(args, cfg_file) -> int:
     return 0
 
 
-def cmd_split(args, cfg_file) -> int:
+def cmd_split(args) -> int:
     scenes = _load_scenes(args.scenes)
     p = Path(args.trajectories)
     files = sorted(p.glob("*.jsonl")) if p.is_dir() else [p]
     out_tasks = []
     for f in files:
         traj = Trajectory.load(f)
-        scene = scenes[traj.scene_id]
+        scene = scenes.get(traj.scene_id)
+        if scene is None:
+            args.usage_error(
+                f"trajectory {f} is from scene {traj.scene_id!r}, "
+                f"which is not among the scenes in {args.scenes}"
+            )
         robot = stock_robot(traj.robot)
         for span in traj.spans:
             if span.kind != "move_to":
@@ -180,13 +164,13 @@ def cmd_split(args, cfg_file) -> int:
     return 0
 
 
-def cmd_eval(args, cfg_file) -> int:
+def cmd_eval(args) -> int:
     report = load_report(args.results)
     print(format_report_table(report))
     return 0
 
 
-def cmd_report(args, cfg_file) -> int:
+def cmd_report(args) -> int:
     report = load_report(args.results)
     if args.format == "json":
         print(json.dumps(report["aggregate"], sort_keys=True, indent=2))
@@ -197,7 +181,6 @@ def cmd_report(args, cfg_file) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lhnav", description=__doc__)
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="generate a synthetic scene")
@@ -217,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
-    p.add_argument("--llm-endpoint", default="")
+    p.add_argument(
+        "--llm-endpoint", default="",
+        help="chat-completion endpoint; LHNAV_LLM_ENDPOINT wins when set",
+    )
     p.add_argument("--out", default="tasks.json")
     p.set_defaults(func=cmd_gen_tasks)
 
@@ -239,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", default="step_tasks.json")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, usage_error=p.error)
 
     p = sub.add_parser("eval", help="print the metric table for a report")
     p.add_argument("--results", required=True)
@@ -256,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg_file = load_config_file(args.config)
-    return args.func(args, cfg_file)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -35,9 +35,7 @@ def steps_to_meters(axis: int, diag: int, cell_size: float) -> float:
 class GeodesicField:
     """Distances from one source cell to every reachable cell."""
 
-    source: tuple[int, int]
     steps: dict[tuple[int, int], tuple[int, int]]  # cell -> (axis, diag)
-    pred: dict[tuple[int, int], tuple[int, int]]
     cell_size: float
 
     def distance(self, cell: tuple[int, int]) -> float:
@@ -78,7 +76,6 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
     if source not in moves:
         raise ValueError(f"source cell {source} is occupied")
     steps: dict[tuple[int, int], tuple[int, int]] = {source: (0, 0)}
-    pred: dict[tuple[int, int], tuple[int, int]] = {}
     # priority uses the float value axis + diag * SQRT2; distinct (axis,
     # diag) pairs cannot collide at grid scale because sqrt(2) is irrational
     value: dict[tuple[int, int], float] = {source: 0.0}
@@ -99,9 +96,8 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
             if cur is None or val < cur:
                 steps[nb] = diag_step if diag else axis_step
                 value[nb] = val
-                pred[nb] = cell
                 heapq.heappush(heap, (val, *nb))
-    return GeodesicField(source=source, steps=steps, pred=pred, cell_size=scene.cell_size)
+    return GeodesicField(steps=steps, cell_size=scene.cell_size)
 
 
 def field_from(scene: Scene, source: tuple[int, int]) -> GeodesicField:
@@ -168,7 +164,7 @@ def expert_next_action(
     forward.  A 180 degree tie turns left.
     """
     robot = robot or ROBOTS["spot"]
-    if subtask_success(scene, state, target, robot):
+    if subtask_success(scene, state, target):
         return Action.STOP
     obj = scene.object(target)
     target_cell = scene.cell_of(obj.position)

@@ -207,14 +207,25 @@ class LongTermStore:
 
     @classmethod
     def load(cls, path: str | Path, k: int = 5) -> "LongTermStore":
+        """Entries written by save; a bad line raises a ValueError naming
+        the path and the line number."""
         store = cls(k=k)
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                store.add(rec["target"], np.array(rec["obs"]), np.array(rec["act"]))
+                where = f"{path} line {number}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: not valid JSON ({exc})") from exc
+                if not isinstance(rec, dict) or not {"target", "obs", "act"} <= rec.keys():
+                    raise ValueError(f"{where}: a store entry needs target, obs and act")
+                try:
+                    store.add(rec["target"], np.array(rec["obs"]), np.array(rec["act"]))
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
         return store
 
 

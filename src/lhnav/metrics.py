@@ -134,9 +134,9 @@ def tar(ne: float, gt: float, d_s: float = 1.0) -> float:
     return 1.0 - max(ne - d_s, 0.0) / max(ne, gt)
 
 
-def mean_tar(results: list[EpisodeResult], d_s: float = 1.0) -> float:
+def mean_tar(results: list[EpisodeResult]) -> float:
     _require(results)
-    values = [tar(r.ne, r.gt, d_s) for res in results for r in res.records]
+    values = [tar(r.ne, r.gt) for res in results for r in res.records]
     return sum(values) / len(values)
 
 
@@ -153,25 +153,17 @@ def osr(results: list[EpisodeResult]) -> float:
     return sum(1.0 for res in results if all(r.oracle_hit for r in res.records)) / len(results)
 
 
-def spl(
-    results: list[EpisodeResult],
-    shortest: list[float] | None = None,
-    taken: list[float] | None = None,
-) -> float:
+def spl(results: list[EpisodeResult]) -> float:
     """Success weighted by path length over whole tasks.
 
-    When not given, the per-task shortest path is the sum of subtask ground
-    truths and the path taken is the sum of traveled distances.
+    A task's shortest path is the sum of its subtask ground truths and its
+    path taken is the sum of its traveled distances.
     """
     _require(results)
-    if shortest is None:
-        shortest = [sum(r.gt for r in res.records) for res in results]
-    if taken is None:
-        taken = [sum(r.path_taken for r in res.records) for res in results]
-    if len(shortest) != len(results) or len(taken) != len(results):
-        raise ValueError("shortest/taken must align with results")
     total = 0.0
-    for res, short_j, taken_j in zip(results, shortest, taken):
+    for res in results:
+        short_j = sum(r.gt for r in res.records)
+        taken_j = sum(r.path_taken for r in res.records)
         if short_j <= 0:
             raise ValueError(f"task {res.task_id!r} has nonpositive shortest path")
         if taken_j < 0:
@@ -202,9 +194,7 @@ def mean_ne(results: list[EpisodeResult], literal: bool = False) -> float:
 METRIC_ORDER = ("sr", "osr", "spl", "ne", "isr", "csr", "cgt", "tar")
 
 
-def aggregate(
-    results: list[EpisodeResult], d_s: float = 1.0, literal_ne: bool = False
-) -> dict[str, float]:
+def aggregate(results: list[EpisodeResult], literal_ne: bool = False) -> dict[str, float]:
     """All metrics in the fixed reporting order."""
     return {
         "sr": task_sr(results),
@@ -214,5 +204,5 @@ def aggregate(
         "isr": isr(results),
         "csr": csr(results),
         "cgt": cgt(results),
-        "tar": mean_tar(results, d_s=d_s),
+        "tar": mean_tar(results),
     }

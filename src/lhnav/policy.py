@@ -39,9 +39,7 @@ from .world import (
     observe,
 )
 from . import expert as expert_mod
-from .taskforge import TaskSpec
-
-MAX_STAGES = 4  # one-hot width for the navigation stage feature
+from .taskforge import MAX_STAGES, TaskSpec
 
 
 class EmbeddingOracle:
@@ -49,14 +47,13 @@ class EmbeddingOracle:
     coordinate, scaled by 1/(1+range) and L2-normalized.  An empty
     observation maps to a fixed unit "void" vector."""
 
-    def __init__(self, dim: int = 64, salt: str = "lhnav-v1"):
+    def __init__(self, dim: int = 64):
         if dim < 2:
             raise ValueError("embedding dim must be at least 2")
         self.dim = dim
-        self.salt = salt
 
     def index_for(self, name: str) -> int:
-        digest = hashlib.sha256(f"{self.salt}|{name}".encode("utf-8")).digest()
+        digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dim
 
     def void_vector(self) -> np.ndarray:
@@ -260,7 +257,6 @@ def collect_imitation_dataset(
     scene: Scene,
     task: TaskSpec,
     backend: LinearSoftmaxBackend,
-    oracle: EmbeddingOracle | None = None,
     budget: int = 500,
     capacity: int = 32,
 ) -> list[tuple[np.ndarray, int]]:
@@ -270,9 +266,7 @@ def collect_imitation_dataset(
     from . import runner
 
     teacher = _ImitationTeacher(backend)
-    policy = MemoryPolicy(
-        teacher, oracle=oracle or EmbeddingOracle(dim=backend.embed_dim), capacity=capacity
-    )
+    policy = MemoryPolicy(teacher, EmbeddingOracle(dim=backend.embed_dim), capacity=capacity)
     runner.run_episode(scene, task, policy, runner.RunConfig(budget=budget))
     return teacher.dataset
 
@@ -342,7 +336,7 @@ class StepContext:
 
 
 class Policy(Protocol):
-    def begin_episode(self, scene: Scene, task: TaskSpec, robot: RobotConfig, seed: int) -> None: ...
+    """Decides one step; a runner builds a fresh policy for every episode."""
 
     def act(self, ctx: StepContext) -> Action: ...
 
@@ -350,21 +344,16 @@ class Policy(Protocol):
 class ExpertPolicy:
     """Direct greedy-pathfinder control; the imitation target."""
 
-    def begin_episode(self, scene, task, robot, seed):
-        pass
-
     def act(self, ctx: StepContext) -> Action:
         return expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
 
 
 class RandomPolicy:
-    """Uniform over the four actions, reproducible under the episode seed."""
+    """Uniform over the four actions, reproducible under the task id and
+    the run seed."""
 
-    def __init__(self) -> None:
-        self._rng = random.Random(0)
-
-    def begin_episode(self, scene, task, robot, seed):
-        self._rng = random.Random(f"random-policy:{task.id}:{seed}")
+    def __init__(self, task_id: str, seed: int) -> None:
+        self._rng = random.Random(f"random-policy:{task_id}:{seed}")
 
     def act(self, ctx: StepContext) -> Action:
         return Action(self._rng.randrange(N_ACTIONS))
@@ -372,9 +361,6 @@ class RandomPolicy:
 
 class StopPolicy:
     """Stops immediately; degenerate baseline for harness checks."""
-
-    def begin_episode(self, scene, task, robot, seed):
-        pass
 
     def act(self, ctx: StepContext) -> Action:
         return Action.STOP
@@ -387,20 +373,16 @@ class MemoryPolicy:
     def __init__(
         self,
         backend: PolicyBackend,
+        oracle: EmbeddingOracle,
         store: LongTermStore | None = None,
-        oracle: EmbeddingOracle | None = None,
         capacity: int = 32,
         pooling: str = "pair",
     ):
         self.backend = backend
+        self.oracle = oracle
         self.store = store if store is not None else LongTermStore()
-        self.oracle = oracle or EmbeddingOracle()
-        self.capacity = capacity
         self.pooling = pooling
         self.memory = ShortTermMemory(capacity=capacity)
-
-    def begin_episode(self, scene, task, robot, seed):
-        self.memory = ShortTermMemory(capacity=self.capacity)
 
     def act(self, ctx: StepContext) -> Action:
         action, self.memory = memory_policy_step(

@@ -83,13 +83,16 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def make_policy(cfg: RunConfig, store: LongTermStore | None = None) -> Policy:
-    """A fresh policy for one episode.  The memory policy reads the given
-    store, which it never writes; without one its store is empty."""
+def make_policy(
+    cfg: RunConfig, task: TaskSpec, store: LongTermStore | None = None
+) -> Policy:
+    """A fresh policy for one episode of the task.  The memory policy reads
+    the given store, which it never writes; without one its store is
+    empty."""
     if cfg.policy == "expert":
         return ExpertPolicy()
     if cfg.policy == "random":
-        return RandomPolicy()
+        return RandomPolicy(task.id, cfg.seed)
     if cfg.policy == "stop":
         return StopPolicy()
     if cfg.policy == "memory":
@@ -98,8 +101,8 @@ def make_policy(cfg: RunConfig, store: LongTermStore | None = None) -> Policy:
         )
         return MemoryPolicy(
             backend,
+            EmbeddingOracle(dim=cfg.embed_dim),
             store=store,
-            oracle=EmbeddingOracle(dim=cfg.embed_dim),
             capacity=cfg.memory_capacity,
             pooling="triple" if cfg.literal_pooling else "pair",
         )
@@ -125,7 +128,6 @@ def run_episode(
     robot = stock_robot(task.robot)
     state = start if start is not None else sample_spawn(scene, task)
     validate_state(scene, state)
-    policy.begin_episode(scene, task, robot, cfg.seed)
 
     steps: list[StepRecord] = []
     spans: list[SubtaskSpan] = []
@@ -150,7 +152,7 @@ def run_episode(
             path_taken = 0.0
             stopped = False
             for _ in range(cfg.budget):
-                if subtask_success(scene, state, sub.object_id, robot):
+                if subtask_success(scene, state, sub.object_id):
                     oracle_hit = True
                 ctx = StepContext(
                     scene=scene,
@@ -178,9 +180,9 @@ def run_episode(
                     stopped = True
                     break
             # the pose after the last action belongs to this window too
-            if not oracle_hit and subtask_success(scene, state, sub.object_id, robot):
-                oracle_hit = True
-            success = stopped and subtask_success(scene, state, sub.object_id, robot)
+            at_target = subtask_success(scene, state, sub.object_id)
+            oracle_hit = oracle_hit or at_target
+            success = stopped and at_target
             ne = geodesic_distance(scene, state.position, target.position)
             records.append(
                 SubtaskRecord(
@@ -205,37 +207,26 @@ def run_episode(
                 )
             )
             last_move_target = sub.object_id
-        elif sub.kind == GRAB:
-            state, ok = apply_grab(scene, state, sub.object_id, robot)
-            spans.append(
-                SubtaskSpan(
-                    index=sub_idx,
-                    kind=GRAB,
-                    target_id=sub.object_id,
-                    start=len(steps),
-                    end=len(steps),
-                    gt=0.0,
-                    stopped=True,
-                    interaction_ok=ok,
-                )
-            )
+            continue
+        if sub.kind == GRAB:
+            state, ok = apply_grab(scene, state, sub.object_id)
         elif sub.kind == RELEASE:
             place = last_move_target or sub.object_id
-            state, ok = apply_release(scene, state, sub.object_id, place, robot)
-            spans.append(
-                SubtaskSpan(
-                    index=sub_idx,
-                    kind=RELEASE,
-                    target_id=sub.object_id,
-                    start=len(steps),
-                    end=len(steps),
-                    gt=0.0,
-                    stopped=True,
-                    interaction_ok=ok,
-                )
-            )
+            state, ok = apply_release(scene, state, sub.object_id, place)
         else:
             raise ValueError(f"unknown subtask kind {sub.kind!r}")
+        spans.append(
+            SubtaskSpan(
+                index=sub_idx,
+                kind=sub.kind,
+                target_id=sub.object_id,
+                start=len(steps),
+                end=len(steps),
+                gt=0.0,
+                stopped=True,
+                interaction_ok=ok,
+            )
+        )
 
     trajectory = Trajectory(
         task_id=task.id,
@@ -252,7 +243,7 @@ def run_episode(
 
 def _episode_job(args) -> tuple[str, dict]:
     scene, task, cfg, store = args
-    policy = make_policy(cfg, store)
+    policy = make_policy(cfg, task, store)
     trajectory, result = run_episode(scene, task, policy, cfg)
     if cfg.out_dir:
         traj_dir = Path(cfg.out_dir) / "trajectories"

@@ -17,7 +17,6 @@ off.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -154,7 +153,6 @@ def tag_segment(
     steps,
     segment: Segment,
     robot: RobotConfig | None = None,
-    top: int = 5,
 ) -> tuple[Tag, ...]:
     """Most frequent visible object categories and region labels over the
     segment's observations, occurrence fraction as confidence, top five.
@@ -180,7 +178,7 @@ def tag_segment(
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     return tuple(
         Tag(name=name, kind=kind, confidence=count / n_steps)
-        for (name, kind), count in ranked[:top]
+        for (name, kind), count in ranked[:5]
     )
 
 
@@ -256,34 +254,3 @@ def render_step_instruction(
         source_subtask=source_subtask,
     )
 
-
-def render_via_llm(
-    target: str,
-    segments: list[Segment],
-    cfg,
-    source_task_id: str = "",
-    source_subtask: int = -1,
-) -> StepByStepTask:
-    """Ask a chat-completion service to phrase the instruction instead of
-    the template; the step structure stays deterministic."""
-    from .taskforge import chat_completion, load_prompt
-
-    if not segments:
-        raise ValueError("need at least one segment")
-    payload: dict = {"target": target}
-    for i, seg in enumerate(segments):
-        payload[f"step_{i}"] = {
-            "action": seg.label,
-            "tags": [t.name for t in seg.tags],
-        }
-    instruction = chat_completion(
-        cfg, load_prompt("step_instruction"), json.dumps(payload)
-    ).strip()
-    steps = tuple((seg.label, _choose_tag(seg, target)) for seg in segments)
-    return StepByStepTask(
-        target=target,
-        steps=steps,
-        instruction=instruction,
-        source_task_id=source_task_id,
-        source_subtask=source_subtask,
-    )

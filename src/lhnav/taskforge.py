@@ -96,21 +96,13 @@ class TaskSpec:
         )
 
 
-@dataclass
-class LlmClientConfig:
-    endpoint: str = ""
-    model: str = "gpt-4"
-    timeout: float = 30.0
-    enabled: bool = False
-
-    def __post_init__(self) -> None:
-        if self.enabled and not self.endpoint:
-            raise ValueError("enabled LLM client needs an endpoint")
+LLM_MODEL = "gpt-4"
+LLM_TIMEOUT_S = 30.0
 
 
 def load_prompt(name: str) -> str:
-    """Prompt templates shipped with the package (forward_task,
-    step_instruction)."""
+    """A prompt template shipped with the package; forward_task is the
+    only one."""
     return (_PROMPT_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
@@ -295,19 +287,17 @@ def sample_task(
     return task
 
 
-def sample_spawn(
-    scene: Scene, task: TaskSpec, min_dist: float = MIN_TARGET_SEPARATION
-) -> AgentState:
-    """Deterministic spawn for a task: a uniform free cell at least min_dist
-    geodesic from the first target (falls back to the farthest reachable
-    cell), with a uniform heading."""
+def sample_spawn(scene: Scene, task: TaskSpec) -> AgentState:
+    """Deterministic spawn for a task: a uniform free cell at least
+    MIN_TARGET_SEPARATION geodesic from the first target (falls back to the
+    farthest reachable cell), with a uniform heading."""
     from .expert import field_from
 
     rng = random.Random(f"spawn:{task.scene_id}:{task.seed}")
     first = scene.object(task.move_targets()[0].object_id)
     field = field_from(scene, scene.cell_of(first.position))
     reachable = sorted(field.steps)
-    eligible = [c for c in reachable if field.distance(c) >= min_dist]
+    eligible = [c for c in reachable if field.distance(c) >= MIN_TARGET_SEPARATION]
     if not eligible:
         eligible = [max(reachable, key=lambda c: (field.distance(c), c))]
     cell = rng.choice(eligible)
@@ -421,16 +411,16 @@ def parse_reply(scene: Scene, robot: RobotConfig, content: str, seed: int = 0) -
     return task
 
 
-def chat_completion(cfg: LlmClientConfig, system: str, user: str) -> str:
+def chat_completion(endpoint: str, system: str, user: str) -> str:
     """One blocking chat-completion round trip; returns the assistant body.
 
     Each call opens its own connection, so concurrent workers never share
     state.
     """
-    if not cfg.enabled:
-        raise ValueError("LLM client is disabled")
+    if not endpoint:
+        raise ValueError("the LLM client needs an endpoint")
     body = {
-        "model": cfg.model,
+        "model": LLM_MODEL,
         "temperature": 0,
         "messages": [
             {"role": "system", "content": system},
@@ -438,16 +428,16 @@ def chat_completion(cfg: LlmClientConfig, system: str, user: str) -> str:
         ],
     }
     req = urllib.request.Request(
-        cfg.endpoint,
+        endpoint,
         data=json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
     try:
-        with urllib.request.urlopen(req, timeout=cfg.timeout) as resp:
+        with urllib.request.urlopen(req, timeout=LLM_TIMEOUT_S) as resp:
             payload = json.loads(resp.read().decode("utf-8"))
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
-        raise LlmNetworkError(f"request to {cfg.endpoint} failed: {exc}") from exc
+        raise LlmNetworkError(f"request to {endpoint} failed: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LlmParseError(f"response is not JSON: {exc}") from exc
     try:
@@ -457,7 +447,7 @@ def chat_completion(cfg: LlmClientConfig, system: str, user: str) -> str:
 
 
 def generate_via_llm(
-    scene: Scene, robot: RobotConfig, cfg: LlmClientConfig, seed: int = 0
+    scene: Scene, robot: RobotConfig, endpoint: str, seed: int = 0
 ) -> TaskSpec:
     """Request one task from a chat-completion endpoint and validate it.
 
@@ -465,7 +455,7 @@ def generate_via_llm(
     distinct error types.
     """
     content = chat_completion(
-        cfg,
+        endpoint,
         load_prompt("forward_task"),
         (
             f"Scene: {serialize_scene_for_prompt(scene)}\n"

@@ -496,9 +496,7 @@ def bearing_to(state: AgentState, point: tuple[float, float]) -> float:
     return signed_angle(math.degrees(math.atan2(dy, dx)) - state.heading)
 
 
-def subtask_success(
-    scene: Scene, state: AgentState, target: str, robot: RobotConfig | None = None
-) -> bool:
+def subtask_success(scene: Scene, state: AgentState, target: str) -> bool:
     """Navigation success predicate for a single target.
 
     Requires geodesic distance <= 1 m, bearing inside the 60 degree frontal
@@ -516,9 +514,7 @@ def subtask_success(
     return line_of_sight(scene, state.position, obj.position)
 
 
-def apply_grab(
-    scene: Scene, state: AgentState, object_id: str, robot: RobotConfig | None = None
-) -> tuple[AgentState, bool]:
+def apply_grab(scene: Scene, state: AgentState, object_id: str) -> tuple[AgentState, bool]:
     """Pick up an object: requires an empty arm and the success predicate.
 
     Pure bookkeeping; the scene itself never changes.
@@ -528,17 +524,13 @@ def apply_grab(
         return state, False
     if not obj.portable:
         return state, False
-    if not subtask_success(scene, state, object_id, robot):
+    if not subtask_success(scene, state, object_id):
         return state, False
     return replace(state, holding=object_id), True
 
 
 def apply_release(
-    scene: Scene,
-    state: AgentState,
-    object_id: str,
-    place_id: str,
-    robot: RobotConfig | None = None,
+    scene: Scene, state: AgentState, object_id: str, place_id: str
 ) -> tuple[AgentState, bool]:
     """Put down the held object at a place (the preceding move target).
 
@@ -549,6 +541,6 @@ def apply_release(
     scene.object(object_id)
     if state.holding != object_id:
         return state, False
-    if not subtask_success(scene, state, place_id, robot):
+    if not subtask_success(scene, state, place_id):
         return state, False
     return replace(state, holding=None), True

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lhnav.cli import load_config_file, main
+from lhnav.cli import main
 
 
 def run_cli(*argv):
@@ -131,6 +131,32 @@ class TestUsageErrors:
         assert named in err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
 
+    def test_split_names_a_trajectory_from_an_unknown_scene(
+        self, tmp_path, capsys, two_room_scene
+    ):
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.scenegen import generate_scene
+        from lhnav.taskforge import sample_task
+
+        other = generate_scene(seed=77, size=20)
+        other.save(tmp_path / "other.json")
+        traj, _ = run_episode(
+            two_room_scene, sample_task(two_room_scene, seed=7), ExpertPolicy(), RunConfig()
+        )
+        traj_path = tmp_path / "t.jsonl"
+        traj.save(traj_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "split", "--trajectories", str(traj_path),
+                "--scenes", str(tmp_path / "other.json"), "--out", str(tmp_path / "s.json"),
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lhnav split")
+        assert str(traj_path) in err and repr(two_room_scene.scene_id) in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):
         from lhnav.policy import ExpertPolicy
         from lhnav.runner import RunConfig, run_episode
@@ -150,28 +176,31 @@ class TestUsageErrors:
 
 
 class TestConfigFile:
-    def test_key_value_parsing(self, tmp_path):
-        cfg = tmp_path / "lhnav.cfg"
-        cfg.write_text("# comment\nllm_endpoint = http://x/y\nbudget=250\n")
-        values = load_config_file(str(cfg))
-        assert values == {"llm_endpoint": "http://x/y", "budget": "250"}
+    """There is no config file: every value comes from a flag, and only the
+    task endpoint can also come from the environment."""
 
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not a pair\n")
-        with pytest.raises(ValueError):
-            load_config_file(str(cfg))
+    def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget=3\npolicy=random\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "--config", str(cfg), "rollout", "--scenes", str(tmp_path),
+                "--tasks", str(tmp_path / "t.json"), "--out", str(tmp_path / "run"),
+            )
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: lhnav")
+        assert not (tmp_path / "run").exists()
 
     def test_env_endpoint_overrides(self, tmp_path, monkeypatch):
-        # the env var wins over the config file for the task endpoint
+        # the env var wins over --llm-endpoint for the task endpoint
         scenes_dir = tmp_path / "scenes"
         run_cli("gen-scene", "--seed", "9", "--size", "20", "--out", str(scenes_dir))
-        monkeypatch.setenv("LHNAV_LLM_ENDPOINT", "http://127.0.0.1:9/never")
+        monkeypatch.setenv("LHNAV_LLM_ENDPOINT", "http://127.0.0.1:9/from-env")
         tasks_path = tmp_path / "tasks.json"
         from lhnav.taskforge import LlmNetworkError
 
-        with pytest.raises(LlmNetworkError):
+        with pytest.raises(LlmNetworkError, match="from-env"):
             run_cli(
                 "gen-tasks", "--scenes", str(scenes_dir), "--count", "1",
-                "--out", str(tasks_path),
+                "--llm-endpoint", "http://127.0.0.1:9/from-flag", "--out", str(tasks_path),
             )

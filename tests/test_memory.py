@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,27 @@ class TestRetrieveTopk:
         loaded = LongTermStore.load(path, k=3)
         query = npr.normal(size=8)
         assert store.rank("cup", query) == loaded.rank("cup", query)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"target": "cup", "obs": [1.0, 0.',
+            "not json",
+            '{"target": "cup", "act": [0.25, 0.25, 0.25, 0.25]}',
+            '["cup", [1.0], [1.0, 0.0, 0.0, 0.0]]',
+            '{"target": "cup", "obs": [1.0, 2.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+        ],
+        ids=["truncated", "not-json", "missing-obs", "not-an-object", "wrong-length"],
+    )
+    def test_bad_line_names_path_and_line_number(self, tmp_path, bad_line):
+        store = LongTermStore()
+        store.add("cup", np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + bad_line + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 3\b"):
+            LongTermStore.load(path)
 
 
 class TestWeightDecision:

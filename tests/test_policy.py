@@ -209,11 +209,8 @@ class TestTraining:
         from lhnav.policy import collect_imitation_dataset
 
         backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
-        oracle = EmbeddingOracle(dim=16)
         task = sample_task(two_room_scene, SPOT, seed=7)
-        dataset = collect_imitation_dataset(
-            two_room_scene, task, backend, oracle=oracle
-        )
+        dataset = collect_imitation_dataset(two_room_scene, task, backend)
         assert dataset
         for x, y in dataset:
             assert x.shape == (backend.feature_dim,)
@@ -233,10 +230,10 @@ class TestTraining:
         task = sample_task(two_room_scene, stretch, seed=7)
         backend = LinearSoftmaxBackend(embed_dim=16, seed=4)
         backend.set_params(np.random.default_rng(8).normal(0, 0.5, backend.get_params().shape))
-        oracle = EmbeddingOracle(dim=16)
         dataset = collect_imitation_dataset(
-            two_room_scene, task, backend, oracle=oracle, budget=60, capacity=3
+            two_room_scene, task, backend, budget=60, capacity=3
         )
+        oracle = EmbeddingOracle(dim=16)
 
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig(budget=60))
         stage_of = {}
@@ -325,8 +322,7 @@ class TestPolicies:
         task = sample_task(two_room_scene, seed=7)
         traces = []
         for _ in range(2):
-            pol = RandomPolicy()
-            pol.begin_episode(two_room_scene, task, SPOT, seed=5)
+            pol = RandomPolicy(task.id, seed=5)
             ctx = step_context(
                 two_room_scene, sample_spawn(two_room_scene, task), "bag-0", task=task
             )
@@ -342,7 +338,6 @@ class TestPolicies:
         store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
         store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
-        pol.begin_episode(two_room_scene, task, SPOT, seed=0)
         state = sample_spawn(two_room_scene, task)
         actions = [
             pol.act(step_context(two_room_scene, state, target, task=task, stage=stage))
@@ -360,7 +355,6 @@ class TestPolicies:
             for t, b in store.buckets.items()
         ]
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
-        pol.begin_episode(two_room_scene, task, SPOT, seed=0)
         state = sample_spawn(two_room_scene, task)
         for _ in range(20):
             pol.act(step_context(two_room_scene, state, "bag-0", task=task))

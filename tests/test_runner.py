@@ -40,7 +40,7 @@ class TestRunEpisode:
     def test_expert_completes_fixture_task(self, two_room_scene):
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="expert")
-        traj, result = run_episode(two_room_scene, task, make_policy(cfg), cfg)
+        traj, result = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
         assert all(r.success for r in result.records)
         move_spans = [s for s in traj.spans if s.kind == "move_to"]
         for span in move_spans:
@@ -63,7 +63,7 @@ class TestRunEpisode:
     def test_random_tiny_budget_truncates(self, two_room_scene):
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="random", budget=10, seed=3)
-        traj, result = run_episode(two_room_scene, task, make_policy(cfg), cfg)
+        traj, result = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
         assert any(r.truncated for r in result.records) or all(
             not r.success for r in result.records
         )
@@ -78,7 +78,7 @@ class TestRunEpisode:
     def test_step_counts_sum(self, two_room_scene):
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="expert")
-        traj, result = run_episode(two_room_scene, task, make_policy(cfg), cfg)
+        traj, result = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
         assert sum(r.steps for r in result.records) == len(traj.steps)
         indices = [s.index for s in traj.steps]
         assert indices == list(range(len(traj.steps)))
@@ -87,7 +87,7 @@ class TestRunEpisode:
         scene = generate_scene(seed=55, size=20, regions=4)
         task = sample_task(scene, SPOT, seed=5)
         cfg = RunConfig(policy="expert")
-        traj, result = run_episode(scene, task, make_policy(cfg), cfg)
+        traj, result = run_episode(scene, task, make_policy(cfg, task), cfg)
         move_spans = [s for s in traj.spans if s.kind == "move_to"]
         for span, record in zip(move_spans, result.records):
             start_state = traj.steps[span.start].state
@@ -99,7 +99,7 @@ class TestRunEpisode:
     def test_memory_policy_follows_embed_dim(self, two_room_scene):
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="memory", embed_dim=16, budget=5)
-        policy = make_policy(cfg)
+        policy = make_policy(cfg, task)
         assert policy.oracle.dim == 16
         traj, result = run_episode(two_room_scene, task, policy, cfg)
         assert len(traj.steps) == sum(r.steps for r in result.records) > 0
@@ -108,14 +108,14 @@ class TestRunEpisode:
         task = replace(sample_task(two_room_scene, SPOT, seed=7), robot="spott")
         cfg = RunConfig(policy="expert")
         with pytest.raises(ValueError, match=r"'spott'.*'spot', 'stretch'"):
-            run_episode(two_room_scene, task, make_policy(cfg), cfg)
+            run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
 
     def test_wrong_scene_pairing_rejected(self, two_room_scene):
         scene2 = generate_scene(seed=77, size=20)
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="expert")
         with pytest.raises(ValueError):
-            run_episode(scene2, task, make_policy(cfg), cfg)
+            run_episode(scene2, task, make_policy(cfg, task), cfg)
 
 
 class TestRunConfig:
@@ -128,15 +128,15 @@ class TestRunConfig:
             RunConfig(**{field: value})
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_every_policy_builds(self, policy):
-        make_policy(RunConfig(policy=policy))
+    def test_every_policy_builds(self, policy, two_room_scene):
+        make_policy(RunConfig(policy=policy), sample_task(two_room_scene, SPOT, seed=7))
 
 
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path, two_room_scene):
         task = sample_task(two_room_scene, SPOT, seed=7)
         cfg = RunConfig(policy="expert")
-        traj, _ = run_episode(two_room_scene, task, make_policy(cfg), cfg)
+        traj, _ = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
         path = tmp_path / "t.jsonl"
         traj.save(path)
         loaded = Trajectory.load(path)

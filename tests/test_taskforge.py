@@ -7,9 +7,9 @@ import pytest
 
 from lhnav.expert import geodesic_distance
 from lhnav.scenegen import generate_scene
+from lhnav import taskforge
 from lhnav.taskforge import (
     GRAB,
-    LlmClientConfig,
     LlmNetworkError,
     MOVE_TO,
     RELEASE,
@@ -192,8 +192,7 @@ def stub_server():
 class TestLlmClient:
     def test_stub_reply_parses_to_template_fixture(self, two_room_scene, stub_server):
         _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY
-        cfg = LlmClientConfig(endpoint=stub_server, enabled=True)
-        task = generate_via_llm(two_room_scene, SPOT, cfg)
+        task = generate_via_llm(two_room_scene, SPOT, stub_server)
         expected = sample_task(two_room_scene, SPOT, seed=7)
         assert task.instruction == expected.instruction
         assert task.subtasks == expected.subtasks
@@ -213,18 +212,16 @@ class TestLlmClient:
             parse_reply(two_room_scene, SPOT, "no dictionary here")
         assert "dictionary" in str(err.value)
 
-    def test_unreachable_endpoint_is_network_error(self, two_room_scene):
-        cfg = LlmClientConfig(
-            endpoint="http://127.0.0.1:9/never", enabled=True, timeout=0.5
-        )
-        with pytest.raises(LlmNetworkError):
-            generate_via_llm(two_room_scene, SPOT, cfg)
+    def test_unreachable_endpoint_is_network_error(self, two_room_scene, monkeypatch):
+        monkeypatch.setattr(taskforge, "LLM_TIMEOUT_S", 0.5)
+        with pytest.raises(LlmNetworkError, match="127.0.0.1:9/never"):
+            generate_via_llm(two_room_scene, SPOT, "http://127.0.0.1:9/never")
 
-    def test_disabled_client_requires_no_endpoint(self):
-        cfg = LlmClientConfig()
-        assert not cfg.enabled
-        with pytest.raises(ValueError):
-            LlmClientConfig(enabled=True)
+    def test_disabled_client_requires_no_endpoint(self, two_room_scene):
+        # an empty endpoint means the client is off: asking it for a task
+        # is an error before any request is made
+        with pytest.raises(ValueError, match="endpoint"):
+            generate_via_llm(two_room_scene, SPOT, "")
 
 
 class TestPersistence:
@@ -234,18 +231,3 @@ class TestPersistence:
         save_tasks(tasks, path)
         assert load_tasks(path) == tasks
 
-
-class TestLlmInstructionRender:
-    def test_render_via_llm_uses_service_phrasing(self, two_room_scene, stub_server):
-        from lhnav.splitter import FORWARD, Segment, Tag, render_via_llm
-
-        # the step-instruction service replies with a bare instruction string
-        _StubHandler.reply_content = "Walk past the bed, finally go straight to the bag."
-        try:
-            segs = [Segment(FORWARD, 0, 2, tags=(Tag("bedroom", "region", 1.0),))]
-            cfg = LlmClientConfig(endpoint=stub_server, enabled=True)
-            task = render_via_llm("bag", segs, cfg)
-        finally:
-            _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY
-        assert task.instruction.endswith("go straight to the bag.")
-        assert len(task.steps) == 1

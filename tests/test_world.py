@@ -144,21 +144,21 @@ class TestObserve:
 class TestSubtaskSuccess:
     def test_close_and_facing(self, corridor_scene):
         # 2 cells west of the box, facing it
-        assert subtask_success(corridor_scene, state(1.375, 0.375, 0.0), "box-0", SPOT)
+        assert subtask_success(corridor_scene, state(1.375, 0.375, 0.0), "box-0")
 
     def test_bearing_outside_cone(self, open_scene):
         obj = open_scene.object("box-0")
         ax, ay = obj.position[0] + 0.5, obj.position[1]  # 0.5 m east, facing west
-        assert subtask_success(open_scene, state(ax, ay, 180.0), "box-0", SPOT)
-        assert not subtask_success(open_scene, state(ax, ay, 135.0), "box-0", SPOT)
+        assert subtask_success(open_scene, state(ax, ay, 180.0), "box-0")
+        assert not subtask_success(open_scene, state(ax, ay, 135.0), "box-0")
 
     def test_distance_bound(self, corridor_scene):
         # 6 cells away: 1.5 m geodesic, facing straight at it
-        assert not subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "box-0", SPOT)
+        assert not subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "box-0")
 
     def test_unknown_target_raises(self, corridor_scene):
         with pytest.raises(UnknownObjectError):
-            subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "nope", SPOT)
+            subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "nope")
 
     def test_success_implies_visible(self, open_scene):
         rng = random.Random(9)
@@ -168,7 +168,7 @@ class TestSubtaskSuccess:
             cell = rng.choice(free)
             s = state(*open_scene.cell_center(cell), heading=rng.choice(range(0, 360, 15)))
             for obj in open_scene.objects:
-                if subtask_success(open_scene, s, obj.id, SPOT):
+                if subtask_success(open_scene, s, obj.id):
                     hits += 1
                     assert obj.id in observe(open_scene, s, SPOT).visible_ids()
         assert hits > 0  # the property actually fired
@@ -177,21 +177,21 @@ class TestSubtaskSuccess:
 class TestGrabRelease:
     def test_grab_requires_empty_arm_and_success(self, corridor_scene):
         near = state(1.375, 0.375, 0.0)
-        s2, ok = apply_grab(corridor_scene, near, "box-0", SPOT)
+        s2, ok = apply_grab(corridor_scene, near, "box-0")
         assert ok and s2.holding == "box-0"
-        _, again = apply_grab(corridor_scene, s2, "box-0", SPOT)
+        _, again = apply_grab(corridor_scene, s2, "box-0")
         assert not again
         far = state(0.375, 0.375, 0.0)
-        _, ok_far = apply_grab(corridor_scene, far, "box-0", SPOT)
+        _, ok_far = apply_grab(corridor_scene, far, "box-0")
         assert not ok_far
 
     def test_release_requires_held_object_at_place(self, two_room_scene):
         desk = two_room_scene.object("desk-0")
         near_desk = state(desk.position[0] - 0.5, desk.position[1], 0.0, holding="bag-0")
-        s2, ok = apply_release(two_room_scene, near_desk, "bag-0", "desk-0", SPOT)
+        s2, ok = apply_release(two_room_scene, near_desk, "bag-0", "desk-0")
         assert ok and s2.holding is None
         empty = state(desk.position[0] - 0.5, desk.position[1], 0.0)
-        _, ok2 = apply_release(two_room_scene, empty, "bag-0", "desk-0", SPOT)
+        _, ok2 = apply_release(two_room_scene, empty, "bag-0", "desk-0")
         assert not ok2
 
 
