@@ -87,7 +87,11 @@ def cmd_gen_tasks(args) -> int:
         attempts_left -= 1
         scene = scene_list[len(tasks) % len(scene_list)]
         if endpoint:
-            tasks.append(generate_via_llm(scene, robot, endpoint, seed=seed))
+            tasks.append(
+                generate_via_llm(
+                    scene, robot, endpoint, seed=seed, allowed_stages=args.subtasks
+                )
+            )
         else:
             try:
                 tasks.append(

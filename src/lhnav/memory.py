@@ -7,12 +7,19 @@ candidate, the candidate distribution with the smallest entropy wins, and
 the corresponding pair of memory entries is averaged into one slot before
 the new entry is appended.  Merging the most mutually redundant entries is
 what keeps distinctive low-confidence memories alive.
+
+Both hot paths are array operations.  The n-1 pair candidates of a
+confidence vector are the rows of one (n-1) x (n-1) matrix, and one
+row-wise formula gives every candidate's entropy.  Each long-term bucket
+holds an (m x dim) matrix of observation rows, the m row norms (computed
+once, when an entry is added) and an (m x 4) matrix of action rows, so a
+retrieval is one batched product over the bucket and one stable sort.
+Results are bit-identical to the per-entry loops they replace.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,55 +54,63 @@ class ShortTermMemory:
         return np.mean(np.stack(self.entries), axis=0)
 
 
-def pool_candidates(confidences, window: str = "pair") -> list[np.ndarray]:
+def pool_candidates(confidences, window: str = "pair") -> np.ndarray | list[np.ndarray]:
     """All merge candidates of a confidence vector.
 
     The canonical "pair" window replaces (c_i, c_{i+1}) with their mean,
-    giving n-1 candidates each of length n-1.  The "triple" variant averages
-    the element with both neighbors (clipped at the ends) and exists only
-    for side-by-side comparison.
+    giving the n-1 rows of an (n-1) x (n-1) array: row i is c[:i], the
+    mean, then c[i+2:].  The "triple" variant averages the element with
+    both neighbors (clipped at the ends) and exists only for side-by-side
+    comparison; its n candidates differ in length, so it returns a list.
     """
     c = np.asarray(confidences, dtype=float)
     n = c.shape[0]
+    if window not in ("pair", "triple"):
+        raise ValueError(f"unknown pooling window {window!r}")
+    if n < 2:
+        raise ValueError("need at least two confidences to pool")
     if window == "pair":
-        if n < 2:
-            raise ValueError("need at least two confidences to pool")
-        out = []
-        for i in range(n - 1):
-            merged = np.concatenate([c[:i], [(c[i] + c[i + 1]) / 2.0], c[i + 2 :]])
-            out.append(merged)
+        i = np.arange(n - 1)
+        # slot j of candidate i holds c[j] before the merged slot, c[j+1] after it
+        out = np.where(i[None, :] < i[:, None], c[:-1], c[1:])
+        out[i, i] = (c[:-1] + c[1:]) / 2.0
         return out
-    if window == "triple":
-        if n < 2:
-            raise ValueError("need at least two confidences to pool")
-        out = []
-        for i in range(n):
-            lo = max(0, i - 1)
-            hi = min(n, i + 2)
-            merged = np.concatenate([c[:lo], [c[lo:hi].mean()], c[hi:]])
-            out.append(merged)
-        return out
-    raise ValueError(f"unknown pooling window {window!r}")
+    out = []
+    for i in range(n):
+        lo = max(0, i - 1)
+        hi = min(n, i + 2)
+        out.append(np.concatenate([c[:lo], [c[lo:hi].mean()], c[hi:]]))
+    return out
+
+
+def candidate_entropies(candidates) -> np.ndarray:
+    """Entropy of each candidate's distribution, normalized to sum 1.
+
+    A 2-D array is one block of equal-length candidates, one per row; any
+    other sequence goes through the same row-wise formula one candidate at
+    a time.
+    """
+    if not len(candidates):
+        raise ValueError("need at least one candidate")
+    if isinstance(candidates, np.ndarray) and candidates.ndim == 2:
+        blocks = [candidates.astype(float, copy=False)]
+    else:
+        blocks = [np.asarray(cand, dtype=float)[None, :] for cand in candidates]
+    totals = [block.sum(axis=1) for block in blocks]
+    bad = np.flatnonzero(np.concatenate(totals) <= 0)
+    if bad.size:
+        raise ValueError(f"candidate {bad[0]} has nonpositive mass")
+    out = []
+    for block, total in zip(blocks, totals):
+        s = block / total[:, None]
+        out.append(-(s * np.log(np.maximum(s, EPS))).sum(axis=1))
+    return np.concatenate(out)
 
 
 def entropy_argmin(candidates) -> int:
     """Index of the candidate whose normalized distribution has the smallest
     entropy; ties go to the smallest index."""
-    if not len(candidates):
-        raise ValueError("need at least one candidate")
-    best_idx = 0
-    best_h = math.inf
-    for i, cand in enumerate(candidates):
-        c = np.asarray(cand, dtype=float)
-        total = float(c.sum())
-        if total <= 0:
-            raise ValueError(f"candidate {i} has nonpositive mass")
-        s = c / total
-        h = float(-(s * np.log(np.maximum(s, EPS))).sum())
-        if h < best_h:
-            best_h = h
-            best_idx = i
-    return best_idx
+    return int(np.argmin(candidate_entropies(candidates)))
 
 
 def forget_and_append(
@@ -131,12 +146,56 @@ def forget_and_append(
     )
 
 
-def _check_length(target: str, bucket, embedding: np.ndarray) -> None:
+class _Bucket:
+    """One target's entries in insertion order, as arrays: observation rows,
+    their norms and action rows.  Iterating yields (obs, act) pairs.  The
+    arrays grow by doubling, so an add copies O(dim) values amortized."""
+
+    def __init__(self, dim: int) -> None:
+        self._obs = np.empty((4, dim))
+        self._norms = np.empty(4)
+        self._acts = np.empty((4, N_ACTIONS))
+        self._m = 0
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __iter__(self):
+        return zip(self.obs, self.acts)
+
+    @property
+    def dim(self) -> int:
+        return self._obs.shape[1]
+
+    @property
+    def obs(self) -> np.ndarray:
+        return self._obs[: self._m]
+
+    @property
+    def norms(self) -> np.ndarray:
+        return self._norms[: self._m]
+
+    @property
+    def acts(self) -> np.ndarray:
+        return self._acts[: self._m]
+
+    def append(self, obs: np.ndarray, norm: float, act: np.ndarray) -> None:
+        if self._m == self._norms.shape[0]:
+            self._obs = np.concatenate([self._obs, np.empty_like(self._obs)])
+            self._norms = np.concatenate([self._norms, np.empty_like(self._norms)])
+            self._acts = np.concatenate([self._acts, np.empty_like(self._acts)])
+        self._obs[self._m] = obs
+        self._norms[self._m] = norm
+        self._acts[self._m] = act
+        self._m += 1
+
+
+def _check_length(target: str, bucket: _Bucket, embedding: np.ndarray) -> None:
     """A bucket holds embeddings of one length."""
-    if bucket and embedding.shape != bucket[0][0].shape:
+    if embedding.shape != (bucket.dim,):
         raise ValueError(
             f"target {target!r}: embedding of length {embedding.size} "
-            f"does not match the bucket's length {bucket[0][0].size}"
+            f"does not match the bucket's length {bucket.dim}"
         )
 
 
@@ -150,7 +209,7 @@ class LongTermStore:
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.buckets: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self.buckets: dict[str, _Bucket] = {}
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets.values())
@@ -158,15 +217,21 @@ class LongTermStore:
     def add(self, target: str, obs: np.ndarray, act: np.ndarray) -> None:
         obs = np.asarray(obs, dtype=float)
         act = np.asarray(act, dtype=float)
-        if float(np.linalg.norm(obs)) == 0.0:
+        if obs.ndim != 1:
+            raise ValueError("observation embedding must be a vector")
+        # the norm rank divides by, computed once per entry
+        norm = float(np.linalg.norm(obs))
+        if norm == 0.0:
             raise ValueError("observation embedding must be nonzero")
         if act.shape != (N_ACTIONS,):
             raise ValueError(f"action distribution must have length {N_ACTIONS}")
         if np.any(act < 0) or abs(float(act.sum()) - 1.0) > 1e-9:
             raise ValueError("action distribution must be nonnegative and sum to 1")
-        bucket = self.buckets.setdefault(target, [])
+        bucket = self.buckets.get(target)
+        if bucket is None:
+            bucket = self.buckets[target] = _Bucket(obs.shape[0])
         _check_length(target, bucket, obs)
-        bucket.append((obs, act))
+        bucket.append(obs, norm, act)
 
     def rank(self, target: str, query: np.ndarray) -> list[int]:
         """Bucket indices sorted by descending cosine similarity to the query;
@@ -175,20 +240,24 @@ class LongTermStore:
         qn = float(np.linalg.norm(q))
         if qn == 0.0:
             raise ValueError("query embedding must be nonzero")
-        bucket = self.buckets.get(target, [])
+        bucket = self.buckets.get(target)
+        if not bucket:
+            return []
         _check_length(target, bucket, q)
-        sims = [float(np.dot(obs, q) / (np.linalg.norm(obs) * qn)) for obs, _ in bucket]
-        order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
-        return order
+        # a stack of row-by-column products is one np.dot per row; a plain
+        # matrix-vector product sums in another order, off in the last bit
+        dots = (bucket.obs[:, None, :] @ q[:, None])[:, 0, 0]
+        sims = dots / (bucket.norms * qn)
+        return np.argsort(-sims, kind="stable").tolist()
 
     def retrieve_topk(
         self, target: str, query: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top min(k, m) pairs by cosine similarity; empty bucket gives []."""
-        bucket = self.buckets.get(target, [])
+        bucket = self.buckets.get(target)
         if not bucket:
             return []
-        return [bucket[j] for j in self.rank(target, query)[: self.k]]
+        return [(bucket.obs[j], bucket.acts[j]) for j in self.rank(target, query)[: self.k]]
 
     # -- persistence ---------------------------------------------------------
 

@@ -447,11 +447,13 @@ def chat_completion(endpoint: str, system: str, user: str) -> str:
 
 
 def generate_via_llm(
-    scene: Scene, robot: RobotConfig, endpoint: str, seed: int = 0
+    scene: Scene, robot: RobotConfig, endpoint: str, seed: int = 0, allowed_stages=None
 ) -> TaskSpec:
     """Request one task from a chat-completion endpoint and validate it.
 
-    Network failures, unparseable replies, and invariant violations raise
+    allowed_stages restricts the number of navigation stages, as in
+    sample_task.  Network failures, unparseable replies, and invariant
+    violations (a stage count outside allowed_stages among them) raise
     distinct error types.
     """
     content = chat_completion(
@@ -462,7 +464,14 @@ def generate_via_llm(
             f"Robot: {serialize_robot_for_prompt(robot)}"
         ),
     )
-    return parse_reply(scene, robot, content, seed=seed)
+    task = parse_reply(scene, robot, content, seed=seed)
+    stages = len(task.move_targets())
+    if allowed_stages is not None and stages not in allowed_stages:
+        raise TaskValidationError(
+            f"task {task.id!r}: {stages} navigation stages, "
+            f"need one of {sorted(allowed_stages)}"
+        )
+    return task
 
 
 # -- persistence ------------------------------------------------------------------

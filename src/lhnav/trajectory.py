@@ -123,22 +123,46 @@ class Trajectory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
+        """A trajectory written by save; a header or step line that does not
+        parse raises a ValueError naming the path and the line number."""
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        header = json.loads(lines[0]) if lines else None
+            lines = [
+                (number, ln)
+                for number, ln in enumerate(fh.read().splitlines(), start=1)
+                if ln.strip()
+            ]
+        header = _parse_line(path, *lines[0]) if lines else None
         if not isinstance(header, dict) or "final_pose" not in header:
             raise ValueError(f"trajectory file {path} has no header line")
-        steps = [StepRecord.from_dict(json.loads(ln)) for ln in lines[1:]]
-        fx, fy, fh_deg = header["final_pose"]
-        return cls(
-            task_id=header["task_id"],
-            scene_id=header["scene_id"],
-            robot=header["robot"],
-            steps=steps,
-            spans=[SubtaskSpan.from_dict(s) for s in header["spans"]],
-            final_state=AgentState(
-                position=(fx, fy), heading=fh_deg, holding=header.get("final_holding")
-            ),
-            config_hash=header.get("config_hash", ""),
-            seed=header.get("seed", 0),
-        )
+        try:
+            fx, fy, fh_deg = header["final_pose"]
+            fields = dict(
+                task_id=header["task_id"],
+                scene_id=header["scene_id"],
+                robot=header["robot"],
+                spans=[SubtaskSpan.from_dict(s) for s in header["spans"]],
+                final_state=AgentState(
+                    position=(fx, fy), heading=fh_deg, holding=header.get("final_holding")
+                ),
+                config_hash=header.get("config_hash", ""),
+                seed=header.get("seed", 0),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path} line {lines[0][0]}: not a trajectory header ({exc!r})"
+            ) from exc
+        steps = []
+        for number, ln in lines[1:]:
+            record = _parse_line(path, number, ln)
+            try:
+                steps.append(StepRecord.from_dict(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {number}: not a step record ({exc!r})") from exc
+        return cls(steps=steps, **fields)
+
+
+def _parse_line(path: str | Path, number: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} line {number}: not valid JSON ({exc})") from exc

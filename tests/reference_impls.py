@@ -3,6 +3,10 @@ against.  Deliberately primitive: plain loops, no shared helpers."""
 
 import math
 
+import numpy as np
+
+from lhnav.memory import EPS, ShortTermMemory
+
 
 # -- occupancy: index the grid rows directly -------------------------------------
 
@@ -130,3 +134,98 @@ def topk_oracle(bucket, query, k):
         sims.append(dot / (on * qn))
     order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
     return order[:k]
+
+
+# -- the memory layers as per-candidate and per-entry loops -----------------------
+#
+# These are the loops the array forms in lhnav.memory replaced, kept line for
+# line (the long-term rank on a list of (obs, act) pairs), so the array forms
+# can be checked bit for bit against them.
+
+
+def loop_pool_candidates(confidences, window="pair"):
+    c = np.asarray(confidences, dtype=float)
+    n = c.shape[0]
+    if window == "pair":
+        if n < 2:
+            raise ValueError("need at least two confidences to pool")
+        out = []
+        for i in range(n - 1):
+            merged = np.concatenate([c[:i], [(c[i] + c[i + 1]) / 2.0], c[i + 2 :]])
+            out.append(merged)
+        return out
+    if window == "triple":
+        if n < 2:
+            raise ValueError("need at least two confidences to pool")
+        out = []
+        for i in range(n):
+            lo = max(0, i - 1)
+            hi = min(n, i + 2)
+            merged = np.concatenate([c[:lo], [c[lo:hi].mean()], c[hi:]])
+            out.append(merged)
+        return out
+    raise ValueError(f"unknown pooling window {window!r}")
+
+
+def loop_entropies(candidates):
+    """The per-candidate entropy of loop_entropy_argmin, one float each."""
+    out = []
+    for cand in candidates:
+        c = np.asarray(cand, dtype=float)
+        total = float(c.sum())
+        s = c / total
+        out.append(float(-(s * np.log(np.maximum(s, EPS))).sum()))
+    return out
+
+
+def loop_entropy_argmin(candidates):
+    if not len(candidates):
+        raise ValueError("need at least one candidate")
+    best_idx = 0
+    best_h = math.inf
+    for i, cand in enumerate(candidates):
+        c = np.asarray(cand, dtype=float)
+        total = float(c.sum())
+        if total <= 0:
+            raise ValueError(f"candidate {i} has nonpositive mass")
+        s = c / total
+        h = float(-(s * np.log(np.maximum(s, EPS))).sum())
+        if h < best_h:
+            best_h = h
+            best_idx = i
+    return best_idx
+
+
+def loop_forget_and_append(mem, h_new, c_new, window="pair"):
+    if c_new <= 0:
+        raise ValueError("new confidence must be positive")
+    entries = list(mem.entries)
+    confs = list(mem.confidences)
+    if len(entries) >= mem.capacity:
+        idx = loop_entropy_argmin(loop_pool_candidates(confs, window=window))
+        if window == "triple":
+            lo = max(0, idx - 1)
+            hi = min(len(entries), idx + 2)
+        else:
+            lo, hi = idx, idx + 2
+        merged_entry = np.mean(np.stack(entries[lo:hi]), axis=0)
+        merged_conf = float(np.mean(confs[lo:hi]))
+        entries[lo:hi] = [merged_entry]
+        confs[lo:hi] = [merged_conf]
+    entries.append(np.asarray(h_new, dtype=float))
+    confs.append(float(c_new))
+    return ShortTermMemory(
+        entries=tuple(entries), confidences=tuple(confs), capacity=mem.capacity
+    )
+
+
+def loop_rank(bucket, query):
+    """Indices of a list of (obs, act) pairs by descending cosine similarity
+    to the query, insertion order on ties."""
+    q = np.asarray(query, dtype=float)
+    qn = float(np.linalg.norm(q))
+    if qn == 0.0:
+        raise ValueError("query embedding must be nonzero")
+    sims = [float(np.dot(obs, q) / (np.linalg.norm(obs) * qn)) for obs, _ in bucket]
+    order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
+    return order

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -155,6 +156,28 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: lhnav split")
         assert str(traj_path) in err and repr(two_room_scene.scene_id) in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_split_names_the_line_of_a_truncated_trajectory(self, tmp_path, two_room_scene):
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.taskforge import sample_task
+
+        two_room_scene.save(tmp_path / "scene.json")
+        traj, _ = run_episode(
+            two_room_scene, sample_task(two_room_scene, seed=7), ExpertPolicy(), RunConfig()
+        )
+        traj_path = tmp_path / "t.jsonl"
+        traj.save(traj_path)
+        cut = traj_path.read_bytes()[:2000]
+        line = cut.count(b"\n") + 1
+        assert line > 1 and not cut.endswith(b"\n")  # the cut falls inside a step line
+        traj_path.write_bytes(cut)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(traj_path))} line {line}\b"):
+            run_cli(
+                "split", "--trajectories", str(traj_path),
+                "--scenes", str(tmp_path / "scene.json"), "--out", str(tmp_path / "s.json"),
+            )
         assert not (tmp_path / "s.json").exists()
 
     def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):

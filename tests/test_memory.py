@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lhnav.memory import (
     LongTermStore,
     ShortTermMemory,
+    candidate_entropies,
     cross_entropy,
     entropy_argmin,
     forget_and_append,
@@ -15,7 +18,29 @@ from lhnav.memory import (
     weight_decision,
 )
 
-from reference_impls import entropy_argmin_oracle, topk_oracle
+from reference_impls import (
+    entropy_argmin_oracle,
+    loop_entropies,
+    loop_entropy_argmin,
+    loop_forget_and_append,
+    loop_pool_candidates,
+    loop_rank,
+    topk_oracle,
+)
+
+# confidence vectors of length 2..32: arbitrary values, values drawn from a
+# few (so candidates repeat), and all-equal vectors
+CONFIDENCES = st.one_of(
+    st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=32),
+    st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.0]), min_size=2, max_size=32),
+    st.builds(lambda v, n: [v] * n, st.floats(min_value=1e-6, max_value=1e3), st.integers(2, 32)),
+)
+
+
+def one_hot_act(i):
+    act = np.zeros(4)
+    act[i % 4] = 1.0
+    return act
 
 
 class TestPoolCandidates:
@@ -221,6 +246,106 @@ class TestRetrieveTopk:
             fh.write("\n" + bad_line + "\n")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 3\b"):
             LongTermStore.load(path)
+
+
+class TestArrayFormsMatchLoops:
+    """The array forms of forgetting and retrieval give the bits of the
+    per-candidate and per-entry loops they replaced (reference_impls)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(CONFIDENCES)
+    @example([0.4, 0.8])
+    @example([0.3, 0.3])
+    @example([0.7] * 32)
+    @example([0.5, 0.25] * 16)
+    def test_pair_candidates_and_entropies_bit_equal(self, confs):
+        got = pool_candidates(confs)
+        want = loop_pool_candidates(confs)
+        n = len(confs)
+        assert got.shape == (n - 1, n - 1)
+        assert got.tobytes() == np.stack(want).tobytes()
+        h = candidate_entropies(got)
+        assert h.tobytes() == np.array(loop_entropies(want)).tobytes()
+        assert entropy_argmin(got) == loop_entropy_argmin(want)
+
+    @pytest.mark.parametrize("window", ["pair", "triple"])
+    def test_forget_and_append_matches_the_loop(self, window):
+        rng = np.random.default_rng(21)
+        mem = ref = ShortTermMemory(capacity=8)
+        for step in range(1000):
+            h = rng.normal(size=6)
+            c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
+            mem = forget_and_append(mem, h, c, window=window)
+            ref = loop_forget_and_append(ref, h, c, window=window)
+            assert mem.confidences == ref.confidences, step
+            assert [e.tobytes() for e in mem.entries] == [e.tobytes() for e in ref.entries]
+        assert len(mem) == 8
+
+    def test_rank_keeps_insertion_order_on_ties_and_sees_adds(self):
+        npr = np.random.default_rng(13)
+        store = LongTermStore(k=3)
+        bucket = []
+
+        def add(obs):
+            act = one_hot_act(len(bucket))
+            store.add("t", obs, act)
+            bucket.append((np.asarray(obs, dtype=float), act))
+
+        base = npr.normal(size=64)
+        # duplicates and power-of-two scalings have exactly equal cosines
+        for obs in (npr.normal(size=64), base, 2.0 * base, base, 0.5 * base, 3.0 * base):
+            add(obs)
+        order = store.rank("t", base)
+        assert order == loop_rank(bucket, base)
+        ties = [j for j in order if j in (1, 2, 3, 4)]
+        assert ties == [1, 2, 3, 4] and order.index(1) == 0
+        query = npr.normal(size=64)
+        assert store.rank("t", query) == loop_rank(bucket, query)
+        # an add after a rank is seen by the next rank, across array growth
+        for i in range(20):
+            add(query if i == 7 else npr.normal(size=64))
+            got = store.rank("t", query)
+            assert got == loop_rank(bucket, query)
+        assert got[0] == 6 + 7
+        top = store.retrieve_topk("t", query)
+        assert len(top) == 3 and top[0][0].tobytes() == query.tobytes()
+
+    def test_rank_matches_the_loop_on_random_stores(self):
+        npr = np.random.default_rng(17)
+        for trial in range(200):
+            dim = int(npr.choice([2, 7, 16, 64, 65]))
+            m = int(npr.integers(1, 400))
+            base = npr.normal(size=dim)
+            store = LongTermStore()
+            bucket = []
+            for j in range(m):
+                if trial % 3 == 0:
+                    # small integer coordinates: exact ties and duplicate rows
+                    obs = npr.integers(-2, 3, size=dim).astype(float)
+                    obs[0] += 0.0 if obs.any() else 1.0
+                elif trial % 3 == 1:
+                    # scaled copies of one row: cosines equal but for rounding,
+                    # so the order hangs on the last bits of each dot product
+                    obs = base * npr.uniform(0.5, 2.0)
+                else:
+                    obs = npr.normal(size=dim)
+                store.add("t", obs, one_hot_act(j))
+                bucket.append((obs, one_hot_act(j)))
+            query = npr.normal(size=dim)
+            assert store.rank("t", query) == loop_rank(bucket, query), trial
+
+    def test_buckets_yield_obs_act_pairs(self):
+        npr = np.random.default_rng(3)
+        store = LongTermStore()
+        added = [(npr.normal(size=8), one_hot_act(j)) for j in range(11)]
+        for obs, act in added:
+            store.add("cup", obs, act)
+        assert len(store.buckets["cup"]) == len(store.buckets.get("cup", ())) == 11
+        assert len(store.buckets.get("ghost", ())) == 0
+        pairs = list(store.buckets["cup"])
+        assert len(pairs) == 11
+        for (obs, act), (o, a) in zip(added, pairs):
+            assert o.tobytes() == obs.tobytes() and a.tobytes() == act.tobytes()
 
 
 class TestWeightDecision:

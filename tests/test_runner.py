@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,12 +151,41 @@ class TestTrajectoryFiles:
         assert path.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize(
-        "text", ["", "\n  \n", '{"i":0,"pose":[1,1,0],"action":"stop"}\n']
+        "text",
+        [
+            "",
+            "\n  \n",
+            '{"i":0,"pose":[1,1,0],"action":"stop"}\n',
+            '{"final_pose":[1,1,0],"task_id":"t","scene_id":"s","robot":"spot"}\n',
+        ],
     )
     def test_missing_header_names_path(self, tmp_path, text):
         path = tmp_path / "broken.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="broken.jsonl"):
+            Trajectory.load(path)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"i":3,"pose":[1.0,',
+            "not json",
+            '{"i":3,"pose":[1.0,1.0,0.0],"action":"fly","collided":false,'
+            '"obs_id":"o","subtask":0}',
+            '{"i":3}',
+        ],
+        ids=["truncated", "not-json", "unknown-action", "missing-fields"],
+    )
+    def test_bad_step_line_names_path_and_line_number(self, tmp_path, two_room_scene, bad_line):
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        cfg = RunConfig(policy="expert")
+        traj, _ = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
+        path = tmp_path / "t.jsonl"
+        traj.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = bad_line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 4\b"):
             Trajectory.load(path)
 
 

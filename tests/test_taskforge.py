@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from lhnav.cli import main as cli_main
 from lhnav.expert import geodesic_distance
 from lhnav.scenegen import generate_scene
 from lhnav import taskforge
@@ -196,6 +197,29 @@ class TestLlmClient:
         expected = sample_task(two_room_scene, SPOT, seed=7)
         assert task.instruction == expected.instruction
         assert task.subtasks == expected.subtasks
+
+    def test_stage_count_outside_the_range_rejected(self, two_room_scene, stub_server):
+        _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY  # two navigation stages
+        task = generate_via_llm(two_room_scene, SPOT, stub_server, allowed_stages=[2])
+        assert len(task.move_targets()) == 2
+        with pytest.raises(TaskValidationError, match=r"2 navigation stages, need one of \[3, 4\]"):
+            generate_via_llm(two_room_scene, SPOT, stub_server, allowed_stages=[3, 4])
+
+    def test_gen_tasks_honours_subtasks_over_the_llm(
+        self, tmp_path, monkeypatch, two_room_scene, stub_server
+    ):
+        _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY  # two navigation stages
+        monkeypatch.delenv("LHNAV_LLM_ENDPOINT", raising=False)
+        two_room_scene.save(tmp_path / "scene.json")
+        argv = [
+            "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "1",
+            "--llm-endpoint", stub_server,
+        ]
+        assert cli_main(argv + ["--subtasks", "2", "--out", str(tmp_path / "ok.json")]) == 0
+        assert len(load_tasks(tmp_path / "ok.json")[0].move_targets()) == 2
+        with pytest.raises(TaskValidationError, match="2 navigation stages"):
+            cli_main(argv + ["--subtasks", "3..4", "--out", str(tmp_path / "bad.json")])
+        assert not (tmp_path / "bad.json").exists()
 
     def test_hallucinated_object_rejected_by_name(self, two_room_scene):
         reply = json.dumps(
