@@ -20,6 +20,7 @@ Results are bit-identical to the per-entry loops they replace.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,14 +220,18 @@ class LongTermStore:
         act = np.asarray(act, dtype=float)
         if obs.ndim != 1:
             raise ValueError("observation embedding must be a vector")
-        # the norm rank divides by, computed once per entry
+        # the norm rank divides by, computed once per entry; a NaN or an
+        # infinity in the embedding makes it NaN or infinite
         norm = float(np.linalg.norm(obs))
+        if not math.isfinite(norm):
+            raise ValueError(f"observation embedding must be finite (its norm is {norm})")
         if norm == 0.0:
             raise ValueError("observation embedding must be nonzero")
         if act.shape != (N_ACTIONS,):
             raise ValueError(f"action distribution must have length {N_ACTIONS}")
-        if np.any(act < 0) or abs(float(act.sum()) - 1.0) > 1e-9:
-            raise ValueError("action distribution must be nonnegative and sum to 1")
+        # negated so that a NaN sum fails the test too
+        if np.any(act < 0) or not abs(float(act.sum()) - 1.0) <= 1e-9:
+            raise ValueError("action distribution must be finite, nonnegative and sum to 1")
         bucket = self.buckets.get(target)
         if bucket is None:
             bucket = self.buckets[target] = _Bucket(obs.shape[0])
@@ -318,15 +323,21 @@ def weight_decision(
     return weighted / total, False
 
 
-def cross_entropy(a: np.ndarray, e: np.ndarray, literal: bool = False) -> float:
+def cross_entropy(
+    a: np.ndarray, e: np.ndarray, literal: bool = False
+) -> float | np.ndarray:
     """Imitation loss between a decision vector and the expert's.
 
     Default treats the expert as the target: -sum(e * log a).  Literal mode
     swaps the roles (-sum(a * log e)), which needs the clamp to stay finite
     for one-hot experts.  Probabilities are clamped to [EPS, 1] before logs.
+    The sum runs over the last axis: two vectors give a float, two
+    matrices one loss per row.
     """
     av = np.asarray(a, dtype=float)
     ev = np.asarray(e, dtype=float)
     if literal:
-        return float(-(av * np.log(np.clip(ev, EPS, 1.0))).sum())
-    return float(-(ev * np.log(np.clip(av, EPS, 1.0))).sum())
+        losses = -(av * np.log(np.clip(ev, EPS, 1.0))).sum(axis=-1)
+    else:
+        losses = -(ev * np.log(np.clip(av, EPS, 1.0))).sum(axis=-1)
+    return float(losses) if losses.ndim == 0 else losses

@@ -97,10 +97,6 @@ class PolicyBackend(Protocol):
     ) -> tuple[np.ndarray, float]: ...
 
 
-def uniform_decision() -> np.ndarray:
-    return np.full(N_ACTIONS, 1.0 / N_ACTIONS)
-
-
 def one_hot(action: Action) -> np.ndarray:
     v = np.zeros(N_ACTIONS)
     v[int(action)] = 1.0
@@ -179,23 +175,6 @@ class LinearSoftmaxBackend:
         return backend
 
 
-class UniformBackend:
-    """Flat decision vector; useful as a weighting-path probe."""
-
-    def decide(self, ctx, views, memory):
-        return uniform_decision(), 1.0 / N_ACTIONS
-
-
-class ExpertTeacherBackend:
-    """Emits a one-hot on the expert action for the step context, so it
-    exercises the full memory/weighting path while never being the reason
-    an episode fails."""
-
-    def decide(self, ctx, views, memory):
-        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
-        return one_hot(action), 1.0
-
-
 class _ImitationTeacher:
     """Expert decisions for imitation: a one-hot on the expert action, with
     the student's confidence on its own features, so short-term memory
@@ -224,27 +203,51 @@ def loss_and_grad(
     Default mode is the standard expert-as-target cross-entropy; literal
     mode swaps prediction and target (finite thanks to the clamp) and keeps
     a well-defined gradient.
+
+    X holds one feature row per sample and y the expert action indices.
+    The whole batch is computed at once, in the summation order of a
+    per-sample loop, so the results are bit-equal to it.  Each row's
+    logits and literal-mode dot product are a stack of (1 x k) products,
+    one BLAS call per row: one matrix product over the batch sums in
+    another order.
     """
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(y)
+    y = labels.astype(int, copy=False)
+    if X.ndim != 2 or X.shape[1] != backend.feature_dim:
+        raise ValueError(
+            f"features of shape {X.shape} do not match the backend's "
+            f"feature_dim {backend.feature_dim}"
+        )
     n = X.shape[0]
-    total = 0.0
-    gW = np.zeros_like(backend.W)
-    gb = np.zeros_like(backend.b)
-    for i in range(n):
-        x = X[i]
-        p = backend.probabilities(x)
-        e = one_hot(Action(int(y[i])))
-        total += cross_entropy(p, e, literal=backend.literal_ce)
-        if backend.literal_ce:
-            g = -np.log(np.clip(e, 1e-12, 1.0))
-            dlogits = p * (g - float(np.dot(g, p)))
-        else:
-            dlogits = p - e
-        gW += np.outer(dlogits, x)
-        gb += dlogits
-    total /= n
-    gW /= n
-    gb /= n
-    return total, np.concatenate([gW.ravel(), gb])
+    if n == 0:
+        raise ValueError("loss_and_grad needs at least one sample")
+    if y.shape != (n,):
+        raise ValueError(f"labels of shape {y.shape} do not match {n} samples")
+    bad = np.flatnonzero((y != labels) | (y < 0) | (y >= N_ACTIONS))
+    if bad.size:
+        raise ValueError(
+            f"label {labels[bad[0]]} at sample {bad[0]} is not an action index "
+            f"0..{N_ACTIONS - 1}"
+        )
+    logits = (X[:, None, :] @ backend.W.T)[:, 0, :] + backend.b
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    P = e / e.sum(axis=1, keepdims=True)
+    E = np.eye(N_ACTIONS)[y]
+    losses = cross_entropy(P, E, literal=backend.literal_ce)
+    if backend.literal_ce:
+        G = -np.log(np.clip(E, 1e-12, 1.0))
+        D = P * (G - (G[:, None, :] @ P[:, :, None])[:, 0, :])
+    else:
+        D = P - E
+    # sums along the batch axis add one sample after another, from 0.0 as
+    # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
+    # Python's sum() add in other orders
+    total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
+    gW = (D[:, :, None] * X[:, None, :]).sum(axis=0) / n
+    gb = D.sum(axis=0) / n
+    return float(total), np.concatenate([gW.ravel(), gb])
 
 
 @dataclass

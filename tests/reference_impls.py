@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 from lhnav.memory import EPS, ShortTermMemory
+from lhnav.policy import one_hot
+from lhnav.world import Action
 
 
 # -- occupancy: index the grid rows directly -------------------------------------
@@ -229,3 +231,41 @@ def loop_rank(bucket, query):
     sims = [float(np.dot(obs, q) / (np.linalg.norm(obs) * qn)) for obs, _ in bucket]
     order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
     return order
+
+
+# -- the imitation loss as a per-sample loop ---------------------------------------
+#
+# The loop lhnav.policy.loss_and_grad replaced, kept line for line with the
+# per-vector cross-entropy it called, so the batched form can be checked bit
+# for bit against it.
+
+
+def loop_cross_entropy(a, e, literal=False):
+    av = np.asarray(a, dtype=float)
+    ev = np.asarray(e, dtype=float)
+    if literal:
+        return float(-(av * np.log(np.clip(ev, EPS, 1.0))).sum())
+    return float(-(ev * np.log(np.clip(av, EPS, 1.0))).sum())
+
+
+def loop_loss_and_grad(backend, X, y):
+    n = X.shape[0]
+    total = 0.0
+    gW = np.zeros_like(backend.W)
+    gb = np.zeros_like(backend.b)
+    for i in range(n):
+        x = X[i]
+        p = backend.probabilities(x)
+        e = one_hot(Action(int(y[i])))
+        total += loop_cross_entropy(p, e, literal=backend.literal_ce)
+        if backend.literal_ce:
+            g = -np.log(np.clip(e, 1e-12, 1.0))
+            dlogits = p * (g - float(np.dot(g, p)))
+        else:
+            dlogits = p - e
+        gW += np.outer(dlogits, x)
+        gb += dlogits
+    total /= n
+    gW /= n
+    gb /= n
+    return total, np.concatenate([gW.ravel(), gb])

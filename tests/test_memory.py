@@ -20,6 +20,7 @@ from lhnav.memory import (
 
 from reference_impls import (
     entropy_argmin_oracle,
+    loop_cross_entropy,
     loop_entropies,
     loop_entropy_argmin,
     loop_forget_and_append,
@@ -234,8 +235,14 @@ class TestRetrieveTopk:
             '{"target": "cup", "act": [0.25, 0.25, 0.25, 0.25]}',
             '["cup", [1.0], [1.0, 0.0, 0.0, 0.0]]',
             '{"target": "cup", "obs": [1.0, 2.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [NaN, 1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [Infinity, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [1.0, 0.0, 0.0], "act": [NaN, 0.0, 0.0, 1.0]}',
         ],
-        ids=["truncated", "not-json", "missing-obs", "not-an-object", "wrong-length"],
+        ids=[
+            "truncated", "not-json", "missing-obs", "not-an-object", "wrong-length",
+            "nan-obs", "infinite-obs", "nan-act",
+        ],
     )
     def test_bad_line_names_path_and_line_number(self, tmp_path, bad_line):
         store = LongTermStore()
@@ -423,3 +430,17 @@ class TestCrossEntropy:
                     value = cross_entropy(a, e)
                     assert value >= 0.0
                     assert value >= best - 1e-12
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_rows_of_a_batch_score_as_single_vectors(self, literal):
+        rng = np.random.default_rng(12)
+        a = rng.random((9, 4))
+        a[3] = [1.0, 0.0, 0.0, 0.0]
+        a = a / a.sum(axis=1, keepdims=True)
+        e = np.eye(4)[rng.integers(0, 4, size=9)]
+        losses = cross_entropy(a, e, literal=literal)
+        assert losses.shape == (9,)
+        want = [loop_cross_entropy(row_a, row_e, literal=literal) for row_a, row_e in zip(a, e)]
+        assert losses.tobytes() == np.array(want).tobytes()
+        single = cross_entropy(a[0], e[0], literal=literal)
+        assert isinstance(single, float) and single == want[0]

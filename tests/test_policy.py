@@ -3,16 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lhnav.memory import LongTermStore, ShortTermMemory
+from lhnav import policy
+from lhnav.expert import expert_next_action
+from lhnav.memory import N_ACTIONS, LongTermStore, ShortTermMemory
 from lhnav.policy import (
     EmbeddingOracle,
-    ExpertTeacherBackend,
     LinearSoftmaxBackend,
     MemoryPolicy,
     RandomPolicy,
     StepContext,
-    UniformBackend,
     loss_and_grad,
     memory_policy_step,
     one_hot,
@@ -21,7 +23,26 @@ from lhnav.policy import (
 from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe
 
+from reference_impls import loop_loss_and_grad
+
 SPOT = ROBOTS["spot"]
+
+
+class UniformBackend:
+    """Flat decision vector; a probe of the weighting path."""
+
+    def decide(self, ctx, views, memory):
+        return np.full(N_ACTIONS, 1.0 / N_ACTIONS), 1.0 / N_ACTIONS
+
+
+class ExpertTeacherBackend:
+    """A one-hot on the expert action for the step context, so it exercises
+    the full memory/weighting path while never being the reason an episode
+    fails."""
+
+    def decide(self, ctx, views, memory):
+        action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        return one_hot(action), 1.0
 
 
 def step_context(scene, state, target_id, task=None, stage=0):
@@ -129,6 +150,88 @@ class TestGradient:
                 fd = (up - down) / (2 * eps)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 assert abs(fd - grad[idx]) / denom < 1e-5
+
+
+class TestBatchedLossMatchesLoop:
+    """The batched loss_and_grad gives the bits of the per-sample loop it
+    replaced (reference_impls.loop_loss_and_grad)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        embed_dim=st.integers(1, 20),
+        n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 40), st.sampled_from([400, 1500])),
+        scale=st.sampled_from([1e-3, 0.01, 1.0, 30.0, 1e3, 1e6]),
+        literal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(embed_dim=1, n=1, scale=1e6, literal=False, seed=0)
+    @example(embed_dim=1, n=1, scale=1e6, literal=True, seed=0)
+    @example(embed_dim=16, n=2, scale=1e3, literal=True, seed=3)
+    def test_loss_and_gradient_bit_equal(self, embed_dim, n, scale, literal, seed):
+        # zeroed features and saturated softmax rows make signed-zero terms,
+        # which only a sum started from 0.0 reproduces
+        npr = np.random.default_rng(seed)
+        backend = LinearSoftmaxBackend(embed_dim=embed_dim, literal_ce=literal)
+        backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
+        X = npr.normal(size=(n, backend.feature_dim))
+        X[npr.random(X.shape) < 0.5] = 0.0
+        y = npr.integers(0, N_ACTIONS, size=n)
+        loss, grad = loss_and_grad(backend, X, y)
+        want_loss, want_grad = loop_loss_and_grad(backend, X, y)
+        assert isinstance(loss, float)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_training_run_bit_equal(self, two_room_scene, literal, monkeypatch):
+        # 300 epochs on imitation data from the memory policy's own feature
+        # pipeline, as the offline benchmark trains
+        backend = LinearSoftmaxBackend(seed=0, literal_ce=literal)
+        dataset = []
+        for seed in range(6):
+            task = sample_task(two_room_scene, ROBOTS["stretch"], seed=seed)
+            dataset += policy.collect_imitation_dataset(two_room_scene, task, backend)
+        assert len(dataset) >= 100
+        loop_backend = LinearSoftmaxBackend(seed=0, literal_ce=literal)
+        report = train_backend(backend, dataset, epochs=300)
+        monkeypatch.setattr(policy, "loss_and_grad", loop_loss_and_grad)
+        want = train_backend(loop_backend, dataset, epochs=300)
+        assert backend.get_params().tobytes() == loop_backend.get_params().tobytes()
+        curve = np.array(report.losses + [report.final_loss])
+        assert curve.tobytes() == np.array(want.losses + [want.final_loss]).tobytes()
+        assert report.final_loss < report.losses[0]
+
+
+class TestLossInputs:
+    def _batch(self):
+        backend = LinearSoftmaxBackend(embed_dim=2)
+        X = np.random.default_rng(4).normal(size=(5, backend.feature_dim))
+        return backend, X, np.array([0, 1, 2, 3, 2])
+
+    @pytest.mark.parametrize("label", [-1, N_ACTIONS, 2.5, -0.5])
+    def test_label_outside_the_actions_rejected(self, label):
+        # a fractional label would otherwise truncate to an action
+        backend, X, y = self._batch()
+        y = y.astype(type(label))
+        y[3] = label
+        with pytest.raises(ValueError, match=rf"label {label} at sample 3"):
+            loss_and_grad(backend, X, y)
+
+    def test_one_label_per_sample(self):
+        # a single label would broadcast over the whole batch
+        backend, X, y = self._batch()
+        with pytest.raises(ValueError, match=r"labels of shape \(1,\) do not match 5 samples"):
+            loss_and_grad(backend, X, y[:1])
+
+    def test_feature_length_must_match_the_backend(self):
+        backend, X, y = self._batch()
+        with pytest.raises(ValueError, match=r"\(5, 11\).*feature_dim 12"):
+            loss_and_grad(backend, X[:, :11], y)
+
+    def test_empty_batch_rejected(self):
+        backend, X, y = self._batch()
+        with pytest.raises(ValueError, match="at least one sample"):
+            loss_and_grad(backend, X[:0], y[:0])
 
 
 class TestTraining:
