@@ -27,7 +27,7 @@ from .taskforge import (
     save_tasks,
 )
 from .trajectory import Trajectory
-from .world import ROBOTS, Action, Scene, stock_robot
+from .world import ROBOTS, Action, Scene, observe, stock_robot
 
 
 def _load_scenes(path: str) -> dict[str, Scene]:
@@ -153,8 +153,12 @@ def cmd_split(args) -> int:
             if not actions:
                 continue
             segments = split_trajectory(actions)
+            # the segments cover action indices 0..len(actions) - 1 and
+            # overlap, so those steps are observed once for all of them
+            observations = [observe(scene, s.state, robot) for s in steps[: len(actions)]]
             tagged = [
-                seg.with_tags(tag_segment(scene, steps, seg, robot)) for seg in segments
+                seg.with_tags(tag_segment(scene, steps, observations, seg))
+                for seg in segments
             ]
             target = scene.object(span.target_id).category
             task = render_step_instruction(

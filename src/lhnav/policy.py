@@ -41,6 +41,11 @@ from .world import (
 from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 
+# samples whose gradient outer products loss_and_grad holds at once; a
+# small block also keeps the training speed from depending on how the
+# allocator serves a large temporary on every call
+GRAD_BLOCK = 32
+
 
 class EmbeddingOracle:
     """Deterministic observation embeddings: every category owns a hashed
@@ -245,7 +250,17 @@ def loss_and_grad(
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
-    gW = (D[:, :, None] * X[:, None, :]).sum(axis=0) / n
+    # the outer products are formed GRAD_BLOCK rows at a time below the
+    # running total; numpy sums a non-innermost axis row after row, so each
+    # stack's sum continues the loop's order
+    stack = np.empty((min(n, GRAD_BLOCK) + 1,) + backend.W.shape)
+    gW = np.zeros_like(backend.W)
+    for lo in range(0, n, GRAD_BLOCK):
+        m = min(n - lo, GRAD_BLOCK)
+        stack[0] = gW
+        np.multiply(D[lo : lo + m, :, None], X[lo : lo + m, None, :], out=stack[1 : m + 1])
+        gW = stack[: m + 1].sum(axis=0)
+    gW /= n
     gb = D.sum(axis=0) / n
     return float(total), np.concatenate([gW.ravel(), gb])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .world import Action, RobotConfig, Scene, observe
+from .world import Action, Scene
 
 FORWARD = "move_forward"
 TURN_LEFT = "turn_left"
@@ -151,14 +151,16 @@ def split_trajectory(actions, include_tail: bool = True) -> list[Segment]:
 def tag_segment(
     scene: Scene,
     steps,
+    observations,
     segment: Segment,
-    robot: RobotConfig | None = None,
 ) -> tuple[Tag, ...]:
     """Most frequent visible object categories and region labels over the
     segment's observations, occurrence fraction as confidence, top five.
 
-    steps is the per-subtask StepRecord list the segment indices refer to.
-    Deterministic stand-in for a learned image tagger.
+    steps is the per-subtask StepRecord list the segment indices refer to,
+    and observations[i] what steps[i] sees; segments that overlap read the
+    same observations, so each step is observed once.  Deterministic
+    stand-in for a learned image tagger.
     """
     lo = max(segment.start, 0)
     hi = min(segment.end, len(steps) - 1)
@@ -167,12 +169,10 @@ def tag_segment(
     counts: Counter[tuple[str, str]] = Counter()
     n_steps = hi - lo + 1
     for idx in range(lo, hi + 1):
-        state = steps[idx].state
-        obs = observe(scene, state, robot)
-        seen = {o.category for o in obs.visible()}
+        seen = {o.category for o in observations[idx].visible()}
         for cat in seen:
             counts[(cat, "object")] += 1
-        region = scene.region_at(scene.cell_of(state.position))
+        region = scene.region_at(scene.cell_of(steps[idx].state.position))
         if region is not None:
             counts[(region.label, "region")] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))

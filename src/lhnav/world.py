@@ -78,8 +78,11 @@ class RobotConfig:
     sensing_range: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.forward_step <= 0:
-            raise ValueError("forward_step must be positive")
+        if not (math.isfinite(self.forward_step) and self.forward_step > 0):
+            raise ValueError(f"forward_step must be positive and finite, got {self.forward_step}")
+        # NaN fails this test too; an infinite range senses the whole scene
+        if not self.sensing_range > 0:
+            raise ValueError(f"sensing_range must be positive, got {self.sensing_range}")
         if not 0 < self.turn_step <= 90:
             raise ValueError("turn_step must be in (0, 90]")
         if not 0 < self.fov_per_camera <= 180:
@@ -177,11 +180,27 @@ class Scene:
             for c, ch in enumerate(row)
             if ch == FREE
         )
-        # per-instance caches of the expert module: geodesic fields keyed by
-        # source cell, and the legal moves of every free cell
+        self._clear_caches()
+        self._validate()
+
+    def _clear_caches(self) -> None:
+        # per-instance caches: the expert module's geodesic fields keyed by
+        # source cell and legal moves of every free cell, and the sensing
+        # lines of the last observed position
         self._field_cache: dict[tuple[int, int], object] = {}
         self._moves: dict | None = None
-        self._validate()
+        self._sight_memo: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the caches; they are rebuilt on demand."""
+        state = self.__dict__.copy()
+        for name in ("_field_cache", "_moves", "_sight_memo"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_caches()
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -357,21 +376,26 @@ def validate_state(scene: Scene, state: AgentState) -> None:
 # -- line of sight ----------------------------------------------------------
 
 
-def cells_on_segment(
+def line_of_sight(
     scene: Scene, a: tuple[float, float], b: tuple[float, float]
-):
-    """Yield every grid cell the segment from a to b passes through.
+) -> bool:
+    """True when the straight segment from a to b crosses no occupied cell.
 
-    Amanatides-Woo traversal; on an exact corner tie the column advances
-    first, which makes occlusion deterministic.
+    Amanatides-Woo traversal that stops at the first occupied cell; on an
+    exact corner tie the column advances first, which makes occlusion
+    deterministic.  Only the first cell needs a bounds check: the grid is
+    bordered by occupied cells and each step moves to a 4-neighbour, so a
+    walk that starts inside stops on the border before it can leave.
     """
     cs = scene.cell_size
+    grid = scene.grid
     (x0, y0), (x1, y1) = a, b
     row = int(math.floor(y0 / cs))
     col = int(math.floor(x0 / cs))
     row1 = int(math.floor(y1 / cs))
     col1 = int(math.floor(x1 / cs))
-    yield (row, col)
+    if not scene.is_free(row, col):
+        return False
     dx = x1 - x0
     dy = y1 - y0
     step_c = 1 if dx > 0 else -1
@@ -392,7 +416,7 @@ def cells_on_segment(
         t_delta_y = math.inf
     # the traversal can take at most this many boundary crossings
     remaining = abs(row1 - row) + abs(col1 - col) + 4
-    while (row, col) != (row1, col1) and remaining > 0:
+    while (row != row1 or col != col1) and remaining > 0:
         if t_max_x <= t_max_y:
             col += step_c
             t_max_x += t_delta_x
@@ -400,14 +424,9 @@ def cells_on_segment(
             row += step_r
             t_max_y += t_delta_y
         remaining -= 1
-        yield (row, col)
-
-
-def line_of_sight(
-    scene: Scene, a: tuple[float, float], b: tuple[float, float]
-) -> bool:
-    """True when the straight segment from a to b crosses no occupied cell."""
-    return all(scene.is_free(r, c) for r, c in cells_on_segment(scene, a, b))
+        if grid[row][col] != FREE:
+            return False
+    return True
 
 
 # -- operations -------------------------------------------------------------
@@ -448,6 +467,35 @@ def apply_action(
 # camera order also fixes the tie break: on a shared fov boundary the
 # object goes to the camera with the smaller index
 CAMERA_OFFSETS = (("left", 60.0), ("front", 0.0), ("right", -60.0))
+_CAMERA_AXES = tuple(offset for _, offset in CAMERA_OFFSETS)
+
+
+def _sight_lines(scene: Scene, position: tuple[float, float], sensing_range: float) -> list:
+    """The heading-free part of sensing from one position: one
+    [object, range, degrees(atan2) or None at the agent's own position,
+    line of sight or None until first needed] per object within range,
+    ordered by (range, id).
+
+    Each scene keeps the lines of the last position it was sensed from, so
+    a turn in place reuses them.
+    """
+    key = (position, sensing_range)
+    memo = scene._sight_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    ax, ay = position
+    lines = []
+    for obj in scene.objects:
+        dx = obj.position[0] - ax
+        dy = obj.position[1] - ay
+        rng = math.hypot(dx, dy)
+        if rng > sensing_range:
+            continue
+        deg = None if rng < 1e-9 else math.degrees(math.atan2(dy, dx))
+        lines.append([obj, rng, deg, None])
+    lines.sort(key=lambda line: (line[1], line[0].id))
+    scene._sight_memo = (key, lines)
+    return lines
 
 
 def observe(scene: Scene, state: AgentState, robot: RobotConfig | None = None) -> Observation:
@@ -455,34 +503,40 @@ def observe(scene: Scene, state: AgentState, robot: RobotConfig | None = None) -
 
     An object is visible when its bearing falls within some camera's fov,
     its euclidean range is within the sensing range, and the line of sight
-    crosses no occupied cell.  Each visible object lands in exactly one view.
+    crosses no occupied cell.  Each visible object lands in exactly one view,
+    and each view lists its objects by range, then id.
     """
     robot = robot or ROBOTS["spot"]
     half_fov = robot.fov_per_camera / 2.0
-    buckets: dict[str, list[SightedObject]] = {name: [] for name, _ in CAMERA_OFFSETS}
-    ax, ay = state.position
-    for obj in scene.objects:
-        dx = obj.position[0] - ax
-        dy = obj.position[1] - ay
-        rng = math.hypot(dx, dy)
-        if rng > robot.sensing_range:
-            continue
-        bearing = 0.0 if rng < 1e-9 else signed_angle(math.degrees(math.atan2(dy, dx)) - state.heading)
-        camera = None
-        for name, offset in CAMERA_OFFSETS:
-            if abs(signed_angle(bearing - offset)) <= half_fov:
-                camera = name
+    heading = state.heading
+    # the lines come sorted by (range, id), so every bucket is too
+    buckets: tuple[list[SightedObject], ...] = ([], [], [])
+    for line in _sight_lines(scene, state.position, robot.sensing_range):
+        obj, rng, deg, clear = line
+        # the wraps are signed_angle written out, arithmetic unchanged
+        if deg is None:
+            bearing = 0.0
+        else:
+            bearing = (deg - heading) % 360.0
+            if bearing > 180.0:
+                bearing -= 360.0
+        for camera, offset in enumerate(_CAMERA_AXES):
+            off_axis = (bearing - offset) % 360.0
+            if off_axis > 180.0:
+                off_axis -= 360.0
+            if -half_fov <= off_axis <= half_fov:
                 break
-        if camera is None:
+        else:
             continue
-        if not line_of_sight(scene, state.position, obj.position):
-            continue
-        buckets[camera].append(
-            SightedObject(object_id=obj.id, category=obj.category, bearing=bearing, range=rng)
-        )
+        if clear is None:
+            clear = line[3] = line_of_sight(scene, state.position, obj.position)
+        if clear:
+            buckets[camera].append(
+                SightedObject(object_id=obj.id, category=obj.category, bearing=bearing, range=rng)
+            )
     views = tuple(
-        View(direction=name, offset=offset, objects=tuple(sorted(buckets[name], key=lambda s: (s.range, s.object_id))))
-        for name, offset in CAMERA_OFFSETS
+        View(direction=name, offset=offset, objects=tuple(bucket))
+        for (name, offset), bucket in zip(CAMERA_OFFSETS, buckets)
     )
     return Observation(views=views)  # type: ignore[arg-type]
 

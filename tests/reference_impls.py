@@ -2,12 +2,14 @@
 against.  Deliberately primitive: plain loops, no shared helpers."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from lhnav.memory import EPS, ShortTermMemory
 from lhnav.policy import one_hot
-from lhnav.world import Action
+from lhnav.splitter import Tag
+from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
 
 
 # -- occupancy: index the grid rows directly -------------------------------------
@@ -269,3 +271,122 @@ def loop_loss_and_grad(backend, X, y):
     gW /= n
     gb /= n
     return total, np.concatenate([gW.ravel(), gb])
+
+
+# -- sensing as a cell generator and a per-camera signed_angle --------------------
+#
+# The line of sight, observe and segment tagging that lhnav.world and
+# lhnav.splitter replaced, kept line for line (signed_angle copied in), so
+# the early-exit traversal, the inlined camera test, the per-position
+# sensing memo and the once-per-step observations of a split can be checked
+# bit for bit against them.
+
+
+def signed_angle(deg):
+    """Wrap an angle difference into (-180, 180]."""
+    a = deg % 360.0
+    return a - 360.0 if a > 180.0 else a
+
+
+def cells_on_segment(scene, a, b):
+    """Yield every grid cell the segment from a to b passes through.
+
+    Amanatides-Woo traversal; on an exact corner tie the column advances
+    first, which makes occlusion deterministic.
+    """
+    cs = scene.cell_size
+    (x0, y0), (x1, y1) = a, b
+    row = int(math.floor(y0 / cs))
+    col = int(math.floor(x0 / cs))
+    row1 = int(math.floor(y1 / cs))
+    col1 = int(math.floor(x1 / cs))
+    yield (row, col)
+    dx = x1 - x0
+    dy = y1 - y0
+    step_c = 1 if dx > 0 else -1
+    step_r = 1 if dy > 0 else -1
+    if dx != 0:
+        next_x = (col + (1 if dx > 0 else 0)) * cs
+        t_max_x = (next_x - x0) / dx
+        t_delta_x = cs / abs(dx)
+    else:
+        t_max_x = math.inf
+        t_delta_x = math.inf
+    if dy != 0:
+        next_y = (row + (1 if dy > 0 else 0)) * cs
+        t_max_y = (next_y - y0) / dy
+        t_delta_y = cs / abs(dy)
+    else:
+        t_max_y = math.inf
+        t_delta_y = math.inf
+    # the traversal can take at most this many boundary crossings
+    remaining = abs(row1 - row) + abs(col1 - col) + 4
+    while (row, col) != (row1, col1) and remaining > 0:
+        if t_max_x <= t_max_y:
+            col += step_c
+            t_max_x += t_delta_x
+        else:
+            row += step_r
+            t_max_y += t_delta_y
+        remaining -= 1
+        yield (row, col)
+
+
+def reference_line_of_sight(scene, a, b):
+    """True when the straight segment from a to b crosses no occupied cell."""
+    return all(scene.is_free(r, c) for r, c in cells_on_segment(scene, a, b))
+
+
+def reference_observe(scene, state, robot=None):
+    robot = robot or ROBOTS["spot"]
+    half_fov = robot.fov_per_camera / 2.0
+    buckets = {name: [] for name, _ in CAMERA_OFFSETS}
+    ax, ay = state.position
+    for obj in scene.objects:
+        dx = obj.position[0] - ax
+        dy = obj.position[1] - ay
+        rng = math.hypot(dx, dy)
+        if rng > robot.sensing_range:
+            continue
+        bearing = 0.0 if rng < 1e-9 else signed_angle(math.degrees(math.atan2(dy, dx)) - state.heading)
+        camera = None
+        for name, offset in CAMERA_OFFSETS:
+            if abs(signed_angle(bearing - offset)) <= half_fov:
+                camera = name
+                break
+        if camera is None:
+            continue
+        if not reference_line_of_sight(scene, state.position, obj.position):
+            continue
+        buckets[camera].append(
+            SightedObject(object_id=obj.id, category=obj.category, bearing=bearing, range=rng)
+        )
+    views = tuple(
+        View(direction=name, offset=offset, objects=tuple(sorted(buckets[name], key=lambda s: (s.range, s.object_id))))
+        for name, offset in CAMERA_OFFSETS
+    )
+    return Observation(views=views)
+
+
+def reference_tag_segment(scene, steps, segment, robot=None):
+    """Tags of a segment, observing each of its steps afresh."""
+    lo = max(segment.start, 0)
+    hi = min(segment.end, len(steps) - 1)
+    if lo > hi:
+        raise ValueError(f"segment [{segment.start}, {segment.end}] out of range")
+    counts = Counter()
+    n_steps = hi - lo + 1
+    for idx in range(lo, hi + 1):
+        state = steps[idx].state
+        obs = reference_observe(scene, state, robot)
+        seen = {o.category for o in obs.visible()}
+        for cat in seen:
+            counts[(cat, "object")] += 1
+        region = scene.region_at(scene.cell_of(state.position))
+        if region is not None:
+            counts[(region.label, "region")] += 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+    return tuple(
+        Tag(name=name, kind=kind, confidence=count / n_steps)
+        for (name, kind), count in ranked[:5]
+    )

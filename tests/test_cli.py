@@ -67,6 +67,69 @@ class TestPipeline:
         ) == 0
 
 
+class TestSplitObservesEachStepOnce:
+    def test_one_observation_per_distinct_step_and_reference_tags(
+        self, tmp_path, monkeypatch
+    ):
+        # overlapping padded turn segments share their steps' observations;
+        # the output equals tagging each segment with fresh observations
+        from lhnav import cli
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.scenegen import generate_scene
+        from lhnav.splitter import render_step_instruction, split_trajectory
+        from lhnav.taskforge import sample_task
+        from lhnav.world import ROBOTS, Action
+        from reference_impls import reference_tag_segment
+
+        scene = generate_scene(seed=4)
+        scene.save(tmp_path / "scene.json")
+        traj_dir = tmp_path / "trajectories"
+        traj_dir.mkdir()
+        trajectories = []
+        for seed in range(3):
+            task = sample_task(scene, seed=seed, allowed_stages=[3])
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig())
+            traj.save(traj_dir / f"{task.id}.jsonl")
+            trajectories.append(traj)
+        observed = []
+        real_observe = cli.observe
+
+        def counted(scene, state, robot=None):
+            observed.append(state)
+            return real_observe(scene, state, robot)
+
+        monkeypatch.setattr(cli, "observe", counted)
+        out = tmp_path / "steps.json"
+        assert run_cli(
+            "split", "--trajectories", str(traj_dir),
+            "--scenes", str(tmp_path / "scene.json"), "--out", str(out),
+        ) == 0
+
+        expected, distinct, overlaps = [], 0, 0
+        for traj in sorted(trajectories, key=lambda t: t.task_id):
+            for span in traj.spans:
+                steps = traj.steps[span.start : span.end]
+                actions = [s.action for s in steps if s.action != Action.STOP]
+                if span.kind != "move_to" or not actions:
+                    continue
+                segments = split_trajectory(actions)
+                covered = [i for seg in segments for i in range(seg.start, seg.end + 1)]
+                distinct += len(set(covered))
+                overlaps += len(covered) - len(set(covered))
+                tagged = [
+                    seg.with_tags(reference_tag_segment(scene, steps, seg, ROBOTS[traj.robot]))
+                    for seg in segments
+                ]
+                target = scene.object(span.target_id).category
+                expected.append(render_step_instruction(
+                    target, tagged, source_task_id=traj.task_id, source_subtask=span.index
+                ).to_dict())
+        assert overlaps > 0  # the segments did overlap
+        assert len(observed) == distinct
+        assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("flag", ["--workers", "--budget"])
     def test_rejected_run_config_is_a_usage_error(

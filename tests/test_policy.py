@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ class TestBatchedLossMatchesLoop:
         assert isinstance(loss, float)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_large_batch_bit_equal_in_bounded_memory(self, literal):
+        # the gradient's outer products are held a block at a time, so a
+        # 5000 x 260 batch never holds all 41.6 MB of them at once
+        npr = np.random.default_rng(11)
+        backend = LinearSoftmaxBackend(literal_ce=literal)
+        backend.set_params(npr.normal(0.0, 1.0, size=backend.get_params().shape))
+        X = npr.normal(size=(5000, backend.feature_dim))
+        X[npr.random(X.shape) < 0.3] = 0.0
+        y = npr.integers(0, N_ACTIONS, size=5000)
+        tracemalloc.start()
+        try:
+            loss, grad = loss_and_grad(backend, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want_loss, want_grad = loop_loss_and_grad(backend, X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("literal", [False, True])
     def test_training_run_bit_equal(self, two_room_scene, literal, monkeypatch):

@@ -15,7 +15,7 @@ from lhnav.splitter import (
     tag_segment,
     turn_records,
 )
-from lhnav.world import Action, AgentState, ROBOTS
+from lhnav.world import Action, AgentState, ROBOTS, observe
 from lhnav.trajectory import StepRecord
 
 from conftest import scene_from
@@ -128,9 +128,13 @@ class TestTagSegment:
             for i, c in enumerate(cells)
         ]
 
+    def _tag(self, scene, steps, segment):
+        observations = [observe(scene, s.state, SPOT) for s in steps]
+        return tag_segment(scene, steps, observations, segment)
+
     def test_region_and_object_tags(self, corridor_scene):
         steps = self._steps_along(corridor_scene, [(1, 1), (1, 2), (1, 3)])
-        tags = tag_segment(corridor_scene, steps, Segment(FORWARD, 0, 2))
+        tags = self._tag(corridor_scene, steps, Segment(FORWARD, 0, 2))
         names = {t.name for t in tags}
         assert "corridor" in names  # agent's region
         assert "box" in names       # visible down the corridor
@@ -139,7 +143,7 @@ class TestTagSegment:
         rows = ["#####", "#...#", "#####"]
         scene = scene_from(rows, objects=[], label="vestibule")
         steps = self._steps_along(scene, [(1, 1), (1, 2)])
-        tags = tag_segment(scene, steps, Segment(FORWARD, 0, 1))
+        tags = self._tag(scene, steps, Segment(FORWARD, 0, 1))
         assert [t.name for t in tags] == ["vestibule"]
         assert tags[0].kind == "region"
         assert tags[0].confidence == 1.0
@@ -147,11 +151,11 @@ class TestTagSegment:
     def test_deterministic(self, open_scene):
         steps = self._steps_along(open_scene, [(2, 2), (2, 3), (2, 4)], heading=0.0)
         seg = Segment(FORWARD, 0, 2)
-        assert tag_segment(open_scene, steps, seg) == tag_segment(open_scene, steps, seg)
+        assert self._tag(open_scene, steps, seg) == self._tag(open_scene, steps, seg)
 
     def test_top_five_cap(self, open_scene):
         steps = self._steps_along(open_scene, [(4, 4)])
-        tags = tag_segment(open_scene, steps, Segment(FORWARD, 0, 0))
+        tags = self._tag(open_scene, steps, Segment(FORWARD, 0, 0))
         assert len(tags) <= 5
 
 

@@ -1,12 +1,19 @@
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lhnav import world
 from lhnav.world import (
     ROBOTS,
     Action,
     AgentState,
+    ObjectInstance,
+    Region,
+    RobotConfig,
     Scene,
     SceneValidationError,
     UnknownObjectError,
@@ -21,7 +28,7 @@ from lhnav.world import (
 )
 
 from conftest import scene_from
-from reference_impls import grid_is_free
+from reference_impls import grid_is_free, reference_line_of_sight, reference_observe
 
 SPOT = ROBOTS["spot"]
 
@@ -253,3 +260,236 @@ class TestLineOfSight:
         assert line_of_sight(open_scene, a, b)
         c = open_scene.cell_center((11, 11))
         assert not line_of_sight(open_scene, a, c)  # pillar in between
+
+
+# -- sensing against the reference generator and per-camera signed_angle -------
+
+CS = 0.25
+# stock cameras, overlapping cameras (fov 90 and 180), a short and an
+# unbounded sensing range
+SENSING_ROBOTS = (
+    ROBOTS["spot"],
+    RobotConfig(name="wide", fov_per_camera=90.0),
+    RobotConfig(name="panoramic", fov_per_camera=180.0),
+    RobotConfig(name="short", sensing_range=1.5),
+    RobotConfig(name="unbounded", fov_per_camera=90.0, sensing_range=math.inf),
+)
+
+
+@st.composite
+def sensing_scenes(draw):
+    """A bordered grid with random interior walls, one region over its free
+    cells, and objects at cell centres (so many bearings are exact axis and
+    fov-edge angles) or anywhere inside free cells."""
+    n_rows = draw(st.integers(3, 12))
+    n_cols = draw(st.integers(3, 12))
+    walls = draw(st.sampled_from([0.0, 0.15, 0.35]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    grid = [
+        "".join(
+            "#" if r in (0, n_rows - 1) or c in (0, n_cols - 1)
+            or ((r, c) != (1, 1) and rnd.random() < walls) else "."
+            for c in range(n_cols)
+        )
+        for r in range(n_rows)
+    ]
+    free = [(r, c) for r in range(n_rows) for c in range(n_cols) if grid[r][c] == "."]
+    objects = []
+    for i in range(draw(st.integers(0, 8))):
+        row, col = rnd.choice(free)
+        if draw(st.booleans()):
+            pos = ((col + 0.5) * CS, (row + 0.5) * CS)
+        else:
+            pos = ((col + rnd.uniform(0.01, 0.99)) * CS, (row + rnd.uniform(0.01, 0.99)) * CS)
+        category = rnd.choice(["box", "cup", "bed"])
+        objects.append(ObjectInstance(f"o-{i}", category, "0", pos, True))
+    return Scene(grid, [Region("0", "room", tuple(free))], objects)
+
+
+def coordinate(limit):
+    """Anywhere from two cells before the grid to two cells past it, or
+    exactly on a cell boundary or centre."""
+    return st.one_of(
+        st.floats(-2 * CS, limit + 2 * CS),
+        st.integers(-2, int(limit / CS * 2) + 2).map(lambda k: k * CS / 2),
+    )
+
+
+@st.composite
+def segments(draw, scene):
+    xs, ys = coordinate(scene.cols * CS), coordinate(scene.rows * CS)
+    a = (draw(xs), draw(ys))
+    kind = draw(st.sampled_from(["any", "vertical", "horizontal", "zero", "corner"]))
+    if kind == "vertical":
+        b = (a[0], draw(ys))
+    elif kind == "horizontal":
+        b = (draw(xs), a[1])
+    elif kind == "zero":
+        b = a
+    elif kind == "corner":
+        # start on a cell corner and run diagonally, so the walk meets a
+        # column and a row boundary at once at every crossing
+        a = (draw(st.integers(0, scene.cols)) * CS, draw(st.integers(0, scene.rows)) * CS)
+        t = draw(st.integers(-scene.rows, scene.rows)) * CS
+        b = (a[0] + t, a[1] + draw(st.sampled_from([t, -t])))
+    else:
+        b = (draw(xs), draw(ys))
+    return a, b
+
+
+@st.composite
+def poses(draw, scene):
+    """Agent positions that repeat (so consecutive observations turn in
+    place and reuse the sensing memo), with headings on the 15-degree grid
+    that puts axis-aligned objects exactly on fov edges."""
+    free = scene.free_cells()
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["centre", "inside", "object", "beside", "anywhere"]))
+        if kind in ("object", "beside") and scene.objects:
+            x, y = draw(st.sampled_from(scene.objects)).position
+            # "beside" is closer than 1e-9 m: still no bearing of its own
+            points.append((x, y + 5e-10) if kind == "beside" else (x, y))
+        elif kind == "anywhere":
+            points.append((draw(coordinate(scene.cols * CS)), draw(coordinate(scene.rows * CS))))
+        else:
+            row, col = draw(st.sampled_from(free))
+            fx, fy = (0.5, 0.5) if kind == "centre" else (draw(st.floats(0, 0.999)), draw(st.floats(0, 0.999)))
+            points.append(((col + fx) * CS, (row + fy) * CS))
+    heading = st.one_of(
+        st.integers(0, 23).map(lambda k: k * 15.0),
+        st.floats(0.0, 360.0, exclude_max=True),
+    )
+    calls = st.tuples(
+        st.sampled_from(points), heading, st.integers(0, len(SENSING_ROBOTS) - 1)
+    )
+    return draw(st.lists(calls, min_size=1, max_size=24))
+
+
+def bits(obs):
+    """Everything an observation holds, floats by their exact bits."""
+    return [
+        (v.direction, v.offset.hex(), [
+            (o.object_id, o.category, o.bearing.hex(), o.range.hex()) for o in v.objects
+        ])
+        for v in obs.views
+    ]
+
+
+class TestSensingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scene=sensing_scenes())
+    def test_line_of_sight(self, data, scene):
+        for _ in range(20):
+            a, b = data.draw(segments(scene))
+            assert line_of_sight(scene, a, b) == reference_line_of_sight(scene, a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), scene=sensing_scenes())
+    def test_observe(self, data, scene):
+        self._check(scene, data.draw(poses(scene)))
+
+    def test_fov_edges_and_own_position(self):
+        # an object under the agent, and axis-aligned objects exactly on
+        # the shared fov edges of the stock cameras (heading 330: +30 on
+        # the left/front edge, and -60) and of the overlapping ones
+        scene = scene_from(
+            ["#######", "#.....#", "#.....#", "#.....#", "#######"],
+            objects=[("a", "box", (2, 2), True), ("b", "cup", (1, 2), True),
+                     ("c", "bed", (2, 4), True)],
+        )
+        position = scene.object("a").position
+        self._check(scene, [
+            (position, heading, k)
+            for heading in (330.0, 0.0, 30.0, 45.0, 315.0, 330.0)
+            for k in range(len(SENSING_ROBOTS))
+        ])
+
+    def _check(self, scene, calls):
+        for position, heading, k in calls:
+            s = AgentState(position=position, heading=heading)
+            robot = SENSING_ROBOTS[k]
+            assert bits(observe(scene, s, robot)) == bits(reference_observe(scene, s, robot)), (
+                position, heading, robot.name
+            )
+
+    def test_recorded_expert_states(self):
+        # every state of expert episodes on generated scenes, in the order an
+        # episode visits them
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.scenegen import generate_scene
+        from lhnav.taskforge import sample_task
+
+        for seed in (1, 2):
+            scene = generate_scene(seed=seed)
+            for task_seed in range(3):
+                traj, _ = run_episode(
+                    scene, sample_task(scene, seed=task_seed), ExpertPolicy(), RunConfig()
+                )
+                for step in traj.steps:
+                    assert bits(observe(scene, step.state, SPOT)) == bits(
+                        reference_observe(scene, step.state, SPOT)
+                    )
+
+    def test_turn_in_place_reuses_the_sight_lines(self, open_scene, monkeypatch):
+        calls = []
+
+        def counted(scene, a, b):
+            calls.append(b)
+            return reference_line_of_sight(scene, a, b)
+
+        monkeypatch.setattr(world, "line_of_sight", counted)
+        position = open_scene.cell_center((3, 3))
+        for heading in range(0, 360, 30):
+            observe(open_scene, AgentState(position=position, heading=float(heading)), SPOT)
+        # each object's line of sight is traced once, when it first falls
+        # into a camera
+        assert sorted(calls) == sorted(o.position for o in open_scene.objects)
+
+
+class TestRobotConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sensing_range", math.nan),
+            ("sensing_range", 0.0),
+            ("sensing_range", -1.0),
+            ("forward_step", math.nan),
+            ("forward_step", math.inf),
+            ("forward_step", -math.inf),
+            ("forward_step", 0.0),
+        ],
+    )
+    def test_bad_sensing_or_step_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RobotConfig(**{field: value})
+
+    def test_unbounded_sensing_range_accepted(self):
+        assert RobotConfig(sensing_range=math.inf).sensing_range == math.inf
+
+
+class TestScenePickle:
+    def test_pickle_drops_the_caches(self):
+        # worker processes receive scenes by pickle: sampling tasks, running
+        # expert episodes and observing fill the geodesic fields, the move
+        # table and the sensing memo, none of which may travel
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.scenegen import generate_scene
+        from lhnav.taskforge import sample_task
+
+        scene = generate_scene(seed=3)
+        fresh = pickle.dumps(generate_scene(seed=3))
+        for task_seed in range(3):
+            traj, _ = run_episode(
+                scene, sample_task(scene, seed=task_seed), ExpertPolicy(), RunConfig()
+            )
+        observe(scene, traj.steps[-1].state, SPOT)
+        data = pickle.dumps(scene)
+        assert len(data) == len(fresh)
+        clone = pickle.loads(data)
+        assert clone.to_dict() == scene.to_dict()
+        assert not clone._field_cache and clone._moves is None and clone._sight_memo is None
+        state = traj.steps[-1].state
+        assert bits(observe(clone, state, SPOT)) == bits(observe(scene, state, SPOT))
