@@ -111,9 +111,6 @@ def cmd_rollout(args) -> int:
             budget=args.budget,
             seed=args.seed,
             policy=args.policy,
-            literal_ne=args.literal_ne,
-            literal_ce=args.literal_ce,
-            literal_pooling=args.literal_pooling,
             workers=args.workers,
             store_path=args.store,
             out_dir=args.out,
@@ -125,7 +122,18 @@ def cmd_rollout(args) -> int:
             f"store file {cfg.store_path} does not exist or is not a regular file"
         )
     scenes = _load_scenes(args.scenes)
-    tasks = load_tasks(args.tasks)
+    try:
+        tasks = load_tasks(args.tasks)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    if not tasks:
+        args.usage_error(f"task file {args.tasks} holds no tasks")
+    for task in tasks:
+        if task.scene_id not in scenes:
+            args.usage_error(
+                f"task {task.id!r} in {args.tasks} is from scene {task.scene_id!r}, "
+                f"which is not among the scenes in {args.scenes}"
+            )
     report = run_suite(scenes, tasks, cfg)
     print(format_report_table(report))
     return 0
@@ -223,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--store", default="", help="long-term store JSONL for the memory policy")
-    p.add_argument("--literal-ne", action="store_true")
-    p.add_argument("--literal-ce", action="store_true")
-    p.add_argument("--literal-pooling", action="store_true")
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_rollout, usage_error=p.error)
 

@@ -39,6 +39,9 @@ class ShortTermMemory:
     capacity: int = 32
 
     def __post_init__(self) -> None:
+        # forgetting merges two slots, so a memory of one slot cannot forget
+        if self.capacity < 2:
+            raise ValueError(f"capacity must be at least 2, got {self.capacity}")
         if len(self.entries) != len(self.confidences):
             raise ValueError("entries and confidences must have equal length")
         if len(self.entries) > self.capacity:
@@ -55,57 +58,38 @@ class ShortTermMemory:
         return np.mean(np.stack(self.entries), axis=0)
 
 
-def pool_candidates(confidences, window: str = "pair") -> np.ndarray | list[np.ndarray]:
+def pool_candidates(confidences) -> np.ndarray:
     """All merge candidates of a confidence vector.
 
-    The canonical "pair" window replaces (c_i, c_{i+1}) with their mean,
+    Each candidate replaces one adjacent pair (c_i, c_{i+1}) with its mean,
     giving the n-1 rows of an (n-1) x (n-1) array: row i is c[:i], the
-    mean, then c[i+2:].  The "triple" variant averages the element with
-    both neighbors (clipped at the ends) and exists only for side-by-side
-    comparison; its n candidates differ in length, so it returns a list.
+    mean, then c[i+2:].
     """
     c = np.asarray(confidences, dtype=float)
     n = c.shape[0]
-    if window not in ("pair", "triple"):
-        raise ValueError(f"unknown pooling window {window!r}")
     if n < 2:
         raise ValueError("need at least two confidences to pool")
-    if window == "pair":
-        i = np.arange(n - 1)
-        # slot j of candidate i holds c[j] before the merged slot, c[j+1] after it
-        out = np.where(i[None, :] < i[:, None], c[:-1], c[1:])
-        out[i, i] = (c[:-1] + c[1:]) / 2.0
-        return out
-    out = []
-    for i in range(n):
-        lo = max(0, i - 1)
-        hi = min(n, i + 2)
-        out.append(np.concatenate([c[:lo], [c[lo:hi].mean()], c[hi:]]))
+    i = np.arange(n - 1)
+    # slot j of candidate i holds c[j] before the merged slot, c[j+1] after it
+    out = np.where(i[None, :] < i[:, None], c[:-1], c[1:])
+    out[i, i] = (c[:-1] + c[1:]) / 2.0
     return out
 
 
 def candidate_entropies(candidates) -> np.ndarray:
-    """Entropy of each candidate's distribution, normalized to sum 1.
-
-    A 2-D array is one block of equal-length candidates, one per row; any
-    other sequence goes through the same row-wise formula one candidate at
-    a time.
-    """
-    if not len(candidates):
+    """Entropy of each candidate's distribution, normalized to sum 1; the
+    candidates are the rows of one 2-D array."""
+    block = np.asarray(candidates, dtype=float)
+    if block.ndim != 2:
+        raise ValueError(f"candidates must be a 2-D array, not {block.ndim}-D")
+    if not block.shape[0]:
         raise ValueError("need at least one candidate")
-    if isinstance(candidates, np.ndarray) and candidates.ndim == 2:
-        blocks = [candidates.astype(float, copy=False)]
-    else:
-        blocks = [np.asarray(cand, dtype=float)[None, :] for cand in candidates]
-    totals = [block.sum(axis=1) for block in blocks]
-    bad = np.flatnonzero(np.concatenate(totals) <= 0)
+    total = block.sum(axis=1)
+    bad = np.flatnonzero(total <= 0)
     if bad.size:
         raise ValueError(f"candidate {bad[0]} has nonpositive mass")
-    out = []
-    for block, total in zip(blocks, totals):
-        s = block / total[:, None]
-        out.append(-(s * np.log(np.maximum(s, EPS))).sum(axis=1))
-    return np.concatenate(out)
+    s = block / total[:, None]
+    return -(s * np.log(np.maximum(s, EPS))).sum(axis=1)
 
 
 def entropy_argmin(candidates) -> int:
@@ -115,10 +99,7 @@ def entropy_argmin(candidates) -> int:
 
 
 def forget_and_append(
-    mem: ShortTermMemory,
-    h_new: np.ndarray,
-    c_new: float,
-    window: str = "pair",
+    mem: ShortTermMemory, h_new: np.ndarray, c_new: float
 ) -> ShortTermMemory:
     """Append a new entry, merging one adjacent pair first when at capacity.
 
@@ -130,12 +111,8 @@ def forget_and_append(
     entries = list(mem.entries)
     confs = list(mem.confidences)
     if len(entries) >= mem.capacity:
-        idx = entropy_argmin(pool_candidates(confs, window=window))
-        if window == "triple":
-            lo = max(0, idx - 1)
-            hi = min(len(entries), idx + 2)
-        else:
-            lo, hi = idx, idx + 2
+        lo = entropy_argmin(pool_candidates(confs))
+        hi = lo + 2
         merged_entry = np.mean(np.stack(entries[lo:hi]), axis=0)
         merged_conf = float(np.mean(confs[lo:hi]))
         entries[lo:hi] = [merged_entry]
@@ -323,21 +300,14 @@ def weight_decision(
     return weighted / total, False
 
 
-def cross_entropy(
-    a: np.ndarray, e: np.ndarray, literal: bool = False
-) -> float | np.ndarray:
-    """Imitation loss between a decision vector and the expert's.
+def cross_entropy(a: np.ndarray, e: np.ndarray) -> float | np.ndarray:
+    """Imitation loss between a decision vector and the expert's target,
+    -sum(e * log a), with a clamped to [EPS, 1] before the log.
 
-    Default treats the expert as the target: -sum(e * log a).  Literal mode
-    swaps the roles (-sum(a * log e)), which needs the clamp to stay finite
-    for one-hot experts.  Probabilities are clamped to [EPS, 1] before logs.
     The sum runs over the last axis: two vectors give a float, two
     matrices one loss per row.
     """
     av = np.asarray(a, dtype=float)
     ev = np.asarray(e, dtype=float)
-    if literal:
-        losses = -(av * np.log(np.clip(ev, EPS, 1.0))).sum(axis=-1)
-    else:
-        losses = -(ev * np.log(np.clip(av, EPS, 1.0))).sum(axis=-1)
+    losses = -(ev * np.log(np.clip(av, EPS, 1.0))).sum(axis=-1)
     return float(losses) if losses.ndim == 0 else losses

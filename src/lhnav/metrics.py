@@ -9,7 +9,6 @@ task contributes at most 1/M to an aggregate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -173,34 +172,24 @@ def spl(results: list[EpisodeResult]) -> float:
     return total / len(results)
 
 
-def mean_ne(results: list[EpisodeResult], literal: bool = False) -> float:
-    """Mean subtask navigation error.
-
-    In literal mode the error only counts when the agent actually stopped;
-    truncated subtasks are excluded (nan when nothing remains).
-    """
+def mean_ne(results: list[EpisodeResult]) -> float:
+    """Mean subtask navigation error, truncated subtasks included (their
+    error is measured where the budget ran out)."""
     _require(results)
-    values = [
-        r.ne
-        for res in results
-        for r in res.records
-        if not (literal and r.truncated)
-    ]
-    if not values:
-        return math.nan
+    values = [r.ne for res in results for r in res.records]
     return sum(values) / len(values)
 
 
 METRIC_ORDER = ("sr", "osr", "spl", "ne", "isr", "csr", "cgt", "tar")
 
 
-def aggregate(results: list[EpisodeResult], literal_ne: bool = False) -> dict[str, float]:
+def aggregate(results: list[EpisodeResult]) -> dict[str, float]:
     """All metrics in the fixed reporting order."""
     return {
         "sr": task_sr(results),
         "osr": osr(results),
         "spl": spl(results),
-        "ne": mean_ne(results, literal=literal_ne),
+        "ne": mean_ne(results),
         "isr": isr(results),
         "csr": csr(results),
         "cgt": cgt(results),

@@ -113,13 +113,12 @@ class LinearSoftmaxBackend:
     memory, stage one-hot).  Confidence is the probability of the action the
     backend itself would take."""
 
-    def __init__(self, embed_dim: int = 64, seed: int = 0, literal_ce: bool = False):
+    def __init__(self, embed_dim: int = 64, seed: int = 0):
         self.embed_dim = embed_dim
         self.feature_dim = 3 * embed_dim + embed_dim + MAX_STAGES
         rng = np.random.default_rng(seed)
         self.W = rng.normal(0.0, 0.01, size=(N_ACTIONS, self.feature_dim))
         self.b = np.zeros(N_ACTIONS)
-        self.literal_ce = literal_ce
 
     def features(
         self, ctx: StepContext, views: np.ndarray, memory: ShortTermMemory
@@ -151,7 +150,6 @@ class LinearSoftmaxBackend:
     def save(self, path: str | Path) -> None:
         payload = {
             "embed_dim": self.embed_dim,
-            "literal_ce": self.literal_ce,
             "n_actions": N_ACTIONS,
             "theta": self.get_params().tolist(),
         }
@@ -159,17 +157,20 @@ class LinearSoftmaxBackend:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearSoftmaxBackend":
-        """Weights written by save; a file without literal_ce reads as the
-        default loss."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload["n_actions"] != N_ACTIONS:
-            raise ValueError(
-                f"{path}: weights are for {payload['n_actions']} actions, not {N_ACTIONS}"
-            )
-        backend = cls(
-            embed_dim=payload["embed_dim"], literal_ce=payload.get("literal_ce", False)
-        )
-        theta = np.array(payload["theta"], dtype=float)
+        """Weights written by save; a malformed file raises a ValueError
+        naming the path.  Other keys, such as the literal_ce flag that older
+        files carry, are ignored."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            n_actions, embed_dim = payload["n_actions"], payload["embed_dim"]
+            theta = np.array(payload["theta"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a weights file ({exc!r})") from exc
+        if n_actions != N_ACTIONS:
+            raise ValueError(f"{path}: weights are for {n_actions} actions, not {N_ACTIONS}")
+        if type(embed_dim) is not int or embed_dim < 1:
+            raise ValueError(f"{path}: embed_dim must be a positive integer, not {embed_dim!r}")
+        backend = cls(embed_dim=embed_dim)
         expected = backend.get_params().size
         if theta.shape != (expected,):
             raise ValueError(
@@ -203,18 +204,14 @@ class _ImitationTeacher:
 def loss_and_grad(
     backend: LinearSoftmaxBackend, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean imitation loss over a batch and its gradient in theta.
-
-    Default mode is the standard expert-as-target cross-entropy; literal
-    mode swaps prediction and target (finite thanks to the clamp) and keeps
-    a well-defined gradient.
+    """Mean imitation loss over a batch and its gradient in theta: the
+    cross-entropy of the prediction against the expert action.
 
     X holds one feature row per sample and y the expert action indices.
     The whole batch is computed at once, in the summation order of a
-    per-sample loop, so the results are bit-equal to it.  Each row's
-    logits and literal-mode dot product are a stack of (1 x k) products,
-    one BLAS call per row: one matrix product over the batch sums in
-    another order.
+    per-sample loop, so the results are bit-equal to it.  The logits are a
+    stack of (1 x k) products, one BLAS call per row: one matrix product
+    over the batch sums in another order.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
@@ -240,12 +237,8 @@ def loss_and_grad(
     e = np.exp(logits)
     P = e / e.sum(axis=1, keepdims=True)
     E = np.eye(N_ACTIONS)[y]
-    losses = cross_entropy(P, E, literal=backend.literal_ce)
-    if backend.literal_ce:
-        G = -np.log(np.clip(E, 1e-12, 1.0))
-        D = P * (G - (G[:, None, :] @ P[:, :, None])[:, 0, :])
-    else:
-        D = P - E
+    losses = cross_entropy(P, E)
+    D = P - E
     # sums along the batch axis add one sample after another, from 0.0 as
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
@@ -323,7 +316,6 @@ def memory_policy_step(
     store: LongTermStore,
     backend: PolicyBackend,
     oracle: EmbeddingOracle,
-    pooling: str = "pair",
 ) -> tuple[Action, ShortTermMemory]:
     """One decision step: observe, embed, decide, weight by the actions
     retrieved for the target's category, take the argmax, and fold the
@@ -336,7 +328,7 @@ def memory_policy_step(
     if retrieved:
         decision, _ = weight_decision(decision, [act for _, act in retrieved])
     action = Action(int(np.argmax(decision)))
-    mem = forget_and_append(mem, fused, confidence, window=pooling)
+    mem = forget_and_append(mem, fused, confidence)
     return action, mem
 
 
@@ -394,16 +386,14 @@ class MemoryPolicy:
         oracle: EmbeddingOracle,
         store: LongTermStore | None = None,
         capacity: int = 32,
-        pooling: str = "pair",
     ):
         self.backend = backend
         self.oracle = oracle
         self.store = store if store is not None else LongTermStore()
-        self.pooling = pooling
         self.memory = ShortTermMemory(capacity=capacity)
 
     def act(self, ctx: StepContext) -> Action:
         action, self.memory = memory_policy_step(
-            ctx, self.memory, self.store, self.backend, self.oracle, self.pooling
+            ctx, self.memory, self.store, self.backend, self.oracle
         )
         return action

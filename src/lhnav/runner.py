@@ -54,9 +54,6 @@ class RunConfig:
     budget: int = 500          # steps per navigation subtask
     seed: int = 0
     policy: str = "expert"
-    literal_ne: bool = False   # drop truncated subtasks from the NE mean
-    literal_ce: bool = False   # printed-form imitation loss
-    literal_pooling: bool = False  # 3-element forgetting window
     workers: int = 1
     embed_dim: int = 64
     memory_capacity: int = 32
@@ -72,6 +69,8 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
         if self.embed_dim < 2:
             raise ValueError("embed_dim must be at least 2")
+        if self.memory_capacity < 2:
+            raise ValueError("memory_capacity must be at least 2")
 
     def config_hash(self) -> str:
         stable = {
@@ -96,15 +95,11 @@ def make_policy(
     if cfg.policy == "stop":
         return StopPolicy()
     if cfg.policy == "memory":
-        backend = LinearSoftmaxBackend(
-            embed_dim=cfg.embed_dim, seed=cfg.seed, literal_ce=cfg.literal_ce
-        )
         return MemoryPolicy(
-            backend,
+            LinearSoftmaxBackend(embed_dim=cfg.embed_dim, seed=cfg.seed),
             EmbeddingOracle(dim=cfg.embed_dim),
             store=store,
             capacity=cfg.memory_capacity,
-            pooling="triple" if cfg.literal_pooling else "pair",
         )
     raise ValueError(f"unknown policy {cfg.policy!r}")
 
@@ -288,11 +283,8 @@ def run_suite(
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
         "num_tasks": len(results),
-        "aggregate": metrics_mod.aggregate(results, literal_ne=cfg.literal_ne),
-        "per_task": {
-            res.task_id: metrics_mod.aggregate([res], literal_ne=cfg.literal_ne)
-            for res in results
-        },
+        "aggregate": metrics_mod.aggregate(results),
+        "per_task": {res.task_id: metrics_mod.aggregate([res]) for res in results},
         "results": [res.to_dict() for res in results],
     }
     if cfg.out_dir:
@@ -320,7 +312,5 @@ def format_report_table(report: dict) -> str:
         "-" * 46,
     ]
     for name in metrics_mod.METRIC_ORDER:
-        value = agg[name]
-        shown = f"{value:.4f}" if not (isinstance(value, float) and math.isnan(value)) else "n/a"
-        lines.append(f"{name.upper():>6}  {shown}")
+        lines.append(f"{name.upper():>6}  {agg[name]:.4f}")
     return "\n".join(lines)

@@ -9,10 +9,9 @@ the previous end.  Merged records become turn segments padded by one action
 of context on each side, with move-forward filler segments between them.
 
 The printed recipe drops any actions after the last turn record; since a
-step-by-step task has to end at its target, the default mode appends a
-trailing move-forward segment covering that tail (and turns a turn-free
-trace into a single forward segment).  Literal mode switches the extension
-off.
+step-by-step task has to end at its target, a trailing move-forward
+segment covers that tail, and a turn-free trace is a single forward
+segment.
 """
 
 from __future__ import annotations
@@ -119,12 +118,8 @@ def merge_records(records: list[tuple[int, int, str]]) -> list[tuple[int, int, s
     return merged
 
 
-def split_trajectory(actions, include_tail: bool = True) -> list[Segment]:
-    """Segment an action trace over {F, L, R}.
-
-    include_tail=False reproduces the bare recipe, which drops tail actions
-    after the last turn record and yields nothing for a turn-free trace.
-    """
+def split_trajectory(actions) -> list[Segment]:
+    """Segment an action trace over {F, L, R}."""
     symbols = normalize_actions(actions)
     if not symbols:
         raise ValueError("action trace must be nonempty")
@@ -132,7 +127,7 @@ def split_trajectory(actions, include_tail: bool = True) -> list[Segment]:
     records = sorted(turn_records(symbols, "L") + turn_records(symbols, "R"))
     merged = merge_records(records)
     if not merged:
-        return [Segment(FORWARD, 0, n - 1)] if include_tail else []
+        return [Segment(FORWARD, 0, n - 1)]
     segments: list[Segment] = []
     last_end = -1
     for start, end, label in merged:
@@ -140,7 +135,7 @@ def split_trajectory(actions, include_tail: bool = True) -> list[Segment]:
             segments.append(Segment(FORWARD, last_end + 1, start - 1))
         segments.append(Segment(_SYMBOLS[label], max(start - 1, 0), min(end + 1, n - 1)))
         last_end = end
-    if include_tail and last_end + 1 <= n - 1:
+    if last_end + 1 <= n - 1:
         segments.append(Segment(FORWARD, last_end + 1, n - 1))
     return segments
 

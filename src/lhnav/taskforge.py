@@ -59,7 +59,12 @@ class Subtask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subtask":
-        return cls(kind=d["kind"], object_id=d["object_id"], region_id=d.get("region_id"))
+        sub = cls(kind=d["kind"], object_id=d["object_id"], region_id=d.get("region_id"))
+        if sub.kind not in (MOVE_TO, GRAB, RELEASE):
+            raise ValueError(f"unknown subtask kind {sub.kind!r}")
+        if not isinstance(sub.object_id, str) or not isinstance(sub.region_id, (str, type(None))):
+            raise TypeError("object_id must be a string and region_id a string or null")
+        return sub
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(
+        task = cls(
             id=d["id"],
             instruction=d["instruction"],
             subtasks=tuple(Subtask.from_dict(s) for s in d["subtasks"]),
@@ -94,6 +99,15 @@ class TaskSpec:
             scene_id=d["scene_id"],
             seed=d["seed"],
         )
+        if not all(isinstance(v, str) for v in (task.id, task.instruction, task.scene_id)):
+            raise TypeError("id, instruction and scene_id must be strings")
+        if type(task.seed) is not int:
+            raise TypeError(f"seed must be an integer, not {task.seed!r}")
+        if task.robot not in ROBOTS:
+            raise ValueError(f"unknown robot {task.robot!r}")
+        if not task.move_targets():
+            raise ValueError("a task needs at least one move_to subtask")
+        return task
 
 
 LLM_MODEL = "gpt-4"
@@ -485,5 +499,18 @@ def save_tasks(tasks: list[TaskSpec], path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [TaskSpec.from_dict(d) for d in data]
+    """Tasks written by save_tasks; a malformed file raises a ValueError
+    naming the path and, when one entry is at fault, its index."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: a task file holds one JSON list of tasks")
+    tasks = []
+    for number, entry in enumerate(data):
+        try:
+            tasks.append(TaskSpec.from_dict(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path} entry {number}: not a task ({exc!r})") from exc
+    return tasks

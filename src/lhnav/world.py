@@ -256,6 +256,10 @@ class Scene:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        if not 0 < self.cell_size < math.inf:
+            raise SceneValidationError(
+                f"cell_size must be positive and finite, got {self.cell_size}"
+            )
         if not self.grid or not self.grid[0]:
             raise SceneValidationError("grid must be nonempty")
         width = len(self.grid[0])
@@ -356,7 +360,12 @@ class Scene:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scene":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """A scene written by save; a malformed file raises a ValueError
+        naming the path."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a scene ({exc!r})") from exc
 
 
 def canonical_json(data: dict) -> str:

@@ -147,28 +147,16 @@ def topk_oracle(bucket, query, k):
 # can be checked bit for bit against them.
 
 
-def loop_pool_candidates(confidences, window="pair"):
+def loop_pool_candidates(confidences):
     c = np.asarray(confidences, dtype=float)
     n = c.shape[0]
-    if window == "pair":
-        if n < 2:
-            raise ValueError("need at least two confidences to pool")
-        out = []
-        for i in range(n - 1):
-            merged = np.concatenate([c[:i], [(c[i] + c[i + 1]) / 2.0], c[i + 2 :]])
-            out.append(merged)
-        return out
-    if window == "triple":
-        if n < 2:
-            raise ValueError("need at least two confidences to pool")
-        out = []
-        for i in range(n):
-            lo = max(0, i - 1)
-            hi = min(n, i + 2)
-            merged = np.concatenate([c[:lo], [c[lo:hi].mean()], c[hi:]])
-            out.append(merged)
-        return out
-    raise ValueError(f"unknown pooling window {window!r}")
+    if n < 2:
+        raise ValueError("need at least two confidences to pool")
+    out = []
+    for i in range(n - 1):
+        merged = np.concatenate([c[:i], [(c[i] + c[i + 1]) / 2.0], c[i + 2 :]])
+        out.append(merged)
+    return out
 
 
 def loop_entropies(candidates):
@@ -200,18 +188,14 @@ def loop_entropy_argmin(candidates):
     return best_idx
 
 
-def loop_forget_and_append(mem, h_new, c_new, window="pair"):
+def loop_forget_and_append(mem, h_new, c_new):
     if c_new <= 0:
         raise ValueError("new confidence must be positive")
     entries = list(mem.entries)
     confs = list(mem.confidences)
     if len(entries) >= mem.capacity:
-        idx = loop_entropy_argmin(loop_pool_candidates(confs, window=window))
-        if window == "triple":
-            lo = max(0, idx - 1)
-            hi = min(len(entries), idx + 2)
-        else:
-            lo, hi = idx, idx + 2
+        idx = loop_entropy_argmin(loop_pool_candidates(confs))
+        lo, hi = idx, idx + 2
         merged_entry = np.mean(np.stack(entries[lo:hi]), axis=0)
         merged_conf = float(np.mean(confs[lo:hi]))
         entries[lo:hi] = [merged_entry]
@@ -242,11 +226,9 @@ def loop_rank(bucket, query):
 # for bit against it.
 
 
-def loop_cross_entropy(a, e, literal=False):
+def loop_cross_entropy(a, e):
     av = np.asarray(a, dtype=float)
     ev = np.asarray(e, dtype=float)
-    if literal:
-        return float(-(av * np.log(np.clip(ev, EPS, 1.0))).sum())
     return float(-(ev * np.log(np.clip(av, EPS, 1.0))).sum())
 
 
@@ -259,12 +241,8 @@ def loop_loss_and_grad(backend, X, y):
         x = X[i]
         p = backend.probabilities(x)
         e = one_hot(Action(int(y[i])))
-        total += loop_cross_entropy(p, e, literal=backend.literal_ce)
-        if backend.literal_ce:
-            g = -np.log(np.clip(e, 1e-12, 1.0))
-            dlogits = p * (g - float(np.dot(g, p)))
-        else:
-            dlogits = p - e
+        total += loop_cross_entropy(p, e)
+        dlogits = p - e
         gW += np.outer(dlogits, x)
         gb += dlogits
     total /= n

@@ -131,9 +131,21 @@ class TestSplitObservesEachStepOnce:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("flag", ["--workers", "--budget"])
+    # rollout has no --literal-* flags; the top-level parser reports a flag
+    # that no subcommand defines
+    @pytest.mark.parametrize(
+        "flag, usage",
+        [
+            ("--workers", "usage: lhnav rollout"),
+            ("--budget", "usage: lhnav rollout"),
+            ("--literal-ne", "usage: lhnav [-h]"),
+            ("--literal-ce", "usage: lhnav [-h]"),
+            ("--literal-pooling", "usage: lhnav [-h]"),
+        ],
+        ids=["--workers", "--budget", "--literal-ne", "--literal-ce", "--literal-pooling"],
+    )
     def test_rejected_run_config_is_a_usage_error(
-        self, tmp_path, capsys, two_room_scene, flag
+        self, tmp_path, capsys, two_room_scene, flag, usage
     ):
         from lhnav.taskforge import sample_task, save_tasks
 
@@ -147,8 +159,40 @@ class TestUsageErrors:
             )
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: lhnav rollout")
+        assert err.startswith(usage)
         assert flag[2:] in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda task: [], "holds no tasks"),
+            (lambda task: task, "JSON list"),
+            (lambda task: [{"id": task["id"]}], "entry 0"),
+            (lambda task: [dict(task, scene_id="scene-99")], "'scene-99'"),
+        ],
+        ids=["empty", "not-a-list", "missing-fields", "unknown-scene"],
+    )
+    def test_bad_task_file_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, two_room_scene, edit, named
+    ):
+        from lhnav import runner
+        from lhnav.taskforge import sample_task
+
+        two_room_scene.save(tmp_path / "scene.json")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(edit(sample_task(two_room_scene, seed=7).to_dict())))
+        episodes = []
+        monkeypatch.setattr(runner, "run_episode", lambda *a, **k: episodes.append(a))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "rollout", "--scenes", str(tmp_path / "scene.json"),
+                "--tasks", str(path), "--out", str(tmp_path / "run"),
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lhnav rollout")
+        assert str(path) in err.splitlines()[-1] and named in err.splitlines()[-1]
+        assert episodes == []
 
     def test_missing_store_is_a_usage_error(self, tmp_path, capsys, monkeypatch, two_room_scene):
         from lhnav import runner

@@ -69,12 +69,6 @@ class TestPoolCandidates:
         with pytest.raises(ValueError):
             pool_candidates([0.5])
 
-    def test_triple_variant_shrinks_interior_by_two(self):
-        cands = pool_candidates([0.2, 0.4, 0.6, 0.8], window="triple")
-        assert len(cands) == 4
-        assert len(cands[1]) == 2  # interior window swallows three entries
-        assert len(cands[0]) == 3  # clipped at the boundary
-
 
 class TestEntropyArgmin:
     def test_uniform_ties_break_to_zero(self):
@@ -98,6 +92,10 @@ class TestEntropyArgmin:
         with pytest.raises(ValueError):
             entropy_argmin([np.zeros(3)])
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            candidate_entropies(np.array([0.7, 0.3]))
+
     def test_matches_oracle_on_random_vectors(self):
         rng = random.Random(77)
         for _ in range(1000):
@@ -108,6 +106,11 @@ class TestEntropyArgmin:
 
 
 class TestForgetAndAppend:
+    @pytest.mark.parametrize("capacity", [0, 1])
+    def test_memory_that_cannot_merge_a_pair_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            ShortTermMemory(capacity=capacity)
+
     def test_below_capacity_plain_append(self):
         mem = ShortTermMemory(capacity=4)
         mem = forget_and_append(mem, np.array([1.0, 0.0]), 0.5)
@@ -275,15 +278,14 @@ class TestArrayFormsMatchLoops:
         assert h.tobytes() == np.array(loop_entropies(want)).tobytes()
         assert entropy_argmin(got) == loop_entropy_argmin(want)
 
-    @pytest.mark.parametrize("window", ["pair", "triple"])
-    def test_forget_and_append_matches_the_loop(self, window):
+    def test_forget_and_append_matches_the_loop(self):
         rng = np.random.default_rng(21)
         mem = ref = ShortTermMemory(capacity=8)
         for step in range(1000):
             h = rng.normal(size=6)
             c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
-            mem = forget_and_append(mem, h, c, window=window)
-            ref = loop_forget_and_append(ref, h, c, window=window)
+            mem = forget_and_append(mem, h, c)
+            ref = loop_forget_and_append(ref, h, c)
             assert mem.confidences == ref.confidences, step
             assert [e.tobytes() for e in mem.entries] == [e.tobytes() for e in ref.entries]
         assert len(mem) == 8
@@ -398,21 +400,14 @@ class TestWeightDecision:
 
 
 class TestCrossEntropy:
-    def test_perfect_match_is_zero_both_modes(self):
+    def test_perfect_match_is_zero(self):
         e = np.array([0.0, 0.0, 1.0, 0.0])
         assert cross_entropy(e, e) == 0.0
-        assert cross_entropy(e, e, literal=True) == 0.0
 
     def test_hand_case(self):
         e = np.array([1.0, 0.0, 0.0, 0.0])
         a = np.array([0.7, 0.1, 0.1, 0.1])
         assert cross_entropy(a, e) == pytest.approx(-math.log(0.7), abs=1e-9)
-
-    def test_literal_mode_finite_for_one_hot_expert(self):
-        e = np.array([1.0, 0.0, 0.0, 0.0])
-        a = np.array([0.7, 0.1, 0.1, 0.1])
-        value = cross_entropy(a, e, literal=True)
-        assert math.isfinite(value) and value > 0
 
     def test_nonnegative_and_minimized_at_target(self):
         # grid search over the 4-simplex: nothing beats a = e
@@ -431,16 +426,15 @@ class TestCrossEntropy:
                     assert value >= 0.0
                     assert value >= best - 1e-12
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_rows_of_a_batch_score_as_single_vectors(self, literal):
+    def test_rows_of_a_batch_score_as_single_vectors(self):
         rng = np.random.default_rng(12)
         a = rng.random((9, 4))
         a[3] = [1.0, 0.0, 0.0, 0.0]
         a = a / a.sum(axis=1, keepdims=True)
         e = np.eye(4)[rng.integers(0, 4, size=9)]
-        losses = cross_entropy(a, e, literal=literal)
+        losses = cross_entropy(a, e)
         assert losses.shape == (9,)
-        want = [loop_cross_entropy(row_a, row_e, literal=literal) for row_a, row_e in zip(a, e)]
+        want = [loop_cross_entropy(row_a, row_e) for row_a, row_e in zip(a, e)]
         assert losses.tobytes() == np.array(want).tobytes()
-        single = cross_entropy(a[0], e[0], literal=literal)
+        single = cross_entropy(a[0], e[0])
         assert isinstance(single, float) and single == want[0]

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -145,7 +144,7 @@ class TestWholeTaskMetrics:
         res = EpisodeResult("t", (rec(True, gt=4.0, path=2.0),))  # shorter than gt
         assert spl([res]) == 1.0
 
-    def test_mean_ne_literal_mode_drops_truncated(self):
+    def test_mean_ne_counts_truncated_subtasks(self):
         res = EpisodeResult(
             "t",
             (
@@ -154,11 +153,8 @@ class TestWholeTaskMetrics:
             ),
         )
         assert mean_ne([res]) == 1.25
-        assert mean_ne([res], literal=True) == 0.5
-
-    def test_mean_ne_all_truncated_literal_is_nan(self):
-        res = EpisodeResult("t", (rec(False, ne=2.0, truncated=True),))
-        assert math.isnan(mean_ne([res], literal=True))
+        all_truncated = EpisodeResult("t", (rec(False, ne=2.0, truncated=True),))
+        assert mean_ne([all_truncated]) == 2.0
 
 
 @st.composite

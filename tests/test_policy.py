@@ -129,10 +129,9 @@ def random_features(rng, backend, n):
 
 
 class TestGradient:
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_matches_central_finite_differences(self, literal):
+    def test_matches_central_finite_differences(self):
         npr = np.random.default_rng(17)
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=3, literal_ce=literal)
+        backend = LinearSoftmaxBackend(embed_dim=2, seed=3)
         X = random_features(npr, backend, 6)
         y = npr.integers(0, 4, size=6)
         for draw in range(10):
@@ -162,17 +161,15 @@ class TestBatchedLossMatchesLoop:
         embed_dim=st.integers(1, 20),
         n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 40), st.sampled_from([400, 1500])),
         scale=st.sampled_from([1e-3, 0.01, 1.0, 30.0, 1e3, 1e6]),
-        literal=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(embed_dim=1, n=1, scale=1e6, literal=False, seed=0)
-    @example(embed_dim=1, n=1, scale=1e6, literal=True, seed=0)
-    @example(embed_dim=16, n=2, scale=1e3, literal=True, seed=3)
-    def test_loss_and_gradient_bit_equal(self, embed_dim, n, scale, literal, seed):
+    @example(embed_dim=1, n=1, scale=1e6, seed=0)
+    @example(embed_dim=16, n=2, scale=1e3, seed=3)
+    def test_loss_and_gradient_bit_equal(self, embed_dim, n, scale, seed):
         # zeroed features and saturated softmax rows make signed-zero terms,
         # which only a sum started from 0.0 reproduces
         npr = np.random.default_rng(seed)
-        backend = LinearSoftmaxBackend(embed_dim=embed_dim, literal_ce=literal)
+        backend = LinearSoftmaxBackend(embed_dim=embed_dim)
         backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
         X = npr.normal(size=(n, backend.feature_dim))
         X[npr.random(X.shape) < 0.5] = 0.0
@@ -183,12 +180,11 @@ class TestBatchedLossMatchesLoop:
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_large_batch_bit_equal_in_bounded_memory(self, literal):
+    def test_large_batch_bit_equal_in_bounded_memory(self):
         # the gradient's outer products are held a block at a time, so a
         # 5000 x 260 batch never holds all 41.6 MB of them at once
         npr = np.random.default_rng(11)
-        backend = LinearSoftmaxBackend(literal_ce=literal)
+        backend = LinearSoftmaxBackend()
         backend.set_params(npr.normal(0.0, 1.0, size=backend.get_params().shape))
         X = npr.normal(size=(5000, backend.feature_dim))
         X[npr.random(X.shape) < 0.3] = 0.0
@@ -204,17 +200,16 @@ class TestBatchedLossMatchesLoop:
         assert grad.tobytes() == want_grad.tobytes()
         assert peak < 8e6
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_training_run_bit_equal(self, two_room_scene, literal, monkeypatch):
+    def test_training_run_bit_equal(self, two_room_scene, monkeypatch):
         # 300 epochs on imitation data from the memory policy's own feature
         # pipeline, as the offline benchmark trains
-        backend = LinearSoftmaxBackend(seed=0, literal_ce=literal)
+        backend = LinearSoftmaxBackend(seed=0)
         dataset = []
         for seed in range(6):
             task = sample_task(two_room_scene, ROBOTS["stretch"], seed=seed)
             dataset += policy.collect_imitation_dataset(two_room_scene, task, backend)
         assert len(dataset) >= 100
-        loop_backend = LinearSoftmaxBackend(seed=0, literal_ce=literal)
+        loop_backend = LinearSoftmaxBackend(seed=0)
         report = train_backend(backend, dataset, epochs=300)
         monkeypatch.setattr(policy, "loss_and_grad", loop_loss_and_grad)
         want = train_backend(loop_backend, dataset, epochs=300)
@@ -309,14 +304,17 @@ class TestTraining:
         loaded = LinearSoftmaxBackend.load(path)
         assert np.array_equal(loaded.get_params(), backend.get_params())
 
-    def test_weights_keep_literal_ce(self, tmp_path):
+    def test_weights_in_the_older_format_load(self, tmp_path):
+        # older weights files carry a literal_ce flag, which load ignores
+        backend = LinearSoftmaxBackend(embed_dim=2, seed=9)
         path = tmp_path / "weights.json"
-        LinearSoftmaxBackend(embed_dim=2, literal_ce=True).save(path)
-        assert LinearSoftmaxBackend.load(path).literal_ce is True
+        backend.save(path)
         payload = json.loads(path.read_text())
-        del payload["literal_ce"]
+        assert "literal_ce" not in payload
+        payload["literal_ce"] = False
         path.write_text(json.dumps(payload))
-        assert LinearSoftmaxBackend.load(path).literal_ce is False
+        loaded = LinearSoftmaxBackend.load(path)
+        assert loaded.get_params().tobytes() == backend.get_params().tobytes()
 
     @pytest.mark.parametrize(
         "field, value", [("n_actions", 5), ("embed_dim", 3), ("theta", [0.0] * 7)]

@@ -122,7 +122,10 @@ class TestRunEpisode:
 class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("policy", "bogus"), ("workers", 0), ("embed_dim", 1), ("budget", 0)],
+        [
+            ("policy", "bogus"), ("workers", 0), ("embed_dim", 1), ("budget", 0),
+            ("memory_capacity", 1), ("memory_capacity", 0),
+        ],
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -63,11 +63,6 @@ class TestSplitTrajectory:
         assert len(turn_segs) == 1
         assert turn_segs[0].start == 0 and turn_segs[0].end == 4
 
-    def test_literal_mode_drops_tail(self):
-        got = split_trajectory("FFLLFFFRRF", include_tail=False)
-        assert seg_tuples(got)[-1] == (TURN_RIGHT, 6, 9)
-        assert seg_tuples(split_trajectory("FFFF", include_tail=False)) == []
-
     def test_accepts_action_enums(self):
         actions = [Action.MOVE_FORWARD, Action.MOVE_FORWARD, Action.TURN_LEFT]
         assert seg_tuples(split_trajectory(actions)) == [(FORWARD, 0, 2)]
@@ -85,10 +80,8 @@ class TestSplitTrajectory:
         for n in range(1, 10):
             for combo in itertools.product("FLR", repeat=n):
                 sym = "".join(combo)
-                for tail in (True, False):
-                    _, expected = reference_split(sym, include_tail=tail)
-                    got = seg_tuples(split_trajectory(sym, include_tail=tail))
-                    assert got == expected, sym
+                _, expected = reference_split(sym)
+                assert seg_tuples(split_trajectory(sym)) == expected, sym
 
     def test_random_long_traces_match_reference(self):
         rng = random.Random(31)

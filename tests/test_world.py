@@ -207,6 +207,12 @@ class TestSceneValidation:
         with pytest.raises(SceneValidationError):
             Scene(grid=["...", "...", "..."], regions=[], objects=[])
 
+    @pytest.mark.parametrize("cell_size", [0.0, -0.25, math.inf, math.nan])
+    def test_cell_size_must_be_positive_and_finite(self, cell_size):
+        # cell_of divides by it when the objects are checked
+        with pytest.raises(SceneValidationError, match="cell_size"):
+            Scene(grid=["###", "#.#", "###"], regions=[], objects=[], cell_size=cell_size)
+
     def test_object_in_wall_rejected(self):
         from lhnav.world import ObjectInstance, Region
 
