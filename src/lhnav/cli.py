@@ -30,15 +30,19 @@ from .trajectory import Trajectory
 from .world import ROBOTS, Action, Scene, observe, stock_robot
 
 
-def _load_scenes(path: str) -> dict[str, Scene]:
-    p = Path(path)
+def _load_scenes(args) -> dict[str, Scene]:
+    """The scenes under --scenes; a missing or malformed file is a usage error."""
+    p = Path(args.scenes)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
     scenes = {}
     for f in files:
-        scene = Scene.load(f)
+        try:
+            scene = Scene.load(f)
+        except (OSError, ValueError) as exc:
+            args.usage_error(str(exc))
         scenes[scene.scene_id] = scene
     if not scenes:
-        raise FileNotFoundError(f"no scene files under {path}")
+        args.usage_error(f"no scene files under {args.scenes}")
     return scenes
 
 
@@ -72,7 +76,7 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
-    scenes = _load_scenes(args.scenes)
+    scenes = _load_scenes(args)
     endpoint = os.environ.get("LHNAV_LLM_ENDPOINT") or args.llm_endpoint
     robot = ROBOTS[args.robot]
     tasks = []
@@ -121,10 +125,10 @@ def cmd_rollout(args) -> int:
         args.usage_error(
             f"store file {cfg.store_path} does not exist or is not a regular file"
         )
-    scenes = _load_scenes(args.scenes)
+    scenes = _load_scenes(args)
     try:
         tasks = load_tasks(args.tasks)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         args.usage_error(str(exc))
     if not tasks:
         args.usage_error(f"task file {args.tasks} holds no tasks")
@@ -140,7 +144,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_split(args) -> int:
-    scenes = _load_scenes(args.scenes)
+    scenes = _load_scenes(args)
     p = Path(args.trajectories)
     files = sorted(p.glob("*.jsonl")) if p.is_dir() else [p]
     out_tasks = []
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chat-completion endpoint; LHNAV_LLM_ENDPOINT wins when set",
     )
     p.add_argument("--out", default="tasks.json")
-    p.set_defaults(func=cmd_gen_tasks)
+    p.set_defaults(func=cmd_gen_tasks, usage_error=p.error)
 
     p = sub.add_parser("rollout", help="run a policy over a task suite")
     p.add_argument("--scenes", required=True)

@@ -2,10 +2,11 @@
 
 Distances are 8-connected grid geodesics: axis steps cost one cell, diagonal
 steps cost sqrt(2) cells, and a diagonal move is legal only when both
-adjacent axis cells are free (no corner cutting).  Internally every distance
-is kept as an integer pair (axis steps, diagonal steps) so two independent
-implementations convert to meters through the identical expression and can
-be compared bit-for-bit.
+adjacent axis cells are free (no corner cutting).  Cells are flat indices
+i = row * cols + col.  Dijkstra keeps every distance internally as an integer
+pair (axis steps, diagonal steps) and a field stores the pair's exact float
+value axis + diag * sqrt(2), so two independent implementations that reduce
+to the same pair agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .world import Action, AgentState, Scene, bearing_to, subtask_success
+from .world import FREE, Action, AgentState, Scene, bearing_to, subtask_success
 from .world import RobotConfig, ROBOTS
 
 SQRT2 = math.sqrt(2.0)
@@ -26,78 +27,71 @@ class UnreachableTargetError(ValueError):
     pass
 
 
-def steps_to_meters(axis: int, diag: int, cell_size: float) -> float:
-    """Canonical conversion from step counts to meters."""
-    return (axis + diag * SQRT2) * cell_size
-
-
 @dataclass
 class GeodesicField:
-    """Distances from one source cell to every reachable cell."""
+    """Distances from one source cell to every cell, in cells."""
 
-    steps: dict[tuple[int, int], tuple[int, int]]  # cell -> (axis, diag)
-    cell_size: float
-
-    def distance(self, cell: tuple[int, int]) -> float:
-        s = self.steps.get(cell)
-        if s is None:
-            return UNREACHABLE
-        return steps_to_meters(s[0], s[1], self.cell_size)
+    value: list[float]  # flat index -> axis + diag * SQRT2; inf where unreachable
+    steps: list[int]  # the reached flat indices, in the order they settled
 
 
-def grid_neighbors(scene: Scene, cell: tuple[int, int]):
-    """Yield (neighbor, is_diagonal) moves legal from a cell."""
-    r, c = cell
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        if scene.is_free(r + dr, c + dc):
-            yield (r + dr, c + dc), False
-    for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-        if (
-            scene.is_free(r + dr, c + dc)
-            and scene.is_free(r + dr, c)
-            and scene.is_free(r, c + dc)
-        ):
-            yield (r + dr, c + dc), True
-
-
-def neighbor_table(scene: Scene) -> dict[tuple[int, int], tuple]:
-    """Every free cell's grid_neighbors moves, in the same order; built
-    once per scene."""
+def neighbor_table(scene: Scene) -> list:
+    """Per flat cell index, the legal moves as (axis moves, diagonal moves)
+    of flat indices, in the order up, down, left, right and up-left,
+    up-right, down-left, down-right; None for an occupied cell.  Built once
+    per scene; the occupied border keeps each move on the grid, unwrapped."""
     if scene._moves is None:
-        scene._moves = {
-            cell: tuple(grid_neighbors(scene, cell)) for cell in scene.free_cells()
-        }
+        cols = scene.cols
+        free = [ch == FREE for row in scene.grid for ch in row]
+        axis = (-cols, cols, -1, 1)
+        # (diagonal, its vertical axis neighbour, its horizontal one)
+        diag = tuple((dr * cols + dc, dr * cols, dc) for dr in (-1, 1) for dc in (-1, 1))
+        scene._moves = [
+            (
+                tuple(i + o for o in axis if free[i + o]),
+                tuple(i + o for o, v, h in diag if free[i + o] and free[i + v] and free[i + h]),
+            )
+            if is_free
+            else None
+            for i, is_free in enumerate(free)
+        ]
     return scene._moves
 
 
 def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
     """Dijkstra over the 8-connected grid from a source cell."""
+    if not scene.is_free(*source):
+        raise ValueError(f"source cell {source} is occupied or outside the grid")
     moves = neighbor_table(scene)
-    if source not in moves:
-        raise ValueError(f"source cell {source} is occupied")
-    steps: dict[tuple[int, int], tuple[int, int]] = {source: (0, 0)}
+    src = source[0] * scene.cols + source[1]
+    # (axis, diag) steps of each cell, read only once the cell is reached
+    pair = [(0, 0)] * len(moves)
     # priority uses the float value axis + diag * SQRT2; distinct (axis,
     # diag) pairs cannot collide at grid scale because sqrt(2) is irrational
-    value: dict[tuple[int, int], float] = {source: 0.0}
-    heap: list[tuple[float, int, int]] = [(0.0, *source)]
-    done: set[tuple[int, int]] = set()
+    value = [UNREACHABLE] * len(moves)
+    value[src] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, src)]
+    steps: list[int] = []
     while heap:
-        _, r, c = heapq.heappop(heap)
-        cell = (r, c)
-        if cell in done:
+        val, i = heapq.heappop(heap)
+        if val > value[i]:  # superseded by a shorter pair pushed later
             continue
-        done.add(cell)
-        a, d = steps[cell]
-        axis_step, axis_val = (a + 1, d), (a + 1) + d * SQRT2
-        diag_step, diag_val = (a, d + 1), a + (d + 1) * SQRT2
-        for nb, diag in moves[cell]:
-            val = diag_val if diag else axis_val
-            cur = value.get(nb)
-            if cur is None or val < cur:
-                steps[nb] = diag_step if diag else axis_step
-                value[nb] = val
-                heapq.heappush(heap, (val, *nb))
-    return GeodesicField(steps=steps, cell_size=scene.cell_size)
+        steps.append(i)
+        a, d = pair[i]
+        axis_moves, diag_moves = moves[i]
+        val, step = (a + 1) + d * SQRT2, (a + 1, d)
+        for j in axis_moves:
+            if val < value[j]:
+                value[j] = val
+                pair[j] = step
+                heapq.heappush(heap, (val, j))
+        val, step = a + (d + 1) * SQRT2, (a, d + 1)
+        for j in diag_moves:
+            if val < value[j]:
+                value[j] = val
+                pair[j] = step
+                heapq.heappush(heap, (val, j))
+    return GeodesicField(value=value, steps=steps)
 
 
 def field_from(scene: Scene, source: tuple[int, int]) -> GeodesicField:
@@ -108,6 +102,14 @@ def field_from(scene: Scene, source: tuple[int, int]) -> GeodesicField:
         f = compute_field(scene, source)
         cache[source] = f
     return f  # type: ignore[return-value]
+
+
+def _not_free(scene: Scene, point: tuple[float, float], cell: tuple[int, int]):
+    """The error for a point whose cell is not free.  Queries check first:
+    a flat index of a cell off the grid would wrap onto another cell."""
+    if 0 <= cell[0] < scene.rows and 0 <= cell[1] < scene.cols:
+        return ValueError(f"point {point} lies in an occupied cell")
+    return ValueError(f"point {point} lies outside the grid")
 
 
 def geodesic_distance(
@@ -124,30 +126,25 @@ def geodesic_distance(
     ca = scene.cell_of(a)
     cb = scene.cell_of(b)
     if not scene.is_free(*ca):
-        raise ValueError(f"point {a} lies in an occupied cell")
+        raise _not_free(scene, a, ca)
     if not scene.is_free(*cb):
-        raise ValueError(f"point {b} lies in an occupied cell")
-    return field_from(scene, cb).distance(ca)
+        raise _not_free(scene, b, cb)
+    return field_from(scene, cb).value[ca[0] * scene.cols + ca[1]] * scene.cell_size
 
 
 # -- expert policy ----------------------------------------------------------
 
-def _next_waypoint(
-    scene: Scene, field: GeodesicField, cell: tuple[int, int]
-) -> tuple[int, int] | None:
-    """The adjacent cell that strictly descends the distance field; the
-    fixed grid_neighbors order keeps the choice deterministic."""
+def _next_waypoint(scene: Scene, field: GeodesicField, i: int) -> int | None:
+    """The adjacent flat cell that strictly descends the distance field;
+    the fixed neighbor_table order keeps the choice deterministic."""
+    value = field.value
     best = None
-    best_key = field.steps[cell]
-    best_val = best_key[0] + best_key[1] * SQRT2
-    for nb, _ in neighbor_table(scene)[cell]:
-        s = field.steps.get(nb)
-        if s is None:
-            continue
-        val = s[0] + s[1] * SQRT2
-        if val < best_val:
-            best_val = val
-            best = nb
+    best_val = value[i]
+    axis_moves, diag_moves = neighbor_table(scene)[i]
+    for j in axis_moves + diag_moves:
+        if value[j] < best_val:
+            best_val = value[j]
+            best = j
     return best
 
 
@@ -164,24 +161,21 @@ def expert_next_action(
     forward.  A 180 degree tie turns left.
     """
     robot = robot or ROBOTS["spot"]
+    # the success predicate also checks that both points lie on free cells
     if subtask_success(scene, state, target):
         return Action.STOP
     obj = scene.object(target)
-    target_cell = scene.cell_of(obj.position)
-    field = field_from(scene, target_cell)
-    cell = scene.cell_of(state.position)
-    if cell not in field.steps:
-        raise UnreachableTargetError(f"target {target!r} unreachable from {cell}")
-    if cell == target_cell:
+    field = field_from(scene, scene.cell_of(obj.position))
+    row, col = scene.cell_of(state.position)
+    i = row * scene.cols + col
+    if field.value[i] == UNREACHABLE:
+        raise UnreachableTargetError(f"target {target!r} unreachable from {(row, col)}")
+    waypoint = _next_waypoint(scene, field, i)
+    if waypoint is None:  # only the target cell itself has no descent
         aim = obj.position
     else:
-        waypoint = _next_waypoint(scene, field, cell)
-        if waypoint is None:  # only the target cell itself has no descent
-            aim = obj.position
-        else:
-            aim = scene.cell_center(waypoint)
+        aim = scene.cell_center(divmod(waypoint, scene.cols))
     error = bearing_to(state, aim)
     if abs(error) <= robot.turn_step / 2.0:
         return Action.MOVE_FORWARD
     return Action.TURN_LEFT if error > 0 else Action.TURN_RIGHT
-

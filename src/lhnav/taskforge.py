@@ -310,11 +310,13 @@ def sample_spawn(scene: Scene, task: TaskSpec) -> AgentState:
     rng = random.Random(f"spawn:{task.scene_id}:{task.seed}")
     first = scene.object(task.move_targets()[0].object_id)
     field = field_from(scene, scene.cell_of(first.position))
+    # flat indices sort row-major, as the cells they stand for
     reachable = sorted(field.steps)
-    eligible = [c for c in reachable if field.distance(c) >= MIN_TARGET_SEPARATION]
+    meters = {i: field.value[i] * scene.cell_size for i in reachable}
+    eligible = [i for i in reachable if meters[i] >= MIN_TARGET_SEPARATION]
     if not eligible:
-        eligible = [max(reachable, key=lambda c: (field.distance(c), c))]
-    cell = rng.choice(eligible)
+        eligible = [max(reachable, key=lambda i: (meters[i], i))]
+    cell = divmod(rng.choice(eligible), scene.cols)
     heading = normalize_heading(rng.uniform(0.0, 360.0))
     return AgentState(position=scene.cell_center(cell), heading=heading)
 

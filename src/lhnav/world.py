@@ -185,10 +185,10 @@ class Scene:
 
     def _clear_caches(self) -> None:
         # per-instance caches: the expert module's geodesic fields keyed by
-        # source cell and legal moves of every free cell, and the sensing
-        # lines of the last observed position
+        # source cell and legal moves of every flat cell index, and the
+        # sensing lines of the last observed position
         self._field_cache: dict[tuple[int, int], object] = {}
-        self._moves: dict | None = None
+        self._moves: list | None = None
         self._sight_memo: tuple | None = None
 
     def __getstate__(self) -> dict:

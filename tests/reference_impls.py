@@ -1,6 +1,7 @@
 """Brute-force reference implementations the production code is tested
 against.  Deliberately primitive: plain loops, no shared helpers."""
 
+import heapq
 import math
 from collections import Counter
 
@@ -368,3 +369,99 @@ def reference_tag_segment(scene, steps, segment, robot=None):
         Tag(name=name, kind=kind, confidence=count / n_steps)
         for (name, kind), count in ranked[:5]
     )
+
+
+# -- geodesic fields on (row, col) tuples and (axis, diag) step pairs -------------
+#
+# The move table, Dijkstra field and waypoint choice that lhnav.expert
+# replaced with flat cell indices, kept line for line, so the flat lists can
+# be checked bit for bit against them.  The one change: the move table is
+# built by the caller and passed in, not cached on the scene, whose cache
+# slot now holds the flat table.
+
+SQRT2 = math.sqrt(2.0)
+
+
+def steps_to_meters(axis, diag, cell_size):
+    """Canonical conversion from step counts to meters."""
+    return (axis + diag * SQRT2) * cell_size
+
+
+class StepPairField:
+    """Distances from one source cell to every reachable cell."""
+
+    def __init__(self, steps, cell_size):
+        self.steps = steps  # cell -> (axis, diag)
+        self.cell_size = cell_size
+
+    def distance(self, cell):
+        s = self.steps.get(cell)
+        if s is None:
+            return math.inf
+        return steps_to_meters(s[0], s[1], self.cell_size)
+
+
+def grid_neighbors(scene, cell):
+    """Yield (neighbor, is_diagonal) moves legal from a cell."""
+    r, c = cell
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        if scene.is_free(r + dr, c + dc):
+            yield (r + dr, c + dc), False
+    for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        if (
+            scene.is_free(r + dr, c + dc)
+            and scene.is_free(r + dr, c)
+            and scene.is_free(r, c + dc)
+        ):
+            yield (r + dr, c + dc), True
+
+
+def reference_neighbor_table(scene):
+    """Every free cell's grid_neighbors moves, in the same order."""
+    return {cell: tuple(grid_neighbors(scene, cell)) for cell in scene.free_cells()}
+
+
+def reference_compute_field(scene, source, moves):
+    """Dijkstra over the 8-connected grid from a source cell."""
+    if source not in moves:
+        raise ValueError(f"source cell {source} is occupied")
+    steps = {source: (0, 0)}
+    # priority uses the float value axis + diag * SQRT2; distinct (axis,
+    # diag) pairs cannot collide at grid scale because sqrt(2) is irrational
+    value = {source: 0.0}
+    heap = [(0.0, *source)]
+    done = set()
+    while heap:
+        _, r, c = heapq.heappop(heap)
+        cell = (r, c)
+        if cell in done:
+            continue
+        done.add(cell)
+        a, d = steps[cell]
+        axis_step, axis_val = (a + 1, d), (a + 1) + d * SQRT2
+        diag_step, diag_val = (a, d + 1), a + (d + 1) * SQRT2
+        for nb, diag in moves[cell]:
+            val = diag_val if diag else axis_val
+            cur = value.get(nb)
+            if cur is None or val < cur:
+                steps[nb] = diag_step if diag else axis_step
+                value[nb] = val
+                heapq.heappush(heap, (val, *nb))
+    return StepPairField(steps=steps, cell_size=scene.cell_size)
+
+
+def reference_next_waypoint(scene, field, cell, moves):
+    """The adjacent cell that strictly descends the distance field; the
+    fixed grid_neighbors order keeps the choice deterministic."""
+    best = None
+    best_key = field.steps[cell]
+    best_val = best_key[0] + best_key[1] * SQRT2
+    for nb, _ in moves[cell]:
+        s = field.steps.get(nb)
+        if s is None:
+            continue
+        val = s[0] + s[1] * SQRT2
+        if val < best_val:
+            best_val = val
+            best = nb
+    return best

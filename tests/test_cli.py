@@ -216,6 +216,53 @@ class TestUsageErrors:
         assert episodes == []
 
     @pytest.mark.parametrize(
+        "command, fault",
+        [
+            ("rollout", "missing-tasks"),
+            ("rollout", "missing-scene"),
+            ("rollout", "malformed-scene"),
+            ("rollout", "empty-scene-dir"),
+            ("gen-tasks", "missing-scene"),
+            ("gen-tasks", "malformed-scene"),
+            ("split", "missing-scene"),
+            ("split", "malformed-scene"),
+        ],
+    )
+    def test_bad_input_file_is_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, command, fault
+    ):
+        from lhnav.taskforge import sample_task, save_tasks
+
+        good_scene, tasks = tmp_path / "scene.json", tmp_path / "t.json"
+        two_room_scene.save(good_scene)
+        save_tasks([sample_task(two_room_scene, seed=7)], tasks)
+        scenes, named = good_scene, tmp_path / "none.json"
+        if fault == "missing-tasks":
+            tasks = named
+        elif fault == "missing-scene":
+            scenes = named
+        elif fault == "malformed-scene":
+            scenes = named = tmp_path / "bad.json"
+            scenes.write_text(json.dumps({"grid": ["###", "#.#", "###"]}))
+        else:
+            scenes = named = tmp_path / "empty"
+            scenes.mkdir()
+        (tmp_path / "trajectories").mkdir()
+        out = tmp_path / "out"
+        argv = {
+            "rollout": ["--scenes", scenes, "--tasks", tasks],
+            "gen-tasks": ["--scenes", scenes, "--count", "1"],
+            "split": ["--trajectories", tmp_path / "trajectories", "--scenes", scenes],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *map(str, argv), "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: lhnav {command}")
+        assert str(named) in err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (["gen-scene", "--size", "3"], "size"),

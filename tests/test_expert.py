@@ -4,11 +4,12 @@ import random
 import pytest
 
 from lhnav.expert import (
+    SQRT2,
     UnreachableTargetError,
+    _next_waypoint,
     compute_field,
     expert_next_action,
     geodesic_distance,
-    grid_neighbors,
     neighbor_table,
 )
 from lhnav.policy import ExpertPolicy
@@ -18,7 +19,13 @@ from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, Scene, subtask_success
 
 from conftest import scene_from
-from reference_impls import relaxation_distances
+from reference_impls import (
+    grid_neighbors,
+    reference_compute_field,
+    reference_neighbor_table,
+    reference_next_waypoint,
+    relaxation_distances,
+)
 
 SPOT = ROBOTS["spot"]
 
@@ -37,6 +44,34 @@ def expert_episode(scene, start, targets, budget=500):
     return run_episode(scene, task, ExpertPolicy(), RunConfig(budget=budget), start=start)
 
 
+def random_grid(rng, size):
+    """A bordered square grid with about a quarter of its inner cells
+    blocked."""
+    rows = []
+    for r in range(size):
+        if r in (0, size - 1):
+            rows.append("#" * size)
+        else:
+            rows.append(
+                "#"
+                + "".join("#" if rng.random() < 0.25 else "." for _ in range(size - 2))
+                + "#"
+            )
+    return rows
+
+
+def step_pair(value):
+    """The one (axis, diag) pair whose value axis + diag * SQRT2 is exactly
+    the given float."""
+    pairs = [
+        (round(value - d * SQRT2), d)
+        for d in range(int(value / SQRT2) + 1)
+        if round(value - d * SQRT2) + d * SQRT2 == value
+    ]
+    assert len(pairs) == 1, (value, pairs)
+    return pairs[0]
+
+
 class TestGeodesicDistance:
     def test_identity(self, corridor_scene):
         p = corridor_scene.cell_center((1, 3))
@@ -53,8 +88,24 @@ class TestGeodesicDistance:
         assert geodesic_distance(sealed_scene, a, b) == math.inf
 
     def test_occupied_endpoint_raises(self, corridor_scene):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="occupied cell"):
             geodesic_distance(corridor_scene, (0.1, 0.1), (0.375, 0.375))
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (-0.375, 0.625),  # left: (2, -2) would wrap onto free (1, 7)
+            (2.625, 0.125),  # right: (0, 10) would wrap onto free (1, 1)
+            (0.375, -0.375),  # above: (-2, 1) would count back to free (1, 1)
+            (0.375, 0.875),  # below: (3, 1) is past the end of the grid
+        ],
+        ids=["left", "right", "above", "below"],
+    )
+    def test_off_grid_endpoint_raises(self, corridor_scene, point):
+        inside = corridor_scene.cell_center((1, 3))
+        for a, b in ((point, inside), (inside, point)):
+            with pytest.raises(ValueError, match="outside the grid"):
+                geodesic_distance(corridor_scene, a, b)
 
     def test_symmetry(self, open_scene):
         rng = random.Random(0)
@@ -70,18 +121,7 @@ class TestGeodesicDistance:
         rng = random.Random(2024)
         for trial in range(500):
             size = 20
-            rows = []
-            for r in range(size):
-                if r in (0, size - 1):
-                    rows.append("#" * size)
-                else:
-                    rows.append(
-                        "#"
-                        + "".join(
-                            "#" if rng.random() < 0.25 else "." for _ in range(size - 2)
-                        )
-                        + "#"
-                    )
+            rows = random_grid(rng, size)
             free = [
                 (r, c)
                 for r in range(size)
@@ -92,23 +132,33 @@ class TestGeodesicDistance:
                 continue
             scene = Scene(grid=rows, regions=[], objects=[], seed=trial)
             src = rng.choice(free)
+            expected = relaxation_distances(rows, src)
+            field = compute_field(scene, src)
+            # exact: both reduce to (axis, diag) counts; occupied and
+            # unreachable cells are inf
+            for i, value in enumerate(field.value):
+                cell = divmod(i, size)
+                assert value * scene.cell_size == expected.get(cell, math.inf), (trial, cell)
             dst = rng.choice(free)
-            expected = relaxation_distances(rows, src).get(dst, math.inf)
-            got = geodesic_distance(
-                scene, scene.cell_center(src), scene.cell_center(dst)
-            )
-            assert got == expected  # exact: both reduce to (axis, diag) counts
+            assert geodesic_distance(
+                scene, scene.cell_center(dst), scene.cell_center(src)
+            ) == expected.get(dst, math.inf)
 
     def test_field_invariants(self, open_scene):
+        cols = open_scene.cols
         field = compute_field(open_scene, (2, 2))
-        assert field.distance((2, 2)) == 0.0
+        assert field.value[2 * cols + 2] == 0.0
+        # the reached cells are the finite ones, each listed once
+        assert sorted(field.steps) == [i for i, v in enumerate(field.value) if v < math.inf]
+        assert len(set(field.steps)) == len(field.steps)
+        steps = {divmod(i, cols): step_pair(field.value[i]) for i in field.steps}
         # every other reached cell has a legal neighbor exactly one move
         # closer to the source, so distances decrease along a path to it
-        for cell, (axis, diag) in field.steps.items():
+        for cell, (axis, diag) in steps.items():
             if cell == (2, 2):
                 continue
             assert any(
-                field.steps.get(nb) == ((axis, diag - 1) if is_diag else (axis - 1, diag))
+                steps.get(nb) == ((axis, diag - 1) if is_diag else (axis - 1, diag))
                 for nb, is_diag in grid_neighbors(open_scene, cell)
             ), cell
 
@@ -133,9 +183,53 @@ class TestFieldReuse:
         for seed, size, regions in ((1, 24, 4), (2, 13, 2), (3, 31, 9)):
             scene = generate_scene(seed=seed, size=size, regions=regions)
             table = neighbor_table(scene)
-            assert sorted(table) == scene.free_cells()
-            for cell in scene.free_cells():
-                assert list(table[cell]) == list(grid_neighbors(scene, cell))
+            assert len(table) == scene.rows * scene.cols
+            free = set(scene.free_cells())
+            for i, moves in enumerate(table):
+                cell = divmod(i, scene.cols)
+                if cell not in free:
+                    assert moves is None, cell
+                    continue
+                axis_moves, diag_moves = moves
+                assert [(divmod(j, scene.cols), False) for j in axis_moves] + [
+                    (divmod(j, scene.cols), True) for j in diag_moves
+                ] == list(grid_neighbors(scene, cell))
+
+
+class TestFieldMatchesReference:
+    @pytest.mark.parametrize("size, regions", [(13, 2), (24, 4), (31, 9)])
+    def test_generated_scenes(self, size, regions):
+        for seed in range(4):
+            scene = generate_scene(seed=seed + 50, size=size, regions=regions)
+            rng = random.Random(seed)
+            sources = {scene.cell_of(o.position) for o in scene.objects}
+            self._check(scene, sources | set(rng.sample(scene.free_cells(), 4)))
+
+    def test_random_grids(self):
+        # scattered blocks leave many cells with two equally close
+        # neighbors, an axis and a diagonal one among them, where the
+        # waypoint order decides
+        rng = random.Random(11)
+        for trial in range(40):
+            scene = Scene(grid=random_grid(rng, 16), regions=[], objects=[], seed=trial)
+            self._check(scene, set(rng.sample(scene.free_cells(), 3)))
+
+    @staticmethod
+    def _check(scene, sources):
+        moves = reference_neighbor_table(scene)
+        for source in sorted(sources):
+            field = compute_field(scene, source)
+            ref = reference_compute_field(scene, source, moves)
+            assert len(field.steps) == len(ref.steps)
+            for i, value in enumerate(field.value):
+                cell = divmod(i, scene.cols)
+                assert value * scene.cell_size == ref.distance(cell), (source, cell)
+            for cell in ref.steps:
+                waypoint = _next_waypoint(scene, field, cell[0] * scene.cols + cell[1])
+                expected = reference_next_waypoint(scene, ref, cell, moves)
+                assert (None if waypoint is None else divmod(waypoint, scene.cols)) == (
+                    expected
+                ), (source, cell)
 
 
 class TestExpertNextAction:

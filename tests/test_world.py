@@ -80,6 +80,45 @@ class TestApplyAction:
             assert open_scene.is_free(*open_scene.cell_of(s.position))
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.sampled_from([13, 24, 31]),
+        robot=st.sampled_from(
+            [SPOT, RobotConfig(name="fine", forward_step=0.1, turn_step=7.5),
+             RobotConfig(name="coarse", forward_step=0.3, turn_step=90.0)]
+        ),
+        data=st.data(),
+    )
+    def test_fuzz_generated_scenes(self, seed, size, robot, data):
+        from lhnav.scenegen import generate_scene
+
+        scene = generate_scene(seed=seed, size=size)
+        cs = scene.cell_size
+        row, col = data.draw(st.sampled_from(scene.free_cells()))
+        fx, fy = data.draw(st.sampled_from([(0.5, 0.5), (0.0, 0.0)]) | st.tuples(
+            st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
+        heading = data.draw(st.integers(0, 23).map(lambda k: k * 15.0) | st.floats(0.0, 359.999))
+        s = state((col + fx) * cs, (row + fy) * cs, heading)
+        for action in data.draw(st.lists(st.sampled_from(list(Action)), max_size=60)):
+            res = apply_action(scene, s, action, robot)
+            x, y = res.state.position
+            assert grid_is_free(scene.grid, math.floor(y / cs), math.floor(x / cs)), (s, action)
+            assert 0.0 <= res.state.heading < 360.0
+            if action == Action.MOVE_FORWARD:
+                rad = math.radians(s.heading)
+                nx = s.position[0] + robot.forward_step * math.cos(rad)
+                ny = s.position[1] + robot.forward_step * math.sin(rad)
+                blocked = not grid_is_free(scene.grid, math.floor(ny / cs), math.floor(nx / cs))
+                assert res.collided == blocked
+                assert res.state == (s if blocked else AgentState((nx, ny), s.heading))
+            else:
+                # turns and stop never move the agent
+                assert res.state.position == s.position and not res.collided
+                assert res.stopped == (action == Action.STOP)
+            s = res.state
+
+
 class TestObserve:
     def test_object_ahead_in_center_view(self, corridor_scene):
         # box at cell (1,5); stand 4 cells west facing east
