@@ -153,16 +153,21 @@ def expert_next_action(
     state: AgentState,
     target: str,
     robot: RobotConfig | None = None,
+    at_target: bool | None = None,
 ) -> Action:
     """Greedy pathfinder step toward a target object.
 
     Stops when the success predicate holds; otherwise turns toward the next
     waypoint while the heading error exceeds half a turn step, then moves
-    forward.  A 180 degree tie turns left.
+    forward.  A 180 degree tie turns left.  A caller that has already
+    judged subtask_success on this state and target passes it as
+    at_target, so that it is not judged twice.
     """
     robot = robot or ROBOTS["spot"]
     # the success predicate also checks that both points lie on free cells
-    if subtask_success(scene, state, target):
+    if at_target is None:
+        at_target = subtask_success(scene, state, target)
+    if at_target:
         return Action.STOP
     obj = scene.object(target)
     field = field_from(scene, scene.cell_of(obj.position))

@@ -8,20 +8,26 @@ the corresponding pair of memory entries is averaged into one slot before
 the new entry is appended.  Merging the most mutually redundant entries is
 what keeps distinctive low-confidence memories alive.
 
-Both hot paths are array operations.  The n-1 pair candidates of a
-confidence vector are the rows of one (n-1) x (n-1) matrix, and one
-row-wise formula gives every candidate's entropy.  Each long-term bucket
-holds an (m x dim) matrix of observation rows, the m row norms (computed
-once, when an entry is added) and an (m x 4) matrix of action rows, so a
-retrieval is one batched product over the bucket and one stable sort.
-Results are bit-identical to the per-entry loops they replace.
+Every step of the memory policy is array operations.  The short-term
+memory is a (capacity x dim) row buffer and a confidence vector, updated in
+place: a merge writes (a + b) / 2 into the first slot of the pair and
+shifts the later rows down with one slice copy, and the mean entry is one
+reduction over the first n rows.  The n-1 pair candidates of a confidence
+vector are the rows of one (n-1) x (n-1) matrix, and one row-wise formula
+gives every candidate's entropy.  Each long-term bucket holds an (m x dim)
+matrix of observation rows, the m row norms and an (m x 4) matrix of
+action rows, so a retrieval is one batched product over the bucket, one
+stable sort and one fancy index of each matrix.  A store file loads as one
+stacked matrix per target, its norms and checks computed over whole
+arrays.  Results are bit-identical to the per-entry loops and tuples they
+replace (tests/reference_impls.py).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -32,30 +38,48 @@ EPS = 1e-12
 N_ACTIONS = 4
 
 
-@dataclass(frozen=True)
 class ShortTermMemory:
-    entries: tuple[np.ndarray, ...] = ()
-    confidences: tuple[float, ...] = ()
-    capacity: int = 32
+    """Short-term memory: the first n rows of a (capacity x dim) buffer are
+    the entries in order, and the first n slots of a vector their
+    confidences.  forget_and_append updates it in place.  The first entry
+    fixes the row length and allocates the buffer."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries=(), confidences=(), capacity: int = 32) -> None:
         # forgetting merges two slots, so a memory of one slot cannot forget
-        if self.capacity < 2:
-            raise ValueError(f"capacity must be at least 2, got {self.capacity}")
-        if len(self.entries) != len(self.confidences):
+        if capacity < 2:
+            raise ValueError(f"capacity must be at least 2, got {capacity}")
+        if len(entries) != len(confidences):
             raise ValueError("entries and confidences must have equal length")
-        if len(self.entries) > self.capacity:
+        if len(entries) > capacity:
             raise ValueError("memory exceeds capacity")
-        if any(c <= 0 for c in self.confidences):
-            raise ValueError("confidences must be positive")
+        self.capacity = capacity
+        self._rows: np.ndarray | None = None
+        self._conf = np.empty(capacity)
+        self._n = 0
+        for entry, confidence in zip(entries, confidences):
+            forget_and_append(self, entry, confidence)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
+
+    @property
+    def entries(self) -> np.ndarray:
+        """A copy of the entry rows, oldest first."""
+        if self._rows is None:
+            return np.empty((0, 0))
+        return self._rows[: self._n].copy()
+
+    @property
+    def confidences(self) -> tuple[float, ...]:
+        return tuple(self._conf[: self._n].tolist())
 
     def mean_entry(self, dim: int) -> np.ndarray:
-        if not self.entries:
+        n = self._n
+        if not n:
             return np.zeros(dim)
-        return np.mean(np.stack(self.entries), axis=0)
+        # the bits of np.mean over a stack of the rows: they are added one
+        # after another, then divided
+        return np.add.reduce(self._rows[:n], axis=0) / n
 
 
 def pool_candidates(confidences) -> np.ndarray:
@@ -101,27 +125,38 @@ def entropy_argmin(candidates) -> int:
 def forget_and_append(
     mem: ShortTermMemory, h_new: np.ndarray, c_new: float
 ) -> ShortTermMemory:
-    """Append a new entry, merging one adjacent pair first when at capacity.
+    """Append a new entry, merging one adjacent pair first when at capacity,
+    and return the same memory.
 
     The merged slot carries the elementwise mean of the two embeddings and
-    the mean of their confidences.
+    the mean of their confidences; the later rows shift down one slot.
     """
-    if c_new <= 0:
-        raise ValueError("new confidence must be positive")
-    entries = list(mem.entries)
-    confs = list(mem.confidences)
-    if len(entries) >= mem.capacity:
-        lo = entropy_argmin(pool_candidates(confs))
-        hi = lo + 2
-        merged_entry = np.mean(np.stack(entries[lo:hi]), axis=0)
-        merged_conf = float(np.mean(confs[lo:hi]))
-        entries[lo:hi] = [merged_entry]
-        confs[lo:hi] = [merged_conf]
-    entries.append(np.asarray(h_new, dtype=float))
-    confs.append(float(c_new))
-    return ShortTermMemory(
-        entries=tuple(entries), confidences=tuple(confs), capacity=mem.capacity
-    )
+    c = float(c_new)
+    # negated so that a NaN fails the test too
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"confidence must be finite and positive, got {c}")
+    h = np.asarray(h_new, dtype=float)
+    rows, conf, n = mem._rows, mem._conf, mem._n
+    if rows is None:
+        if h.ndim != 1:
+            raise ValueError("a memory entry must be a vector")
+        rows = mem._rows = np.empty((mem.capacity, h.shape[0]))
+    if h.shape != rows.shape[1:]:
+        raise ValueError(
+            f"entry of shape {h.shape} does not match the memory's rows "
+            f"of length {rows.shape[1]}"
+        )
+    if n == mem.capacity:
+        lo = entropy_argmin(pool_candidates(conf[:n]))
+        rows[lo] = (rows[lo] + rows[lo + 1]) / 2
+        rows[lo + 1 : n - 1] = rows[lo + 2 : n]
+        conf[lo] = (conf[lo] + conf[lo + 1]) / 2
+        conf[lo + 1 : n - 1] = conf[lo + 2 : n]
+        n -= 1
+    rows[n] = h
+    conf[n] = c
+    mem._n = n + 1
+    return mem
 
 
 class _Bucket:
@@ -129,11 +164,16 @@ class _Bucket:
     their norms and action rows.  Iterating yields (obs, act) pairs.  The
     arrays grow by doubling, so an add copies O(dim) values amortized."""
 
-    def __init__(self, dim: int) -> None:
-        self._obs = np.empty((4, dim))
-        self._norms = np.empty(4)
-        self._acts = np.empty((4, N_ACTIONS))
-        self._m = 0
+    def __init__(self, obs: np.ndarray, norms: np.ndarray, acts: np.ndarray, m: int) -> None:
+        # the first m rows are the entries, the rest is room to grow
+        self._obs = obs
+        self._norms = norms
+        self._acts = acts
+        self._m = m
+
+    @classmethod
+    def empty(cls, dim: int) -> "_Bucket":
+        return cls(np.empty((4, dim)), np.empty(4), np.empty((4, N_ACTIONS)), 0)
 
     def __len__(self) -> int:
         return self._m
@@ -168,6 +208,28 @@ class _Bucket:
         self._m += 1
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a matrix, bit-equal to np.linalg.norm of
+    the row: a stack of row-by-column products is one np.dot per row."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+class TopK(Sequence):
+    """Retrieved entries in rank order: observation rows (k x dim) and
+    action rows (k x 4), each one fancy index of the bucket.  Item j is
+    the pair (obs[j], acts[j])."""
+
+    def __init__(self, obs: np.ndarray, acts: np.ndarray) -> None:
+        self.obs = obs
+        self.acts = acts
+
+    def __len__(self) -> int:
+        return self.acts.shape[0]
+
+    def __getitem__(self, j):
+        return self.obs[j], self.acts[j]
+
+
 def _check_length(target: str, bucket: _Bucket, embedding: np.ndarray) -> None:
     """A bucket holds embeddings of one length."""
     if embedding.shape != (bucket.dim,):
@@ -175,6 +237,36 @@ def _check_length(target: str, bucket: _Bucket, embedding: np.ndarray) -> None:
             f"target {target!r}: embedding of length {embedding.size} "
             f"does not match the bucket's length {bucket.dim}"
         )
+
+
+def _stacked_buckets(records) -> dict[str, _Bucket] | None:
+    """One bucket per target, built from the stacked rows of the (where,
+    target, obs, act) records, or None when a row fails a check of
+    LongTermStore.add."""
+    groups: dict = {}
+    try:
+        for _, target, obs, act in records:
+            group = groups.setdefault(target, ([], []))
+            group[0].append(obs)
+            group[1].append(act)
+    except TypeError:  # an unhashable target
+        return None
+    buckets = {}
+    for target, (obs, act) in groups.items():
+        try:
+            O = np.array(obs, dtype=float)
+            A = np.array(act, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if O.ndim != 2 or A.shape != (O.shape[0], N_ACTIONS):
+            return None
+        norms = row_norms(O)
+        if not (np.isfinite(norms).all() and norms.all()):
+            return None
+        if (A < 0).any() or not (np.abs(A.sum(axis=1) - 1.0) <= 1e-9).all():
+            return None
+        buckets[target] = _Bucket(O, norms, A, O.shape[0])
+    return buckets
 
 
 class LongTermStore:
@@ -211,7 +303,7 @@ class LongTermStore:
             raise ValueError("action distribution must be finite, nonnegative and sum to 1")
         bucket = self.buckets.get(target)
         if bucket is None:
-            bucket = self.buckets[target] = _Bucket(obs.shape[0])
+            bucket = self.buckets[target] = _Bucket.empty(obs.shape[0])
         _check_length(target, bucket, obs)
         bucket.append(obs, norm, act)
 
@@ -232,14 +324,14 @@ class LongTermStore:
         sims = dots / (bucket.norms * qn)
         return np.argsort(-sims, kind="stable").tolist()
 
-    def retrieve_topk(
-        self, target: str, query: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Top min(k, m) pairs by cosine similarity; empty bucket gives []."""
+    def retrieve_topk(self, target: str, query: np.ndarray) -> TopK:
+        """Top min(k, m) entries by cosine similarity; an empty or missing
+        bucket gives no rows."""
         bucket = self.buckets.get(target)
         if not bucket:
-            return []
-        return [(bucket.obs[j], bucket.acts[j]) for j in self.rank(target, query)[: self.k]]
+            return TopK(np.empty((0, np.size(query))), np.empty((0, N_ACTIONS)))
+        top = self.rank(target, query)[: self.k]
+        return TopK(bucket.obs[top], bucket.acts[top])
 
     # -- persistence ---------------------------------------------------------
 
@@ -259,8 +351,14 @@ class LongTermStore:
     @classmethod
     def load(cls, path: str | Path, k: int = 5) -> "LongTermStore":
         """Entries written by save; a bad line raises a ValueError naming
-        the path and the line number."""
-        store = cls(k=k)
+        the path and the line number.
+
+        Each target's rows are stacked and checked as arrays.  When a check
+        fails, the entries are added again one at a time in file order, so
+        that the error names the first bad line and what is wrong with it.
+        """
+        records = []
+        broken = None  # (message, cause) of the first line that is no entry
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -270,29 +368,49 @@ class LongTermStore:
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: not valid JSON ({exc})") from exc
+                    broken = (f"{where}: not valid JSON ({exc})", exc)
+                    break
                 if not isinstance(rec, dict) or not {"target", "obs", "act"} <= rec.keys():
-                    raise ValueError(f"{where}: a store entry needs target, obs and act")
+                    broken = (f"{where}: a store entry needs target, obs and act", None)
+                    break
+                obs = rec["obs"]
                 try:
-                    store.add(rec["target"], np.array(rec["obs"]), np.array(rec["act"]))
-                except (ValueError, TypeError) as exc:
-                    raise ValueError(f"{where}: {exc}") from exc
+                    # an array takes a quarter of the memory of a list of floats
+                    obs = np.array(obs)
+                except ValueError:
+                    pass  # raises again, naming the line, when added below
+                records.append((where, rec["target"], obs, rec["act"]))
+        store = cls(k=k)
+        buckets = None if broken else _stacked_buckets(records)
+        if buckets is not None:
+            store.buckets = buckets
+            return store
+        for where, target, obs, act in records:
+            try:
+                store.add(target, np.array(obs), np.array(act))
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        if broken is not None:
+            message, cause = broken
+            raise ValueError(message) from cause
         return store
 
 
-def weight_decision(
-    decision: np.ndarray, retrieved_acts: list[np.ndarray]
-) -> tuple[np.ndarray, bool]:
-    """Bias a decision vector by the mean of retrieved action distributions.
+def weight_decision(decision: np.ndarray, retrieved_acts) -> tuple[np.ndarray, bool]:
+    """Bias a decision vector by the mean of retrieved action distributions,
+    one per row of retrieved_acts (a (k x 4) array, such as TopK.acts, or
+    a list of vectors).
 
     Elementwise product, renormalized to sum 1; the argmax is unaffected by
     the normalization.  Returns (vector, degenerate) where degenerate means
     the product vanished everywhere and the input is passed through.
     """
-    if not retrieved_acts:
+    if not len(retrieved_acts):
         raise ValueError("need at least one retrieved action")
     a = np.asarray(decision, dtype=float)
-    avg = np.mean(np.stack([np.asarray(x, dtype=float) for x in retrieved_acts]), axis=0)
+    acts = np.asarray(retrieved_acts, dtype=float)
+    # the bits of np.mean, without its per-call overhead
+    avg = np.add.reduce(acts, axis=0) / acts.shape[0]
     weighted = a * avg
     total = float(weighted.sum())
     if total <= 0:

@@ -27,6 +27,7 @@ from .memory import (
     ShortTermMemory,
     cross_entropy,
     forget_and_append,
+    row_norms,
     weight_decision,
 )
 from .world import (
@@ -50,7 +51,8 @@ GRAD_BLOCK = 32
 class EmbeddingOracle:
     """Deterministic observation embeddings: every category owns a hashed
     coordinate, scaled by 1/(1+range) and L2-normalized.  An empty
-    observation maps to a fixed unit "void" vector."""
+    observation maps to a fixed unit "void" vector.  embed makes one pass
+    over an observation for its three view embeddings and the fused one."""
 
     def __init__(self, dim: int = 64):
         if dim < 2:
@@ -66,28 +68,55 @@ class EmbeddingOracle:
         v[self.index_for("__void__")] = 1.0
         return v
 
-    def _embed_pairs(self, pairs) -> np.ndarray:
-        if not pairs:
-            return self.void_vector()
-        v = np.zeros(self.dim)
-        for category, rng in pairs:
-            v[self.index_for(category)] += 1.0 / (1.0 + rng)
-        norm = float(np.linalg.norm(v))
-        return v / norm
+    def _embed_rows(self, pair_lists) -> np.ndarray:
+        """One row per list of (category, range) pairs: every category adds
+        1/(1+range) to its hashed coordinate, and the row is L2-normalized.
+        No pairs gives the void vector."""
+        rows = np.zeros((len(pair_lists), self.dim))
+        for row, pairs in zip(rows, pair_lists):
+            if not pairs:
+                row[self.index_for("__void__")] = 1.0
+            for category, rng in pairs:
+                row[self.index_for(category)] += 1.0 / (1.0 + rng)
+        # a void row has norm 1.0 exactly, so dividing leaves it as it is
+        rows /= row_norms(rows)[:, None]
+        return rows
 
-    def _embed_closest(self, sightings) -> np.ndarray:
-        """Embed the closest sighting of each category."""
-        closest: dict[str, float] = {}
-        for s in sightings:
-            if s.category not in closest or s.range < closest[s.category]:
-                closest[s.category] = s.range
-        return self._embed_pairs(sorted(closest.items()))
+    def _embed_pairs(self, pairs) -> np.ndarray:
+        return self._embed_rows([pairs])[0]
+
+    @staticmethod
+    def _closest(views) -> tuple[list, list]:
+        """The closest sighting of each category, as sorted (category,
+        range) pairs: one list per view, and the fused list over all the
+        views, from one pass over the sightings."""
+        per_view = []
+        fused: dict[str, float] = {}
+        for view in views:
+            closest: dict[str, float] = {}
+            for s in view.objects:
+                if s.category not in closest or s.range < closest[s.category]:
+                    closest[s.category] = s.range
+            per_view.append(sorted(closest.items()))
+            for category, rng in closest.items():
+                if category not in fused or rng < fused[category]:
+                    fused[category] = rng
+        return per_view, sorted(fused.items())
+
+    def embed(self, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
+        """The three view embeddings, concatenated, and the fused embedding
+        of an observation."""
+        per_view, fused = self._closest(obs.views)
+        rows = self._embed_rows(per_view + [fused])
+        return rows[:-1].reshape(-1), rows[-1]
 
     def embed_view(self, view: View) -> np.ndarray:
-        return self._embed_closest(view.objects)
+        per_view, _ = self._closest((view,))
+        return self._embed_pairs(per_view[0])
 
     def embed_observation(self, obs: Observation) -> np.ndarray:
-        return self._embed_closest(obs.visible())
+        _, fused = self._closest(obs.views)
+        return self._embed_pairs(fused)
 
 
 # -- backends -----------------------------------------------------------------
@@ -123,9 +152,14 @@ class LinearSoftmaxBackend:
     def features(
         self, ctx: StepContext, views: np.ndarray, memory: ShortTermMemory
     ) -> np.ndarray:
-        stage_hot = np.zeros(MAX_STAGES)
-        stage_hot[min(ctx.stage, MAX_STAGES - 1)] = 1.0
-        return np.concatenate([views, memory.mean_entry(self.embed_dim), stage_hot])
+        """A fresh row: the view embeddings, the mean short-term entry and
+        the stage one-hot."""
+        d = self.embed_dim
+        x = np.zeros(self.feature_dim)
+        x[: 3 * d] = views
+        x[3 * d : 4 * d] = memory.mean_entry(d)
+        x[4 * d + min(ctx.stage, MAX_STAGES - 1)] = 1.0
+        return x
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         logits = self.W @ x + self.b
@@ -177,6 +211,9 @@ class LinearSoftmaxBackend:
                 f"{path}: theta has {theta.size} values, "
                 f"embed_dim {backend.embed_dim} needs {expected}"
             )
+        if not np.isfinite(theta).all():
+            bad = int(np.flatnonzero(~np.isfinite(theta))[0])
+            raise ValueError(f"{path}: theta must be finite (value {bad} is {theta[bad]})")
         backend.set_params(theta)
         return backend
 
@@ -192,7 +229,9 @@ class _ImitationTeacher:
         self.dataset: list[tuple[np.ndarray, int]] = []
 
     def decide(self, ctx, views, memory):
-        action = expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        action = expert_mod.expert_next_action(
+            ctx.scene, ctx.state, ctx.target_id, ctx.robot, at_target=ctx.at_target
+        )
         features = self.student.features(ctx, views, memory)
         self.dataset.append((features, int(action)))
         return one_hot(action), float(self.student.probabilities(features).max())
@@ -321,12 +360,11 @@ def memory_policy_step(
     retrieved for the target's category, take the argmax, and fold the
     observation into short-term memory."""
     obs = observe(ctx.scene, ctx.state, ctx.robot)
-    views = np.concatenate([oracle.embed_view(v) for v in obs.views])
+    views, fused = oracle.embed(obs)
     decision, confidence = backend.decide(ctx, views, mem)
-    fused = oracle.embed_observation(obs)
-    retrieved = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
-    if retrieved:
-        decision, _ = weight_decision(decision, [act for _, act in retrieved])
+    top = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
+    if top:
+        decision, _ = weight_decision(decision, top.acts)
     action = Action(int(np.argmax(decision)))
     mem = forget_and_append(mem, fused, confidence)
     return action, mem
@@ -343,6 +381,8 @@ class StepContext:
     task: TaskSpec
     target_id: str
     stage: int           # ordinal of the current navigation stage
+    # subtask_success(scene, state, target_id) when the caller has it
+    at_target: bool | None = None
 
 
 class Policy(Protocol):
@@ -355,7 +395,9 @@ class ExpertPolicy:
     """Direct greedy-pathfinder control; the imitation target."""
 
     def act(self, ctx: StepContext) -> Action:
-        return expert_mod.expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        return expert_mod.expert_next_action(
+            ctx.scene, ctx.state, ctx.target_id, ctx.robot, at_target=ctx.at_target
+        )
 
 
 class RandomPolicy:

@@ -147,7 +147,8 @@ def run_episode(
             path_taken = 0.0
             stopped = False
             for _ in range(cfg.budget):
-                if subtask_success(scene, state, sub.object_id):
+                at_target = subtask_success(scene, state, sub.object_id)
+                if at_target:
                     oracle_hit = True
                 ctx = StepContext(
                     scene=scene,
@@ -156,6 +157,7 @@ def run_episode(
                     task=task,
                     target_id=sub.object_id,
                     stage=stage,
+                    at_target=at_target,
                 )
                 action = policy.act(ctx)
                 result = apply_action(scene, state, action, robot)

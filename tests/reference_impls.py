@@ -4,10 +4,11 @@ against.  Deliberately primitive: plain loops, no shared helpers."""
 import heapq
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from lhnav.memory import EPS, ShortTermMemory
+from lhnav.memory import EPS
 from lhnav.policy import one_hot
 from lhnav.splitter import Tag
 from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
@@ -189,7 +190,37 @@ def loop_entropy_argmin(candidates):
     return best_idx
 
 
+@dataclass(frozen=True)
+class TupleShortTermMemory:
+    """The short-term memory lhnav.memory.ShortTermMemory replaced: a
+    frozen pair of tuples, rebuilt by every append."""
+
+    entries: tuple = ()
+    confidences: tuple = ()
+    capacity: int = 32
+
+    def __post_init__(self):
+        if self.capacity < 2:
+            raise ValueError(f"capacity must be at least 2, got {self.capacity}")
+        if len(self.entries) != len(self.confidences):
+            raise ValueError("entries and confidences must have equal length")
+        if len(self.entries) > self.capacity:
+            raise ValueError("memory exceeds capacity")
+        if any(c <= 0 for c in self.confidences):
+            raise ValueError("confidences must be positive")
+
+    def __len__(self):
+        return len(self.entries)
+
+    def mean_entry(self, dim):
+        if not self.entries:
+            return np.zeros(dim)
+        return np.mean(np.stack(self.entries), axis=0)
+
+
 def loop_forget_and_append(mem, h_new, c_new):
+    """forget_and_append of the tuple memory, with per-candidate loops for
+    the pooling and the entropy argmin."""
     if c_new <= 0:
         raise ValueError("new confidence must be positive")
     entries = list(mem.entries)
@@ -203,9 +234,26 @@ def loop_forget_and_append(mem, h_new, c_new):
         confs[lo:hi] = [merged_conf]
     entries.append(np.asarray(h_new, dtype=float))
     confs.append(float(c_new))
-    return ShortTermMemory(
+    return TupleShortTermMemory(
         entries=tuple(entries), confidences=tuple(confs), capacity=mem.capacity
     )
+
+
+def reference_embed(oracle, sightings):
+    """The closest sighting of each category, embedded one view (or one
+    observation) at a time, as lhnav.policy.EmbeddingOracle did before its
+    one-pass form."""
+    closest = {}
+    for s in sightings:
+        if s.category not in closest or s.range < closest[s.category]:
+            closest[s.category] = s.range
+    v = np.zeros(oracle.dim)
+    if not closest:
+        v[oracle.index_for("__void__")] = 1.0
+        return v
+    for category, rng in sorted(closest.items()):
+        v[oracle.index_for(category)] += 1.0 / (1.0 + rng)
+    return v / float(np.linalg.norm(v))
 
 
 def loop_rank(bucket, query):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from lhnav.memory import (
 )
 
 from reference_impls import (
+    TupleShortTermMemory,
     entropy_argmin_oracle,
     loop_cross_entropy,
     loop_entropies,
@@ -144,6 +146,28 @@ class TestForgetAndAppend:
         merged_only = merged.confidences[:-1]
         assert sum(merged_only) == sum(confs) - (confs[idx] + confs[idx + 1]) / 2
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_confidence_must_be_finite_and_positive(self, c):
+        mem = ShortTermMemory(capacity=2)
+        forget_and_append(mem, np.ones(3), 0.5)
+        forget_and_append(mem, np.ones(3), 0.25)
+        with pytest.raises(ValueError, match="finite and positive"):
+            forget_and_append(mem, np.ones(3), c)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ShortTermMemory(entries=(np.ones(3),), confidences=(c,))
+        # nothing was merged or stored, so no NaN reaches a later merge
+        assert mem.confidences == (0.5, 0.25)
+
+    def test_entry_of_another_length_rejected(self):
+        mem = ShortTermMemory(capacity=4)
+        forget_and_append(mem, np.ones(3), 0.5)
+        with pytest.raises(ValueError, match="length 3"):
+            forget_and_append(mem, np.ones(4), 0.5)
+        with pytest.raises(ValueError, match="length 3"):
+            ShortTermMemory(entries=(np.ones(3), np.ones(2)), confidences=(0.5, 0.5))
+        assert len(mem) == 1
+        assert mem.mean_entry(3).tobytes() == np.ones(3).tobytes()
+
     def test_fuzz_never_exceeds_capacity(self):
         rng = random.Random(11)
         npr = np.random.default_rng(11)
@@ -180,7 +204,8 @@ class TestRetrieveTopk:
 
     def test_empty_bucket_returns_empty(self):
         store = LongTermStore()
-        assert store.retrieve_topk("ghost", np.array([1.0])) == []
+        top = store.retrieve_topk("ghost", np.array([1.0]))
+        assert not top and top.acts.shape == (0, 4)
 
     def test_embedding_length_must_match_bucket(self):
         store = LongTermStore()
@@ -241,10 +266,11 @@ class TestRetrieveTopk:
             '{"target": "cup", "obs": [NaN, 1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
             '{"target": "cup", "obs": [Infinity, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
             '{"target": "cup", "obs": [1.0, 0.0, 0.0], "act": [NaN, 0.0, 0.0, 1.0]}',
+            '{"target": "cup", "obs": [1' + "0" * 400 + ', 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
         ],
         ids=[
             "truncated", "not-json", "missing-obs", "not-an-object", "wrong-length",
-            "nan-obs", "infinite-obs", "nan-act",
+            "nan-obs", "infinite-obs", "nan-act", "integer-beyond-float",
         ],
     )
     def test_bad_line_names_path_and_line_number(self, tmp_path, bad_line):
@@ -255,6 +281,43 @@ class TestRetrieveTopk:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + bad_line + "\n")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 3\b"):
+            LongTermStore.load(path)
+
+
+class TestBatchedLoad:
+    def test_matches_per_row_add(self, tmp_path):
+        # targets interleaved in the file, one embedding length each
+        npr = np.random.default_rng(31)
+        dims = {"mug": 8, "cup": 64, "box": 1, "lamp": 65}
+        targets = list(dims)
+        ref = LongTermStore()
+        path = tmp_path / "store.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(600):
+                target = targets[int(npr.integers(len(targets)))]
+                obs = npr.normal(size=dims[target]) * npr.choice([1e-3, 1.0, 1e3])
+                act = npr.random(4)
+                act = act / act.sum()
+                ref.add(target, obs, act)
+                fh.write(json.dumps({"target": target, "obs": obs.tolist(), "act": act.tolist()}) + "\n")
+        loaded = LongTermStore.load(path)
+        assert list(loaded.buckets) == list(ref.buckets)
+        for target, bucket in ref.buckets.items():
+            got = loaded.buckets[target]
+            assert got.obs.tobytes() == bucket.obs.tobytes(), target
+            assert got.norms.tobytes() == bucket.norms.tobytes(), target
+            assert got.acts.tobytes() == bucket.acts.tobytes(), target
+        # a loaded bucket still grows
+        loaded.add("mug", np.ones(8), np.full(4, 0.25))
+        ref.add("mug", np.ones(8), np.full(4, 0.25))
+        assert loaded.rank("mug", np.ones(8)) == ref.rank("mug", np.ones(8))
+
+    def test_the_first_bad_line_is_named(self, tmp_path):
+        good = '{"target": "cup", "obs": [1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}'
+        nan_obs = '{"target": "cup", "obs": [NaN, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}'
+        path = tmp_path / "store.jsonl"
+        path.write_text("\n".join([good, nan_obs, "not json", good]) + "\n")
+        with pytest.raises(ValueError, match=r"line 2: observation embedding must be finite"):
             LongTermStore.load(path)
 
 
@@ -280,7 +343,8 @@ class TestArrayFormsMatchLoops:
 
     def test_forget_and_append_matches_the_loop(self):
         rng = np.random.default_rng(21)
-        mem = ref = ShortTermMemory(capacity=8)
+        mem = ShortTermMemory(capacity=8)
+        ref = TupleShortTermMemory(capacity=8)
         for step in range(1000):
             h = rng.normal(size=6)
             c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
@@ -289,6 +353,25 @@ class TestArrayFormsMatchLoops:
             assert mem.confidences == ref.confidences, step
             assert [e.tobytes() for e in mem.entries] == [e.tobytes() for e in ref.entries]
         assert len(mem) == 8
+
+    def test_buffer_matches_the_tuple_memory(self):
+        # every capacity, and more appends than slots, so that merges hit
+        # every position of the buffer
+        rng = np.random.default_rng(23)
+        for capacity in range(2, 33):
+            dim = int(rng.integers(1, 20))
+            mem = ShortTermMemory(capacity=capacity)
+            ref = TupleShortTermMemory(capacity=capacity)
+            for step in range(3 * capacity + 10):
+                h = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3])
+                c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
+                assert forget_and_append(mem, h, c) is mem
+                ref = loop_forget_and_append(ref, h, c)
+                where = (capacity, step)
+                assert mem.confidences == ref.confidences, where
+                assert mem.entries.tobytes() == np.stack(ref.entries).tobytes(), where
+                assert mem.mean_entry(dim).tobytes() == ref.mean_entry(dim).tobytes(), where
+            assert len(mem) == capacity
 
     def test_rank_keeps_insertion_order_on_ties_and_sees_adds(self):
         npr = np.random.default_rng(13)

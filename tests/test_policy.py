@@ -24,7 +24,7 @@ from lhnav.policy import (
 from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe
 
-from reference_impls import loop_loss_and_grad
+from reference_impls import loop_loss_and_grad, reference_embed
 
 SPOT = ROBOTS["spot"]
 
@@ -106,6 +106,30 @@ class TestEmbeddingOracle:
         oracle = EmbeddingOracle(dim=64)
         v = oracle._embed_pairs([("box", 1.0), ("lamp", 2.0), ("toy", 0.2)])
         assert np.linalg.norm(v) == pytest.approx(1.0)
+
+
+    def test_one_pass_matches_the_per_view_embeddings(self):
+        from lhnav.scenegen import generate_scene
+
+        rng = random.Random(12)
+        oracle = EmbeddingOracle(dim=16)
+        for seed in range(4):
+            scene = generate_scene(seed=900 + seed, size=24, regions=4)
+            free = scene.free_cells()
+            for _ in range(40):
+                state = AgentState(
+                    position=scene.cell_center(rng.choice(free)),
+                    heading=rng.choice([0.0, 30.0, 90.0, 135.0, 180.0, 300.0]),
+                )
+                obs = observe(scene, state, SPOT)
+                want_views = [reference_embed(oracle, v.objects) for v in obs.views]
+                want_fused = reference_embed(oracle, obs.visible())
+                views, fused = oracle.embed(obs)
+                assert views.tobytes() == np.concatenate(want_views).tobytes()
+                assert fused.tobytes() == want_fused.tobytes()
+                for view, want in zip(obs.views, want_views):
+                    assert oracle.embed_view(view).tobytes() == want.tobytes()
+                assert oracle.embed_observation(obs).tobytes() == want_fused.tobytes()
 
 
 class TestLinearSoftmaxBackend:
@@ -328,6 +352,26 @@ class TestTraining:
         with pytest.raises(ValueError, match="weights.json"):
             LinearSoftmaxBackend.load(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_weights_that_are_not_finite_name_the_path(self, tmp_path, value):
+        path = tmp_path / "weights.json"
+        LinearSoftmaxBackend(embed_dim=2).save(path)
+        payload = json.loads(path.read_text())
+        payload["theta"][5] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"weights\.json.*finite"):
+            LinearSoftmaxBackend.load(path)
+
+    def test_imitation_rows_are_distinct_arrays(self, two_room_scene):
+        from lhnav.policy import collect_imitation_dataset
+
+        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        rows = [x for x, _ in collect_imitation_dataset(two_room_scene, task, backend)]
+        assert len(rows) > 3
+        for i, row in enumerate(rows):
+            assert not any(np.shares_memory(row, other) for other in rows[i + 1 :]), i
+
     def test_collect_imitation_dataset_matches_backend_features(self, two_room_scene):
         from lhnav.policy import collect_imitation_dataset
 
@@ -438,6 +482,40 @@ class TestMemoryPolicyStep:
             _, mem = memory_policy_step(ctx, mem, store, UniformBackend(), oracle)
             assert len(mem) in (before + 1, mem.capacity)
         assert len(mem) == 3
+
+
+class TestForgetOncePerStep:
+    """The benchmark's traced run checks that lhnav.policy.forget_and_append
+    runs once per step; an untraced run would not notice a step that went
+    round it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = policy.forget_and_append
+
+        def counting(mem, h_new, c_new):
+            calls.append(len(mem))
+            return real(mem, h_new, c_new)
+
+        monkeypatch.setattr(policy, "forget_and_append", counting)
+        return calls
+
+    def test_memory_episode(self, two_room_scene, counted):
+        from lhnav.runner import RunConfig, make_policy, run_episode
+
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        cfg = RunConfig(policy="memory", embed_dim=16, memory_capacity=4, budget=20)
+        traj, _ = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
+        assert len(counted) == len(traj.steps) > 4
+
+    def test_imitation_episode(self, two_room_scene, counted):
+        from lhnav.policy import collect_imitation_dataset
+
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        dataset = collect_imitation_dataset(two_room_scene, task, backend, capacity=4)
+        assert len(counted) == len(dataset) > 4
 
 
 class TestPolicies:

@@ -17,7 +17,7 @@ from lhnav.runner import (
     run_episode,
     run_suite,
 )
-from lhnav.policy import StopPolicy
+from lhnav.policy import ExpertPolicy, StopPolicy
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import sample_spawn, sample_task
 from lhnav.trajectory import Trajectory
@@ -117,6 +117,32 @@ class TestRunEpisode:
         cfg = RunConfig(policy="expert")
         with pytest.raises(ValueError):
             run_episode(scene2, task, make_policy(cfg, task), cfg)
+
+
+    def test_one_success_check_per_expert_step(self, monkeypatch):
+        # the runner judges success once per step and hands the result to
+        # the expert; the only other checks are at the end of each
+        # navigation window and in each grab or release
+        from lhnav import expert, runner, world
+        from lhnav.taskforge import MOVE_TO
+
+        calls = 0
+        real = world.subtask_success
+
+        def counting(scene, state, target):
+            nonlocal calls
+            calls += 1
+            return real(scene, state, target)
+
+        for module in (expert, runner, world):
+            monkeypatch.setattr(module, "subtask_success", counting)
+        scene = generate_scene(seed=41, size=20, regions=4)
+        task = sample_task(scene, ROBOTS["spot"], seed=3)
+        traj, result = run_episode(scene, task, ExpertPolicy(), RunConfig())
+        windows = sum(span.kind == MOVE_TO for span in traj.spans)
+        interactions = len(traj.spans) - windows
+        assert interactions and all(r.success for r in result.records)
+        assert calls <= len(traj.steps) + windows + interactions
 
 
 class TestRunConfig:
