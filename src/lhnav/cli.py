@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from .files import InputFileError, write_document
 from .runner import POLICIES, RunConfig, format_report_table, load_report, run_suite
 from .scenegen import generate_scene
 from .splitter import render_step_instruction, split_trajectory, tag_segment
@@ -31,16 +32,10 @@ from .world import ROBOTS, Action, Scene, observe, stock_robot
 
 
 def _load_scenes(args) -> dict[str, Scene]:
-    """The scenes under --scenes; a missing or malformed file is a usage error."""
+    """The scenes under --scenes."""
     p = Path(args.scenes)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
-    scenes = {}
-    for f in files:
-        try:
-            scene = Scene.load(f)
-        except (OSError, ValueError) as exc:
-            args.usage_error(str(exc))
-        scenes[scene.scene_id] = scene
+    scenes = {scene.scene_id: scene for scene in map(Scene.load, files)}
     if not scenes:
         args.usage_error(f"no scene files under {args.scenes}")
     return scenes
@@ -121,15 +116,8 @@ def cmd_rollout(args) -> int:
         )
     except ValueError as exc:
         args.usage_error(str(exc))
-    if cfg.policy == "memory" and cfg.store_path and not Path(cfg.store_path).is_file():
-        args.usage_error(
-            f"store file {cfg.store_path} does not exist or is not a regular file"
-        )
     scenes = _load_scenes(args)
-    try:
-        tasks = load_tasks(args.tasks)
-    except (OSError, ValueError) as exc:
-        args.usage_error(str(exc))
+    tasks = load_tasks(args.tasks)
     if not tasks:
         args.usage_error(f"task file {args.tasks} holds no tasks")
     for task in tasks:
@@ -177,16 +165,8 @@ def cmd_split(args) -> int:
                 target, tagged, source_task_id=traj.task_id, source_subtask=span.index
             )
             out_tasks.append(task.to_dict())
-    Path(args.out).write_text(
-        json.dumps(out_tasks, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_document(args.out, out_tasks)
     print(f"wrote {len(out_tasks)} step-by-step tasks to {args.out}")
-    return 0
-
-
-def cmd_eval(args) -> int:
-    report = load_report(args.results)
-    print(format_report_table(report))
     return 0
 
 
@@ -244,22 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="step_tasks.json")
     p.set_defaults(func=cmd_split, usage_error=p.error)
 
-    p = sub.add_parser("eval", help="print the metric table for a report")
-    p.add_argument("--results", required=True)
-    p.set_defaults(func=cmd_eval)
-
     p = sub.add_parser("report", help="dump a report as json or table")
     p.add_argument("--results", required=True)
     p.add_argument("--format", default="table", choices=["json", "table"])
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, usage_error=p.error)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a bad input file is a usage error of that command."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InputFileError as exc:
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":

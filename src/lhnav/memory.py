@@ -25,12 +25,13 @@ replace (tests/reference_impls.py).
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
+
+from .files import InputFileError, read_lines, write_lines
 
 EPS = 1e-12
 
@@ -336,43 +337,31 @@ class LongTermStore:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for target in sorted(self.buckets):
-                for obs, act in self.buckets[target]:
-                    fh.write(
-                        json.dumps(
-                            {"target": target, "obs": obs.tolist(), "act": act.tolist()},
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
+        write_lines(
+            path,
+            (
+                {"target": target, "obs": obs.tolist(), "act": act.tolist()}
+                for target in sorted(self.buckets)
+                for obs, act in self.buckets[target]
+            ),
+        )
 
     @classmethod
     def load(cls, path: str | Path, k: int = 5) -> "LongTermStore":
-        """Entries written by save; a bad line raises a ValueError naming
-        the path and the line number.
+        """Entries written by save; a missing file or a bad line raises an
+        InputFileError naming the path and the line number.
 
         Each target's rows are stacked and checked as arrays.  When a check
         fails, the entries are added again one at a time in file order, so
         that the error names the first bad line and what is wrong with it.
         """
         records = []
-        broken = None  # (message, cause) of the first line that is no entry
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        broken = None  # the error of the first line that is no entry
+        try:
+            for number, rec in read_lines(path):
                 where = f"{path} line {number}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    broken = (f"{where}: not valid JSON ({exc})", exc)
-                    break
                 if not isinstance(rec, dict) or not {"target", "obs", "act"} <= rec.keys():
-                    broken = (f"{where}: a store entry needs target, obs and act", None)
-                    break
+                    raise InputFileError(f"{where}: a store entry needs target, obs and act")
                 obs = rec["obs"]
                 try:
                     # an array takes a quarter of the memory of a list of floats
@@ -380,6 +369,8 @@ class LongTermStore:
                 except ValueError:
                     pass  # raises again, naming the line, when added below
                 records.append((where, rec["target"], obs, rec["act"]))
+        except InputFileError as exc:
+            broken = exc
         store = cls(k=k)
         buckets = None if broken else _stacked_buckets(records)
         if buckets is not None:
@@ -389,10 +380,9 @@ class LongTermStore:
             try:
                 store.add(target, np.array(obs), np.array(act))
             except (ValueError, TypeError, OverflowError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
+                raise InputFileError(f"{where}: {exc}") from exc
         if broken is not None:
-            message, cause = broken
-            raise ValueError(message) from cause
+            raise broken
         return store
 
 

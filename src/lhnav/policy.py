@@ -13,7 +13,6 @@ deterministic hashing oracle stands in for the frozen visual encoder.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .files import InputFileError, read_document, write_lines
 from .memory import (
     LongTermStore,
     N_ACTIONS,
@@ -187,33 +187,33 @@ class LinearSoftmaxBackend:
             "n_actions": N_ACTIONS,
             "theta": self.get_params().tolist(),
         }
-        Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        write_lines(path, [payload])
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearSoftmaxBackend":
-        """Weights written by save; a malformed file raises a ValueError
-        naming the path.  Other keys, such as the literal_ce flag that older
-        files carry, are ignored."""
+        """Weights written by save; a missing or malformed file raises an
+        InputFileError naming the path.  Other keys, such as the literal_ce
+        flag that older files carry, are ignored."""
+        payload = read_document(path)
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
             n_actions, embed_dim = payload["n_actions"], payload["embed_dim"]
             theta = np.array(payload["theta"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: not a weights file ({exc!r})") from exc
+            raise InputFileError(f"{path}: not a weights file ({exc!r})") from exc
         if n_actions != N_ACTIONS:
-            raise ValueError(f"{path}: weights are for {n_actions} actions, not {N_ACTIONS}")
+            raise InputFileError(f"{path}: weights are for {n_actions} actions, not {N_ACTIONS}")
         if type(embed_dim) is not int or embed_dim < 1:
-            raise ValueError(f"{path}: embed_dim must be a positive integer, not {embed_dim!r}")
+            raise InputFileError(f"{path}: embed_dim must be a positive integer, not {embed_dim!r}")
         backend = cls(embed_dim=embed_dim)
         expected = backend.get_params().size
         if theta.shape != (expected,):
-            raise ValueError(
+            raise InputFileError(
                 f"{path}: theta has {theta.size} values, "
                 f"embed_dim {backend.embed_dim} needs {expected}"
             )
         if not np.isfinite(theta).all():
             bad = int(np.flatnonzero(~np.isfinite(theta))[0])
-            raise ValueError(f"{path}: theta must be finite (value {bad} is {theta[bad]})")
+            raise InputFileError(f"{path}: theta must be finite (value {bad} is {theta[bad]})")
         backend.set_params(theta)
         return backend
 
@@ -378,7 +378,6 @@ class StepContext:
     scene: Scene
     state: AgentState
     robot: RobotConfig
-    task: TaskSpec
     target_id: str
     stage: int           # ordinal of the current navigation stage
     # subtask_success(scene, state, target_id) when the caller has it

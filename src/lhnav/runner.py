@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .expert import UnreachableTargetError, geodesic_distance
+from .files import InputFileError, read_document, write_document
 from .metrics import EpisodeResult, SubtaskRecord
 from .policy import (
     EmbeddingOracle,
@@ -154,7 +155,6 @@ def run_episode(
                     scene=scene,
                     state=state,
                     robot=robot,
-                    task=task,
                     target_id=sub.object_id,
                     stage=stage,
                     at_target=at_target,
@@ -238,7 +238,7 @@ def run_episode(
     return trajectory, EpisodeResult(task_id=task.id, records=tuple(records))
 
 
-def _episode_job(args) -> tuple[str, dict]:
+def _episode_job(args) -> EpisodeResult:
     scene, task, cfg, store = args
     policy = make_policy(cfg, task, store)
     trajectory, result = run_episode(scene, task, policy, cfg)
@@ -246,7 +246,7 @@ def _episode_job(args) -> tuple[str, dict]:
         traj_dir = Path(cfg.out_dir) / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         trajectory.save(traj_dir / f"{task.id}.jsonl")
-    return task.id, result.to_dict()
+    return result
 
 
 def run_suite(
@@ -276,10 +276,8 @@ def run_suite(
     else:
         raw = [_episode_job(job) for job in jobs]
 
-    by_id = dict(raw)
-    results = [
-        EpisodeResult.from_dict(by_id[task_id]) for task_id in sorted(by_id)
-    ]
+    by_id = {res.task_id: res for res in raw}
+    results = [by_id[task_id] for task_id in sorted(by_id)]
     report = {
         "policy": cfg.policy,
         "seed": cfg.seed,
@@ -297,13 +295,20 @@ def run_suite(
 
 
 def save_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_document(path, report)
 
 
 def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A report written by save_report; a missing or malformed file, or one
+    without what format_report_table prints, raises an InputFileError."""
+    report = read_document(path)
+    agg = report.get("aggregate") if isinstance(report, dict) else None
+    if not isinstance(agg, dict) or not {"policy", "num_tasks", "seed"} <= report.keys():
+        raise InputFileError(f"{path}: a report needs policy, seed, num_tasks and aggregate")
+    for name in metrics_mod.METRIC_ORDER:
+        if type(agg.get(name)) not in (int, float):
+            raise InputFileError(f"{path}: the aggregate has no number for {name!r}")
+    return report
 
 
 def format_report_table(report: dict) -> str:

@@ -19,6 +19,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
+from .files import InputFileError, read_document, write_document
 from .world import AgentState, RobotConfig, ROBOTS, Scene, normalize_heading
 
 MOVE_TO = "move_to"
@@ -494,25 +495,20 @@ def generate_via_llm(
 
 
 def save_tasks(tasks: list[TaskSpec], path: str | Path) -> None:
-    data = [t.to_dict() for t in tasks]
-    Path(path).write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_document(path, [t.to_dict() for t in tasks])
 
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
-    """Tasks written by save_tasks; a malformed file raises a ValueError
-    naming the path and, when one entry is at fault, its index."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    """Tasks written by save_tasks; a missing or malformed file raises an
+    InputFileError naming the path and, when one entry is at fault, its
+    index."""
+    data = read_document(path)
     if not isinstance(data, list):
-        raise ValueError(f"{path}: a task file holds one JSON list of tasks")
+        raise InputFileError(f"{path}: a task file holds one JSON list of tasks")
     tasks = []
     for number, entry in enumerate(data):
         try:
             tasks.append(TaskSpec.from_dict(entry))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path} entry {number}: not a task ({exc!r})") from exc
+            raise InputFileError(f"{path} entry {number}: not a task ({exc!r})") from exc
     return tasks

@@ -7,10 +7,11 @@ reproduces it exactly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
+from .files import InputFileError, read_lines, write_lines
 from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState
 
 
@@ -61,16 +62,7 @@ class SubtaskSpan:
     interaction_ok: bool | None = None  # grab/release outcome
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "target_id": self.target_id,
-            "start": self.start,
-            "end": self.end,
-            "gt": self.gt,
-            "stopped": self.stopped,
-            "interaction_ok": self.interaction_ok,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubtaskSpan":
@@ -102,38 +94,26 @@ class Trajectory:
         return [r.action for r in records]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "task_id": self.task_id,
-                "scene_id": self.scene_id,
-                "robot": self.robot,
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "final_pose": [
-                    self.final_state.position[0],
-                    self.final_state.position[1],
-                    self.final_state.heading,
-                ],
-                "final_holding": self.final_state.holding,
-                "spans": [s.to_dict() for s in self.spans],
-            }
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            for step in self.steps:
-                fh.write(json.dumps(step.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        header = {
+            "task_id": self.task_id,
+            "scene_id": self.scene_id,
+            "robot": self.robot,
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "final_pose": [*self.final_state.position, self.final_state.heading],
+            "final_holding": self.final_state.holding,
+            "spans": [s.to_dict() for s in self.spans],
+        }
+        write_lines(path, chain([header], (step.to_dict() for step in self.steps)))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        """A trajectory written by save; a header or step line that does not
-        parse raises a ValueError naming the path and the line number."""
-        with open(path, encoding="utf-8") as fh:
-            lines = [
-                (number, ln)
-                for number, ln in enumerate(fh.read().splitlines(), start=1)
-                if ln.strip()
-            ]
-        header = _parse_line(path, *lines[0]) if lines else None
+        """A trajectory written by save; a missing file or a line that does
+        not parse raises an InputFileError naming the path and the line."""
+        lines = read_lines(path)
+        number, header = next(lines, (0, None))
         if not isinstance(header, dict) or "final_pose" not in header:
-            raise ValueError(f"trajectory file {path} has no header line")
+            raise InputFileError(f"trajectory file {path} has no header line")
         try:
             fx, fy, fh_deg = header["final_pose"]
             fields = dict(
@@ -148,21 +128,11 @@ class Trajectory:
                 seed=header.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{path} line {lines[0][0]}: not a trajectory header ({exc!r})"
-            ) from exc
+            raise InputFileError(f"{path} line {number}: not a trajectory header ({exc!r})") from exc
         steps = []
-        for number, ln in lines[1:]:
-            record = _parse_line(path, number, ln)
+        for number, record in lines:
             try:
                 steps.append(StepRecord.from_dict(record))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {number}: not a step record ({exc!r})") from exc
+                raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
         return cls(steps=steps, **fields)
-
-
-def _parse_line(path: str | Path, number: int, line: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} line {number}: not valid JSON ({exc})") from exc

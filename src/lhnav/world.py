@@ -11,11 +11,12 @@ sight is clear.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
+
+from .files import InputFileError, read_document, write_lines
 
 CELL_SIZE = 0.25          # meters per grid cell
 SUCCESS_RADIUS = 1.0      # meters, geodesic
@@ -356,21 +357,17 @@ class Scene:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_dict()) + "\n", encoding="utf-8")
+        write_lines(path, [self.to_dict()])
 
     @classmethod
     def load(cls, path: str | Path) -> "Scene":
-        """A scene written by save; a malformed file raises a ValueError
-        naming the path."""
+        """A scene written by save; a missing or malformed file raises an
+        InputFileError naming the path."""
+        data = read_document(path)
         try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            return cls.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: not a scene ({exc!r})") from exc
-
-
-def canonical_json(data: dict) -> str:
-    """Canonical JSON form used everywhere a file must round-trip bit-exactly."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+            raise InputFileError(f"{path}: not a scene ({exc!r})") from exc
 
 
 def validate_state(scene: Scene, state: AgentState) -> None:

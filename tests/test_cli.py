@@ -10,6 +10,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def usage_error_line(capsys, *argv):
+    """The last stderr line of a command that must end in its usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*map(str, argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lhnav {argv[0]}")
+    return err.splitlines()[-1]
+
+
 class TestPipeline:
     def test_full_pipeline(self, tmp_path, capsys):
         scenes_dir = tmp_path / "scenes"
@@ -38,7 +48,7 @@ class TestPipeline:
 
         report_path = run_dir / "report.json"
         assert report_path.exists()
-        assert run_cli("eval", "--results", str(report_path)) == 0
+        assert run_cli("report", "--results", str(report_path)) == 0
         assert run_cli("report", "--results", str(report_path), "--format", "json") == 0
 
         split_out = tmp_path / "steps.json"
@@ -226,6 +236,7 @@ class TestUsageErrors:
             ("gen-tasks", "malformed-scene"),
             ("split", "missing-scene"),
             ("split", "malformed-scene"),
+            ("split", "missing-trajectory"),
         ],
     )
     def test_bad_input_file_is_a_usage_error(
@@ -237,8 +248,11 @@ class TestUsageErrors:
         two_room_scene.save(good_scene)
         save_tasks([sample_task(two_room_scene, seed=7)], tasks)
         scenes, named = good_scene, tmp_path / "none.json"
+        trajectories = tmp_path / "trajectories"
         if fault == "missing-tasks":
             tasks = named
+        elif fault == "missing-trajectory":
+            trajectories = named
         elif fault == "missing-scene":
             scenes = named
         elif fault == "malformed-scene":
@@ -252,7 +266,7 @@ class TestUsageErrors:
         argv = {
             "rollout": ["--scenes", scenes, "--tasks", tasks],
             "gen-tasks": ["--scenes", scenes, "--count", "1"],
-            "split": ["--trajectories", tmp_path / "trajectories", "--scenes", scenes],
+            "split": ["--trajectories", trajectories, "--scenes", scenes],
         }[command]
         with pytest.raises(SystemExit) as exc:
             run_cli(command, *map(str, argv), "--out", str(out))
@@ -312,7 +326,9 @@ class TestUsageErrors:
         assert str(traj_path) in err and repr(two_room_scene.scene_id) in err
         assert not (tmp_path / "s.json").exists()
 
-    def test_split_names_the_line_of_a_truncated_trajectory(self, tmp_path, two_room_scene):
+    def test_split_names_the_line_of_a_truncated_trajectory(
+        self, tmp_path, capsys, two_room_scene
+    ):
         from lhnav.policy import ExpertPolicy
         from lhnav.runner import RunConfig, run_episode
         from lhnav.taskforge import sample_task
@@ -327,12 +343,61 @@ class TestUsageErrors:
         line = cut.count(b"\n") + 1
         assert line > 1 and not cut.endswith(b"\n")  # the cut falls inside a step line
         traj_path.write_bytes(cut)
-        with pytest.raises(ValueError, match=rf"{re.escape(str(traj_path))} line {line}\b"):
-            run_cli(
-                "split", "--trajectories", str(traj_path),
-                "--scenes", str(tmp_path / "scene.json"), "--out", str(tmp_path / "s.json"),
-            )
+        last = usage_error_line(
+            capsys, "split", "--trajectories", traj_path,
+            "--scenes", tmp_path / "scene.json", "--out", tmp_path / "s.json",
+        )
+        assert re.search(rf"{re.escape(str(traj_path))} line {line}\b", last)
         assert not (tmp_path / "s.json").exists()
+
+    def test_truncated_store_names_the_line(self, tmp_path, capsys, monkeypatch, two_room_scene):
+        import numpy as np
+
+        from lhnav import runner
+        from lhnav.memory import LongTermStore
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        store = LongTermStore()
+        for i in range(3):
+            store.add("bag", np.arange(64.0) + i, np.eye(4)[i])
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        cut = path.read_bytes()
+        cut = cut[: cut.index(b"\n") + 40]
+        path.write_bytes(cut)
+        episodes = []
+        monkeypatch.setattr(runner, "run_episode", lambda *a, **k: episodes.append(a))
+        last = usage_error_line(
+            capsys, "rollout", "--scenes", tmp_path / "scene.json", "--tasks", tmp_path / "t.json",
+            "--out", tmp_path / "run", "--policy", "memory", "--store", path,
+        )
+        assert re.search(rf"{re.escape(str(path))} line 2\b", last)
+        assert episodes == []
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "fault", ["missing", "truncated", "not-a-report", "no-aggregate", "no-metric"]
+    )
+    def test_bad_report_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault, fmt):
+        from lhnav.runner import RunConfig, run_suite
+        from lhnav.taskforge import sample_task
+
+        task = sample_task(two_room_scene, seed=7)
+        report = run_suite({two_room_scene.scene_id: two_room_scene}, [task], RunConfig())
+        path = tmp_path / "report.json"
+        if fault == "truncated":
+            path.write_text(json.dumps(report, indent=2)[:200])
+        elif fault == "not-a-report":
+            path.write_text(json.dumps([task.to_dict()]))
+        elif fault == "no-aggregate":
+            path.write_text(json.dumps({k: v for k, v in report.items() if k != "aggregate"}))
+        elif fault == "no-metric":
+            del report["aggregate"]["tar"]
+            path.write_text(json.dumps(report))
+        last = usage_error_line(capsys, "report", "--results", path, "--format", fmt)
+        assert str(path) in last
 
     def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):
         from lhnav.policy import ExpertPolicy

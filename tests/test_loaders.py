@@ -1,7 +1,7 @@
-"""Every file loader turns a malformed file into a ValueError that names the
-file: scene, tasks, trajectory, long-term store and weights.  The files are
-valid ones with one entry dropped, one value changed to another JSON type,
-or the text cut short."""
+"""Every file loader turns a malformed file into an InputFileError that
+names the file: scene, tasks, trajectory, long-term store, weights and
+report.  The files are valid ones with one entry dropped, one value changed
+to another JSON type, or the text cut short."""
 
 import json
 
@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhnav.files import InputFileError
 from lhnav.memory import LongTermStore
 from lhnav.policy import ExpertPolicy, LinearSoftmaxBackend
-from lhnav.runner import RunConfig, run_episode
+from lhnav.runner import RunConfig, load_report, run_episode, run_suite, save_report
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import load_tasks, sample_task, save_tasks
 from lhnav.trajectory import Trajectory
@@ -24,6 +25,7 @@ LOADERS = {
     "trajectory": Trajectory.load,
     "store": LongTermStore.load,
     "weights": LinearSoftmaxBackend.load,
+    "report": load_report,
 }
 JSONL = ("trajectory", "store")
 
@@ -56,6 +58,9 @@ def valid(tmp_path_factory):
         "trajectory": trajectory.save,
         "store": store.save,
         "weights": LinearSoftmaxBackend(embed_dim=1).save,
+        "report": lambda path: save_report(
+            run_suite({scene.scene_id: scene}, [task], RunConfig(budget=40)), path
+        ),
     }
     texts = {}
     for name, save in writers.items():
@@ -119,5 +124,5 @@ def test_only_a_value_error_naming_the_file_escapes(valid, name, data):
     path.write_text(data.draw(mutated(name, texts[name])), encoding="utf-8")
     try:
         LOADERS[name](path)
-    except ValueError as exc:
+    except InputFileError as exc:
         assert str(path) in str(exc)

@@ -21,7 +21,7 @@ from lhnav.policy import (
     one_hot,
     train_backend,
 )
-from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_spawn, sample_task
+from lhnav.taskforge import MOVE_TO, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe
 
 from reference_impls import loop_loss_and_grad, reference_embed
@@ -46,26 +46,9 @@ class ExpertTeacherBackend:
         return one_hot(action), 1.0
 
 
-def step_context(scene, state, target_id, task=None, stage=0):
-    """A runner step context; the task defaults to one navigation subtask
-    to the target."""
-    if task is None:
-        task = TaskSpec(
-            id="t",
-            instruction="",
-            subtasks=(Subtask(kind=MOVE_TO, object_id=target_id),),
-            robot=SPOT.name,
-            scene_id=scene.scene_id,
-            seed=0,
-        )
-    return StepContext(
-        scene=scene,
-        state=state,
-        robot=SPOT,
-        task=task,
-        target_id=target_id,
-        stage=stage,
-    )
+def step_context(scene, state, target_id, stage=0):
+    """A runner step context."""
+    return StepContext(scene=scene, state=state, robot=SPOT, target_id=target_id, stage=stage)
 
 
 class TestEmbeddingOracle:
@@ -524,9 +507,7 @@ class TestPolicies:
         traces = []
         for _ in range(2):
             pol = RandomPolicy(task.id, seed=5)
-            ctx = step_context(
-                two_room_scene, sample_spawn(two_room_scene, task), "bag-0", task=task
-            )
+            ctx = step_context(two_room_scene, sample_spawn(two_room_scene, task), "bag-0")
             traces.append([pol.act(ctx) for _ in range(50)])
         assert traces[0] == traces[1]
 
@@ -541,7 +522,7 @@ class TestPolicies:
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
         state = sample_spawn(two_room_scene, task)
         actions = [
-            pol.act(step_context(two_room_scene, state, target, task=task, stage=stage))
+            pol.act(step_context(two_room_scene, state, target, stage=stage))
             for stage, target in enumerate(["bag-0", "desk-0"])
         ]
         assert actions == [Action.MOVE_FORWARD, Action.TURN_RIGHT]
@@ -558,7 +539,7 @@ class TestPolicies:
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
         state = sample_spawn(two_room_scene, task)
         for _ in range(20):
-            pol.act(step_context(two_room_scene, state, "bag-0", task=task))
+            pol.act(step_context(two_room_scene, state, "bag-0"))
         assert len(store.buckets) == len(snapshot)
         for (t, entries), (t2, entries2) in zip(snapshot, store.buckets.items()):
             assert t == t2 and len(entries) == len(entries2)
