@@ -135,6 +135,8 @@ def cmd_split(args) -> int:
     scenes = _load_scenes(args)
     p = Path(args.trajectories)
     files = sorted(p.glob("*.jsonl")) if p.is_dir() else [p]
+    if not files:
+        args.usage_error(f"no trajectory files (*.jsonl) under {p}")
     out_tasks = []
     for f in files:
         traj = Trajectory.load(f)

@@ -349,24 +349,56 @@ def train_backend(
 # -- one decision step of the memory pipeline ---------------------------------------
 
 
+class Percept:
+    """What a memory step sensed: the view embeddings, the fused embedding
+    and the top-k retrieved for the target, with the scene, robot, state
+    object and target id they were sensed for."""
+
+    __slots__ = ("scene", "robot", "state", "target_id", "views", "fused", "top")
+
+    def __init__(self) -> None:
+        self.scene = self.robot = self.state = self.target_id = None
+        self.views = self.fused = self.top = None
+
+    def holds(self, ctx: StepContext) -> bool:
+        """Sensed at ctx's pose for ctx's target.  A state is immutable, so
+        the same object is the same pose."""
+        return (
+            self.state is ctx.state
+            and self.scene is ctx.scene
+            and self.robot is ctx.robot
+            and self.target_id == ctx.target_id
+        )
+
+
 def memory_policy_step(
     ctx: StepContext,
     mem: ShortTermMemory,
     store: LongTermStore,
     backend: PolicyBackend,
     oracle: EmbeddingOracle,
+    percept: Percept | None = None,
 ) -> tuple[Action, ShortTermMemory]:
     """One decision step: observe, embed, decide, weight by the actions
     retrieved for the target's category, take the argmax, and fold the
-    observation into short-term memory."""
-    obs = observe(ctx.scene, ctx.state, ctx.robot)
-    views, fused = oracle.embed(obs)
-    decision, confidence = backend.decide(ctx, views, mem)
-    top = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
-    if top:
-        decision, _ = weight_decision(decision, top.acts)
+    observation into short-term memory.
+
+    percept is the previous step's percept, updated in place.  When it
+    holds ctx, as after a blocked forward move, the step reuses it instead
+    of observing, embedding and retrieving again: those are pure functions
+    of the pose and the target, given one store and one oracle, and the
+    store is read-only during an episode.  The decision and the fold run
+    on every step, because they read the short-term memory."""
+    p = percept if percept is not None else Percept()
+    if not p.holds(ctx):
+        p.views, p.fused = oracle.embed(observe(ctx.scene, ctx.state, ctx.robot))
+        p.top = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, p.fused)
+        p.scene, p.robot, p.state, p.target_id = ctx.scene, ctx.robot, ctx.state, ctx.target_id
+    decision, confidence = backend.decide(ctx, p.views, mem)
+    if p.top:
+        decision, _ = weight_decision(decision, p.top.acts)
     action = Action(int(np.argmax(decision)))
-    mem = forget_and_append(mem, fused, confidence)
+    mem = forget_and_append(mem, p.fused, confidence)
     return action, mem
 
 
@@ -419,7 +451,9 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting."""
+    short-term forgetting.  It keeps its last percept, so a step that
+    leaves the pose and the target as they were (a blocked forward move)
+    does not sense again; the store must not change while it runs."""
 
     def __init__(
         self,
@@ -432,9 +466,10 @@ class MemoryPolicy:
         self.oracle = oracle
         self.store = store if store is not None else LongTermStore()
         self.memory = ShortTermMemory(capacity=capacity)
+        self.percept = Percept()
 
     def act(self, ctx: StepContext) -> Action:
         action, self.memory = memory_policy_step(
-            ctx, self.memory, self.store, self.backend, self.oracle
+            ctx, self.memory, self.store, self.backend, self.oracle, self.percept
         )
         return action

@@ -147,8 +147,14 @@ def run_episode(
             oracle_hit = False
             path_taken = 0.0
             stopped = False
+            # at_target is subtask_success at checked; a state is immutable
+            # and a stop or a blocked move returns the same object, so only
+            # a new state is checked again
+            checked = None
             for _ in range(cfg.budget):
-                at_target = subtask_success(scene, state, sub.object_id)
+                if state is not checked:
+                    at_target = subtask_success(scene, state, sub.object_id)
+                    checked = state
                 if at_target:
                     oracle_hit = True
                 ctx = StepContext(
@@ -177,7 +183,8 @@ def run_episode(
                     stopped = True
                     break
             # the pose after the last action belongs to this window too
-            at_target = subtask_success(scene, state, sub.object_id)
+            if state is not checked:
+                at_target = subtask_success(scene, state, sub.object_id)
             oracle_hit = oracle_hit or at_target
             success = stopped and at_target
             ne = geodesic_distance(scene, state.position, target.position)

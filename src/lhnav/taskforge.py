@@ -500,15 +500,21 @@ def save_tasks(tasks: list[TaskSpec], path: str | Path) -> None:
 
 def load_tasks(path: str | Path) -> list[TaskSpec]:
     """Tasks written by save_tasks; a missing or malformed file raises an
-    InputFileError naming the path and, when one entry is at fault, its
-    index."""
+    InputFileError naming the path and, when entries are at fault, their
+    indices.  Task ids are unique: a run keys its trajectories and results
+    by them."""
     data = read_document(path)
     if not isinstance(data, list):
         raise InputFileError(f"{path}: a task file holds one JSON list of tasks")
     tasks = []
+    entry_of: dict[str, int] = {}
     for number, entry in enumerate(data):
         try:
-            tasks.append(TaskSpec.from_dict(entry))
+            task = TaskSpec.from_dict(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path} entry {number}: not a task ({exc!r})") from exc
+        first = entry_of.setdefault(task.id, number)
+        if first != number:
+            raise InputFileError(f"{path} entries {first} and {number}: both are task {task.id!r}")
+        tasks.append(task)
     return tasks

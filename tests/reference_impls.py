@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lhnav.memory import EPS
+from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decision
 from lhnav.policy import one_hot
 from lhnav.splitter import Tag
 from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
+from lhnav.world import observe as world_observe
 
 
 # -- occupancy: index the grid rows directly -------------------------------------
@@ -266,6 +267,32 @@ def loop_rank(bucket, query):
     sims = [float(np.dot(obs, q) / (np.linalg.norm(obs) * qn)) for obs, _ in bucket]
     order = sorted(range(len(bucket)), key=lambda j: (-sims[j], j))
     return order
+
+
+# -- the memory policy sensing on every step ---------------------------------------
+
+
+class SenseEveryStepPolicy:
+    """The memory policy before it kept its last percept: every step
+    observes, embeds and retrieves, even at the pose and for the target of
+    the step before."""
+
+    def __init__(self, backend, oracle, store, capacity):
+        self.backend = backend
+        self.oracle = oracle
+        self.store = store
+        self.memory = ShortTermMemory(capacity=capacity)
+
+    def act(self, ctx):
+        obs = world_observe(ctx.scene, ctx.state, ctx.robot)
+        views, fused = self.oracle.embed(obs)
+        decision, confidence = self.backend.decide(ctx, views, self.memory)
+        top = self.store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
+        if top:
+            decision, _ = weight_decision(decision, top.acts)
+        action = Action(int(np.argmax(decision)))
+        self.memory = forget_and_append(self.memory, fused, confidence)
+        return action
 
 
 # -- the imitation loss as a per-sample loop ---------------------------------------

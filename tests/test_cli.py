@@ -179,8 +179,9 @@ class TestUsageErrors:
             (lambda task: task, "JSON list"),
             (lambda task: [{"id": task["id"]}], "entry 0"),
             (lambda task: [dict(task, scene_id="scene-99")], "'scene-99'"),
+            (lambda task: [task, dict(task, id="other"), task], "entries 0 and 2"),
         ],
-        ids=["empty", "not-a-list", "missing-fields", "unknown-scene"],
+        ids=["empty", "not-a-list", "missing-fields", "unknown-scene", "repeated-id"],
     )
     def test_bad_task_file_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, two_room_scene, edit, named
@@ -237,6 +238,7 @@ class TestUsageErrors:
             ("split", "missing-scene"),
             ("split", "malformed-scene"),
             ("split", "missing-trajectory"),
+            ("split", "empty-trajectory-dir"),
         ],
     )
     def test_bad_input_file_is_a_usage_error(
@@ -253,6 +255,8 @@ class TestUsageErrors:
             tasks = named
         elif fault == "missing-trajectory":
             trajectories = named
+        elif fault == "empty-trajectory-dir":
+            trajectories = named = tmp_path / "trajectories"
         elif fault == "missing-scene":
             scenes = named
         elif fault == "malformed-scene":

@@ -527,6 +527,31 @@ class TestPolicies:
         ]
         assert actions == [Action.MOVE_FORWARD, Action.TURN_RIGHT]
 
+    def test_memory_policy_senses_again_for_a_new_target_at_the_same_pose(
+        self, two_room_scene, monkeypatch
+    ):
+        from reference_impls import SenseEveryStepPolicy
+
+        task = sample_task(two_room_scene, seed=7)
+        oracle = EmbeddingOracle(dim=16)
+        store = LongTermStore(k=1)
+        store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
+        store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
+        observed = []
+        real = policy.observe
+        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
+        pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
+        reference = SenseEveryStepPolicy(UniformBackend(), oracle, store, capacity=4)
+        state = sample_spawn(two_room_scene, task)
+        contexts = [
+            step_context(two_room_scene, state, target)
+            for target in ("bag-0", "bag-0", "desk-0", "desk-0", "bag-0")
+        ]
+        actions = [pol.act(ctx) for ctx in contexts]
+        assert actions == [reference.act(ctx) for ctx in contexts]
+        assert actions == [Action.MOVE_FORWARD] * 2 + [Action.TURN_RIGHT] * 2 + [Action.MOVE_FORWARD]
+        assert len(observed) == 3
+
     def test_memory_policy_never_mutates_store(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)
         oracle = EmbeddingOracle(dim=16)

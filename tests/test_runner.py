@@ -309,3 +309,139 @@ class TestRunSuite:
         table = format_report_table(run_suite(scenes, tasks, cfg))
         positions = [table.index(name.upper()) for name in ("SR", "OSR", "SPL", "NE", "ISR", "CSR", "CGT", "TAR")]
         assert positions == sorted(positions)
+
+
+def random_store(scenes, seed, dim=64, rows_per_category=4):
+    """Random rows for every object category; the actions lean to forward
+    moves, as an expert's do, so a memory policy reading them collides
+    often."""
+    rng = np.random.default_rng(seed)
+    store = LongTermStore()
+    for scene in scenes.values():
+        for obj in scene.objects:
+            for _ in range(rows_per_category):
+                store.add(obj.category, rng.random(dim) + 0.01, rng.dirichlet([1, 1, 1.5, 1]))
+    return store
+
+
+def fresh(keys):
+    """The (state, target) pairs of a sequence that differ from the pair
+    before them, in state object or in target."""
+    return [
+        key
+        for i, key in enumerate(keys)
+        if i == 0 or key[0] is not keys[i - 1][0] or key[1] != keys[i - 1][1]
+    ]
+
+
+class TestSenseOncePerPose:
+    """After a step that leaves the state object as it was (a blocked
+    forward move), the memory policy reuses its percept and the runner its
+    success check; the outputs are those of sensing on every step."""
+
+    # seeds whose untrained weights collide often without a store too
+    @pytest.mark.parametrize("seed", [2, 4, 10])
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize("capacity", [2, 32])
+    def test_same_files_as_sensing_every_step(
+        self, tmp_path, monkeypatch, seed, with_store, capacity
+    ):
+        from lhnav import runner
+        from lhnav.policy import EmbeddingOracle, LinearSoftmaxBackend
+
+        from reference_impls import SenseEveryStepPolicy
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        store_path = ""
+        if with_store:
+            store_path = str(tmp_path / "store.jsonl")
+            random_store(scenes, seed=seed).save(store_path)
+
+        def reference_policy(cfg, task, store=None):
+            return SenseEveryStepPolicy(
+                LinearSoftmaxBackend(embed_dim=cfg.embed_dim, seed=cfg.seed),
+                EmbeddingOracle(dim=cfg.embed_dim),
+                store if store is not None else LongTermStore(),
+                cfg.memory_capacity,
+            )
+
+        outputs = []
+        for side in ("cached", "reference"):
+            if side == "reference":
+                monkeypatch.setattr(runner, "make_policy", reference_policy)
+            out = tmp_path / side
+            cfg = RunConfig(
+                policy="memory", seed=seed, budget=40, memory_capacity=capacity,
+                store_path=store_path, out_dir=str(out),
+            )
+            report = run_suite(scenes, tasks, cfg)
+            files = sorted((out / "trajectories").glob("*.jsonl"))
+            assert len(files) == len(tasks)
+            outputs.append((report, [f.read_bytes() for f in files]))
+        assert outputs[0] == outputs[1]
+        steps = [s for f in files for s in Trajectory.load(f).steps]
+        assert sum(s.collided for s in steps) > len(steps) // 4
+
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_one_sensing_and_one_check_per_pose_and_target(self, monkeypatch, with_store):
+        from lhnav import policy, runner
+        from lhnav.taskforge import MOVE_TO
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        store = random_store(scenes, seed=4) if with_store else None
+        observed, retrieved, checked, moved = [], [], [], []
+
+        def recording(calls, real):
+            def record(*args):
+                result = real(*args)
+                calls.append((args, result))
+                return result
+            return record
+
+        monkeypatch.setattr(policy, "observe", recording(observed, policy.observe))
+        monkeypatch.setattr(
+            LongTermStore, "retrieve_topk", recording(retrieved, LongTermStore.retrieve_topk)
+        )
+        monkeypatch.setattr(runner, "subtask_success", recording(checked, runner.subtask_success))
+        monkeypatch.setattr(runner, "apply_action", recording(moved, runner.apply_action))
+
+        cfg = RunConfig(policy="memory", seed=4, budget=40)
+        steps = sensings = same_pose_new_target = 0
+        for task in tasks:
+            for calls in (observed, retrieved, checked, moved):
+                calls.clear()
+            scene = scenes[task.scene_id]
+            traj, _ = run_episode(scene, task, make_policy(cfg, task, store), cfg)
+            assert len(moved) == len(traj.steps)
+            windows = [span for span in traj.spans if span.kind == MOVE_TO]
+            # the policy senses once for each new state object or target
+            # that the steps pass through
+            sensed = fresh([
+                (step.state, span.target_id)
+                for span in windows
+                for step in traj.steps[span.start : span.end]
+            ])
+            assert len(observed) == len(retrieved) == len(sensed)
+            categories = [scene.object(target).category for _, target in sensed]
+            assert [args[1] for args, _ in retrieved] == categories
+            assert all(args[1] is state for (args, _), (state, _) in zip(observed, sensed))
+            # the runner checks a window's states and the pose after its
+            # last action, once for each new state object
+            expected = []
+            for span in windows:
+                window = [step.state for step in traj.steps[span.start : span.end]]
+                window.append(moved[span.end - 1][1].state)
+                expected += fresh([(state, span.target_id) for state in window])
+                if span.start and traj.steps[span.start].state is traj.steps[span.start - 1].state:
+                    same_pose_new_target += 1
+            assert len(checked) == len(expected)
+            assert all(
+                args[1] is state and args[2] == target
+                for (args, _), (state, target) in zip(checked, expected)
+            )
+            steps += len(traj.steps)
+            sensings += len(sensed)
+        # most steps reuse a percept, and some windows start at the pose
+        # the last one ended on, for a new target
+        assert sensings < steps // 2
+        assert same_pose_new_target > 0
