@@ -22,6 +22,7 @@ from .taskforge import (
     MAX_STAGES,
     MIN_STAGES,
     SceneTooSparseError,
+    TaskValidationError,
     generate_via_llm,
     load_tasks,
     sample_task,
@@ -71,6 +72,8 @@ def cmd_gen_scene(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
+    if args.count < 1:
+        args.usage_error(f"--count must be at least 1, got {args.count}")
     scenes = _load_scenes(args)
     endpoint = os.environ.get("LHNAV_LLM_ENDPOINT") or args.llm_endpoint
     robot = ROBOTS[args.robot]
@@ -117,16 +120,10 @@ def cmd_rollout(args) -> int:
     except ValueError as exc:
         args.usage_error(str(exc))
     scenes = _load_scenes(args)
-    tasks = load_tasks(args.tasks)
-    if not tasks:
-        args.usage_error(f"task file {args.tasks} holds no tasks")
-    for task in tasks:
-        if task.scene_id not in scenes:
-            args.usage_error(
-                f"task {task.id!r} in {args.tasks} is from scene {task.scene_id!r}, "
-                f"which is not among the scenes in {args.scenes}"
-            )
-    report = run_suite(scenes, tasks, cfg)
+    try:
+        report = run_suite(scenes, load_tasks(args.tasks), cfg)
+    except TaskValidationError as exc:
+        args.usage_error(f"task file {args.tasks}: {exc}")
     print(format_report_table(report))
     return 0
 

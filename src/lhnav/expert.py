@@ -15,8 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .world import FREE, Action, AgentState, Scene, bearing_to, subtask_success
-from .world import RobotConfig, ROBOTS
+from .world import FREE, Action, AgentState, RobotConfig, Scene, bearing_to
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,21 +151,16 @@ def expert_next_action(
     scene: Scene,
     state: AgentState,
     target: str,
-    robot: RobotConfig | None = None,
-    at_target: bool | None = None,
+    robot: RobotConfig,
+    at_target: bool,
 ) -> Action:
     """Greedy pathfinder step toward a target object.
 
-    Stops when the success predicate holds; otherwise turns toward the next
-    waypoint while the heading error exceeds half a turn step, then moves
-    forward.  A 180 degree tie turns left.  A caller that has already
-    judged subtask_success on this state and target passes it as
-    at_target, so that it is not judged twice.
+    Stops when at_target, the caller's subtask_success verdict on this
+    state and target, holds; otherwise turns toward the next waypoint while
+    the heading error exceeds half a turn step, then moves forward.  A 180
+    degree tie turns left.
     """
-    robot = robot or ROBOTS["spot"]
-    # the success predicate also checks that both points lie on free cells
-    if at_target is None:
-        at_target = subtask_success(scene, state, target)
     if at_target:
         return Action.STOP
     obj = scene.object(target)

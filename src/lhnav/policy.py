@@ -412,8 +412,7 @@ class StepContext:
     robot: RobotConfig
     target_id: str
     stage: int           # ordinal of the current navigation stage
-    # subtask_success(scene, state, target_id) when the caller has it
-    at_target: bool | None = None
+    at_target: bool      # the runner's subtask_success(scene, state, target_id)
 
 
 class Policy(Protocol):

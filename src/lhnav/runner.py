@@ -2,11 +2,12 @@
 judge subtasks, and aggregate metrics into a report.
 
 A navigation subtask ends when the policy emits stop (success is judged at
-that pose) or when the step budget truncates it.  Later subtasks always run
-regardless of earlier failures, from wherever the agent stands, because the
-stage-conditional metrics need every success flag.  Episodes are
-independent: a suite can fan out over processes and still reduce to the
-same aggregates.
+that pose) or when the step budget truncates it.  Success is judged here
+only, once per pose: the policy and the grab or release after a window take
+the runner's verdict.  Later subtasks always run regardless of earlier
+failures, from wherever the agent stands, because the stage-conditional
+metrics need every success flag.  Episodes are independent: a suite can
+fan out over processes and still reduce to the same aggregates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -33,14 +34,12 @@ from .policy import (
     StopPolicy,
 )
 from .memory import LongTermStore
-from .taskforge import GRAB, MOVE_TO, RELEASE, TaskSpec, sample_spawn
+from .taskforge import GRAB, MOVE_TO, TaskSpec, TaskValidationError, sample_spawn, validate_task
 from .trajectory import StepRecord, SubtaskSpan, Trajectory
 from .world import (
     AgentState,
     Scene,
     apply_action,
-    apply_grab,
-    apply_release,
     stock_robot,
     subtask_success,
     validate_state,
@@ -116,7 +115,14 @@ def run_episode(
     cfg: RunConfig,
     start: AgentState | None = None,
 ) -> tuple[Trajectory, EpisodeResult]:
-    """Run one task to completion and judge every navigation subtask."""
+    """Run one task to completion and judge every subtask.
+
+    A grab succeeds when the move window just before it ended at the
+    target, the arm is empty and the object is portable; a release, when
+    that window ended at the target and the arm holds the object.  An
+    interaction with no move window before it fails; only a task that
+    validate_task rejects has one.
+    """
     if task.scene_id != scene.scene_id:
         raise ValueError(
             f"task {task.id!r} pairs with {task.scene_id!r}, not {scene.scene_id!r}"
@@ -129,7 +135,8 @@ def run_episode(
     spans: list[SubtaskSpan] = []
     records: list[SubtaskRecord] = []
     stage = -1
-    last_move_target: str | None = None
+    # the verdict on the pose where the last move window ended
+    at_target = False
 
     for sub_idx, sub in enumerate(task.subtasks):
         if sub.kind == MOVE_TO:
@@ -210,15 +217,15 @@ def run_episode(
                     stopped=stopped,
                 )
             )
-            last_move_target = sub.object_id
             continue
         if sub.kind == GRAB:
-            state, ok = apply_grab(scene, state, sub.object_id)
-        elif sub.kind == RELEASE:
-            place = last_move_target or sub.object_id
-            state, ok = apply_release(scene, state, sub.object_id, place)
-        else:
-            raise ValueError(f"unknown subtask kind {sub.kind!r}")
+            ok = at_target and state.holding is None and scene.object(sub.object_id).portable
+            holding = sub.object_id
+        else:  # release
+            ok = at_target and state.holding == sub.object_id
+            holding = None
+        if ok:
+            state = replace(state, holding=holding)
         spans.append(
             SubtaskSpan(
                 index=sub_idx,
@@ -263,22 +270,29 @@ def run_suite(
 ) -> dict:
     """Run every task, write trajectories, and aggregate a report.
 
-    The reduction sorts episodes by task id, so shuffled task order and any
-    worker count produce the same report.  The memory policy's store is
-    loaded once, before any episode, and every episode reads that copy.
+    Every task is checked against its scene before any episode runs; an
+    empty suite, a task from an unknown scene and one that validate_task
+    rejects raise a TaskValidationError.  The reduction sorts episodes by
+    task id, so shuffled task order and any worker count produce the same
+    report.  The memory policy's store is loaded once, before any episode,
+    and every episode reads that copy.
     """
     if not tasks:
-        raise ValueError("suite needs at least one task")
+        raise TaskValidationError("the suite holds no tasks")
     for task in tasks:
         if task.scene_id not in scenes:
-            raise ValueError(f"task {task.id!r} references unknown scene {task.scene_id!r}")
+            raise TaskValidationError(
+                f"task {task.id!r} is from scene {task.scene_id!r}, which the suite lacks"
+            )
+        validate_task(scenes[task.scene_id], task)
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
     jobs = [(scenes[task.scene_id], task, cfg, store) for task in tasks]
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_episode_job, jobs))
     else:
         raw = [_episode_job(job) for job in jobs]

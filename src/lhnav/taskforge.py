@@ -55,17 +55,18 @@ class Subtask:
     object_id: str
     region_id: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in (MOVE_TO, GRAB, RELEASE):
+            raise ValueError(f"unknown subtask kind {self.kind!r}")
+        if not isinstance(self.object_id, str) or not isinstance(self.region_id, (str, type(None))):
+            raise TypeError("object_id must be a string and region_id a string or null")
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "object_id": self.object_id, "region_id": self.region_id}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subtask":
-        sub = cls(kind=d["kind"], object_id=d["object_id"], region_id=d.get("region_id"))
-        if sub.kind not in (MOVE_TO, GRAB, RELEASE):
-            raise ValueError(f"unknown subtask kind {sub.kind!r}")
-        if not isinstance(sub.object_id, str) or not isinstance(sub.region_id, (str, type(None))):
-            raise TypeError("object_id must be a string and region_id a string or null")
-        return sub
+        return cls(kind=d["kind"], object_id=d["object_id"], region_id=d.get("region_id"))
 
 
 @dataclass(frozen=True)
@@ -126,51 +127,43 @@ def load_prompt(name: str) -> str:
 
 def validate_task(scene: Scene, task: TaskSpec) -> None:
     """Check the structural task invariants against a scene; raises
-    TaskValidationError naming the offending field."""
+    TaskValidationError naming the task and the offending field."""
+
+    def invalid(problem: str) -> TaskValidationError:
+        return TaskValidationError(f"task {task.id!r}: {problem}")
+
     moves = task.move_targets()
     if not MIN_STAGES <= len(moves) <= MAX_STAGES:
-        raise TaskValidationError(
-            f"task {task.id!r}: {len(moves)} navigation stages, need {MIN_STAGES}..{MAX_STAGES}"
-        )
+        raise invalid(f"{len(moves)} navigation stages, need {MIN_STAGES}..{MAX_STAGES}")
     holding: str | None = None
     prev: Subtask | None = None
     for sub in task.subtasks:
         if not scene.has_object(sub.object_id):
-            raise TaskValidationError(f"unknown object {sub.object_id!r}")
+            raise invalid(f"unknown object {sub.object_id!r}")
         obj = scene.object(sub.object_id)
         if sub.kind == MOVE_TO:
             if sub.region_id is None:
-                raise TaskValidationError(f"move_to {sub.object_id!r} missing region")
+                raise invalid(f"move_to {sub.object_id!r} missing region")
             if not scene.has_region(sub.region_id):
-                raise TaskValidationError(f"unknown region {sub.region_id!r}")
+                raise invalid(f"unknown region {sub.region_id!r}")
             if obj.region_id != sub.region_id:
-                raise TaskValidationError(
-                    f"object {sub.object_id!r} is not in region {sub.region_id!r}"
-                )
+                raise invalid(f"object {sub.object_id!r} is not in region {sub.region_id!r}")
         elif sub.kind == GRAB:
             if holding is not None:
-                raise TaskValidationError(f"grab {sub.object_id!r} while already holding")
+                raise invalid(f"grab {sub.object_id!r} while already holding")
             if not obj.portable:
-                raise TaskValidationError(f"grab target {sub.object_id!r} is not portable")
+                raise invalid(f"grab target {sub.object_id!r} is not portable")
             if prev is None or prev.kind != MOVE_TO or prev.object_id != sub.object_id:
-                raise TaskValidationError(
-                    f"grab {sub.object_id!r} not preceded by a move to it"
-                )
+                raise invalid(f"grab {sub.object_id!r} not preceded by a move to it")
             holding = sub.object_id
-        elif sub.kind == RELEASE:
+        else:  # release
             if holding is None:
-                raise TaskValidationError(f"release {sub.object_id!r} with empty arm")
+                raise invalid(f"release {sub.object_id!r} with empty arm")
             if holding != sub.object_id:
-                raise TaskValidationError(
-                    f"release {sub.object_id!r} while holding {holding!r}"
-                )
+                raise invalid(f"release {sub.object_id!r} while holding {holding!r}")
             if prev is None or prev.kind != MOVE_TO:
-                raise TaskValidationError(
-                    f"release {sub.object_id!r} not preceded by a move to its place"
-                )
+                raise invalid(f"release {sub.object_id!r} not preceded by a move to its place")
             holding = None
-        else:
-            raise TaskValidationError(f"unknown subtask kind {sub.kind!r}")
         prev = sub
 
 

@@ -573,34 +573,3 @@ def subtask_success(scene: Scene, state: AgentState, target: str) -> bool:
         return False
     return line_of_sight(scene, state.position, obj.position)
 
-
-def apply_grab(scene: Scene, state: AgentState, object_id: str) -> tuple[AgentState, bool]:
-    """Pick up an object: requires an empty arm and the success predicate.
-
-    Pure bookkeeping; the scene itself never changes.
-    """
-    obj = scene.object(object_id)
-    if state.holding is not None:
-        return state, False
-    if not obj.portable:
-        return state, False
-    if not subtask_success(scene, state, object_id):
-        return state, False
-    return replace(state, holding=object_id), True
-
-
-def apply_release(
-    scene: Scene, state: AgentState, object_id: str, place_id: str
-) -> tuple[AgentState, bool]:
-    """Put down the held object at a place (the preceding move target).
-
-    Succeeds when the matching object is in hand and the agent satisfies the
-    success predicate for the place.  Held objects have no position of their
-    own, so the place anchors the check.
-    """
-    scene.object(object_id)
-    if state.holding != object_id:
-        return state, False
-    if not subtask_success(scene, state, place_id):
-        return state, False
-    return replace(state, holding=None), True

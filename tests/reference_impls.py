@@ -4,7 +4,7 @@ against.  Deliberately primitive: plain loops, no shared helpers."""
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decisio
 from lhnav.policy import one_hot
 from lhnav.splitter import Tag
 from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
+from lhnav.world import subtask_success
 from lhnav.world import observe as world_observe
 
 
@@ -540,3 +541,33 @@ def reference_next_waypoint(scene, field, cell, moves):
             best_val = val
             best = nb
     return best
+
+
+# -- grab and release as their own success checks ----------------------------------
+
+# The grab and release that lhnav.world held before the runner took them
+# over, kept line for line: each judges subtask_success on the state again,
+# so the runner's reuse of its move window's verdict can be checked against
+# them.
+
+
+def reference_apply_grab(scene, state, object_id):
+    """Pick up an object: requires an empty arm and the success predicate."""
+    obj = scene.object(object_id)
+    if state.holding is not None:
+        return state, False
+    if not obj.portable:
+        return state, False
+    if not subtask_success(scene, state, object_id):
+        return state, False
+    return replace(state, holding=object_id), True
+
+
+def reference_apply_release(scene, state, object_id, place_id):
+    """Put down the held object at a place (the preceding move target)."""
+    scene.object(object_id)
+    if state.holding != object_id:
+        return state, False
+    if not subtask_success(scene, state, place_id):
+        return state, False
+    return replace(state, holding=None), True

@@ -20,6 +20,11 @@ def usage_error_line(capsys, *argv):
     return err.splitlines()[-1]
 
 
+def edit_subtasks(edit):
+    """A task-file edit that changes the subtask list of its one task."""
+    return lambda task: [dict(task, subtasks=edit(task["subtasks"]))]
+
+
 class TestPipeline:
     def test_full_pipeline(self, tmp_path, capsys):
         scenes_dir = tmp_path / "scenes"
@@ -180,8 +185,28 @@ class TestUsageErrors:
             (lambda task: [{"id": task["id"]}], "entry 0"),
             (lambda task: [dict(task, scene_id="scene-99")], "'scene-99'"),
             (lambda task: [task, dict(task, id="other"), task], "entries 0 and 2"),
+            (
+                edit_subtasks(lambda subs: [dict(subs[0], object_id="piano-0")] + subs[1:]),
+                "task 'task-42-7': unknown object 'piano-0'",
+            ),
+            (
+                edit_subtasks(lambda subs: [dict(subs[0], region_id="attic")] + subs[1:]),
+                "task 'task-42-7': unknown region 'attic'",
+            ),
+            (edit_subtasks(lambda subs: subs[:2]), "task 'task-42-7': 1 navigation stages"),
+            (
+                edit_subtasks(lambda subs: [subs[1], subs[0]] + subs[2:]),
+                "task 'task-42-7': grab 'bag-0' not preceded by a move to it",
+            ),
+            (
+                edit_subtasks(lambda subs: [subs[0], dict(subs[1], kind="jump")] + subs[2:]),
+                "unknown subtask kind 'jump'",
+            ),
         ],
-        ids=["empty", "not-a-list", "missing-fields", "unknown-scene", "repeated-id"],
+        ids=[
+            "empty", "not-a-list", "missing-fields", "unknown-scene", "repeated-id",
+            "unknown-object", "unknown-region", "one-stage", "grab-first", "unknown-kind",
+        ],
     )
     def test_bad_task_file_is_a_usage_error(
         self, tmp_path, capsys, monkeypatch, two_room_scene, edit, named
@@ -303,6 +328,18 @@ class TestUsageErrors:
         assert err.startswith(f"usage: lhnav {argv[0]}")
         assert named in err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_gen_tasks_count_below_one_is_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, count
+    ):
+        two_room_scene.save(tmp_path / "scene.json")
+        last = usage_error_line(
+            capsys, "gen-tasks", "--scenes", tmp_path / "scene.json",
+            "--count", count, "--out", tmp_path / "t.json",
+        )
+        assert "--count" in last
+        assert not (tmp_path / "t.json").exists()
 
     def test_split_names_a_trajectory_from_an_unknown_scene(
         self, tmp_path, capsys, two_room_scene

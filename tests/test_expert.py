@@ -232,23 +232,28 @@ class TestFieldMatchesReference:
                 ), (source, cell)
 
 
+def expert_step(scene, state, target):
+    """The expert's action with the runner's verdict on the state."""
+    return expert_next_action(scene, state, target, SPOT, subtask_success(scene, state, target))
+
+
 class TestExpertNextAction:
     def test_forward_when_aligned(self, corridor_scene):
         s = AgentState(position=corridor_scene.cell_center((1, 1)), heading=0.0)
-        assert expert_next_action(corridor_scene, s, "box-0", SPOT) == Action.MOVE_FORWARD
+        assert expert_step(corridor_scene, s, "box-0") == Action.MOVE_FORWARD
 
     def test_target_behind_turns_left(self, corridor_scene):
         s = AgentState(position=corridor_scene.cell_center((1, 1)), heading=180.0)
-        assert expert_next_action(corridor_scene, s, "box-0", SPOT) == Action.TURN_LEFT
+        assert expert_step(corridor_scene, s, "box-0") == Action.TURN_LEFT
 
     def test_stop_when_success_holds(self, corridor_scene):
         s = AgentState(position=corridor_scene.cell_center((1, 5)), heading=0.0)
-        assert expert_next_action(corridor_scene, s, "box-0", SPOT) == Action.STOP
+        assert expert_step(corridor_scene, s, "box-0") == Action.STOP
 
     def test_unreachable_target_raises(self, sealed_scene):
         s = AgentState(position=sealed_scene.cell_center((1, 1)), heading=0.0)
         with pytest.raises(UnreachableTargetError):
-            expert_next_action(sealed_scene, s, "jar-0", SPOT)
+            expert_step(sealed_scene, s, "jar-0")
 
 
 class TestExpertRollout:

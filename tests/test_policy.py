@@ -22,7 +22,7 @@ from lhnav.policy import (
     train_backend,
 )
 from lhnav.taskforge import MOVE_TO, sample_spawn, sample_task
-from lhnav.world import ROBOTS, Action, AgentState, observe
+from lhnav.world import ROBOTS, Action, AgentState, observe, subtask_success
 
 from reference_impls import loop_loss_and_grad, reference_embed
 
@@ -42,13 +42,16 @@ class ExpertTeacherBackend:
     fails."""
 
     def decide(self, ctx, views, memory):
-        action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot)
+        action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot, ctx.at_target)
         return one_hot(action), 1.0
 
 
 def step_context(scene, state, target_id, stage=0):
-    """A runner step context."""
-    return StepContext(scene=scene, state=state, robot=SPOT, target_id=target_id, stage=stage)
+    """A runner step context, with the runner's verdict on the state."""
+    return StepContext(
+        scene=scene, state=state, robot=SPOT, target_id=target_id, stage=stage,
+        at_target=subtask_success(scene, state, target_id),
+    )
 
 
 class TestEmbeddingOracle:
@@ -400,7 +403,8 @@ class TestTraining:
             x = np.concatenate(
                 [oracle.embed_view(v) for v in obs.views] + [mem.mean_entry(16), stage_hot]
             )
-            label = expert_next_action(two_room_scene, step.state, target, stretch)
+            at_target = subtask_success(two_room_scene, step.state, target)
+            label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
             expected.append((x, int(label)))
             confidence = float(backend.probabilities(x).max())
             mem = forget_and_append(mem, oracle.embed_observation(obs), confidence)

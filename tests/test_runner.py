@@ -19,9 +19,11 @@ from lhnav.runner import (
 )
 from lhnav.policy import ExpertPolicy, StopPolicy
 from lhnav.scenegen import generate_scene
-from lhnav.taskforge import sample_spawn, sample_task
+from lhnav.taskforge import GRAB, MOVE_TO, RELEASE, Subtask, sample_spawn, sample_task
 from lhnav.trajectory import Trajectory
-from lhnav.world import ROBOTS, Action
+from lhnav.world import ROBOTS, Action, apply_action, stock_robot
+
+from reference_impls import reference_apply_grab, reference_apply_release
 
 SPOT = ROBOTS["spot"]
 
@@ -121,10 +123,9 @@ class TestRunEpisode:
 
     def test_one_success_check_per_expert_step(self, monkeypatch):
         # the runner judges success once per step and hands the result to
-        # the expert; the only other checks are at the end of each
-        # navigation window and in each grab or release
-        from lhnav import expert, runner, world
-        from lhnav.taskforge import MOVE_TO
+        # the expert and to each grab or release; the pose after a stop is
+        # the pose it was judged on
+        from lhnav import runner, world
 
         calls = 0
         real = world.subtask_success
@@ -134,15 +135,76 @@ class TestRunEpisode:
             calls += 1
             return real(scene, state, target)
 
-        for module in (expert, runner, world):
+        for module in (runner, world):
             monkeypatch.setattr(module, "subtask_success", counting)
         scene = generate_scene(seed=41, size=20, regions=4)
         task = sample_task(scene, ROBOTS["spot"], seed=3)
         traj, result = run_episode(scene, task, ExpertPolicy(), RunConfig())
-        windows = sum(span.kind == MOVE_TO for span in traj.spans)
-        interactions = len(traj.spans) - windows
-        assert interactions and all(r.success for r in result.records)
-        assert calls <= len(traj.steps) + windows + interactions
+        interactions = [span for span in traj.spans if span.kind != MOVE_TO]
+        assert interactions and all(span.interaction_ok for span in interactions)
+        assert all(r.success for r in result.records)
+        assert calls == len(traj.steps)
+
+
+def replay_interactions(scene, traj):
+    """Replays each grab and release of an episode with the reference ones,
+    on the pose where the move window before it ended, and checks the
+    episode's outcome and the holding it carried on; returns the outcomes."""
+    robot = stock_robot(traj.robot)
+    pose = place = None
+    outcomes = []
+    for span in traj.spans:
+        if span.kind == MOVE_TO:
+            last = traj.steps[span.end - 1]
+            pose = apply_action(scene, last.state, last.action, robot).state
+            place = span.target_id
+            continue
+        if span.kind == GRAB:
+            pose, ok = reference_apply_grab(scene, pose, span.target_id)
+        else:
+            pose, ok = reference_apply_release(scene, pose, span.target_id, place)
+        assert span.interaction_ok is ok
+        after = traj.steps[span.end].state if span.end < len(traj.steps) else traj.final_state
+        assert after.holding == pose.holding
+        outcomes.append(ok)
+    return outcomes
+
+
+class TestInteractions:
+    @pytest.mark.parametrize("policy", ["expert", "random", "memory"])
+    def test_grab_and_release_match_reference(self, policy):
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        cfg = RunConfig(policy=policy, seed=5, budget=500 if policy == "expert" else 40)
+        outcomes = []
+        for task in tasks:
+            scene = scenes[task.scene_id]
+            traj, _ = run_episode(scene, task, make_policy(cfg, task), cfg)
+            outcomes += replay_interactions(scene, traj)
+        assert len(outcomes) >= 2 * len(tasks)
+        assert all(outcomes) if policy == "expert" else not all(outcomes)
+
+    @pytest.mark.parametrize(
+        "kinds, expected",
+        [
+            ([(MOVE_TO, "bag-0"), (GRAB, "bag-0"), (MOVE_TO, "bag-0"), (GRAB, "bag-0")],
+             [True, False]),
+            ([(MOVE_TO, "desk-0"), (GRAB, "desk-0")], [False]),
+            ([(MOVE_TO, "desk-0"), (RELEASE, "bag-0")], [False]),
+        ],
+        ids=["grab-while-holding", "grab-non-portable", "release-not-held"],
+    )
+    def test_rejected_interactions_match_reference(self, two_room_scene, kinds, expected):
+        # tasks that validate_task rejects, run directly: each move window
+        # ends at its target, and the grab or release after it still fails
+        subtasks = tuple(
+            Subtask(kind, obj, two_room_scene.object(obj).region_id if kind == MOVE_TO else None)
+            for kind, obj in kinds
+        )
+        task = replace(sample_task(two_room_scene, SPOT, seed=7), subtasks=subtasks)
+        cfg = RunConfig()
+        traj, result = run_episode(two_room_scene, task, ExpertPolicy(), cfg)
+        assert all(r.success for r in result.records)
+        assert replay_interactions(two_room_scene, traj) == expected
 
 
 class TestRunConfig:
@@ -253,6 +315,57 @@ class TestRunSuite:
         cfg1 = RunConfig(policy="random", seed=4, budget=30, workers=1)
         cfg2 = RunConfig(policy="random", seed=4, budget=30, workers=2)
         assert run_suite(scenes, tasks, cfg1)["aggregate"] == run_suite(scenes, tasks, cfg2)["aggregate"]
+
+    def test_worker_pool_capped_at_task_count(self, monkeypatch):
+        # under fork a pool starts all of its processes at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
+        from lhnav import runner
+
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                if self._processes is not None:
+                    started.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=2)
+        cfg = RunConfig(policy="stop", workers=3)
+        serial = run_suite(scenes, tasks, replace(cfg, workers=1))
+        assert run_suite(scenes, tasks, cfg) == serial
+        run_suite(scenes, tasks[:1], cfg)
+        assert started == [2]
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (None, "the suite holds no tasks"),
+            (lambda task: replace(task, scene_id="scene-99"), "task 'bad' is from scene 'scene-99'"),
+            (lambda task: replace(task, subtasks=task.subtasks[:2]), "task 'bad': 1 navigation"),
+            (
+                lambda task: replace(
+                    task, subtasks=(Subtask(MOVE_TO, "piano-0", "0"),) + task.subtasks[1:]
+                ),
+                "task 'bad': unknown object 'piano-0'",
+            ),
+        ],
+        ids=["empty", "unknown-scene", "one-stage", "unknown-object"],
+    )
+    def test_rejected_suite_runs_no_episode(self, monkeypatch, bad, named):
+        # a bad task after a good one stops the suite before any episode
+        from lhnav import runner
+        from lhnav.taskforge import TaskValidationError
+
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=1)
+        tasks = [] if bad is None else tasks + [replace(bad(tasks[0]), id="bad")]
+        episodes = []
+        monkeypatch.setattr(runner, "run_episode", lambda *a, **k: episodes.append(a))
+        with pytest.raises(TaskValidationError, match=named) as exc:
+            run_suite(scenes, tasks, RunConfig())
+        assert isinstance(exc.value, ValueError)
+        assert episodes == []
 
     def test_memory_suite_loads_store_once_for_any_worker_count(self, tmp_path, monkeypatch):
         scenes, tasks = small_suite(n_scenes=3, tasks_per_scene=1)
@@ -385,7 +498,6 @@ class TestSenseOncePerPose:
     @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
     def test_one_sensing_and_one_check_per_pose_and_target(self, monkeypatch, with_store):
         from lhnav import policy, runner
-        from lhnav.taskforge import MOVE_TO
 
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         store = random_store(scenes, seed=4) if with_store else None

@@ -159,6 +159,69 @@ class TestValidateTask:
             validate_task(two_room_scene, bad)
 
 
+    @pytest.mark.parametrize(
+        "subtasks, problem",
+        [
+            ([(MOVE_TO, "bag-0", "0")], "1 navigation stages"),
+            ([(MOVE_TO, "piano-0", "0"), (MOVE_TO, "bag-0", "0")], "unknown object 'piano-0'"),
+            ([(MOVE_TO, "bag-0", None), (MOVE_TO, "desk-0", "4")], "'bag-0' missing region"),
+            ([(MOVE_TO, "bag-0", "attic"), (MOVE_TO, "desk-0", "4")], "unknown region 'attic'"),
+            ([(MOVE_TO, "bag-0", "4"), (MOVE_TO, "desk-0", "4")], "'bag-0' is not in region"),
+            (
+                [(MOVE_TO, "bag-0", "0"), (GRAB, "bag-0"), (MOVE_TO, "bag-0", "0"), (GRAB, "bag-0")],
+                "while already holding",
+            ),
+            ([(MOVE_TO, "desk-0", "4"), (GRAB, "desk-0"), (MOVE_TO, "bag-0", "0")], "not portable"),
+            (
+                [(MOVE_TO, "desk-0", "4"), (GRAB, "bag-0"), (MOVE_TO, "bag-0", "0")],
+                "grab 'bag-0' not preceded",
+            ),
+            ([(MOVE_TO, "desk-0", "4"), (RELEASE, "bag-0"), (MOVE_TO, "bag-0", "0")], "empty arm"),
+            (
+                [(MOVE_TO, "bag-0", "0"), (GRAB, "bag-0"), (MOVE_TO, "desk-0", "4"),
+                 (RELEASE, "desk-0")],
+                "while holding 'bag-0'",
+            ),
+            (
+                [(MOVE_TO, "bag-0", "0"), (GRAB, "bag-0"), (RELEASE, "bag-0"),
+                 (MOVE_TO, "desk-0", "4")],
+                "release 'bag-0' not preceded",
+            ),
+        ],
+        ids=[
+            "one-stage", "unknown-object", "missing-region", "unknown-region", "wrong-region",
+            "grab-while-holding", "grab-non-portable", "grab-not-after-move", "release-empty-arm",
+            "release-other-object", "release-not-after-move",
+        ],
+    )
+    def test_every_rejection_names_the_task(self, two_room_scene, subtasks, problem):
+        bad = TaskSpec(
+            id="x",
+            instruction="i",
+            subtasks=tuple(Subtask(*sub) for sub in subtasks),
+            robot="spot",
+            scene_id=two_room_scene.scene_id,
+            seed=0,
+        )
+        with pytest.raises(TaskValidationError) as exc:
+            validate_task(two_room_scene, bad)
+        assert str(exc.value).startswith("task 'x': ")
+        assert problem in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            (("jump", "bag-0"), ValueError),
+            ((MOVE_TO, 3), TypeError),
+            ((MOVE_TO, "bag-0", 0), TypeError),
+        ],
+        ids=["unknown-kind", "object-id-not-a-string", "region-id-not-a-string"],
+    )
+    def test_bad_subtask_rejected_when_built(self, fields, error):
+        with pytest.raises(error):
+            Subtask(*fields)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     reply_content: str = PROMPT1_EXAMPLE_REPLY
 

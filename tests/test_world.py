@@ -18,8 +18,6 @@ from lhnav.world import (
     SceneValidationError,
     UnknownObjectError,
     apply_action,
-    apply_grab,
-    apply_release,
     line_of_sight,
     normalize_heading,
     observe,
@@ -218,27 +216,6 @@ class TestSubtaskSuccess:
                     hits += 1
                     assert obj.id in observe(open_scene, s, SPOT).visible_ids()
         assert hits > 0  # the property actually fired
-
-
-class TestGrabRelease:
-    def test_grab_requires_empty_arm_and_success(self, corridor_scene):
-        near = state(1.375, 0.375, 0.0)
-        s2, ok = apply_grab(corridor_scene, near, "box-0")
-        assert ok and s2.holding == "box-0"
-        _, again = apply_grab(corridor_scene, s2, "box-0")
-        assert not again
-        far = state(0.375, 0.375, 0.0)
-        _, ok_far = apply_grab(corridor_scene, far, "box-0")
-        assert not ok_far
-
-    def test_release_requires_held_object_at_place(self, two_room_scene):
-        desk = two_room_scene.object("desk-0")
-        near_desk = state(desk.position[0] - 0.5, desk.position[1], 0.0, holding="bag-0")
-        s2, ok = apply_release(two_room_scene, near_desk, "bag-0", "desk-0")
-        assert ok and s2.holding is None
-        empty = state(desk.position[0] - 0.5, desk.position[1], 0.0)
-        _, ok2 = apply_release(two_room_scene, empty, "bag-0", "desk-0")
-        assert not ok2
 
 
 class TestSceneValidation:
