@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .files import InputFileError, write_document
@@ -21,6 +22,7 @@ from .splitter import render_step_instruction, split_trajectory, tag_segment
 from .taskforge import (
     MAX_STAGES,
     MIN_STAGES,
+    MOVE_TO,
     SceneTooSparseError,
     TaskValidationError,
     generate_via_llm,
@@ -145,7 +147,12 @@ def cmd_split(args) -> int:
             )
         robot = stock_robot(traj.robot)
         for span in traj.spans:
-            if span.kind != "move_to":
+            if not scene.has_object(span.target_id):
+                args.usage_error(
+                    f"trajectory {f}: subtask {span.index} targets {span.target_id!r}, "
+                    f"which is not in scene {traj.scene_id!r}"
+                )
+            if span.kind != MOVE_TO:
                 continue
             steps = traj.steps[span.start : span.end]
             actions = [s.action for s in steps if s.action != Action.STOP]
@@ -156,14 +163,14 @@ def cmd_split(args) -> int:
             # overlap, so those steps are observed once for all of them
             observations = [observe(scene, s.state, robot) for s in steps[: len(actions)]]
             tagged = [
-                seg.with_tags(tag_segment(scene, steps, observations, seg))
+                replace(seg, tags=tag_segment(scene, steps, observations, seg))
                 for seg in segments
             ]
             target = scene.object(span.target_id).category
             task = render_step_instruction(
                 target, tagged, source_task_id=traj.task_id, source_subtask=span.index
             )
-            out_tasks.append(task.to_dict())
+            out_tasks.append(vars(task))
     write_document(args.out, out_tasks)
     print(f"wrote {len(out_tasks)} step-by-step tasks to {args.out}")
     return 0

@@ -33,39 +33,12 @@ class EpisodeResult:
         return len(self.records)
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "records": [
-                {
-                    "success": r.success,
-                    "ne": r.ne,
-                    "gt": r.gt,
-                    "steps": r.steps,
-                    "path_taken": r.path_taken,
-                    "oracle_hit": r.oracle_hit,
-                    "truncated": r.truncated,
-                }
-                for r in self.records
-            ],
-        }
+        return dict(vars(self), records=[dict(vars(r)) for r in self.records])
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeResult":
-        return cls(
-            task_id=d["task_id"],
-            records=tuple(
-                SubtaskRecord(
-                    success=bool(r["success"]),
-                    ne=r["ne"],
-                    gt=r["gt"],
-                    steps=r["steps"],
-                    path_taken=r["path_taken"],
-                    oracle_hit=bool(r["oracle_hit"]),
-                    truncated=bool(r.get("truncated", False)),
-                )
-                for r in d["records"]
-            ),
-        )
+        """The inverse of to_dict; an unknown key is a TypeError."""
+        return cls(**{**d, "records": tuple(SubtaskRecord(**r) for r in d["records"])})
 
 
 def _require(results: list[EpisodeResult]) -> None:

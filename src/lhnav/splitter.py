@@ -47,9 +47,6 @@ class Segment:
     end: int    # inclusive
     tags: tuple[Tag, ...] = ()
 
-    def with_tags(self, tags: tuple[Tag, ...]) -> "Segment":
-        return Segment(label=self.label, start=self.start, end=self.end, tags=tags)
-
 
 @dataclass(frozen=True)
 class StepByStepTask:
@@ -58,15 +55,6 @@ class StepByStepTask:
     instruction: str
     source_task_id: str = ""
     source_subtask: int = -1
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "steps": [list(s) for s in self.steps],
-            "instruction": self.instruction,
-            "source_task_id": self.source_task_id,
-            "source_subtask": self.source_subtask,
-        }
 
 
 def normalize_actions(actions) -> str:

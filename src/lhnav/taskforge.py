@@ -19,8 +19,9 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
+from .expert import field_from, geodesic_distance
 from .files import InputFileError, read_document, write_document
-from .world import AgentState, RobotConfig, ROBOTS, Scene, normalize_heading
+from .world import AgentState, RobotConfig, ROBOTS, Scene, normalize_heading, stock_robot
 
 MOVE_TO = "move_to"
 GRAB = "grab"
@@ -61,13 +62,6 @@ class Subtask:
         if not isinstance(self.object_id, str) or not isinstance(self.region_id, (str, type(None))):
             raise TypeError("object_id must be a string and region_id a string or null")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "object_id": self.object_id, "region_id": self.region_id}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Subtask":
-        return cls(kind=d["kind"], object_id=d["object_id"], region_id=d.get("region_id"))
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -78,38 +72,25 @@ class TaskSpec:
     scene_id: str
     seed: int
 
+    def __post_init__(self) -> None:
+        if not all(isinstance(v, str) for v in (self.id, self.instruction, self.scene_id)):
+            raise TypeError("id, instruction and scene_id must be strings")
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be an integer, not {self.seed!r}")
+        stock_robot(self.robot)
+        if not self.move_targets():
+            raise ValueError("a task needs at least one move_to subtask")
+
     def move_targets(self) -> list[Subtask]:
         return [s for s in self.subtasks if s.kind == MOVE_TO]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "instruction": self.instruction,
-            "subtasks": [s.to_dict() for s in self.subtasks],
-            "robot": self.robot,
-            "scene_id": self.scene_id,
-            "seed": self.seed,
-        }
+        return dict(vars(self), subtasks=[dict(vars(s)) for s in self.subtasks])
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskSpec":
-        task = cls(
-            id=d["id"],
-            instruction=d["instruction"],
-            subtasks=tuple(Subtask.from_dict(s) for s in d["subtasks"]),
-            robot=d["robot"],
-            scene_id=d["scene_id"],
-            seed=d["seed"],
-        )
-        if not all(isinstance(v, str) for v in (task.id, task.instruction, task.scene_id)):
-            raise TypeError("id, instruction and scene_id must be strings")
-        if type(task.seed) is not int:
-            raise TypeError(f"seed must be an integer, not {task.seed!r}")
-        if task.robot not in ROBOTS:
-            raise ValueError(f"unknown robot {task.robot!r}")
-        if not task.move_targets():
-            raise ValueError("a task needs at least one move_to subtask")
-        return task
+        """The inverse of to_dict; an unknown key is a TypeError."""
+        return cls(**{**d, "subtasks": tuple(Subtask(**s) for s in d["subtasks"])})
 
 
 LLM_MODEL = "gpt-4"
@@ -178,8 +159,6 @@ def _stage_candidates(scene: Scene, portable: bool) -> list:
 def _pick_target(rng: random.Random, scene: Scene, pool, prev_obj, used: set[str]):
     """Deterministically pick the next stage target, preferring a different
     region and a decent geodesic separation from the previous one."""
-    from .expert import geodesic_distance
-
     candidates = [o for o in pool if o.id not in used]
     if prev_obj is not None:
         spread = [
@@ -299,8 +278,6 @@ def sample_spawn(scene: Scene, task: TaskSpec) -> AgentState:
     """Deterministic spawn for a task: a uniform free cell at least
     MIN_TARGET_SEPARATION geodesic from the first target (falls back to the
     farthest reachable cell), with a uniform heading."""
-    from .expert import field_from
-
     rng = random.Random(f"spawn:{task.scene_id}:{task.seed}")
     first = scene.object(task.move_targets()[0].object_id)
     field = field_from(scene, scene.cell_of(first.position))

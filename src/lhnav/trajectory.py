@@ -7,12 +7,12 @@ reproduces it exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 from .files import InputFileError, read_lines, write_lines
-from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState
+from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, stock_robot
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,6 @@ class SubtaskSpan:
     stopped: bool     # ended with an explicit stop rather than truncation
     interaction_ok: bool | None = None  # grab/release outcome
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubtaskSpan":
-        return cls(
-            index=d["index"],
-            kind=d["kind"],
-            target_id=d["target_id"],
-            start=d["start"],
-            end=d["end"],
-            gt=d["gt"],
-            stopped=bool(d["stopped"]),
-            interaction_ok=d.get("interaction_ok"),
-        )
-
 
 @dataclass
 class Trajectory:
@@ -102,14 +86,16 @@ class Trajectory:
             "seed": self.seed,
             "final_pose": [*self.final_state.position, self.final_state.heading],
             "final_holding": self.final_state.holding,
-            "spans": [s.to_dict() for s in self.spans],
+            "spans": [vars(s) for s in self.spans],
         }
         write_lines(path, chain([header], (step.to_dict() for step in self.steps)))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        """A trajectory written by save; a missing file or a line that does
-        not parse raises an InputFileError naming the path and the line."""
+        """A trajectory written by save; a missing file, a line that does
+        not parse, an unknown robot, or steps and spans that do not number
+        the whole episode (a cut file) raise an InputFileError naming the
+        path and, where one is at fault, the line."""
         lines = read_lines(path)
         number, header = next(lines, (0, None))
         if not isinstance(header, dict) or "final_pose" not in header:
@@ -119,20 +105,34 @@ class Trajectory:
             fields = dict(
                 task_id=header["task_id"],
                 scene_id=header["scene_id"],
-                robot=header["robot"],
-                spans=[SubtaskSpan.from_dict(s) for s in header["spans"]],
+                robot=stock_robot(header["robot"]).name,
+                spans=[SubtaskSpan(**s) for s in header["spans"]],
                 final_state=AgentState(
                     position=(fx, fy), heading=fh_deg, holding=header.get("final_holding")
                 ),
                 config_hash=header.get("config_hash", ""),
                 seed=header.get("seed", 0),
             )
+            # the spans tile the steps in order; end is where the last stops
+            end = 0
+            for span in fields["spans"]:
+                if span.start != end or not span.start <= span.end:
+                    raise ValueError(
+                        f"subtask {span.index} spans steps {span.start}..{span.end}, "
+                        f"not from step {end} on"
+                    )
+                end = span.end
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path} line {number}: not a trajectory header ({exc!r})") from exc
         steps = []
-        for number, record in lines:
+        for i, (number, record) in enumerate(lines):
             try:
-                steps.append(StepRecord.from_dict(record))
+                step = StepRecord.from_dict(record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
+            if step.index != i:
+                raise InputFileError(f"{path} line {number}: step {step.index} where {i} was due")
+            steps.append(step)
+        if end != len(steps):
+            raise InputFileError(f"{path}: the spans end at step {end}, the steps at {len(steps)}")
         return cls(steps=steps, **fields)

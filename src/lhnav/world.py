@@ -68,6 +68,10 @@ class ObjectInstance:
     position: tuple[float, float]  # meters (x, y)
     portable: bool
 
+    def __post_init__(self) -> None:
+        if type(self.portable) is not bool:
+            raise TypeError(f"object {self.id!r}: portable must be a bool, not {self.portable!r}")
+
 
 @dataclass(frozen=True)
 class RobotConfig:
@@ -308,53 +312,29 @@ class Scene:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The scene's constructor arguments, its regions and objects as the
+        dicts of their fields; tuples are lists, so the dict equals the
+        parsed scene file."""
         return {
             "grid": list(self.grid),
-            "regions": [
-                {"id": r.id, "label": r.label, "cells": [list(c) for c in r.cells]}
-                for r in self.regions
-            ],
-            "objects": [
-                {
-                    "id": o.id,
-                    "category": o.category,
-                    "region_id": o.region_id,
-                    "position": list(o.position),
-                    "portable": o.portable,
-                }
-                for o in self.objects
-            ],
+            "regions": [dict(vars(r), cells=[list(c) for c in r.cells]) for r in self.regions],
+            "objects": [dict(vars(o), position=list(o.position)) for o in self.objects],
             "seed": self.seed,
             "cell_size": self.cell_size,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scene":
-        regions = [
-            Region(
-                id=r["id"],
-                label=r["label"],
-                cells=tuple(tuple(c) for c in r["cells"]),
-            )
-            for r in data["regions"]
-        ]
-        objects = [
-            ObjectInstance(
-                id=o["id"],
-                category=o["category"],
-                region_id=o["region_id"],
-                position=tuple(o["position"]),
-                portable=bool(o["portable"]),
-            )
-            for o in data["objects"]
-        ]
-        return cls(
-            grid=data["grid"],
-            regions=regions,
-            objects=objects,
-            seed=data.get("seed", 0),
-            cell_size=data.get("cell_size", CELL_SIZE),
-        )
+        """The inverse of to_dict; an unknown key is a TypeError."""
+        return cls(**{
+            **data,
+            "regions": [
+                Region(**{**r, "cells": tuple(map(tuple, r["cells"]))}) for r in data["regions"]
+            ],
+            "objects": [
+                ObjectInstance(**{**o, "position": tuple(o["position"])}) for o in data["objects"]
+            ],
+        })
 
     def save(self, path: str | Path) -> None:
         write_lines(path, [self.to_dict()])

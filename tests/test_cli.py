@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -133,13 +134,13 @@ class TestSplitObservesEachStepOnce:
                 distinct += len(set(covered))
                 overlaps += len(covered) - len(set(covered))
                 tagged = [
-                    seg.with_tags(reference_tag_segment(scene, steps, seg, ROBOTS[traj.robot]))
+                    replace(seg, tags=reference_tag_segment(scene, steps, seg, ROBOTS[traj.robot]))
                     for seg in segments
                 ]
                 target = scene.object(span.target_id).category
-                expected.append(render_step_instruction(
+                expected.append(vars(render_step_instruction(
                     target, tagged, source_task_id=traj.task_id, source_subtask=span.index
-                ).to_dict())
+                )))
         assert overlaps > 0  # the segments did overlap
         assert len(observed) == distinct
         assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
@@ -264,6 +265,9 @@ class TestUsageErrors:
             ("split", "malformed-scene"),
             ("split", "missing-trajectory"),
             ("split", "empty-trajectory-dir"),
+            ("rollout", "portable-not-a-bool"),
+            ("gen-tasks", "portable-not-a-bool"),
+            ("split", "portable-not-a-bool"),
         ],
     )
     def test_bad_input_file_is_a_usage_error(
@@ -287,6 +291,11 @@ class TestUsageErrors:
         elif fault == "malformed-scene":
             scenes = named = tmp_path / "bad.json"
             scenes.write_text(json.dumps({"grid": ["###", "#.#", "###"]}))
+        elif fault == "portable-not-a-bool":
+            scenes = named = tmp_path / "bad.json"
+            data = two_room_scene.to_dict()
+            data["objects"][1]["portable"] = "no"  # the desk
+            scenes.write_text(json.dumps(data))
         else:
             scenes = named = tmp_path / "empty"
             scenes.mkdir()
@@ -391,6 +400,43 @@ class TestUsageErrors:
         assert re.search(rf"{re.escape(str(traj_path))} line {line}\b", last)
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "fault", ["cut", "steps-out-of-order", "span-gap", "unknown-robot", "unknown-target"]
+    )
+    def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.taskforge import sample_task
+
+        two_room_scene.save(tmp_path / "scene.json")
+        traj, _ = run_episode(
+            two_room_scene, sample_task(two_room_scene, seed=7), ExpertPolicy(), RunConfig()
+        )
+        path = tmp_path / "t.jsonl"
+        traj.save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert len(lines) > 20
+        if fault == "cut":  # at a line boundary, so every line parses
+            lines = lines[:20]
+        elif fault == "steps-out-of-order":
+            lines[5], lines[6] = lines[6], lines[5]
+        elif fault == "span-gap":
+            header["spans"][1]["start"] += 1
+        elif fault == "unknown-robot":
+            header["robot"] = "wall-e"
+        else:
+            header["spans"][0]["target_id"] = "ghost-9"
+        if fault in ("span-gap", "unknown-robot", "unknown-target"):
+            lines[0] = json.dumps(header) + "\n"
+        path.write_text("".join(lines))
+        last = usage_error_line(
+            capsys, "split", "--trajectories", path,
+            "--scenes", tmp_path / "scene.json", "--out", tmp_path / "s.json",
+        )
+        assert str(path) in last
+        assert not (tmp_path / "s.json").exists()
+
     def test_truncated_store_names_the_line(self, tmp_path, capsys, monkeypatch, two_room_scene):
         import numpy as np
 
@@ -439,24 +485,6 @@ class TestUsageErrors:
             path.write_text(json.dumps(report))
         last = usage_error_line(capsys, "report", "--results", path, "--format", fmt)
         assert str(path) in last
-
-    def test_split_rejects_unknown_robot(self, tmp_path, two_room_scene):
-        from lhnav.policy import ExpertPolicy
-        from lhnav.runner import RunConfig, run_episode
-        from lhnav.taskforge import sample_task
-
-        two_room_scene.save(tmp_path / "scene.json")
-        traj, _ = run_episode(
-            two_room_scene, sample_task(two_room_scene, seed=7), ExpertPolicy(), RunConfig()
-        )
-        traj.robot = "spott"
-        traj.save(tmp_path / "t.jsonl")
-        with pytest.raises(ValueError, match="'spott'"):
-            run_cli(
-                "split", "--trajectories", str(tmp_path / "t.jsonl"),
-                "--scenes", str(tmp_path / "scene.json"), "--out", str(tmp_path / "s.json"),
-            )
-
 
 class TestConfigFile:
     """There is no config file: every value comes from a flag, and only the

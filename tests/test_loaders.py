@@ -126,3 +126,36 @@ def test_only_a_value_error_naming_the_file_escapes(valid, name, data):
         LOADERS[name](path)
     except InputFileError as exc:
         assert str(path) in str(exc)
+
+
+# (loader, the path in the file's first JSON value of the record that gets
+# an extra key)
+UNKNOWN_KEY_PLACES = {
+    "scene": ("scene", ()),
+    "region": ("scene", ("regions", 0)),
+    "object": ("scene", ("objects", 1)),
+    "task": ("tasks", (0,)),
+    "subtask": ("tasks", (0, "subtasks", 0)),
+    "span": ("trajectory", ("spans", 0)),
+}
+
+
+@pytest.mark.parametrize("place", sorted(UNKNOWN_KEY_PLACES))
+def test_unknown_key_is_rejected(valid, place):
+    # a record holds exactly its dataclass's fields
+    root, texts = valid
+    name, where = UNKNOWN_KEY_PLACES[place]
+    first, _, rest = texts[name].partition("\n")
+    doc = json.loads(first if name in JSONL else texts[name])
+    record = doc
+    for key in where:
+        record = record[key]
+    record["colour"] = "teal"
+    path = root / f"unknown-key-{place}"
+    if name in JSONL:
+        path.write_text(json.dumps(doc) + "\n" + rest, encoding="utf-8")
+    else:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputFileError, match="'colour'") as exc:
+        LOADERS[name](path)
+    assert str(path) in str(exc.value)

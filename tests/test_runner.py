@@ -108,10 +108,10 @@ class TestRunEpisode:
         assert len(traj.steps) == sum(r.steps for r in result.records) > 0
 
     def test_unknown_robot_rejected(self, two_room_scene):
-        task = replace(sample_task(two_room_scene, SPOT, seed=7), robot="spott")
-        cfg = RunConfig(policy="expert")
+        # a task names a stock robot from the moment it is built
+        task = sample_task(two_room_scene, SPOT, seed=7)
         with pytest.raises(ValueError, match=r"'spott'.*'spot', 'stretch'"):
-            run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
+            replace(task, robot="spott")
 
     def test_wrong_scene_pairing_rejected(self, two_room_scene):
         scene2 = generate_scene(seed=77, size=20)

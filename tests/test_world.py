@@ -240,6 +240,15 @@ class TestSceneValidation:
         with pytest.raises(SceneValidationError):
             Scene(grid=rows, regions=[region], objects=[bad])
 
+    @pytest.mark.parametrize("portable", ["no", 0, 1, None])
+    def test_portable_must_be_a_bool(self, portable):
+        from lhnav.world import ObjectInstance
+
+        with pytest.raises(TypeError, match="portable"):
+            ObjectInstance(
+                id="x", category="box", region_id="0", position=(0.4, 0.4), portable=portable
+            )
+
     def test_is_free_matches_grid_lookup_including_outer_ring(self):
         from lhnav.scenegen import generate_scene
 
