@@ -35,10 +35,18 @@ from .world import ROBOTS, Action, Scene, observe, stock_robot
 
 
 def _load_scenes(args) -> dict[str, Scene]:
-    """The scenes under --scenes."""
+    """The scenes under --scenes; two files that hold one scene id are a
+    usage error."""
     p = Path(args.scenes)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
-    scenes = {scene.scene_id: scene for scene in map(Scene.load, files)}
+    scenes: dict[str, Scene] = {}
+    file_of: dict[str, Path] = {}
+    for path in files:
+        scene = Scene.load(path)
+        first = file_of.setdefault(scene.scene_id, path)
+        if first != path:
+            args.usage_error(f"scene files {first} and {path} both hold {scene.scene_id!r}")
+        scenes[scene.scene_id] = scene
     if not scenes:
         args.usage_error(f"no scene files under {args.scenes}")
     return scenes
@@ -82,13 +90,9 @@ def cmd_gen_tasks(args) -> int:
     tasks = []
     scene_list = [scenes[k] for k in sorted(scenes)]
     seed = args.seed
-    attempts_left = max(4 * args.count * len(scene_list), 16)
     while len(tasks) < args.count:
-        if attempts_left <= 0:
-            raise SceneTooSparseError(
-                f"could not sample {args.count} tasks from the given scenes"
-            )
-        attempts_left -= 1
+        if not scene_list:
+            args.usage_error(f"no scene under --scenes {args.scenes} can host a task")
         scene = scene_list[len(tasks) % len(scene_list)]
         if endpoint:
             tasks.append(
@@ -102,7 +106,8 @@ def cmd_gen_tasks(args) -> int:
                     sample_task(scene, robot, seed=seed, allowed_stages=args.subtasks)
                 )
             except SceneTooSparseError as exc:
-                print(f"skipping scene {scene.scene_id}: {exc}", file=sys.stderr)
+                print(f"dropping scene {scene.scene_id}: {exc}", file=sys.stderr)
+                scene_list.remove(scene)
         seed += 1
     save_tasks(tasks, args.out)
     print(f"wrote {len(tasks)} tasks to {args.out}")

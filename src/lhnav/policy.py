@@ -350,25 +350,14 @@ def train_backend(
 
 
 class Percept:
-    """What a memory step sensed: the view embeddings, the fused embedding
-    and the top-k retrieved for the target, with the scene, robot, state
-    object and target id they were sensed for."""
+    """What a memory step sensed for one step context: the view
+    embeddings, the fused embedding and the top-k retrieved for the
+    target."""
 
-    __slots__ = ("scene", "robot", "state", "target_id", "views", "fused", "top")
+    __slots__ = ("ctx", "views", "fused", "top")
 
     def __init__(self) -> None:
-        self.scene = self.robot = self.state = self.target_id = None
-        self.views = self.fused = self.top = None
-
-    def holds(self, ctx: StepContext) -> bool:
-        """Sensed at ctx's pose for ctx's target.  A state is immutable, so
-        the same object is the same pose."""
-        return (
-            self.state is ctx.state
-            and self.scene is ctx.scene
-            and self.robot is ctx.robot
-            and self.target_id == ctx.target_id
-        )
+        self.ctx = self.views = self.fused = self.top = None
 
 
 def memory_policy_step(
@@ -383,17 +372,19 @@ def memory_policy_step(
     retrieved for the target's category, take the argmax, and fold the
     observation into short-term memory.
 
-    percept is the previous step's percept, updated in place.  When it
-    holds ctx, as after a blocked forward move, the step reuses it instead
-    of observing, embedding and retrieving again: those are pure functions
-    of the pose and the target, given one store and one oracle, and the
-    store is read-only during an episode.  The decision and the fold run
-    on every step, because they read the short-term memory."""
+    percept is the previous step's percept, updated in place.  When it was
+    sensed for this very context object, as after a blocked forward move
+    (the runner makes one context per pose), the step reuses it instead of
+    observing, embedding and retrieving again: those are pure functions of
+    the pose and the target, given one store and one oracle, and the store
+    is read-only during an episode.  Another context object is sensed
+    again, even at an equal pose.  The decision and the fold run on every
+    step, because they read the short-term memory."""
     p = percept if percept is not None else Percept()
-    if not p.holds(ctx):
+    if p.ctx is not ctx:
         p.views, p.fused = oracle.embed(observe(ctx.scene, ctx.state, ctx.robot))
         p.top = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, p.fused)
-        p.scene, p.robot, p.state, p.target_id = ctx.scene, ctx.robot, ctx.state, ctx.target_id
+        p.ctx = ctx
     decision, confidence = backend.decide(ctx, p.views, mem)
     if p.top:
         decision, _ = weight_decision(decision, p.top.acts)
@@ -405,8 +396,11 @@ def memory_policy_step(
 # -- runner-facing policies ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepContext:
+    """One pose of a move window; run_episode makes one per pose and hands
+    the same object to every step at it."""
+
     scene: Scene
     state: AgentState
     robot: RobotConfig
@@ -450,9 +444,9 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting.  It keeps its last percept, so a step that
-    leaves the pose and the target as they were (a blocked forward move)
-    does not sense again; the store must not change while it runs."""
+    short-term forgetting.  It keeps its last percept, so a step handed
+    the same context as the step before (a blocked forward move) does not
+    sense again; the store must not change while it runs."""
 
     def __init__(
         self,

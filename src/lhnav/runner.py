@@ -3,7 +3,8 @@ judge subtasks, and aggregate metrics into a report.
 
 A navigation subtask ends when the policy emits stop (success is judged at
 that pose) or when the step budget truncates it.  Success is judged here
-only, once per pose: the policy and the grab or release after a window take
+only, once per pose, and held in the one step context that every step at
+that pose shares: the policy and the grab or release after a window take
 the runner's verdict.  Later subtasks always run regardless of earlier
 failures, from wherever the agent stands, because the stage-conditional
 metrics need every success flag.  Episodes are independent: a suite can
@@ -154,24 +155,21 @@ def run_episode(
             oracle_hit = False
             path_taken = 0.0
             stopped = False
-            # at_target is subtask_success at checked; a state is immutable
-            # and a stop or a blocked move returns the same object, so only
-            # a new state is checked again
-            checked = None
+            # one context per pose: a state is immutable and a stop or a
+            # blocked move returns the same object, so only a new state is
+            # judged and given a new context
+            ctx = None
             for _ in range(cfg.budget):
-                if state is not checked:
-                    at_target = subtask_success(scene, state, sub.object_id)
-                    checked = state
-                if at_target:
-                    oracle_hit = True
-                ctx = StepContext(
-                    scene=scene,
-                    state=state,
-                    robot=robot,
-                    target_id=sub.object_id,
-                    stage=stage,
-                    at_target=at_target,
-                )
+                if ctx is None or ctx.state is not state:
+                    ctx = StepContext(
+                        scene=scene,
+                        state=state,
+                        robot=robot,
+                        target_id=sub.object_id,
+                        stage=stage,
+                        at_target=subtask_success(scene, state, sub.object_id),
+                    )
+                oracle_hit = oracle_hit or ctx.at_target
                 action = policy.act(ctx)
                 result = apply_action(scene, state, action, robot)
                 steps.append(
@@ -190,7 +188,8 @@ def run_episode(
                     stopped = True
                     break
             # the pose after the last action belongs to this window too
-            if state is not checked:
+            at_target = ctx.at_target
+            if ctx.state is not state:
                 at_target = subtask_success(scene, state, sub.object_id)
             oracle_hit = oracle_hit or at_target
             success = stopped and at_target
@@ -271,11 +270,12 @@ def run_suite(
     """Run every task, write trajectories, and aggregate a report.
 
     Every task is checked against its scene before any episode runs; an
-    empty suite, a task from an unknown scene and one that validate_task
-    rejects raise a TaskValidationError.  The reduction sorts episodes by
+    empty suite, a task from an unknown scene, one that validate_task
+    rejects and one with a move target unreachable from the target before
+    it raise a TaskValidationError.  The reduction sorts episodes by
     task id, so shuffled task order and any worker count produce the same
-    report.  The memory policy's store is loaded once, before any episode,
-    and every episode reads that copy.
+    report.  The memory policy's store is loaded once, before any episode;
+    serial episodes read that copy, and each worker job a pickled copy.
     """
     if not tasks:
         raise TaskValidationError("the suite holds no tasks")
@@ -284,7 +284,15 @@ def run_suite(
             raise TaskValidationError(
                 f"task {task.id!r} is from scene {task.scene_id!r}, which the suite lacks"
             )
-        validate_task(scenes[task.scene_id], task)
+        scene = scenes[task.scene_id]
+        validate_task(scene, task)
+        # each query is toward a target, whose field its window needs anyway
+        targets = [scene.object(sub.object_id) for sub in task.move_targets()]
+        for prev, target in zip(targets, targets[1:]):
+            if geodesic_distance(scene, prev.position, target.position) == math.inf:
+                raise TaskValidationError(
+                    f"task {task.id!r}: target {target.id!r} is unreachable from {prev.id!r}"
+                )
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)

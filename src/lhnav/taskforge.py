@@ -221,7 +221,8 @@ def sample_task(
     under the seed.
 
     allowed_stages restricts the number of navigation stages (default 2..4,
-    capped by what the scene can support).
+    capped by what the scene can support).  A SceneTooSparseError depends
+    on the scene and allowed_stages only, never on the seed.
     """
     robot = robot or ROBOTS["spot"]
     rng = random.Random(f"task:{scene.seed}:{seed}")
@@ -239,6 +240,8 @@ def sample_task(
         max_feasible = min(max_feasible, 2)
     if len(destinations) + len(portables) < 4:
         max_feasible = min(max_feasible, 3)
+    if not receptacles:  # then every stage takes a portable of its own
+        max_feasible = min(max_feasible, len(portables))
     allowed = [
         n
         for n in (allowed_stages or range(MIN_STAGES, MAX_STAGES + 1))

@@ -15,6 +15,9 @@ from .files import InputFileError, read_lines, write_lines
 from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, stock_robot
 
 
+_STEP_KEYS = {"i", "pose", "holding", "action", "collided", "obs_id", "subtask"}
+
+
 @dataclass(frozen=True)
 class StepRecord:
     index: int
@@ -37,12 +40,19 @@ class StepRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
+        """The inverse of to_dict, where holding may be left out; an unknown
+        key or a collided that is not a bool is a TypeError."""
+        unknown = set(d) - _STEP_KEYS
+        if unknown:
+            raise TypeError(f"unknown step keys {sorted(unknown)}")
+        if type(d["collided"]) is not bool:
+            raise TypeError(f"collided must be a bool, not {d['collided']!r}")
         x, y, heading = d["pose"]
         return cls(
             index=d["i"],
             state=AgentState(position=(x, y), heading=heading, holding=d.get("holding")),
             action=ACTION_BY_NAME[d["action"]],
-            collided=bool(d["collided"]),
+            collided=d["collided"],
             obs_id=d["obs_id"],
             subtask=d["subtask"],
         )

@@ -168,10 +168,15 @@ class Scene:
         seed: int = 0,
         cell_size: float = CELL_SIZE,
     ):
+        # the seed names the scene, so it is never rounded into another one
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an integer, not {seed!r}")
+        if type(cell_size) not in (int, float):
+            raise TypeError(f"cell_size must be a number, not {cell_size!r}")
         self.grid = tuple(grid)
         self.regions = tuple(regions)
         self.objects = tuple(objects)
-        self.seed = int(seed)
+        self.seed = seed
         self.cell_size = float(cell_size)
         self._objects_by_id = {o.id: o for o in self.objects}
         self._regions_by_id = {r.id: r for r in self.regions}

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from lhnav.cli import main
+from lhnav.taskforge import MOVE_TO
 
 
 def run_cli(*argv):
@@ -268,6 +269,9 @@ class TestUsageErrors:
             ("rollout", "portable-not-a-bool"),
             ("gen-tasks", "portable-not-a-bool"),
             ("split", "portable-not-a-bool"),
+            ("rollout", "seed-not-an-integer"),
+            ("gen-tasks", "seed-not-an-integer"),
+            ("gen-tasks", "cell-size-not-a-number"),
         ],
     )
     def test_bad_input_file_is_a_usage_error(
@@ -296,6 +300,13 @@ class TestUsageErrors:
             data = two_room_scene.to_dict()
             data["objects"][1]["portable"] = "no"  # the desk
             scenes.write_text(json.dumps(data))
+        elif fault == "seed-not-an-integer":
+            # a rounded seed would rename the scene that tasks are keyed by
+            scenes = named = tmp_path / "zz-typo.json"
+            scenes.write_text(json.dumps(dict(two_room_scene.to_dict(), seed=5.7)))
+        elif fault == "cell-size-not-a-number":
+            scenes = named = tmp_path / "bad.json"
+            scenes.write_text(json.dumps(dict(two_room_scene.to_dict(), cell_size="0.25")))
         else:
             scenes = named = tmp_path / "empty"
             scenes.mkdir()
@@ -350,6 +361,87 @@ class TestUsageErrors:
         assert "--count" in last
         assert not (tmp_path / "t.json").exists()
 
+    def test_gen_tasks_drops_a_scene_too_sparse_for_tasks(
+        self, tmp_path, capsys, two_room_scene, open_scene
+    ):
+        # open_scene has objects in one region only, so it hosts no task
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        open_scene.save(scenes / "sparse.json")
+        two_room_scene.save(scenes / "rooms.json")
+        out = tmp_path / "t.json"
+        assert run_cli("gen-tasks", "--scenes", str(scenes), "--count", "3", "--out", str(out)) == 0
+        tasks = json.loads(out.read_text())
+        assert [t["scene_id"] for t in tasks] == [two_room_scene.scene_id] * 3
+        err = capsys.readouterr().err
+        assert err.count(open_scene.scene_id) == 1 and len(err.splitlines()) == 1
+
+    def test_gen_tasks_without_a_scene_that_hosts_tasks_is_a_usage_error(
+        self, tmp_path, capsys, open_scene
+    ):
+        open_scene.save(tmp_path / "sparse.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "gen-tasks", "--scenes", str(tmp_path / "sparse.json"),
+                "--count", "3", "--out", str(tmp_path / "t.json"),
+            )
+        assert exc.value.code == 2
+        dropped, *usage = capsys.readouterr().err.splitlines()
+        assert dropped.startswith(f"dropping scene {open_scene.scene_id}")
+        assert usage[0].startswith("usage: lhnav gen-tasks")
+        assert "--scenes" in usage[-1] and str(tmp_path / "sparse.json") in usage[-1]
+        assert not (tmp_path / "t.json").exists()
+
+    def test_unreachable_target_is_a_usage_error(self, tmp_path, capsys, sealed_scene):
+        from lhnav.taskforge import GRAB, RELEASE, Subtask, TaskSpec, save_tasks
+
+        # the jar's room has no door to the cup's
+        task = TaskSpec(
+            id="sealed-0",
+            instruction="take the cup to the jar",
+            subtasks=(
+                Subtask(kind=MOVE_TO, object_id="cup-0", region_id="0"),
+                Subtask(kind=GRAB, object_id="cup-0"),
+                Subtask(kind=MOVE_TO, object_id="jar-0", region_id="1"),
+                Subtask(kind=RELEASE, object_id="cup-0"),
+            ),
+            robot="spot",
+            scene_id=sealed_scene.scene_id,
+            seed=0,
+        )
+        sealed_scene.save(tmp_path / "scene.json")
+        save_tasks([task], tmp_path / "t.json")
+        last = usage_error_line(
+            capsys, "rollout", "--scenes", tmp_path / "scene.json",
+            "--tasks", tmp_path / "t.json", "--out", tmp_path / "run",
+        )
+        assert str(tmp_path / "t.json") in last
+        assert "task 'sealed-0': target 'jar-0' is unreachable from 'cup-0'" in last
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-tasks", "rollout", "split"])
+    def test_two_scene_files_with_one_scene_id_are_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, command
+    ):
+        from lhnav.taskforge import sample_task, save_tasks
+
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        first, second = scenes / "a.json", scenes / "b.json"
+        two_room_scene.save(first)
+        two_room_scene.save(second)
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        (tmp_path / "trajectories").mkdir()
+        argv = {
+            "gen-tasks": ["--count", "1"],
+            "rollout": ["--tasks", tmp_path / "t.json"],
+            "split": ["--trajectories", tmp_path / "trajectories"],
+        }[command]
+        out = tmp_path / "out"
+        last = usage_error_line(capsys, command, "--scenes", scenes, *argv, "--out", out)
+        assert f"{first} and {second}" in last and repr(two_room_scene.scene_id) in last
+        assert not out.exists()
+
     def test_split_names_a_trajectory_from_an_unknown_scene(
         self, tmp_path, capsys, two_room_scene
     ):
@@ -401,7 +493,11 @@ class TestUsageErrors:
         assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["cut", "steps-out-of-order", "span-gap", "unknown-robot", "unknown-target"]
+        "fault",
+        [
+            "cut", "steps-out-of-order", "span-gap", "unknown-robot", "unknown-target",
+            "collided-not-a-bool", "unknown-step-key",
+        ],
     )
     def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
         from lhnav.policy import ExpertPolicy
@@ -425,8 +521,12 @@ class TestUsageErrors:
             header["spans"][1]["start"] += 1
         elif fault == "unknown-robot":
             header["robot"] = "wall-e"
-        else:
+        elif fault == "unknown-target":
             header["spans"][0]["target_id"] = "ghost-9"
+        elif fault == "collided-not-a-bool":
+            lines[3] = json.dumps(dict(json.loads(lines[3]), collided="no")) + "\n"
+        else:
+            lines[3] = json.dumps(dict(json.loads(lines[3]), note="edited")) + "\n"
         if fault in ("span-gap", "unknown-robot", "unknown-target"):
             lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines))
@@ -435,6 +535,8 @@ class TestUsageErrors:
             "--scenes", tmp_path / "scene.json", "--out", tmp_path / "s.json",
         )
         assert str(path) in last
+        if fault in ("collided-not-a-bool", "unknown-step-key"):
+            assert f"{path} line 4" in last
         assert not (tmp_path / "s.json").exists()
 
     def test_truncated_store_names_the_line(self, tmp_path, capsys, monkeypatch, two_room_scene):

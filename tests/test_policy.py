@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -547,14 +548,36 @@ class TestPolicies:
         pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
         reference = SenseEveryStepPolicy(UniformBackend(), oracle, store, capacity=4)
         state = sample_spawn(two_room_scene, task)
-        contexts = [
-            step_context(two_room_scene, state, target)
-            for target in ("bag-0", "bag-0", "desk-0", "desk-0", "bag-0")
-        ]
+        # one context object per (pose, target), as the runner makes them
+        bag, desk, bag2 = (
+            step_context(two_room_scene, state, target) for target in ("bag-0", "desk-0", "bag-0")
+        )
+        contexts = [bag, bag, desk, desk, bag2]
         actions = [pol.act(ctx) for ctx in contexts]
         assert actions == [reference.act(ctx) for ctx in contexts]
         assert actions == [Action.MOVE_FORWARD] * 2 + [Action.TURN_RIGHT] * 2 + [Action.MOVE_FORWARD]
         assert len(observed) == 3
+
+    def test_memory_policy_senses_again_for_an_equal_but_distinct_context(
+        self, two_room_scene, monkeypatch
+    ):
+        task = sample_task(two_room_scene, seed=7)
+        observed = []
+        real = policy.observe
+        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
+        pol = MemoryPolicy(UniformBackend(), oracle=EmbeddingOracle(dim=16), capacity=4)
+        state = sample_spawn(two_room_scene, task)
+        first, second = (step_context(two_room_scene, state, "bag-0") for _ in range(2))
+        assert first == second and first is not second
+        for ctx in (first, first, second, second):
+            pol.act(ctx)
+        assert len(observed) == 2
+
+    def test_step_context_is_frozen(self, two_room_scene):
+        task = sample_task(two_room_scene, seed=7)
+        ctx = step_context(two_room_scene, sample_spawn(two_room_scene, task), "bag-0")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.state = sample_spawn(two_room_scene, task)
 
     def test_memory_policy_never_mutates_store(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)

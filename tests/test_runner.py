@@ -495,6 +495,28 @@ class TestSenseOncePerPose:
         steps = [s for f in files for s in Trajectory.load(f).steps]
         assert sum(s.collided for s in steps) > len(steps) // 4
 
+    def test_one_context_object_per_pose(self):
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        cfg = RunConfig(policy="memory", seed=4, budget=40)
+        reused = renewed = 0
+        for task in tasks:
+            policy = make_policy(cfg, task)
+            contexts = []
+            act = policy.act
+            policy.act = lambda ctx: contexts.append(ctx) or act(ctx)
+            traj, _ = run_episode(scenes[task.scene_id], task, policy, cfg)
+            assert len(contexts) == len(traj.steps)
+            for step, ctx in zip(traj.steps, contexts):
+                assert ctx.state is step.state
+                assert ctx.target_id == traj.spans[step.subtask].target_id
+            for i in range(1, len(contexts)):
+                before, step = traj.steps[i - 1], traj.steps[i]
+                same_pose = step.state is before.state and step.subtask == before.subtask
+                assert (contexts[i] is contexts[i - 1]) == same_pose
+                reused += same_pose
+                renewed += not same_pose
+        assert reused > 0 and renewed > 0
+
     @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
     def test_one_sensing_and_one_check_per_pose_and_target(self, monkeypatch, with_store):
         from lhnav import policy, runner

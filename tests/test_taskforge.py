@@ -26,7 +26,7 @@ from lhnav.taskforge import (
     save_tasks,
     validate_task,
 )
-from lhnav.world import ROBOTS
+from lhnav.world import ROBOTS, ObjectInstance, Region, Scene
 
 from conftest import scene_from
 
@@ -71,6 +71,20 @@ class TestSampleTask:
         )
         with pytest.raises(SceneTooSparseError):
             sample_task(scene, SPOT, seed=1)
+
+    def test_scene_without_receptacles_hosts_a_task_at_every_seed(self):
+        # two portables and no place: every stage needs a portable of its
+        # own, so the stage count is capped at two, not left to the seed
+        scene = Scene(
+            grid=["#######", "#.....#", "#######"],
+            regions=[Region("0", "den", ((1, 1),)), Region("1", "study", ((1, 5),))],
+            objects=[
+                ObjectInstance("cup-0", "cup", "0", (0.375, 0.375), True),
+                ObjectInstance("jar-0", "jar", "1", (1.375, 0.375), True),
+            ],
+        )
+        for seed in range(20):
+            assert len(sample_task(scene, SPOT, seed=seed).move_targets()) == 2
 
     def test_bulk_sampled_tasks_satisfy_invariants(self):
         scenes = [generate_scene(seed=s, size=22, regions=4) for s in (1, 2, 3)]

@@ -229,6 +229,17 @@ class TestSceneValidation:
         with pytest.raises(SceneValidationError, match="cell_size"):
             Scene(grid=["###", "#.#", "###"], regions=[], objects=[], cell_size=cell_size)
 
+    @pytest.mark.parametrize("seed", [5.7, 5.0, True, "5"])
+    def test_seed_must_be_an_integer(self, seed):
+        # the seed names the scene
+        with pytest.raises(TypeError, match="seed"):
+            Scene(grid=["###", "#.#", "###"], regions=[], objects=[], seed=seed)
+
+    @pytest.mark.parametrize("cell_size", ["0.25", True])
+    def test_cell_size_must_be_a_number(self, cell_size):
+        with pytest.raises(TypeError, match="cell_size"):
+            Scene(grid=["###", "#.#", "###"], regions=[], objects=[], cell_size=cell_size)
+
     def test_object_in_wall_rejected(self):
         from lhnav.world import ObjectInstance, Region
 
