@@ -23,6 +23,8 @@ from .taskforge import (
     MAX_STAGES,
     MIN_STAGES,
     MOVE_TO,
+    LlmNetworkError,
+    LlmParseError,
     SceneTooSparseError,
     TaskValidationError,
     generate_via_llm,
@@ -31,7 +33,7 @@ from .taskforge import (
     save_tasks,
 )
 from .trajectory import Trajectory
-from .world import ROBOTS, Action, Scene, observe, stock_robot
+from .world import ROBOTS, Action, Scene, observe, stock_robot, validate_state
 
 
 def _load_scenes(args) -> dict[str, Scene]:
@@ -95,16 +97,16 @@ def cmd_gen_tasks(args) -> int:
             args.usage_error(f"no scene under --scenes {args.scenes} can host a task")
         scene = scene_list[len(tasks) % len(scene_list)]
         if endpoint:
-            tasks.append(
-                generate_via_llm(
+            try:
+                task = generate_via_llm(
                     scene, robot, endpoint, seed=seed, allowed_stages=args.subtasks
                 )
-            )
+            except (LlmNetworkError, LlmParseError, TaskValidationError) as exc:
+                args.usage_error(f"no task from {endpoint} for seed {seed}: {exc}")
+            tasks.append(task)
         else:
             try:
-                tasks.append(
-                    sample_task(scene, robot, seed=seed, allowed_stages=args.subtasks)
-                )
+                tasks.append(sample_task(scene, robot, seed=seed, allowed_stages=args.subtasks))
             except SceneTooSparseError as exc:
                 print(f"dropping scene {scene.scene_id}: {exc}", file=sys.stderr)
                 scene_list.remove(scene)
@@ -150,6 +152,11 @@ def cmd_split(args) -> int:
                 f"trajectory {f} is from scene {traj.scene_id!r}, "
                 f"which is not among the scenes in {args.scenes}"
             )
+        for step in traj.steps:
+            try:
+                validate_state(scene, step.state)
+            except ValueError as exc:
+                args.usage_error(f"trajectory {f}: step {step.index}: {exc}")
         robot = stock_robot(traj.robot)
         for span in traj.spans:
             if not scene.has_object(span.target_id):

@@ -18,6 +18,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -105,10 +106,6 @@ def make_policy(
     raise ValueError(f"unknown policy {cfg.policy!r}")
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(b[0] - a[0], b[1] - a[1])
-
-
 def run_episode(
     scene: Scene,
     task: TaskSpec,
@@ -182,7 +179,7 @@ def run_episode(
                         subtask=sub_idx,
                     )
                 )
-                path_taken += _distance(state.position, result.state.position)
+                path_taken += math.dist(state.position, result.state.position)
                 state = result.state
                 if result.stopped:
                     stopped = True
@@ -251,14 +248,11 @@ def run_episode(
     return trajectory, EpisodeResult(task_id=task.id, records=tuple(records))
 
 
-def _episode_job(args) -> EpisodeResult:
-    scene, task, cfg, store = args
+def _episode_job(scenes, cfg, store, task) -> EpisodeResult:
     policy = make_policy(cfg, task, store)
-    trajectory, result = run_episode(scene, task, policy, cfg)
+    trajectory, result = run_episode(scenes[task.scene_id], task, policy, cfg)
     if cfg.out_dir:
-        traj_dir = Path(cfg.out_dir) / "trajectories"
-        traj_dir.mkdir(parents=True, exist_ok=True)
-        trajectory.save(traj_dir / f"{task.id}.jsonl")
+        trajectory.save(Path(cfg.out_dir) / "trajectories" / f"{task.id}.jsonl")
     return result
 
 
@@ -274,8 +268,9 @@ def run_suite(
     rejects and one with a move target unreachable from the target before
     it raise a TaskValidationError.  The reduction sorts episodes by
     task id, so shuffled task order and any worker count produce the same
-    report.  The memory policy's store is loaded once, before any episode;
-    serial episodes read that copy, and each worker job a pickled copy.
+    report.  The memory policy's store is loaded once, before any episode.
+    Each worker takes one contiguous chunk of tasks and one pickled copy of
+    the scenes, caches included, and of the store.
     """
     if not tasks:
         raise TaskValidationError("the suite holds no tasks")
@@ -296,14 +291,16 @@ def run_suite(
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
-    jobs = [(scenes[task.scene_id], task, cfg, store) for task in tasks]
+    if cfg.out_dir:
+        (Path(cfg.out_dir) / "trajectories").mkdir(parents=True, exist_ok=True)
+    job = partial(_episode_job, scenes, cfg, store)
 
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_episode_job, jobs))
+            raw = list(pool.map(job, tasks, chunksize=math.ceil(len(tasks) / workers)))
     else:
-        raw = [_episode_job(job) for job in jobs]
+        raw = list(map(job, tasks))
 
     by_id = {res.task_id: res for res in raw}
     results = [by_id[task_id] for task_id in sorted(by_id)]

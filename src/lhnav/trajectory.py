@@ -7,6 +7,7 @@ reproduces it exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -16,6 +17,19 @@ from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, stock_robot
 
 
 _STEP_KEYS = {"i", "pose", "holding", "action", "collided", "obs_id", "subtask"}
+
+
+def _saved_state(pose, holding) -> AgentState:
+    """The state of a saved [x, y, heading] pose and holding; a ValueError
+    unless the pose is three finite numbers and holding None or a string."""
+    # the bound also rejects NaN, and an integer too large for a float
+    if type(pose) is not list or len(pose) != 3 or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pose
+    ):
+        raise ValueError(f"a pose is three finite numbers, not {pose!r}")
+    if not (holding is None or type(holding) is str):
+        raise ValueError(f"holding must be null or an object id, not {holding!r}")
+    return AgentState(position=(pose[0], pose[1]), heading=pose[2], holding=holding)
 
 
 @dataclass(frozen=True)
@@ -41,16 +55,16 @@ class StepRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
         """The inverse of to_dict, where holding may be left out; an unknown
-        key or a collided that is not a bool is a TypeError."""
+        key or a collided that is not a bool is a TypeError, and a bad pose
+        or holding a ValueError."""
         unknown = set(d) - _STEP_KEYS
         if unknown:
             raise TypeError(f"unknown step keys {sorted(unknown)}")
         if type(d["collided"]) is not bool:
             raise TypeError(f"collided must be a bool, not {d['collided']!r}")
-        x, y, heading = d["pose"]
         return cls(
             index=d["i"],
-            state=AgentState(position=(x, y), heading=heading, holding=d.get("holding")),
+            state=_saved_state(d["pose"], d.get("holding")),
             action=ACTION_BY_NAME[d["action"]],
             collided=d["collided"],
             obs_id=d["obs_id"],
@@ -111,15 +125,12 @@ class Trajectory:
         if not isinstance(header, dict) or "final_pose" not in header:
             raise InputFileError(f"trajectory file {path} has no header line")
         try:
-            fx, fy, fh_deg = header["final_pose"]
             fields = dict(
                 task_id=header["task_id"],
                 scene_id=header["scene_id"],
                 robot=stock_robot(header["robot"]).name,
                 spans=[SubtaskSpan(**s) for s in header["spans"]],
-                final_state=AgentState(
-                    position=(fx, fy), heading=fh_deg, holding=header.get("final_holding")
-                ),
+                final_state=_saved_state(header["final_pose"], header.get("final_holding")),
                 config_hash=header.get("config_hash", ""),
                 seed=header.get("seed", 0),
             )

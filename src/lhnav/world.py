@@ -180,37 +180,17 @@ class Scene:
         self.cell_size = float(cell_size)
         self._objects_by_id = {o.id: o for o in self.objects}
         self._regions_by_id = {r.id: r for r in self.regions}
-        self._region_of_cell: dict[tuple[int, int], Region] = {}
-        for r in self.regions:
-            for c in r.cells:
-                self._region_of_cell[c] = r
+        self._region_of_cell = {c: r for r in self.regions for c in r.cells}
         self._free = frozenset(
-            (r, c)
-            for r, row in enumerate(self.grid)
-            for c, ch in enumerate(row)
-            if ch == FREE
+            (r, c) for r, row in enumerate(self.grid) for c, ch in enumerate(row) if ch == FREE
         )
-        self._clear_caches()
-        self._validate()
-
-    def _clear_caches(self) -> None:
-        # per-instance caches: the expert module's geodesic fields keyed by
-        # source cell and legal moves of every flat cell index, and the
-        # sensing lines of the last observed position
+        # per-instance caches, pickled with the scene: the expert module's
+        # geodesic fields keyed by source cell and legal moves of every flat
+        # cell index, and the sensing lines of the last observed position
         self._field_cache: dict[tuple[int, int], object] = {}
         self._moves: list | None = None
         self._sight_memo: tuple | None = None
-
-    def __getstate__(self) -> dict:
-        """Pickle without the caches; they are rebuilt on demand."""
-        state = self.__dict__.copy()
-        for name in ("_field_cache", "_moves", "_sight_memo"):
-            del state[name]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._clear_caches()
+        self._validate()
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -436,8 +416,9 @@ def apply_action(
     """Apply one atomic action.
 
     Forward moves are blocked (position unchanged, collided flag set) when
-    the destination cell is occupied; turns rotate by the robot's turn step;
-    stop leaves the state unchanged and flags episode-level stop.
+    the destination cell is occupied or a diagonal neighbour joined only by
+    a corner, which no geodesic field crosses; turns rotate by the robot's
+    turn step; stop leaves the state unchanged and flags episode-level stop.
     """
     robot = robot or ROBOTS["spot"]
     if action == Action.STOP:
@@ -450,7 +431,10 @@ def apply_action(
     x, y = state.position
     nx = x + robot.forward_step * math.cos(rad)
     ny = y + robot.forward_step * math.sin(rad)
-    if not scene.is_free(*scene.cell_of((nx, ny))):
+    row, col = scene.cell_of((nx, ny))
+    r0, c0 = scene.cell_of(state.position)
+    shut = row != r0 and col != c0 and not (scene.is_free(r0, col) or scene.is_free(row, c0))
+    if shut or not scene.is_free(row, col):
         return StepResult(state, collided=True)
     return StepResult(replace(state, position=(nx, ny)))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -496,7 +497,9 @@ class TestUsageErrors:
         "fault",
         [
             "cut", "steps-out-of-order", "span-gap", "unknown-robot", "unknown-target",
-            "collided-not-a-bool", "unknown-step-key",
+            "collided-not-a-bool", "unknown-step-key", "pose-not-numbers", "pose-nan",
+            "pose-bool", "pose-too-short", "pose-huge-integer", "holding-not-a-string", "final-pose-nan",
+            "final-holding-not-a-string", "heading-720", "position-off-grid",
         ],
     )
     def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
@@ -525,9 +528,29 @@ class TestUsageErrors:
             header["spans"][0]["target_id"] = "ghost-9"
         elif fault == "collided-not-a-bool":
             lines[3] = json.dumps(dict(json.loads(lines[3]), collided="no")) + "\n"
-        else:
+        elif fault == "unknown-step-key":
             lines[3] = json.dumps(dict(json.loads(lines[3]), note="edited")) + "\n"
-        if fault in ("span-gap", "unknown-robot", "unknown-target"):
+        elif fault == "holding-not-a-string":
+            lines[3] = json.dumps(dict(json.loads(lines[3]), holding=7)) + "\n"
+        elif fault == "final-pose-nan":
+            header["final_pose"][2] = math.nan
+        elif fault == "final-holding-not-a-string":
+            header["final_holding"] = ["bag-0"]
+        else:
+            pose = {
+                "pose-not-numbers": ["a", 1.0, 0.0],
+                "pose-nan": [0.5, math.nan, 0.0],
+                "pose-bool": [0.5, 0.5, True],
+                "pose-too-short": [0.5, 0.5],
+                "pose-huge-integer": [10**400, 0.5, 0.0],
+                "heading-720": [*json.loads(lines[3])["pose"][:2], 720.0],
+                "position-off-grid": [-5.0, -5.0, 0.0],
+            }[fault]
+            lines[3] = json.dumps(dict(json.loads(lines[3]), pose=pose)) + "\n"
+        if fault in (
+            "span-gap", "unknown-robot", "unknown-target", "final-pose-nan",
+            "final-holding-not-a-string",
+        ):
             lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines))
         last = usage_error_line(
@@ -535,7 +558,12 @@ class TestUsageErrors:
             "--scenes", tmp_path / "scene.json", "--out", tmp_path / "s.json",
         )
         assert str(path) in last
-        if fault in ("collided-not-a-bool", "unknown-step-key"):
+        if fault in ("heading-720", "position-off-grid"):
+            # it parses, but the scene rejects the state of step 2 (line 4)
+            assert f"{path}: step 2:" in last
+        elif fault.startswith(("final-", "span-", "unknown-robot")):
+            assert f"{path} line 1" in last
+        elif fault not in ("cut", "steps-out-of-order", "unknown-target"):
             assert f"{path} line 4" in last
         assert not (tmp_path / "s.json").exists()
 
@@ -604,16 +632,17 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("usage: lhnav")
         assert not (tmp_path / "run").exists()
 
-    def test_env_endpoint_overrides(self, tmp_path, monkeypatch):
+    def test_env_endpoint_overrides(self, tmp_path, monkeypatch, capsys):
         # the env var wins over --llm-endpoint for the task endpoint
         scenes_dir = tmp_path / "scenes"
         run_cli("gen-scene", "--seed", "9", "--size", "20", "--out", str(scenes_dir))
         monkeypatch.setenv("LHNAV_LLM_ENDPOINT", "http://127.0.0.1:9/from-env")
         tasks_path = tmp_path / "tasks.json"
-        from lhnav.taskforge import LlmNetworkError
-
-        with pytest.raises(LlmNetworkError, match="from-env"):
-            run_cli(
-                "gen-tasks", "--scenes", str(scenes_dir), "--count", "1",
-                "--llm-endpoint", "http://127.0.0.1:9/from-flag", "--out", str(tasks_path),
-            )
+        # nothing listens on port 9: the request fails, which is a usage error
+        last = usage_error_line(
+            capsys, "gen-tasks", "--scenes", scenes_dir, "--count", "1", "--seed", "5",
+            "--llm-endpoint", "http://127.0.0.1:9/from-flag", "--out", tasks_path,
+        )
+        assert "http://127.0.0.1:9/from-env" in last and "from-flag" not in last
+        assert "seed 5" in last
+        assert not tasks_path.exists()

@@ -21,7 +21,7 @@ from lhnav.policy import ExpertPolicy, StopPolicy
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import GRAB, MOVE_TO, RELEASE, Subtask, sample_spawn, sample_task
 from lhnav.trajectory import Trajectory
-from lhnav.world import ROBOTS, Action, apply_action, stock_robot
+from lhnav.world import ROBOTS, Action, Scene, apply_action, stock_robot
 
 from reference_impls import reference_apply_grab, reference_apply_release
 
@@ -405,6 +405,60 @@ class TestRunSuite:
         # the store is read: without it the same suite acts differently
         bare = run_suite(scenes, tasks, RunConfig(policy="memory", budget=15))
         assert bare["results"] != reports[0]["results"]
+
+    def test_workers_reuse_the_fields_the_parent_computed(self, tmp_path, monkeypatch):
+        # the reachability check fills each scene's field cache before any
+        # episode; a worker gets those fields with its scenes and computes
+        # only fields the parent lacks.  Each call appends a line, so calls
+        # in forked pool workers count too.
+        import os
+
+        from lhnav import expert
+
+        calls = tmp_path / "fields.txt"
+        compute = expert.compute_field
+
+        def logging_compute(scene, source):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {scene.scene_id} {source}\n")
+            return compute(scene, source)
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=3)
+        # fresh copies, as a rollout loads them: no field computed yet
+        scenes = {k: Scene.from_dict(scene.to_dict()) for k, scene in scenes.items()}
+        monkeypatch.setattr(expert, "compute_field", logging_compute)
+        report = run_suite(scenes, tasks, RunConfig(policy="expert", workers=2))
+        parent, workers = set(), []
+        for line in calls.read_text(encoding="utf-8").splitlines():
+            pid, key = line.split(" ", 1)
+            if int(pid) == os.getpid():
+                parent.add(key)
+            else:
+                workers.append(key)
+        assert parent and workers
+        assert not parent & set(workers)
+        assert report == run_suite(scenes, tasks, RunConfig(policy="expert"))
+
+    def test_store_is_pickled_at_most_once_per_worker(self, tmp_path, monkeypatch):
+        scenes, tasks = small_suite(n_scenes=3, tasks_per_scene=2)
+        store = LongTermStore()
+        store.add(scenes[tasks[0].scene_id].objects[0].category, np.arange(1.0, 65.0), np.eye(4)[2])
+        store.save(tmp_path / "store.jsonl")
+        pickled = []
+
+        def counting_getstate(self):
+            pickled.append(len(self))
+            return vars(self)
+
+        monkeypatch.setattr(LongTermStore, "__getstate__", counting_getstate, raising=False)
+        for workers in (2, 3):
+            cfg = RunConfig(
+                policy="memory", budget=10, workers=workers,
+                store_path=str(tmp_path / "store.jsonl"),
+            )
+            run_suite(scenes, tasks, cfg)
+            assert 1 <= len(pickled) <= workers
+            pickled.clear()
 
     def test_results_reload_to_same_metrics(self, tmp_path):
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=1)

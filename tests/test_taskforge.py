@@ -283,7 +283,7 @@ class TestLlmClient:
             generate_via_llm(two_room_scene, SPOT, stub_server, allowed_stages=[3, 4])
 
     def test_gen_tasks_honours_subtasks_over_the_llm(
-        self, tmp_path, monkeypatch, two_room_scene, stub_server
+        self, tmp_path, monkeypatch, capsys, two_room_scene, stub_server
     ):
         _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY  # two navigation stages
         monkeypatch.delenv("LHNAV_LLM_ENDPOINT", raising=False)
@@ -294,9 +294,30 @@ class TestLlmClient:
         ]
         assert cli_main(argv + ["--subtasks", "2", "--out", str(tmp_path / "ok.json")]) == 0
         assert len(load_tasks(tmp_path / "ok.json")[0].move_targets()) == 2
-        with pytest.raises(TaskValidationError, match="2 navigation stages"):
+        capsys.readouterr()
+        # a task the scene or the stage range rejects is a usage error
+        with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--subtasks", "3..4", "--out", str(tmp_path / "bad.json")])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert stub_server in last and "seed 0" in last and "2 navigation stages" in last
         assert not (tmp_path / "bad.json").exists()
+
+    def test_gen_tasks_unparseable_reply_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, two_room_scene, stub_server
+    ):
+        monkeypatch.setattr(_StubHandler, "reply_content", "no dictionary here")
+        monkeypatch.delenv("LHNAV_LLM_ENDPOINT", raising=False)
+        two_room_scene.save(tmp_path / "scene.json")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "1",
+                "--seed", "3", "--llm-endpoint", stub_server, "--out", str(tmp_path / "t.json"),
+            ])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert stub_server in last and "seed 3" in last and "dictionary" in last
+        assert not (tmp_path / "t.json").exists()
 
     def test_hallucinated_object_rejected_by_name(self, two_room_scene):
         reply = json.dumps(

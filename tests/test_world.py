@@ -58,6 +58,24 @@ class TestApplyAction:
         assert res.collided
         assert res.state.heading == 180.0
 
+    def test_corner_only_join_blocks_a_diagonal_step(self):
+        # two 2x2 pockets touch at one corner; a 45 degree step from near
+        # that corner would land in the other pocket, from which no target
+        # in the first is reachable
+        from lhnav.expert import geodesic_distance
+
+        rows = ["#######", "#..####", "#..####", "###..##", "###..##", "#######"]
+        scene = scene_from(rows)
+        s = state(0.74, 0.74, 45.0)
+        assert scene.cell_of((0.74 + 0.25 * math.cos(math.pi / 4),) * 2) == (3, 3)
+        assert geodesic_distance(scene, (0.9, 0.9), (0.3, 0.3)) == math.inf
+        res = apply_action(scene, s, Action.MOVE_FORWARD, SPOT)
+        assert res.collided and res.state == s
+        # one free axis cell joins the two cells, so the same step goes through
+        opened = scene_from(["#######", "#..####", "#...###", "###..##", "###..##", "#######"])
+        res = apply_action(opened, s, Action.MOVE_FORWARD, SPOT)
+        assert not res.collided and opened.cell_of(res.state.position) == (3, 3)
+
     def test_stop_flags_episode_stop(self, open_scene):
         s = state(1.0, 1.0, 30.0)
         res = apply_action(open_scene, s, Action.STOP, SPOT)
@@ -107,7 +125,13 @@ class TestApplyAction:
                 rad = math.radians(s.heading)
                 nx = s.position[0] + robot.forward_step * math.cos(rad)
                 ny = s.position[1] + robot.forward_step * math.sin(rad)
-                blocked = not grid_is_free(scene.grid, math.floor(ny / cs), math.floor(nx / cs))
+                row0, col0 = math.floor(s.position[1] / cs), math.floor(s.position[0] / cs)
+                row1, col1 = math.floor(ny / cs), math.floor(nx / cs)
+                # a diagonal step between cells that touch at a corner only
+                corner = row1 != row0 and col1 != col0 and not (
+                    grid_is_free(scene.grid, row0, col1) or grid_is_free(scene.grid, row1, col0)
+                )
+                blocked = corner or not grid_is_free(scene.grid, row1, col1)
                 assert res.collided == blocked
                 assert res.state == (s if blocked else AgentState((nx, ny), s.heading))
             else:
@@ -512,26 +536,37 @@ class TestRobotConfig:
 
 
 class TestScenePickle:
-    def test_pickle_drops_the_caches(self):
-        # worker processes receive scenes by pickle: sampling tasks, running
-        # expert episodes and observing fill the geodesic fields, the move
-        # table and the sensing memo, none of which may travel
+    def test_pickle_keeps_the_caches(self, monkeypatch):
+        # worker processes receive scenes by pickle: the geodesic fields,
+        # the move table and the sensing memo that sampling tasks, running
+        # expert episodes and observing filled travel with the scene, and
+        # the clone senses and measures bit for bit as the original does
+        from lhnav import expert
+        from lhnav.expert import geodesic_distance
         from lhnav.policy import ExpertPolicy
         from lhnav.runner import RunConfig, run_episode
         from lhnav.scenegen import generate_scene
         from lhnav.taskforge import sample_task
 
         scene = generate_scene(seed=3)
-        fresh = pickle.dumps(generate_scene(seed=3))
-        for task_seed in range(3):
-            traj, _ = run_episode(
-                scene, sample_task(scene, seed=task_seed), ExpertPolicy(), RunConfig()
-            )
-        observe(scene, traj.steps[-1].state, SPOT)
-        data = pickle.dumps(scene)
-        assert len(data) == len(fresh)
-        clone = pickle.loads(data)
-        assert clone.to_dict() == scene.to_dict()
-        assert not clone._field_cache and clone._moves is None and clone._sight_memo is None
+        tasks = [sample_task(scene, seed=task_seed) for task_seed in range(3)]
+        for task in tasks:
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig())
         state = traj.steps[-1].state
+        observe(scene, state, SPOT)
+        assert scene._field_cache and scene._moves is not None and scene._sight_memo is not None
+        clone = pickle.loads(pickle.dumps(scene))
+        assert clone.to_dict() == scene.to_dict()
+        assert clone._moves == scene._moves and clone._sight_memo is not None
+        assert clone._field_cache.keys() == scene._field_cache.keys()
+        for source, field in scene._field_cache.items():
+            assert [v.hex() for v in clone._field_cache[source].value] == [
+                v.hex() for v in field.value
+            ]
+        # every query toward a target is answered from a travelled field
+        monkeypatch.setattr(expert, "compute_field", None)
+        targets = [scene.object(sub.object_id).position for t in tasks for sub in t.move_targets()]
+        for a in targets:
+            for b in targets:
+                assert geodesic_distance(clone, a, b).hex() == geodesic_distance(scene, a, b).hex()
         assert bits(observe(clone, state, SPOT)) == bits(observe(scene, state, SPOT))
