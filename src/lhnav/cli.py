@@ -22,7 +22,6 @@ from .splitter import render_step_instruction, split_trajectory, tag_segment
 from .taskforge import (
     MAX_STAGES,
     MIN_STAGES,
-    MOVE_TO,
     LlmNetworkError,
     LlmParseError,
     SceneTooSparseError,
@@ -33,7 +32,7 @@ from .taskforge import (
     save_tasks,
 )
 from .trajectory import Trajectory
-from .world import ROBOTS, Action, Scene, observe, stock_robot, validate_state
+from .world import ROBOTS, Action, Scene, observe, stock_robot
 
 
 def _load_scenes(args) -> dict[str, Scene]:
@@ -152,21 +151,13 @@ def cmd_split(args) -> int:
                 f"trajectory {f} is from scene {traj.scene_id!r}, "
                 f"which is not among the scenes in {args.scenes}"
             )
-        for step in traj.steps:
-            try:
-                validate_state(scene, step.state)
-            except ValueError as exc:
-                args.usage_error(f"trajectory {f}: step {step.index}: {exc}")
+        try:
+            windows = traj.replay(scene)
+        except ValueError as exc:
+            args.usage_error(f"trajectory {f}: {exc}")
         robot = stock_robot(traj.robot)
-        for span in traj.spans:
-            if not scene.has_object(span.target_id):
-                args.usage_error(
-                    f"trajectory {f}: subtask {span.index} targets {span.target_id!r}, "
-                    f"which is not in scene {traj.scene_id!r}"
-                )
-            if span.kind != MOVE_TO:
-                continue
-            steps = traj.steps[span.start : span.end]
+        for _, span, steps in windows:
+            # a stop can only end a window, so the others are its first steps
             actions = [s.action for s in steps if s.action != Action.STOP]
             if not actions:
                 continue

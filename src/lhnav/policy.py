@@ -5,9 +5,9 @@ embeddings, short-term memory) to a 4-way decision vector over (stop,
 turn_left, move_forward, turn_right) plus a confidence.  The shipped
 learnable backend is a linear softmax over concatenated features with an
 analytic gradient, trained by full-batch gradient descent against expert
-actions.  Imitation data comes from the memory policy itself, driven by
-the expert, so training and rollout share one feature pipeline.  A
-deterministic hashing oracle stands in for the frozen visual encoder.
+actions.  Imitation data replays a recorded trajectory through the memory
+policy's features, so training and rollout share one feature pipeline.
+A deterministic hashing oracle stands in for the frozen visual encoder.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from .world import (
     Scene,
     View,
     observe,
+    stock_robot,
 )
 from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
+from .trajectory import Trajectory
 
 # samples whose gradient outer products loss_and_grad holds at once; a
 # small block also keeps the training speed from depending on how the
@@ -62,11 +64,6 @@ class EmbeddingOracle:
     def index_for(self, name: str) -> int:
         digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dim
-
-    def void_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.index_for("__void__")] = 1.0
-        return v
 
     def _embed_rows(self, pair_lists) -> np.ndarray:
         """One row per list of (category, range) pairs: every category adds
@@ -149,16 +146,14 @@ class LinearSoftmaxBackend:
         self.W = rng.normal(0.0, 0.01, size=(N_ACTIONS, self.feature_dim))
         self.b = np.zeros(N_ACTIONS)
 
-    def features(
-        self, ctx: StepContext, views: np.ndarray, memory: ShortTermMemory
-    ) -> np.ndarray:
+    def features(self, stage: int, views: np.ndarray, memory: ShortTermMemory) -> np.ndarray:
         """A fresh row: the view embeddings, the mean short-term entry and
         the stage one-hot."""
         d = self.embed_dim
         x = np.zeros(self.feature_dim)
         x[: 3 * d] = views
         x[3 * d : 4 * d] = memory.mean_entry(d)
-        x[4 * d + min(ctx.stage, MAX_STAGES - 1)] = 1.0
+        x[4 * d + min(stage, MAX_STAGES - 1)] = 1.0
         return x
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -168,7 +163,7 @@ class LinearSoftmaxBackend:
         return e / e.sum()
 
     def decide(self, ctx, views, memory):
-        p = self.probabilities(self.features(ctx, views, memory))
+        p = self.probabilities(self.features(ctx.stage, views, memory))
         return p, float(p.max())
 
     # -- parameter plumbing for training and persistence --
@@ -216,25 +211,6 @@ class LinearSoftmaxBackend:
             raise InputFileError(f"{path}: theta must be finite (value {bad} is {theta[bad]})")
         backend.set_params(theta)
         return backend
-
-
-class _ImitationTeacher:
-    """Expert decisions for imitation: a one-hot on the expert action, with
-    the student's confidence on its own features, so short-term memory
-    folds in what evaluation would fold.  Records one (student features,
-    expert action index) pair per decision."""
-
-    def __init__(self, student: LinearSoftmaxBackend):
-        self.student = student
-        self.dataset: list[tuple[np.ndarray, int]] = []
-
-    def decide(self, ctx, views, memory):
-        action = expert_mod.expert_next_action(
-            ctx.scene, ctx.state, ctx.target_id, ctx.robot, at_target=ctx.at_target
-        )
-        features = self.student.features(ctx, views, memory)
-        self.dataset.append((features, int(action)))
-        return one_hot(action), float(self.student.probabilities(features).max())
 
 
 # -- training -------------------------------------------------------------------
@@ -310,15 +286,31 @@ def collect_imitation_dataset(
     budget: int = 500,
     capacity: int = 32,
 ) -> list[tuple[np.ndarray, int]]:
-    """Drive the memory policy (empty long-term store) with the expert
-    through one episode and return one (features, expert action index)
-    pair per step, the features being those the backend would see."""
+    """The imitation_dataset of the expert's episode of the task."""
     from . import runner
 
-    teacher = _ImitationTeacher(backend)
-    policy = MemoryPolicy(teacher, EmbeddingOracle(dim=backend.embed_dim), capacity=capacity)
-    runner.run_episode(scene, task, policy, runner.RunConfig(budget=budget))
-    return teacher.dataset
+    trajectory, _ = runner.run_episode(scene, task, ExpertPolicy(), runner.RunConfig(budget=budget))
+    return imitation_dataset(scene, trajectory, backend, capacity)
+
+
+def imitation_dataset(
+    scene: Scene, trajectory: Trajectory, backend: LinearSoftmaxBackend, capacity: int = 32
+) -> list[tuple[np.ndarray, int]]:
+    """One (features, recorded action index) pair per step of a recorded
+    trajectory's move windows: the features the backend would see had the
+    memory policy (empty long-term store) walked the same poses, its short-
+    term memory folding in each step with the backend's own confidence."""
+    robot = stock_robot(trajectory.robot)
+    oracle = EmbeddingOracle(dim=backend.embed_dim)
+    mem = ShortTermMemory(capacity=capacity)
+    dataset = []
+    for stage, _, steps in trajectory.replay(scene):
+        for step in steps:
+            views, fused = oracle.embed(observe(scene, step.state, robot))
+            x = backend.features(stage, views, mem)
+            dataset.append((x, int(step.action)))
+            mem = forget_and_append(mem, fused, float(backend.probabilities(x).max()))
+    return dataset
 
 
 def train_backend(

@@ -13,7 +13,10 @@ from itertools import chain
 from pathlib import Path
 
 from .files import InputFileError, read_lines, write_lines
-from .world import ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, stock_robot
+from .taskforge import MOVE_TO
+from .world import (
+    ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, Scene, stock_robot, validate_state
+)
 
 
 _STEP_KEYS = {"i", "pose", "holding", "action", "collided", "obs_id", "subtask"}
@@ -101,6 +104,27 @@ class Trajectory:
         records = self.steps if span is None else self.steps[span.start : span.end]
         return [r.action for r in records]
 
+    def replay(self, scene: Scene):
+        """(stage, span, steps) for each move_to window in order, stage
+        being the window's ordinal.  The trajectory is checked against the
+        scene first: another scene, a span target that the scene lacks, or
+        a step state that validate_state rejects raise a ValueError."""
+        if scene.scene_id != self.scene_id:
+            raise ValueError(f"trajectory from scene {self.scene_id!r}, not {scene.scene_id!r}")
+        for step in self.steps:
+            try:
+                validate_state(scene, step.state)
+            except ValueError as exc:
+                raise ValueError(f"step {step.index}: {exc}") from exc
+        for span in self.spans:
+            if not scene.has_object(span.target_id):
+                raise ValueError(
+                    f"subtask {span.index} targets {span.target_id!r}, "
+                    f"which is not in scene {self.scene_id!r}"
+                )
+        windows = [span for span in self.spans if span.kind == MOVE_TO]
+        return ((i, span, self.steps[span.start : span.end]) for i, span in enumerate(windows))
+
     def save(self, path: str | Path) -> None:
         header = {
             "task_id": self.task_id,
@@ -117,9 +141,10 @@ class Trajectory:
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
         """A trajectory written by save; a missing file, a line that does
-        not parse, an unknown robot, or steps and spans that do not number
-        the whole episode (a cut file) raise an InputFileError naming the
-        path and, where one is at fault, the line."""
+        not parse, an unknown robot, steps and spans that do not number
+        the whole episode (a cut file), or a stop that does not end a
+        move_to window raise an InputFileError naming the path and, where
+        one is at fault, the line."""
         lines = read_lines(path)
         number, header = next(lines, (0, None))
         if not isinstance(header, dict) or "final_pose" not in header:
@@ -143,6 +168,8 @@ class Trajectory:
                         f"not from step {end} on"
                     )
                 end = span.end
+            # a window's actions end at its one stop, if it has one
+            stop_at = {span.end - 1 for span in fields["spans"] if span.kind == MOVE_TO}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path} line {number}: not a trajectory header ({exc!r})") from exc
         steps = []
@@ -153,6 +180,10 @@ class Trajectory:
                 raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
             if step.index != i:
                 raise InputFileError(f"{path} line {number}: step {step.index} where {i} was due")
+            if step.action == Action.STOP and i not in stop_at:
+                raise InputFileError(
+                    f"{path} line {number}: step {i} is a stop that does not end a move window"
+                )
             steps.append(step)
         if end != len(steps):
             raise InputFileError(f"{path}: the spans end at step {end}, the steps at {len(steps)}")

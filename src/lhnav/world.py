@@ -146,9 +146,6 @@ class View:
 class Observation:
     views: tuple[View, View, View]
 
-    def visible_ids(self) -> set[str]:
-        return {o.object_id for v in self.views for o in v.objects}
-
     def visible(self) -> list[SightedObject]:
         return [o for v in self.views for o in v.objects]
 
@@ -217,10 +214,6 @@ class Scene:
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         row, col = cell
         return ((col + 0.5) * self.cell_size, (row + 0.5) * self.cell_size)
-
-    def free_cells(self) -> list[tuple[int, int]]:
-        """Free cells in row-major order."""
-        return sorted(self._free)
 
     def object(self, object_id: str) -> ObjectInstance:
         try:

@@ -3,6 +3,13 @@ import pytest
 from lhnav.world import ObjectInstance, Region, Scene
 
 
+def free_cells(scene):
+    """The free cells of a scene's grid, in row-major order."""
+    return [
+        (r, c) for r, row in enumerate(scene.grid) for c, ch in enumerate(row) if ch == "."
+    ]
+
+
 def scene_from(rows, objects=(), seed=0, label="room"):
     """Build a scene whose free cells form one region; objects are
     (id, category, (row, col), portable) tuples placed at cell centers."""

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from conftest import free_cells
 from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decision
 from lhnav.policy import one_hot
 from lhnav.splitter import Tag
@@ -494,7 +495,7 @@ def grid_neighbors(scene, cell):
 
 def reference_neighbor_table(scene):
     """Every free cell's grid_neighbors moves, in the same order."""
-    return {cell: tuple(grid_neighbors(scene, cell)) for cell in scene.free_cells()}
+    return {cell: tuple(grid_neighbors(scene, cell)) for cell in free_cells(scene)}
 
 
 def reference_compute_field(scene, source, moves):

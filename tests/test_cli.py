@@ -500,6 +500,7 @@ class TestUsageErrors:
             "collided-not-a-bool", "unknown-step-key", "pose-not-numbers", "pose-nan",
             "pose-bool", "pose-too-short", "pose-huge-integer", "holding-not-a-string", "final-pose-nan",
             "final-holding-not-a-string", "heading-720", "position-off-grid",
+            "stop-inside-a-window",
         ],
     )
     def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
@@ -536,6 +537,9 @@ class TestUsageErrors:
             header["final_pose"][2] = math.nan
         elif fault == "final-holding-not-a-string":
             header["final_holding"] = ["bag-0"]
+        elif fault == "stop-inside-a-window":  # step 3 of the first window
+            assert header["spans"][0]["end"] > 4
+            lines[4] = json.dumps(dict(json.loads(lines[4]), action="stop")) + "\n"
         else:
             pose = {
                 "pose-not-numbers": ["a", 1.0, 0.0],
@@ -563,6 +567,8 @@ class TestUsageErrors:
             assert f"{path}: step 2:" in last
         elif fault.startswith(("final-", "span-", "unknown-robot")):
             assert f"{path} line 1" in last
+        elif fault == "stop-inside-a-window":
+            assert f"{path} line 5: step 3 is a stop" in last
         elif fault not in ("cut", "steps-out-of-order", "unknown-target"):
             assert f"{path} line 4" in last
         assert not (tmp_path / "s.json").exists()

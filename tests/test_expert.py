@@ -18,7 +18,7 @@ from lhnav.scenegen import generate_scene
 from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, Scene, subtask_success
 
-from conftest import scene_from
+from conftest import free_cells, scene_from
 from reference_impls import (
     grid_neighbors,
     reference_compute_field,
@@ -109,7 +109,7 @@ class TestGeodesicDistance:
 
     def test_symmetry(self, open_scene):
         rng = random.Random(0)
-        free = open_scene.free_cells()
+        free = free_cells(open_scene)
         for _ in range(50):
             a = open_scene.cell_center(rng.choice(free))
             b = open_scene.cell_center(rng.choice(free))
@@ -184,7 +184,7 @@ class TestFieldReuse:
             scene = generate_scene(seed=seed, size=size, regions=regions)
             table = neighbor_table(scene)
             assert len(table) == scene.rows * scene.cols
-            free = set(scene.free_cells())
+            free = set(free_cells(scene))
             for i, moves in enumerate(table):
                 cell = divmod(i, scene.cols)
                 if cell not in free:
@@ -203,7 +203,7 @@ class TestFieldMatchesReference:
             scene = generate_scene(seed=seed + 50, size=size, regions=regions)
             rng = random.Random(seed)
             sources = {scene.cell_of(o.position) for o in scene.objects}
-            self._check(scene, sources | set(rng.sample(scene.free_cells(), 4)))
+            self._check(scene, sources | set(rng.sample(free_cells(scene), 4)))
 
     def test_random_grids(self):
         # scattered blocks leave many cells with two equally close
@@ -212,7 +212,7 @@ class TestFieldMatchesReference:
         rng = random.Random(11)
         for trial in range(40):
             scene = Scene(grid=random_grid(rng, 16), regions=[], objects=[], seed=trial)
-            self._check(scene, set(rng.sample(scene.free_cells(), 3)))
+            self._check(scene, set(rng.sample(free_cells(scene), 3)))
 
     @staticmethod
     def _check(scene, sources):

@@ -279,6 +279,33 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 4\b"):
             Trajectory.load(path)
 
+    def test_replay_walks_the_move_windows_in_order(self, two_room_scene):
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
+        windows = list(traj.replay(two_room_scene))
+        moves = [span for span in traj.spans if span.kind == MOVE_TO]
+        assert [stage for stage, _, _ in windows] == list(range(len(moves))) and len(moves) > 1
+        assert [span for _, span, _ in windows] == moves
+        assert [s for _, _, steps in windows for s in steps] == traj.steps
+
+    @pytest.mark.parametrize("fault", ["other-scene", "unknown-target", "off-grid"])
+    def test_replay_checks_the_trajectory_against_its_scene(self, two_room_scene, fault):
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
+        scene = two_room_scene
+        if fault == "other-scene":
+            scene = generate_scene(seed=77, size=20)
+            match = "scene-42"
+        elif fault == "unknown-target":
+            traj.spans[0] = replace(traj.spans[0], target_id="ghost-9")
+            match = "subtask 0 targets 'ghost-9'"
+        else:
+            state = replace(traj.steps[3].state, position=(-5.0, -5.0))
+            traj.steps[3] = replace(traj.steps[3], state=state)
+            match = "step 3: agent position"
+        with pytest.raises(ValueError, match=match):
+            traj.replay(scene)
+
 
 class TestRunSuite:
     def test_expert_suite_perfect_metrics(self, tmp_path):

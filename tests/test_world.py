@@ -25,7 +25,7 @@ from lhnav.world import (
     subtask_success,
 )
 
-from conftest import scene_from
+from conftest import free_cells, scene_from
 from reference_impls import grid_is_free, reference_line_of_sight, reference_observe
 
 SPOT = ROBOTS["spot"]
@@ -111,7 +111,7 @@ class TestApplyAction:
 
         scene = generate_scene(seed=seed, size=size)
         cs = scene.cell_size
-        row, col = data.draw(st.sampled_from(scene.free_cells()))
+        row, col = data.draw(st.sampled_from(free_cells(scene)))
         fx, fy = data.draw(st.sampled_from([(0.5, 0.5), (0.0, 0.0)]) | st.tuples(
             st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
         heading = data.draw(st.integers(0, 23).map(lambda k: k * 15.0) | st.floats(0.0, 359.999))
@@ -173,13 +173,13 @@ class TestObserve:
         # the pillar at rows 6-7, cols 6-7 hides toy-0 (11,11) from (2,2)
         agent = state(0.625, 0.625, 45.0)
         obs = observe(open_scene, agent, SPOT)
-        assert "toy-0" not in obs.visible_ids()
+        assert "toy-0" not in {o.object_id for o in obs.visible()}
 
     def test_views_partition_visible_set(self, open_scene):
         # no object in two views, and the union equals an independently
         # evaluated cone/range/sight predicate
         rng = random.Random(5)
-        free = open_scene.free_cells()
+        free = free_cells(open_scene)
         for _ in range(200):
             cell = rng.choice(free)
             s = state(*open_scene.cell_center(cell), heading=rng.uniform(0, 360))
@@ -206,7 +206,7 @@ class TestObserve:
         rows = ["#" * 30, "#" + "." * 28 + "#", "#" * 30]
         scene = scene_from(rows, objects=[("far-0", "flag", (1, 27), True)])
         obs = observe(scene, state(0.375, 0.375, 0.0), SPOT)
-        assert obs.visible_ids() == set()  # ~6.6 m away, range is 5
+        assert {o.object_id for o in obs.visible()} == set()  # ~6.6 m away, range is 5
 
 
 class TestSubtaskSuccess:
@@ -230,7 +230,7 @@ class TestSubtaskSuccess:
 
     def test_success_implies_visible(self, open_scene):
         rng = random.Random(9)
-        free = open_scene.free_cells()
+        free = free_cells(open_scene)
         hits = 0
         for _ in range(500):
             cell = rng.choice(free)
@@ -238,7 +238,7 @@ class TestSubtaskSuccess:
             for obj in open_scene.objects:
                 if subtask_success(open_scene, s, obj.id):
                     hits += 1
-                    assert obj.id in observe(open_scene, s, SPOT).visible_ids()
+                    assert obj.id in {o.object_id for o in observe(open_scene, s, SPOT).visible()}
         assert hits > 0  # the property actually fired
 
 
@@ -292,12 +292,6 @@ class TestSceneValidation:
             for r in range(-1, scene.rows + 1):
                 for c in range(-1, scene.cols + 1):
                     assert scene.is_free(r, c) == grid_is_free(scene.grid, r, c), (r, c)
-            assert scene.free_cells() == [
-                (r, c)
-                for r in range(scene.rows)
-                for c in range(scene.cols)
-                if grid_is_free(scene.grid, r, c)
-            ]
 
     def test_round_trip_is_bit_exact(self, tmp_path, two_room_scene):
         p1 = tmp_path / "a.json"
@@ -408,7 +402,7 @@ def poses(draw, scene):
     """Agent positions that repeat (so consecutive observations turn in
     place and reuse the sensing memo), with headings on the 15-degree grid
     that puts axis-aligned objects exactly on fov edges."""
-    free = scene.free_cells()
+    free = free_cells(scene)
     points = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["centre", "inside", "object", "beside", "anywhere"]))
