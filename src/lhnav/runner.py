@@ -57,8 +57,6 @@ class RunConfig:
     seed: int = 0
     policy: str = "expert"
     workers: int = 1
-    embed_dim: int = 64
-    memory_capacity: int = 32
     store_path: str = ""
     out_dir: str = ""
 
@@ -69,10 +67,6 @@ class RunConfig:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.embed_dim < 2:
-            raise ValueError("embed_dim must be at least 2")
-        if self.memory_capacity < 2:
-            raise ValueError("memory_capacity must be at least 2")
 
     def config_hash(self) -> str:
         stable = {
@@ -97,12 +91,7 @@ def make_policy(
     if cfg.policy == "stop":
         return StopPolicy()
     if cfg.policy == "memory":
-        return MemoryPolicy(
-            LinearSoftmaxBackend(embed_dim=cfg.embed_dim, seed=cfg.seed),
-            EmbeddingOracle(dim=cfg.embed_dim),
-            store=store,
-            capacity=cfg.memory_capacity,
-        )
+        return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), EmbeddingOracle(), store=store)
     raise ValueError(f"unknown policy {cfg.policy!r}")
 
 
@@ -171,12 +160,7 @@ def run_episode(
                 result = apply_action(scene, state, action, robot)
                 steps.append(
                     StepRecord(
-                        index=len(steps),
-                        state=state,
-                        action=action,
-                        collided=result.collided,
-                        obs_id=f"obs-{len(steps)}",
-                        subtask=sub_idx,
+                        index=len(steps), state=state, action=action, collided=result.collided
                     )
                 )
                 path_taken += math.dist(state.position, result.state.position)
@@ -210,7 +194,6 @@ def run_episode(
                     start=seg_start,
                     end=len(steps),
                     gt=gt,
-                    stopped=stopped,
                 )
             )
             continue
@@ -230,7 +213,6 @@ def run_episode(
                 start=len(steps),
                 end=len(steps),
                 gt=0.0,
-                stopped=True,
                 interaction_ok=ok,
             )
         )

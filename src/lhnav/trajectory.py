@@ -13,13 +13,13 @@ from itertools import chain
 from pathlib import Path
 
 from .files import InputFileError, read_lines, write_lines
-from .taskforge import MOVE_TO
+from .taskforge import GRAB, MOVE_TO, RELEASE
 from .world import (
     ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, Scene, stock_robot, validate_state
 )
 
 
-_STEP_KEYS = {"i", "pose", "holding", "action", "collided", "obs_id", "subtask"}
+_STEP_KEYS = {"i", "pose", "holding", "action", "collided"}
 
 
 def _saved_state(pose, holding) -> AgentState:
@@ -41,8 +41,6 @@ class StepRecord:
     state: AgentState  # pose before the action
     action: Action
     collided: bool
-    obs_id: str
-    subtask: int
 
     def to_dict(self) -> dict:
         return {
@@ -51,8 +49,6 @@ class StepRecord:
             "holding": self.state.holding,
             "action": ACTION_NAMES[self.action],
             "collided": self.collided,
-            "obs_id": self.obs_id,
-            "subtask": self.subtask,
         }
 
     @classmethod
@@ -70,8 +66,6 @@ class StepRecord:
             state=_saved_state(d["pose"], d.get("holding")),
             action=ACTION_BY_NAME[d["action"]],
             collided=d["collided"],
-            obs_id=d["obs_id"],
-            subtask=d["subtask"],
         )
 
 
@@ -85,8 +79,20 @@ class SubtaskSpan:
     start: int
     end: int
     gt: float         # geodesic distance at subtask start (move_to only)
-    stopped: bool     # ended with an explicit stop rather than truncation
     interaction_ok: bool | None = None  # grab/release outcome
+
+    def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.index, self.start, self.end)):
+            raise TypeError("index, start and end must be integers")
+        if self.kind not in (MOVE_TO, GRAB, RELEASE):
+            raise ValueError(f"unknown subtask kind {self.kind!r}")
+        if type(self.target_id) is not str:
+            raise TypeError(f"target_id must be a string, not {self.target_id!r}")
+        # the bound also rejects NaN
+        if type(self.gt) not in (int, float) or not 0 <= self.gt <= sys.float_info.max:
+            raise ValueError(f"gt must be a finite number >= 0, not {self.gt!r}")
+        if not (self.interaction_ok is None or type(self.interaction_ok) is bool):
+            raise TypeError(f"interaction_ok must be null or a bool, not {self.interaction_ok!r}")
 
 
 @dataclass
@@ -141,7 +147,8 @@ class Trajectory:
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
         """A trajectory written by save; a missing file, a line that does
-        not parse, an unknown robot, steps and spans that do not number
+        not parse, an unknown robot, a span field that SubtaskSpan
+        rejects, steps and spans that do not number
         the whole episode (a cut file), or a stop that does not end a
         move_to window raise an InputFileError naming the path and, where
         one is at fault, the line."""

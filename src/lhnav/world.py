@@ -403,9 +403,7 @@ class StepResult:
     stopped: bool = False
 
 
-def apply_action(
-    scene: Scene, state: AgentState, action: Action, robot: RobotConfig | None = None
-) -> StepResult:
+def apply_action(scene: Scene, state: AgentState, action: Action, robot: RobotConfig) -> StepResult:
     """Apply one atomic action.
 
     Forward moves are blocked (position unchanged, collided flag set) when
@@ -413,7 +411,6 @@ def apply_action(
     a corner, which no geodesic field crosses; turns rotate by the robot's
     turn step; stop leaves the state unchanged and flags episode-level stop.
     """
-    robot = robot or ROBOTS["spot"]
     if action == Action.STOP:
         return StepResult(state, stopped=True)
     if action == Action.TURN_LEFT:
@@ -466,7 +463,7 @@ def _sight_lines(scene: Scene, position: tuple[float, float], sensing_range: flo
     return lines
 
 
-def observe(scene: Scene, state: AgentState, robot: RobotConfig | None = None) -> Observation:
+def observe(scene: Scene, state: AgentState, robot: RobotConfig) -> Observation:
     """Sense the scene through the three fixed cameras.
 
     An object is visible when its bearing falls within some camera's fov,
@@ -474,7 +471,6 @@ def observe(scene: Scene, state: AgentState, robot: RobotConfig | None = None) -
     crosses no occupied cell.  Each visible object lands in exactly one view,
     and each view lists its objects by range, then id.
     """
-    robot = robot or ROBOTS["spot"]
     half_fov = robot.fov_per_camera / 2.0
     heading = state.heading
     # the lines come sorted by (range, id), so every bucket is too

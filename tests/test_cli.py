@@ -500,7 +500,10 @@ class TestUsageErrors:
             "collided-not-a-bool", "unknown-step-key", "pose-not-numbers", "pose-nan",
             "pose-bool", "pose-too-short", "pose-huge-integer", "holding-not-a-string", "final-pose-nan",
             "final-holding-not-a-string", "heading-720", "position-off-grid",
-            "stop-inside-a-window",
+            "stop-inside-a-window", "step-carries-obs-id", "span-start-end-floats",
+            "span-index-not-an-integer", "span-index-a-bool", "span-unknown-kind",
+            "span-target-not-a-string", "span-gt-negative", "span-gt-nan", "span-gt-not-a-number",
+            "span-interaction-ok-not-a-bool",
         ],
     )
     def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
@@ -523,6 +526,21 @@ class TestUsageErrors:
             lines[5], lines[6] = lines[6], lines[5]
         elif fault == "span-gap":
             header["spans"][1]["start"] += 1
+        elif fault == "span-start-end-floats":  # split would slice with them
+            for span in header["spans"]:
+                span["start"], span["end"] = float(span["start"]), float(span["end"])
+        elif fault.startswith("span-"):
+            key, value = {
+                "span-index-not-an-integer": ("index", "zero"),
+                "span-index-a-bool": ("index", False),
+                "span-unknown-kind": ("kind", "fly_to"),
+                "span-target-not-a-string": ("target_id", 7),
+                "span-gt-negative": ("gt", -1.0),
+                "span-gt-nan": ("gt", math.nan),
+                "span-gt-not-a-number": ("gt", "far"),
+                "span-interaction-ok-not-a-bool": ("interaction_ok", "yes"),
+            }[fault]
+            header["spans"][0][key] = value
         elif fault == "unknown-robot":
             header["robot"] = "wall-e"
         elif fault == "unknown-target":
@@ -531,6 +549,8 @@ class TestUsageErrors:
             lines[3] = json.dumps(dict(json.loads(lines[3]), collided="no")) + "\n"
         elif fault == "unknown-step-key":
             lines[3] = json.dumps(dict(json.loads(lines[3]), note="edited")) + "\n"
+        elif fault == "step-carries-obs-id":  # as every step did in older files
+            lines[3] = json.dumps(dict(json.loads(lines[3]), obs_id="obs-2")) + "\n"
         elif fault == "holding-not-a-string":
             lines[3] = json.dumps(dict(json.loads(lines[3]), holding=7)) + "\n"
         elif fault == "final-pose-nan":
@@ -551,10 +571,7 @@ class TestUsageErrors:
                 "position-off-grid": [-5.0, -5.0, 0.0],
             }[fault]
             lines[3] = json.dumps(dict(json.loads(lines[3]), pose=pose)) + "\n"
-        if fault in (
-            "span-gap", "unknown-robot", "unknown-target", "final-pose-nan",
-            "final-holding-not-a-string",
-        ):
+        if fault.startswith(("span-", "final-")) or fault in ("unknown-robot", "unknown-target"):
             lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines))
         last = usage_error_line(

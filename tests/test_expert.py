@@ -261,7 +261,7 @@ class TestExpertRollout:
         s = AgentState(position=corridor_scene.cell_center((1, 5)), heading=0.0)
         traj, _ = expert_episode(corridor_scene, s, ["box-0"])
         assert [r.action for r in traj.steps] == [Action.STOP]
-        assert traj.spans[0].stopped
+        assert traj.actions(traj.spans[0])[-1] == Action.STOP
 
     def test_two_targets_in_line_gt_matches_oracle(self):
         rows = ["#" * 20, "#" + "." * 18 + "#", "#" * 20]
@@ -271,7 +271,8 @@ class TestExpertRollout:
         )
         start = AgentState(position=scene.cell_center((1, 1)), heading=0.0)
         traj, _ = expert_episode(scene, start, ["m-0", "p-0"])
-        assert len(traj.spans) == 2 and all(s.stopped for s in traj.spans)
+        assert len(traj.spans) == 2
+        assert all(traj.actions(s)[-1] == Action.STOP for s in traj.spans)
         # each leg's recorded length equals the geodesic from its start pose
         assert traj.spans[0].gt == geodesic_distance(
             scene, start.position, scene.object("m-0").position
@@ -297,7 +298,7 @@ class TestExpertRollout:
         scene = scene_from(rows, objects=[("far-0", "flag", (1, 28), True)])
         start = AgentState(position=scene.cell_center((1, 1)), heading=0.0)
         traj, result = expert_episode(scene, start, ["far-0"], budget=5)
-        assert len(traj.steps) == 5 and not traj.spans[0].stopped
+        assert len(traj.steps) == 5 and traj.actions(traj.spans[0])[-1] != Action.STOP
         (record,) = result.records
         assert record.truncated and not record.success
 
@@ -313,7 +314,7 @@ class TestExpertProperty:
             moves = [span for span in traj.spans if span.kind == MOVE_TO]
             assert len(moves) == len(task.move_targets())
             for span in moves:
-                assert span.stopped
+                assert traj.actions(span)[-1] == Action.STOP
                 final = traj.steps[span.end - 1].state  # pose at the stop
                 assert subtask_success(scene, final, span.target_id)
                 ne = geodesic_distance(

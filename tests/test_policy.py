@@ -391,27 +391,25 @@ class TestTraining:
         oracle = EmbeddingOracle(dim=16)
 
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig(budget=60))
-        stage_of = {}
-        for span in traj.spans:
-            if span.kind == MOVE_TO:
-                stage_of[span.index] = (len(stage_of), span.target_id)
+        moves = [span for span in traj.spans if span.kind == MOVE_TO]
         mem = ShortTermMemory(capacity=3)
         expected = []
-        for step in traj.steps:
-            stage, target = stage_of[step.subtask]
-            obs = observe(two_room_scene, step.state, stretch)
-            stage_hot = np.zeros(4)
-            stage_hot[stage] = 1.0
-            x = np.concatenate(
-                [oracle.embed_view(v) for v in obs.views] + [mem.mean_entry(16), stage_hot]
-            )
-            at_target = subtask_success(two_room_scene, step.state, target)
-            label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
-            expected.append((x, int(label)))
-            confidence = float(backend.probabilities(x).max())
-            mem = forget_and_append(mem, oracle.embed_observation(obs), confidence)
+        for stage, span in enumerate(moves):
+            target = span.target_id
+            for step in traj.steps[span.start : span.end]:
+                obs = observe(two_room_scene, step.state, stretch)
+                stage_hot = np.zeros(4)
+                stage_hot[stage] = 1.0
+                x = np.concatenate(
+                    [oracle.embed_view(v) for v in obs.views] + [mem.mean_entry(16), stage_hot]
+                )
+                at_target = subtask_success(two_room_scene, step.state, target)
+                label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
+                expected.append((x, int(label)))
+                confidence = float(backend.probabilities(x).max())
+                mem = forget_and_append(mem, oracle.embed_observation(obs), confidence)
 
-        assert len(expected) > 3 and len(stage_of) > 1
+        assert len(expected) > 3 and len(moves) > 1
         assert len(dataset) == len(expected)
         for (x, y), (x_ref, y_ref) in zip(dataset, expected):
             assert y == y_ref
@@ -512,11 +510,13 @@ class TestForgetOncePerStep:
         return calls
 
     def test_memory_episode(self, two_room_scene, counted):
-        from lhnav.runner import RunConfig, make_policy, run_episode
+        from lhnav.runner import RunConfig, run_episode
 
         task = sample_task(two_room_scene, SPOT, seed=7)
-        cfg = RunConfig(policy="memory", embed_dim=16, memory_capacity=4, budget=20)
-        traj, _ = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
+        memory = MemoryPolicy(
+            LinearSoftmaxBackend(embed_dim=16, seed=0), EmbeddingOracle(dim=16), capacity=4
+        )
+        traj, _ = run_episode(two_room_scene, task, memory, RunConfig(policy="memory", budget=20))
         assert len(counted) == len(traj.steps) > 4
 
     def test_imitation_episode(self, two_room_scene, counted):

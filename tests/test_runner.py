@@ -99,14 +99,6 @@ class TestRunEpisode:
             )
             assert record.gt == expected
 
-    def test_memory_policy_follows_embed_dim(self, two_room_scene):
-        task = sample_task(two_room_scene, SPOT, seed=7)
-        cfg = RunConfig(policy="memory", embed_dim=16, budget=5)
-        policy = make_policy(cfg, task)
-        assert policy.oracle.dim == 16
-        traj, result = run_episode(two_room_scene, task, policy, cfg)
-        assert len(traj.steps) == sum(r.steps for r in result.records) > 0
-
     def test_unknown_robot_rejected(self, two_room_scene):
         # a task names a stock robot from the moment it is built
         task = sample_task(two_room_scene, SPOT, seed=7)
@@ -210,10 +202,7 @@ class TestInteractions:
 class TestRunConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [
-            ("policy", "bogus"), ("workers", 0), ("embed_dim", 1), ("budget", 0),
-            ("memory_capacity", 1), ("memory_capacity", 0),
-        ],
+        [("policy", "bogus"), ("workers", 0), ("budget", 0)],
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -241,6 +230,17 @@ class TestTrajectoryFiles:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_saved_lines_carry_only_what_is_read(self, tmp_path, two_room_scene):
+        task = sample_task(two_room_scene, SPOT, seed=7)
+        traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
+        path = tmp_path / "t.jsonl"
+        traj.save(path)
+        header, *steps = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(steps) == len(traj.steps) > 0
+        assert all(set(step) == {"i", "pose", "holding", "action", "collided"} for step in steps)
+        span_keys = {"index", "kind", "target_id", "start", "end", "gt", "interaction_ok"}
+        assert [set(span) for span in header["spans"]] == [span_keys] * len(traj.spans)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -261,8 +261,7 @@ class TestTrajectoryFiles:
         [
             '{"i":3,"pose":[1.0,',
             "not json",
-            '{"i":3,"pose":[1.0,1.0,0.0],"action":"fly","collided":false,'
-            '"obs_id":"o","subtask":0}',
+            '{"i":3,"pose":[1.0,1.0,0.0],"action":"fly","collided":false}',
             '{"i":3}',
         ],
         ids=["truncated", "not-json", "unknown-action", "missing-fields"],
@@ -541,7 +540,7 @@ class TestSenseOncePerPose:
         self, tmp_path, monkeypatch, seed, with_store, capacity
     ):
         from lhnav import runner
-        from lhnav.policy import EmbeddingOracle, LinearSoftmaxBackend
+        from lhnav.policy import EmbeddingOracle, LinearSoftmaxBackend, MemoryPolicy
 
         from reference_impls import SenseEveryStepPolicy
 
@@ -551,22 +550,25 @@ class TestSenseOncePerPose:
             store_path = str(tmp_path / "store.jsonl")
             random_store(scenes, seed=seed).save(store_path)
 
+        def cached_policy(cfg, task, store=None):
+            return MemoryPolicy(
+                LinearSoftmaxBackend(seed=cfg.seed), EmbeddingOracle(), store, capacity
+            )
+
         def reference_policy(cfg, task, store=None):
             return SenseEveryStepPolicy(
-                LinearSoftmaxBackend(embed_dim=cfg.embed_dim, seed=cfg.seed),
-                EmbeddingOracle(dim=cfg.embed_dim),
+                LinearSoftmaxBackend(seed=cfg.seed),
+                EmbeddingOracle(),
                 store if store is not None else LongTermStore(),
-                cfg.memory_capacity,
+                capacity,
             )
 
         outputs = []
-        for side in ("cached", "reference"):
-            if side == "reference":
-                monkeypatch.setattr(runner, "make_policy", reference_policy)
+        for side, make in (("cached", cached_policy), ("reference", reference_policy)):
+            monkeypatch.setattr(runner, "make_policy", make)
             out = tmp_path / side
             cfg = RunConfig(
-                policy="memory", seed=seed, budget=40, memory_capacity=capacity,
-                store_path=store_path, out_dir=str(out),
+                policy="memory", seed=seed, budget=40, store_path=store_path, out_dir=str(out)
             )
             report = run_suite(scenes, tasks, cfg)
             files = sorted((out / "trajectories").glob("*.jsonl"))
@@ -587,12 +589,14 @@ class TestSenseOncePerPose:
             policy.act = lambda ctx: contexts.append(ctx) or act(ctx)
             traj, _ = run_episode(scenes[task.scene_id], task, policy, cfg)
             assert len(contexts) == len(traj.steps)
-            for step, ctx in zip(traj.steps, contexts):
+            # the span that holds each step
+            window = [span for span in traj.spans for _ in range(span.start, span.end)]
+            for step, ctx, span in zip(traj.steps, contexts, window):
                 assert ctx.state is step.state
-                assert ctx.target_id == traj.spans[step.subtask].target_id
+                assert ctx.target_id == span.target_id
             for i in range(1, len(contexts)):
                 before, step = traj.steps[i - 1], traj.steps[i]
-                same_pose = step.state is before.state and step.subtask == before.subtask
+                same_pose = step.state is before.state and window[i] is window[i - 1]
                 assert (contexts[i] is contexts[i - 1]) == same_pose
                 reused += same_pose
                 renewed += not same_pose

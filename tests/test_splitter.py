@@ -115,8 +115,6 @@ class TestTagSegment:
                 state=AgentState(position=scene.cell_center(c), heading=heading),
                 action=Action.MOVE_FORWARD,
                 collided=False,
-                obs_id=f"obs-{i}",
-                subtask=0,
             )
             for i, c in enumerate(cells)
         ]
