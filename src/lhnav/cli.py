@@ -1,16 +1,14 @@
 """Command-line entry points: scene/task generation, rollouts, trajectory
 splitting, and metric reports.
 
-Every value comes from a flag.  The one exception is the task-generation
-endpoint: LHNAV_LLM_ENDPOINT, when set, wins over --llm-endpoint, and
-without either gen-tasks samples tasks offline.
+Every value comes from a flag.  Without --llm-endpoint, gen-tasks samples
+tasks offline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -86,7 +84,7 @@ def cmd_gen_tasks(args) -> int:
     if args.count < 1:
         args.usage_error(f"--count must be at least 1, got {args.count}")
     scenes = _load_scenes(args)
-    endpoint = os.environ.get("LHNAV_LLM_ENDPOINT") or args.llm_endpoint
+    endpoint = args.llm_endpoint
     robot = ROBOTS[args.robot]
     tasks = []
     scene_list = [scenes[k] for k in sorted(scenes)]
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot", default="spot", choices=sorted(ROBOTS))
     p.add_argument(
         "--llm-endpoint", default="",
-        help="chat-completion endpoint; LHNAV_LLM_ENDPOINT wins when set",
+        help="chat-completion endpoint; without it, tasks are sampled offline",
     )
     p.add_argument("--out", default="tasks.json")
     p.set_defaults(func=cmd_gen_tasks, usage_error=p.error)

@@ -26,7 +26,6 @@ replace (tests/reference_impls.py).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +44,14 @@ class ShortTermMemory:
     confidences.  forget_and_append updates it in place.  The first entry
     fixes the row length and allocates the buffer."""
 
-    def __init__(self, entries=(), confidences=(), capacity: int = 32) -> None:
+    def __init__(self, capacity: int = 32) -> None:
         # forgetting merges two slots, so a memory of one slot cannot forget
         if capacity < 2:
             raise ValueError(f"capacity must be at least 2, got {capacity}")
-        if len(entries) != len(confidences):
-            raise ValueError("entries and confidences must have equal length")
-        if len(entries) > capacity:
-            raise ValueError("memory exceeds capacity")
         self.capacity = capacity
         self._rows: np.ndarray | None = None
         self._conf = np.empty(capacity)
         self._n = 0
-        for entry, confidence in zip(entries, confidences):
-            forget_and_append(self, entry, confidence)
 
     def __len__(self) -> int:
         return self._n
@@ -123,11 +116,9 @@ def entropy_argmin(candidates) -> int:
     return int(np.argmin(candidate_entropies(candidates)))
 
 
-def forget_and_append(
-    mem: ShortTermMemory, h_new: np.ndarray, c_new: float
-) -> ShortTermMemory:
-    """Append a new entry, merging one adjacent pair first when at capacity,
-    and return the same memory.
+def forget_and_append(mem: ShortTermMemory, h_new: np.ndarray, c_new: float) -> None:
+    """Append a new entry in place, merging one adjacent pair first when at
+    capacity.
 
     The merged slot carries the elementwise mean of the two embeddings and
     the mean of their confidences; the later rows shift down one slot.
@@ -157,7 +148,6 @@ def forget_and_append(
     rows[n] = h
     conf[n] = c
     mem._n = n + 1
-    return mem
 
 
 class _Bucket:
@@ -215,10 +205,9 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-class TopK(Sequence):
+class TopK:
     """Retrieved entries in rank order: observation rows (k x dim) and
-    action rows (k x 4), each one fancy index of the bucket.  Item j is
-    the pair (obs[j], acts[j])."""
+    action rows (k x 4), each one fancy index of the bucket."""
 
     def __init__(self, obs: np.ndarray, acts: np.ndarray) -> None:
         self.obs = obs
@@ -226,9 +215,6 @@ class TopK(Sequence):
 
     def __len__(self) -> int:
         return self.acts.shape[0]
-
-    def __getitem__(self, j):
-        return self.obs[j], self.acts[j]
 
 
 def _check_length(target: str, bucket: _Bucket, embedding: np.ndarray) -> None:
@@ -386,14 +372,14 @@ class LongTermStore:
         return store
 
 
-def weight_decision(decision: np.ndarray, retrieved_acts) -> tuple[np.ndarray, bool]:
+def weight_decision(decision: np.ndarray, retrieved_acts) -> np.ndarray:
     """Bias a decision vector by the mean of retrieved action distributions,
     one per row of retrieved_acts (a (k x 4) array, such as TopK.acts, or
     a list of vectors).
 
     Elementwise product, renormalized to sum 1; the argmax is unaffected by
-    the normalization.  Returns (vector, degenerate) where degenerate means
-    the product vanished everywhere and the input is passed through.
+    the normalization.  When the product vanishes everywhere, a copy of the
+    input is returned.
     """
     if not len(retrieved_acts):
         raise ValueError("need at least one retrieved action")
@@ -404,8 +390,8 @@ def weight_decision(decision: np.ndarray, retrieved_acts) -> tuple[np.ndarray, b
     weighted = a * avg
     total = float(weighted.sum())
     if total <= 0:
-        return a.copy(), True
-    return weighted / total, False
+        return a.copy()
+    return weighted / total
 
 
 def cross_entropy(a: np.ndarray, e: np.ndarray) -> float | np.ndarray:

@@ -309,7 +309,7 @@ def imitation_dataset(
             views, fused = oracle.embed(observe(scene, step.state, robot))
             x = backend.features(stage, views, mem)
             dataset.append((x, int(step.action)))
-            mem = forget_and_append(mem, fused, float(backend.probabilities(x).max()))
+            forget_and_append(mem, fused, float(backend.probabilities(x).max()))
     return dataset
 
 
@@ -341,48 +341,30 @@ def train_backend(
 # -- one decision step of the memory pipeline ---------------------------------------
 
 
-class Percept:
-    """What a memory step sensed for one step context: the view
-    embeddings, the fused embedding and the top-k retrieved for the
-    target."""
+def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
+    """One decision step of a memory policy, updating it in place: observe,
+    embed, decide, weight by the actions retrieved for the target's
+    category, take the argmax, and fold the observation into short-term
+    memory.
 
-    __slots__ = ("ctx", "views", "fused", "top")
-
-    def __init__(self) -> None:
-        self.ctx = self.views = self.fused = self.top = None
-
-
-def memory_policy_step(
-    ctx: StepContext,
-    mem: ShortTermMemory,
-    store: LongTermStore,
-    backend: PolicyBackend,
-    oracle: EmbeddingOracle,
-    percept: Percept | None = None,
-) -> tuple[Action, ShortTermMemory]:
-    """One decision step: observe, embed, decide, weight by the actions
-    retrieved for the target's category, take the argmax, and fold the
-    observation into short-term memory.
-
-    percept is the previous step's percept, updated in place.  When it was
-    sensed for this very context object, as after a blocked forward move
-    (the runner makes one context per pose), the step reuses it instead of
+    When the policy last sensed for this very context object, as after a
+    blocked forward move (the runner makes one context per pose), the step
+    reuses the views, fused embedding and top-k it kept instead of
     observing, embedding and retrieving again: those are pure functions of
     the pose and the target, given one store and one oracle, and the store
     is read-only during an episode.  Another context object is sensed
     again, even at an equal pose.  The decision and the fold run on every
     step, because they read the short-term memory."""
-    p = percept if percept is not None else Percept()
-    if p.ctx is not ctx:
-        p.views, p.fused = oracle.embed(observe(ctx.scene, ctx.state, ctx.robot))
-        p.top = store.retrieve_topk(ctx.scene.object(ctx.target_id).category, p.fused)
-        p.ctx = ctx
-    decision, confidence = backend.decide(ctx, p.views, mem)
-    if p.top:
-        decision, _ = weight_decision(decision, p.top.acts)
-    action = Action(int(np.argmax(decision)))
-    mem = forget_and_append(mem, p.fused, confidence)
-    return action, mem
+    if policy.ctx is not ctx:
+        policy.views, policy.fused = policy.oracle.embed(observe(ctx.scene, ctx.state, ctx.robot))
+        category = ctx.scene.object(ctx.target_id).category
+        policy.top = policy.store.retrieve_topk(category, policy.fused)
+        policy.ctx = ctx
+    decision, confidence = policy.backend.decide(ctx, policy.views, policy.memory)
+    if policy.top:
+        decision = weight_decision(decision, policy.top.acts)
+    forget_and_append(policy.memory, policy.fused, confidence)
+    return Action(int(np.argmax(decision)))
 
 
 # -- runner-facing policies ---------------------------------------------------------
@@ -436,9 +418,10 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting.  It keeps its last percept, so a step handed
-    the same context as the step before (a blocked forward move) does not
-    sense again; the store must not change while it runs."""
+    short-term forgetting.  It keeps the context it last sensed for, with
+    the view embeddings, fused embedding and top-k sensed there, so a step
+    handed the same context as the step before (a blocked forward move)
+    does not sense again; the store must not change while it runs."""
 
     def __init__(
         self,
@@ -451,10 +434,7 @@ class MemoryPolicy:
         self.oracle = oracle
         self.store = store if store is not None else LongTermStore()
         self.memory = ShortTermMemory(capacity=capacity)
-        self.percept = Percept()
+        self.ctx = self.views = self.fused = self.top = None
 
     def act(self, ctx: StepContext) -> Action:
-        action, self.memory = memory_policy_step(
-            ctx, self.memory, self.store, self.backend, self.oracle, self.percept
-        )
-        return action
+        return memory_policy_step(self, ctx)

@@ -54,11 +54,13 @@ class StepRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
         """The inverse of to_dict, where holding may be left out; an unknown
-        key or a collided that is not a bool is a TypeError, and a bad pose
-        or holding a ValueError."""
+        key, an index that is not an int or a collided that is not a bool
+        is a TypeError, and a bad pose or holding a ValueError."""
         unknown = set(d) - _STEP_KEYS
         if unknown:
             raise TypeError(f"unknown step keys {sorted(unknown)}")
+        if type(d["i"]) is not int:
+            raise TypeError(f"i must be an integer, not {d['i']!r}")
         if type(d["collided"]) is not bool:
             raise TypeError(f"collided must be a bool, not {d['collided']!r}")
         return cls(
@@ -147,7 +149,8 @@ class Trajectory:
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
         """A trajectory written by save; a missing file, a line that does
-        not parse, an unknown robot, a span field that SubtaskSpan
+        not parse, an unknown robot, an id or config hash that is not a
+        string, a seed that is not an int, a span field that SubtaskSpan
         rejects, steps and spans that do not number
         the whole episode (a cut file), or a stop that does not end a
         move_to window raise an InputFileError naming the path and, where
@@ -166,6 +169,11 @@ class Trajectory:
                 config_hash=header.get("config_hash", ""),
                 seed=header.get("seed", 0),
             )
+            for key in ("task_id", "scene_id", "config_hash"):
+                if type(fields[key]) is not str:
+                    raise TypeError(f"{key} must be a string, not {fields[key]!r}")
+            if type(fields["seed"]) is not int:
+                raise TypeError(f"seed must be an integer, not {fields['seed']!r}")
             # the spans tile the steps in order; end is where the last stops
             end = 0
             for span in fields["spans"]:

@@ -275,7 +275,7 @@ def loop_rank(bucket, query):
 
 
 class SenseEveryStepPolicy:
-    """The memory policy before it kept its last percept: every step
+    """The memory policy before it kept what it last sensed: every step
     observes, embeds and retrieves, even at the pose and for the target of
     the step before."""
 
@@ -291,9 +291,9 @@ class SenseEveryStepPolicy:
         decision, confidence = self.backend.decide(ctx, views, self.memory)
         top = self.store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
         if top:
-            decision, _ = weight_decision(decision, top.acts)
+            decision = weight_decision(decision, top.acts)
         action = Action(int(np.argmax(decision)))
-        self.memory = forget_and_append(self.memory, fused, confidence)
+        forget_and_append(self.memory, fused, confidence)
         return action
 
 

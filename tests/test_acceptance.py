@@ -142,7 +142,7 @@ def test_criterion_4_entropy_forgetting_oracle():
     mem = ShortTermMemory(capacity=16)
     violations = 0
     for _ in range(10_000):
-        mem = forget_and_append(mem, npr.normal(size=8), rng.random() + 1e-6)
+        forget_and_append(mem, npr.normal(size=8), rng.random() + 1e-6)
         if len(mem) > mem.capacity:
             violations += 1
     assert violations == 0

@@ -503,7 +503,9 @@ class TestUsageErrors:
             "stop-inside-a-window", "step-carries-obs-id", "span-start-end-floats",
             "span-index-not-an-integer", "span-index-a-bool", "span-unknown-kind",
             "span-target-not-a-string", "span-gt-negative", "span-gt-nan", "span-gt-not-a-number",
-            "span-interaction-ok-not-a-bool",
+            "span-interaction-ok-not-a-bool", "step-index-a-bool", "step-index-a-float",
+            "header-seed-not-an-integer", "header-scene-id-a-list",
+            "header-task-id-not-a-string", "header-config-hash-not-a-string",
         ],
     )
     def test_bad_trajectory_is_a_usage_error(self, tmp_path, capsys, two_room_scene, fault):
@@ -541,6 +543,14 @@ class TestUsageErrors:
                 "span-interaction-ok-not-a-bool": ("interaction_ok", "yes"),
             }[fault]
             header["spans"][0][key] = value
+        elif fault.startswith("header-"):
+            key, value = {
+                "header-seed-not-an-integer": ("seed", "seven"),
+                "header-scene-id-a-list": ("scene_id", [header["scene_id"]]),
+                "header-task-id-not-a-string": ("task_id", 7),
+                "header-config-hash-not-a-string": ("config_hash", None),
+            }[fault]
+            header[key] = value
         elif fault == "unknown-robot":
             header["robot"] = "wall-e"
         elif fault == "unknown-target":
@@ -549,6 +559,10 @@ class TestUsageErrors:
             lines[3] = json.dumps(dict(json.loads(lines[3]), collided="no")) + "\n"
         elif fault == "unknown-step-key":
             lines[3] = json.dumps(dict(json.loads(lines[3]), note="edited")) + "\n"
+        elif fault == "step-index-a-bool":  # equal to the due index 1
+            lines[2] = json.dumps(dict(json.loads(lines[2]), i=True)) + "\n"
+        elif fault == "step-index-a-float":  # equal to the due index 2
+            lines[3] = json.dumps(dict(json.loads(lines[3]), i=2.0)) + "\n"
         elif fault == "step-carries-obs-id":  # as every step did in older files
             lines[3] = json.dumps(dict(json.loads(lines[3]), obs_id="obs-2")) + "\n"
         elif fault == "holding-not-a-string":
@@ -571,7 +585,9 @@ class TestUsageErrors:
                 "position-off-grid": [-5.0, -5.0, 0.0],
             }[fault]
             lines[3] = json.dumps(dict(json.loads(lines[3]), pose=pose)) + "\n"
-        if fault.startswith(("span-", "final-")) or fault in ("unknown-robot", "unknown-target"):
+        if fault.startswith(("span-", "final-", "header-")) or fault in (
+            "unknown-robot", "unknown-target"
+        ):
             lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines))
         last = usage_error_line(
@@ -582,8 +598,10 @@ class TestUsageErrors:
         if fault in ("heading-720", "position-off-grid"):
             # it parses, but the scene rejects the state of step 2 (line 4)
             assert f"{path}: step 2:" in last
-        elif fault.startswith(("final-", "span-", "unknown-robot")):
+        elif fault.startswith(("final-", "span-", "header-", "unknown-robot")):
             assert f"{path} line 1" in last
+        elif fault == "step-index-a-bool":
+            assert f"{path} line 3" in last
         elif fault == "stop-inside-a-window":
             assert f"{path} line 5: step 3 is a stop" in last
         elif fault not in ("cut", "steps-out-of-order", "unknown-target"):
@@ -640,8 +658,7 @@ class TestUsageErrors:
         assert str(path) in last
 
 class TestConfigFile:
-    """There is no config file: every value comes from a flag, and only the
-    task endpoint can also come from the environment."""
+    """There is no config file: every value comes from a flag."""
 
     def test_config_flag_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -654,18 +671,3 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: lhnav")
         assert not (tmp_path / "run").exists()
-
-    def test_env_endpoint_overrides(self, tmp_path, monkeypatch, capsys):
-        # the env var wins over --llm-endpoint for the task endpoint
-        scenes_dir = tmp_path / "scenes"
-        run_cli("gen-scene", "--seed", "9", "--size", "20", "--out", str(scenes_dir))
-        monkeypatch.setenv("LHNAV_LLM_ENDPOINT", "http://127.0.0.1:9/from-env")
-        tasks_path = tmp_path / "tasks.json"
-        # nothing listens on port 9: the request fails, which is a usage error
-        last = usage_error_line(
-            capsys, "gen-tasks", "--scenes", scenes_dir, "--count", "1", "--seed", "5",
-            "--llm-endpoint", "http://127.0.0.1:9/from-flag", "--out", tasks_path,
-        )
-        assert "http://127.0.0.1:9/from-env" in last and "from-flag" not in last
-        assert "seed 5" in last
-        assert not tasks_path.exists()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lhnav import policy
 from lhnav.expert import expert_next_action
-from lhnav.memory import N_ACTIONS, LongTermStore, ShortTermMemory
+from lhnav.memory import N_ACTIONS, LongTermStore, ShortTermMemory, forget_and_append
 from lhnav.policy import (
     EmbeddingOracle,
     LinearSoftmaxBackend,
@@ -128,7 +128,9 @@ class TestLinearSoftmaxBackend:
         obs = observe(open_scene, s, SPOT)
         assert [v.direction for v in obs.views] == ["left", "front", "right"]
         views = np.concatenate([oracle.embed_view(v) for v in obs.views])
-        mem = ShortTermMemory(entries=(np.ones(16), np.zeros(16)), confidences=(0.5, 0.5))
+        mem = ShortTermMemory()
+        forget_and_append(mem, np.ones(16), 0.5)
+        forget_and_append(mem, np.zeros(16), 0.5)
         x = backend.features(1, views, mem)
         assert x.shape == (backend.feature_dim,) == (68,)
         assert np.array_equal(x[:48], views)
@@ -377,7 +379,6 @@ class TestTraining:
         # a small capacity makes short-term forgetting merge entries while
         # the features are recorded
         from lhnav.expert import expert_next_action
-        from lhnav.memory import forget_and_append
         from lhnav.policy import ExpertPolicy, collect_imitation_dataset
         from lhnav.runner import RunConfig, run_episode
 
@@ -407,7 +408,7 @@ class TestTraining:
                 label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
                 expected.append((x, int(label)))
                 confidence = float(backend.probabilities(x).max())
-                mem = forget_and_append(mem, oracle.embed_observation(obs), confidence)
+                forget_and_append(mem, oracle.embed_observation(obs), confidence)
 
         assert len(expected) > 3 and len(moves) > 1
         assert len(dataset) == len(expected)
@@ -461,12 +462,10 @@ class TestMemoryPolicyStep:
             oracle.embed_observation(observe(open_scene, ctx.state, SPOT)),
             np.array([0.0, 0.0, 1.0, 0.0]),
         )
-        mem = ShortTermMemory(capacity=8)
-        action, mem2 = memory_policy_step(
-            ctx, mem, store, UniformBackend(), oracle
-        )
+        memory = MemoryPolicy(UniformBackend(), oracle, store, capacity=8)
+        action = memory_policy_step(memory, ctx)
         assert action == Action.MOVE_FORWARD
-        assert len(mem2) == 1
+        assert len(memory.memory) == 1
 
     def test_empty_store_uses_backend_argmax(self, open_scene):
         oracle = EmbeddingOracle(dim=16)
@@ -475,19 +474,17 @@ class TestMemoryPolicyStep:
             def decide(self, ctx, rep, mem):
                 return np.array([0.05, 0.6, 0.15, 0.2]), 0.6
 
-        action, _ = memory_policy_step(
-            self._ctx(open_scene), ShortTermMemory(capacity=4), LongTermStore(), Fixed(), oracle
-        )
-        assert action == Action.TURN_LEFT
+        memory = MemoryPolicy(Fixed(), oracle, LongTermStore(), capacity=4)
+        assert memory_policy_step(memory, self._ctx(open_scene)) == Action.TURN_LEFT
 
     def test_memory_growth_capped(self, open_scene):
         oracle = EmbeddingOracle(dim=8)
         ctx = self._ctx(open_scene)
-        mem = ShortTermMemory(capacity=3)
-        store = LongTermStore()
+        memory = MemoryPolicy(UniformBackend(), oracle, LongTermStore(), capacity=3)
+        mem = memory.memory
         for i in range(10):
             before = len(mem)
-            _, mem = memory_policy_step(ctx, mem, store, UniformBackend(), oracle)
+            memory_policy_step(memory, ctx)
             assert len(mem) in (before + 1, mem.capacity)
         assert len(mem) == 3
 

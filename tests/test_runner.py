@@ -263,8 +263,10 @@ class TestTrajectoryFiles:
             "not json",
             '{"i":3,"pose":[1.0,1.0,0.0],"action":"fly","collided":false}',
             '{"i":3}',
+            # the due index is 2, and 2.0 == 2
+            '{"i":2.0,"pose":[1.0,1.0,0.0],"action":"move_forward","collided":false}',
         ],
-        ids=["truncated", "not-json", "unknown-action", "missing-fields"],
+        ids=["truncated", "not-json", "unknown-action", "missing-fields", "index-a-float"],
     )
     def test_bad_step_line_names_path_and_line_number(self, tmp_path, two_room_scene, bad_line):
         task = sample_task(two_room_scene, SPOT, seed=7)
@@ -276,6 +278,25 @@ class TestTrajectoryFiles:
         lines[3] = bad_line
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 4\b"):
+            Trajectory.load(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("task_id", 7), ("scene_id", ["scene-1"]), ("config_hash", None), ("seed", "seven"),
+         ("seed", 7.0), ("seed", True)],
+    )
+    def test_mistyped_header_field_names_the_header_line(
+        self, tmp_path, two_room_scene, key, value
+    ):
+        traj, _ = run_episode(
+            two_room_scene, sample_task(two_room_scene, SPOT, seed=7), ExpertPolicy(), RunConfig()
+        )
+        path = tmp_path / "t.jsonl"
+        traj.save(path)
+        header, *steps = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.dumps(dict(json.loads(header), **{key: value})) + "\n"
+        path.write_text(header + "".join(steps), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 1: .*{key} must be"):
             Trajectory.load(path)
 
     def test_replay_walks_the_move_windows_in_order(self, two_room_scene):
@@ -529,7 +550,7 @@ def fresh(keys):
 
 class TestSenseOncePerPose:
     """After a step that leaves the state object as it was (a blocked
-    forward move), the memory policy reuses its percept and the runner its
+    forward move), the memory policy reuses what it sensed and the runner its
     success check; the outputs are those of sensing on every step."""
 
     # seeds whose untrained weights collide often without a store too
@@ -660,7 +681,7 @@ class TestSenseOncePerPose:
             )
             steps += len(traj.steps)
             sensings += len(sensed)
-        # most steps reuse a percept, and some windows start at the pose
+        # most steps reuse what was sensed, and some windows start at the pose
         # the last one ended on, for a new target
         assert sensings < steps // 2
         assert same_pose_new_target > 0

@@ -283,10 +283,9 @@ class TestLlmClient:
             generate_via_llm(two_room_scene, SPOT, stub_server, allowed_stages=[3, 4])
 
     def test_gen_tasks_honours_subtasks_over_the_llm(
-        self, tmp_path, monkeypatch, capsys, two_room_scene, stub_server
+        self, tmp_path, capsys, two_room_scene, stub_server
     ):
         _StubHandler.reply_content = PROMPT1_EXAMPLE_REPLY  # two navigation stages
-        monkeypatch.delenv("LHNAV_LLM_ENDPOINT", raising=False)
         two_room_scene.save(tmp_path / "scene.json")
         argv = [
             "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "1",
@@ -307,7 +306,6 @@ class TestLlmClient:
         self, tmp_path, monkeypatch, capsys, two_room_scene, stub_server
     ):
         monkeypatch.setattr(_StubHandler, "reply_content", "no dictionary here")
-        monkeypatch.delenv("LHNAV_LLM_ENDPOINT", raising=False)
         two_room_scene.save(tmp_path / "scene.json")
         with pytest.raises(SystemExit) as exc:
             cli_main([
