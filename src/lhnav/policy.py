@@ -54,16 +54,21 @@ class EmbeddingOracle:
     """Deterministic observation embeddings: every category owns a hashed
     coordinate, scaled by 1/(1+range) and L2-normalized.  An empty
     observation maps to a fixed unit "void" vector.  embed makes one pass
-    over an observation for its three view embeddings and the fused one."""
+    over an observation for its three view embeddings and the fused one.
+    Each oracle hashes a category once and keeps its coordinate."""
 
     def __init__(self, dim: int = 64):
         if dim < 2:
             raise ValueError("embedding dim must be at least 2")
         self.dim = dim
+        self._index: dict[str, int] = {}
 
     def index_for(self, name: str) -> int:
-        digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim
+        index = self._index.get(name)
+        if index is None:
+            digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
+            index = self._index[name] = int.from_bytes(digest[:8], "big") % self.dim
+        return index
 
     def _embed_rows(self, pair_lists) -> np.ndarray:
         """One row per list of (category, range) pairs: every category adds
@@ -227,6 +232,14 @@ def loss_and_grad(
     per-sample loop, so the results are bit-equal to it.  The logits are a
     stack of (1 x k) products, one BLAS call per row: one matrix product
     over the batch sums in another order.
+
+    The weight gradient is summed only over the columns that some sample
+    uses (a nonzero feature); the others stay +0.0.  That is what the loop
+    gives them: each of its terms there is a finite D times a signed zero,
+    and a sum from +0.0 of signed zeros is +0.0.  The hashed embeddings hit
+    few coordinates, so most columns are unused.  A non-finite feature, or
+    a sample whose logits are not finite (weights that overflow), raises a
+    ValueError naming the sample.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
@@ -248,6 +261,15 @@ def loss_and_grad(
             f"0..{N_ACTIONS - 1}"
         )
     logits = (X[:, None, :] @ backend.W.T)[:, 0, :] + backend.b
+    # a non-finite feature makes its sample's logits non-finite too, so the
+    # features are only scanned when the logits are not all finite
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        cols = np.flatnonzero(~np.isfinite(X[i]))
+        if cols.size:
+            raise ValueError(f"feature {cols[0]} of sample {i} is {X[i, cols[0]]}, not finite")
+        raise ValueError(f"the logits of sample {i} are not finite: {logits[i]}")
     logits = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     P = e / e.sum(axis=1, keepdims=True)
@@ -258,17 +280,19 @@ def loss_and_grad(
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
-    # the outer products are formed GRAD_BLOCK rows at a time below the
-    # running total; numpy sums a non-innermost axis row after row, so each
-    # stack's sum continues the loop's order
-    stack = np.empty((min(n, GRAD_BLOCK) + 1,) + backend.W.shape)
-    gW = np.zeros_like(backend.W)
+    # the outer products over the used columns are formed GRAD_BLOCK rows
+    # at a time below the running total; numpy sums a non-innermost axis
+    # row after row, so each stack's sum continues the loop's order
+    used = np.flatnonzero(X.any(axis=0))
+    stack = np.empty((min(n, GRAD_BLOCK) + 1, N_ACTIONS, used.size))
+    g = np.zeros((N_ACTIONS, used.size))
     for lo in range(0, n, GRAD_BLOCK):
         m = min(n - lo, GRAD_BLOCK)
-        stack[0] = gW
-        np.multiply(D[lo : lo + m, :, None], X[lo : lo + m, None, :], out=stack[1 : m + 1])
-        gW = stack[: m + 1].sum(axis=0)
-    gW /= n
+        stack[0] = g
+        np.multiply(D[lo : lo + m, :, None], X[lo : lo + m, used][:, None, :], out=stack[1 : m + 1])
+        g = stack[: m + 1].sum(axis=0)
+    gW = np.zeros_like(backend.W)
+    gW[:, used] = g / n
     gb = D.sum(axis=0) / n
     return float(total), np.concatenate([gW.ravel(), gb])
 
@@ -299,14 +323,22 @@ def imitation_dataset(
     """One (features, recorded action index) pair per step of a recorded
     trajectory's move windows: the features the backend would see had the
     memory policy (empty long-term store) walked the same poses, its short-
-    term memory folding in each step with the backend's own confidence."""
+    term memory folding in each step with the backend's own confidence.
+
+    A step at the pose (position and heading) of the step before, as after
+    a blocked forward move, reuses that pose's view and fused embeddings:
+    observing is a pure function of the scene and the pose, and the replay
+    leaves the scene as it is.  The fold still runs on every step."""
     robot = stock_robot(trajectory.robot)
     oracle = EmbeddingOracle(dim=backend.embed_dim)
     mem = ShortTermMemory(capacity=capacity)
     dataset = []
+    pose = None
     for stage, _, steps in trajectory.replay(scene):
         for step in steps:
-            views, fused = oracle.embed(observe(scene, step.state, robot))
+            if (step.state.position, step.state.heading) != pose:
+                pose = (step.state.position, step.state.heading)
+                views, fused = oracle.embed(observe(scene, step.state, robot))
             x = backend.features(stage, views, mem)
             dataset.append((x, int(step.action)))
             forget_and_append(mem, fused, float(backend.probabilities(x).max()))

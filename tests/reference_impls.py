@@ -1,6 +1,7 @@
 """Brute-force reference implementations the production code is tested
 against.  Deliberately primitive: plain loops, no shared helpers."""
 
+import hashlib
 import heapq
 import math
 from collections import Counter
@@ -10,7 +11,7 @@ import numpy as np
 
 from conftest import free_cells
 from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decision
-from lhnav.policy import one_hot
+from lhnav.policy import EmbeddingOracle, one_hot
 from lhnav.splitter import Tag
 from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
 from lhnav.world import subtask_success
@@ -242,6 +243,18 @@ def loop_forget_and_append(mem, h_new, c_new):
     )
 
 
+class HashEveryCall:
+    """The coordinates of lhnav.policy.EmbeddingOracle before it kept
+    them: a sha256 of the category on every call."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def index_for(self, name):
+        digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") % self.dim
+
+
 def reference_embed(oracle, sightings):
     """The closest sighting of each category, embedded one view (or one
     observation) at a time, as lhnav.policy.EmbeddingOracle did before its
@@ -295,6 +308,22 @@ class SenseEveryStepPolicy:
         action = Action(int(np.argmax(decision)))
         forget_and_append(self.memory, fused, confidence)
         return action
+
+
+def sense_every_step_imitation_dataset(scene, trajectory, backend, capacity):
+    """lhnav.policy.imitation_dataset before it sensed once per pose: every
+    step observes and embeds, even at the pose of the step before."""
+    robot = ROBOTS[trajectory.robot]
+    oracle = EmbeddingOracle(dim=backend.embed_dim)
+    mem = ShortTermMemory(capacity=capacity)
+    dataset = []
+    for stage, _, steps in trajectory.replay(scene):
+        for step in steps:
+            views, fused = oracle.embed(world_observe(scene, step.state, robot))
+            x = backend.features(stage, views, mem)
+            dataset.append((x, int(step.action)))
+            forget_and_append(mem, fused, float(backend.probabilities(x).max()))
+    return dataset
 
 
 # -- the imitation loss as a per-sample loop ---------------------------------------

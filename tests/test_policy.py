@@ -26,7 +26,7 @@ from lhnav.taskforge import MOVE_TO, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe, subtask_success
 
 from conftest import free_cells
-from reference_impls import loop_loss_and_grad, reference_embed
+from reference_impls import HashEveryCall, loop_loss_and_grad, reference_embed
 
 SPOT = ROBOTS["spot"]
 
@@ -95,6 +95,40 @@ class TestEmbeddingOracle:
         v = oracle._embed_pairs([("box", 1.0), ("lamp", 2.0), ("toy", 0.2)])
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+
+    def test_index_hashed_once_per_oracle(self, monkeypatch):
+        # the memoised coordinates and embeddings are those of hashing on
+        # every call; each oracle hashes a category once
+        from lhnav.scenegen import generate_scene
+
+        scene = generate_scene(seed=31, size=24, regions=4)
+        names = sorted({obj.category for obj in scene.objects}) + ["__void__"]
+        hashing = HashEveryCall(dim=16)
+        want = {name: hashing.index_for(name) for name in names}
+        rng = random.Random(5)
+        free = free_cells(scene)
+        observations, want_embeddings = [], []
+        for _ in range(40):
+            state = AgentState(
+                position=scene.cell_center(rng.choice(free)), heading=rng.choice([0.0, 90.0, 210.0])
+            )
+            obs = observe(scene, state, SPOT)
+            observations.append(obs)
+            views = np.concatenate([reference_embed(hashing, v.objects) for v in obs.views])
+            want_embeddings.append((views, reference_embed(hashing, obs.visible())))
+        real = policy.hashlib.sha256
+        hashed = []
+        monkeypatch.setattr(policy.hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+        oracles = [EmbeddingOracle(dim=16), EmbeddingOracle(dim=16)]
+        for oracle in oracles:
+            for _ in range(3):
+                assert {name: oracle.index_for(name) for name in names} == want
+        assert len(hashed) == 2 * len(names)
+        for obs, (want_views, want_fused) in zip(observations, want_embeddings):
+            views, fused = oracles[0].embed(obs)
+            assert views.tobytes() == want_views.tobytes()
+            assert fused.tobytes() == want_fused.tobytes()
+        assert len(hashed) == 2 * len(names)
 
     def test_one_pass_matches_the_per_view_embeddings(self):
         from lhnav.scenegen import generate_scene
@@ -233,6 +267,70 @@ class TestBatchedLossMatchesLoop:
         assert report.final_loss < report.losses[0]
 
 
+class TestColumnSparseLoss:
+    """loss_and_grad sums the gradient over the used columns only; the
+    result stays the per-sample loop's, bit for bit, signed zeros too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        embed_dim=st.integers(1, 20),
+        n=st.one_of(
+            st.integers(1, 3 * policy.GRAD_BLOCK + 5),
+            st.sampled_from([policy.GRAD_BLOCK, policy.GRAD_BLOCK + 1, 3 * policy.GRAD_BLOCK + 1]),
+        ),
+        zeroed=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(embed_dim=3, n=1, zeroed=1.0, scale=1.0, seed=0)
+    @example(embed_dim=16, n=3 * policy.GRAD_BLOCK + 1, zeroed=0.9, scale=1e3, seed=1)
+    def test_bit_equal_to_the_loop(self, embed_dim, n, zeroed, scale, seed):
+        npr = np.random.default_rng(seed)
+        backend = LinearSoftmaxBackend(embed_dim=embed_dim)
+        backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
+        k = backend.feature_dim
+        X = npr.normal(size=(n, k))
+        X[npr.random(X.shape) < 0.5] = 0.0
+        # the zeroed columns hold signed zeros, which the loop's sum from
+        # +0.0 turns into +0.0
+        cols = npr.permutation(k)[: round(zeroed * k)]
+        X[:, cols] = np.where(npr.random((n, cols.size)) < 0.5, -0.0, 0.0)
+        y = npr.integers(0, N_ACTIONS, size=n)
+        loss, grad = loss_and_grad(backend, X, y)
+        want_loss, want_grad = loop_loss_and_grad(backend, X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        gW = grad[: backend.W.size].reshape(backend.W.shape)
+        assert not gW[:, cols].any() and not np.signbit(gW[:, cols]).any()
+
+    def test_imitation_data_leaves_columns_unused(self):
+        # the offline benchmark's kind of data: expert imitation on 24x24
+        # scenes (seeds 1000 on, as at its seed 1) until 250 samples
+        from lhnav.scenegen import generate_scene
+        from lhnav.taskforge import SceneTooSparseError
+
+        backend = LinearSoftmaxBackend(seed=0)
+        dataset = []
+        for i in range(20):
+            scene = generate_scene(seed=1000 + i)
+            try:
+                task = sample_task(scene, SPOT, seed=1000 + i)
+            except SceneTooSparseError:
+                continue
+            dataset += policy.collect_imitation_dataset(scene, task, backend)
+            if len(dataset) >= 250:
+                break
+        X = np.stack([x for x, _ in dataset[:250]])
+        y = np.array([a for _, a in dataset[:250]])
+        used = int(X.any(axis=0).sum())
+        assert X.shape == (250, backend.feature_dim)
+        assert 0 < used < backend.feature_dim // 2
+        loss, grad = loss_and_grad(backend, X, y)
+        want_loss, want_grad = loop_loss_and_grad(backend, X, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestLossInputs:
     def _batch(self):
         backend = LinearSoftmaxBackend(embed_dim=2)
@@ -263,6 +361,26 @@ class TestLossInputs:
         backend, X, y = self._batch()
         with pytest.raises(ValueError, match="at least one sample"):
             loss_and_grad(backend, X[:0], y[:0])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_feature_that_is_not_finite_rejected(self, value):
+        # it would otherwise give a loss of nan and a nan gradient
+        backend, X, y = self._batch()
+        X[3, 7] = value
+        with pytest.raises(ValueError, match=rf"feature 7 of sample 3 is {value}, not finite"):
+            loss_and_grad(backend, X, y)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_logits_that_overflow_rejected(self):
+        # finite features and weights whose product overflows for sample 2
+        backend, X, y = self._batch()
+        X[:, 0] = 0.0
+        X[2, 0] = 10.0
+        W = backend.W.copy()
+        W[1, 0] = 1e308
+        backend.W = W
+        with pytest.raises(ValueError, match=r"the logits of sample 2 are not finite"):
+            loss_and_grad(backend, X, y)
 
 
 class TestTraining:

@@ -599,6 +599,43 @@ class TestSenseOncePerPose:
         steps = [s for f in files for s in Trajectory.load(f).steps]
         assert sum(s.collided for s in steps) > len(steps) // 4
 
+    @pytest.mark.parametrize("capacity", [2, 32])
+    def test_imitation_data_senses_once_per_pose(self, tmp_path, monkeypatch, capacity):
+        # memory-policy trajectories that collide often, saved and loaded,
+        # so equal poses are equal values and not one state object
+        from lhnav import policy
+        from lhnav.policy import LinearSoftmaxBackend, imitation_dataset
+
+        from reference_impls import sense_every_step_imitation_dataset
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        cfg = RunConfig(policy="memory", seed=4, budget=40)
+        observed = []
+        observe = policy.observe
+        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or observe(*args))
+        total_steps = total_poses = 0
+        for task in tasks:
+            scene = scenes[task.scene_id]
+            traj, _ = run_episode(scene, task, make_policy(cfg, task), cfg)
+            traj.save(tmp_path / "t.jsonl")
+            loaded = Trajectory.load(tmp_path / "t.jsonl")
+            backend = LinearSoftmaxBackend(seed=7)
+            want = sense_every_step_imitation_dataset(scene, loaded, backend, capacity)
+            del observed[:]
+            got = imitation_dataset(scene, loaded, backend, capacity)
+            assert [y for _, y in got] == [y for _, y in want]
+            assert b"".join(x.tobytes() for x, _ in got) == b"".join(x.tobytes() for x, _ in want)
+            poses = [
+                (step.state.position, step.state.heading)
+                for _, _, steps in loaded.replay(scene)
+                for step in steps
+            ]
+            fresh_poses = sum(i == 0 or pose != poses[i - 1] for i, pose in enumerate(poses))
+            assert len(observed) == fresh_poses
+            total_steps += len(poses)
+            total_poses += fresh_poses
+        assert total_poses < total_steps * 3 // 4
+
     def test_one_context_object_per_pose(self):
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         cfg = RunConfig(policy="memory", seed=4, budget=40)
