@@ -296,9 +296,12 @@ class LongTermStore:
 
     def rank(self, target: str, query: np.ndarray) -> list[int]:
         """Bucket indices sorted by descending cosine similarity to the query;
-        equal similarities keep insertion order."""
+        equal similarities keep insertion order.  A query whose norm is not
+        finite (a NaN, an infinity or an overflow) raises a ValueError."""
         q = np.asarray(query, dtype=float)
         qn = float(np.linalg.norm(q))
+        if not math.isfinite(qn):
+            raise ValueError(f"query embedding for {target!r} must be finite (its norm is {qn})")
         if qn == 0.0:
             raise ValueError("query embedding must be nonzero")
         bucket = self.buckets.get(target)

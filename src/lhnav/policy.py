@@ -12,6 +12,7 @@ A deterministic hashing oracle stands in for the frozen visual encoder.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -44,10 +45,16 @@ from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 from .trajectory import Trajectory
 
-# samples whose gradient outer products loss_and_grad holds at once; a
-# small block also keeps the training speed from depending on how the
-# allocator serves a large temporary on every call
-GRAD_BLOCK = 32
+# entries of X per block of nonzero_pattern, which bounds the gradient's
+# memory on a large batch; the offline benchmark's 250 x 260 is one block
+GRAD_ENTRIES = 1 << 16
+
+
+@functools.cache
+def category_index(name: str, dim: int) -> int:
+    """A category's hashed coordinate among dim, kept for the process."""
+    digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dim
 
 
 class EmbeddingOracle:
@@ -55,20 +62,15 @@ class EmbeddingOracle:
     coordinate, scaled by 1/(1+range) and L2-normalized.  An empty
     observation maps to a fixed unit "void" vector.  embed makes one pass
     over an observation for its three view embeddings and the fused one.
-    Each oracle hashes a category once and keeps its coordinate."""
+    A process hashes a category once per dim (category_index)."""
 
     def __init__(self, dim: int = 64):
         if dim < 2:
             raise ValueError("embedding dim must be at least 2")
         self.dim = dim
-        self._index: dict[str, int] = {}
 
     def index_for(self, name: str) -> int:
-        index = self._index.get(name)
-        if index is None:
-            digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
-            index = self._index[name] = int.from_bytes(digest[:8], "big") % self.dim
-        return index
+        return category_index(name, self.dim)
 
     def _embed_rows(self, pair_lists) -> np.ndarray:
         """One row per list of (category, range) pairs: every category adds
@@ -221,25 +223,41 @@ class LinearSoftmaxBackend:
 # -- training -------------------------------------------------------------------
 
 
+def nonzero_pattern(X: np.ndarray):
+    """X's nonzero entries, a block of rows (at most GRAD_ENTRIES entries)
+    at a time, in row-major order: their sample rows, their bins in the
+    flat weight gradient (after one bin per weight, for the running
+    gradient) and their values."""
+    n, k = X.shape
+    step = max(1, GRAD_ENTRIES // k)
+    running, offsets = np.arange(N_ACTIONS * k), np.arange(0, N_ACTIONS * k, k)[:, None]
+    for lo in range(0, n, step):
+        block = X[lo : lo + step]
+        rows, cols = np.divmod(np.flatnonzero(block != 0), k)
+        bins = np.concatenate((running, (offsets + cols).ravel()))
+        yield lo + rows, bins, block[rows, cols]
+
+
 def loss_and_grad(
-    backend: LinearSoftmaxBackend, X: np.ndarray, y: np.ndarray
+    backend: LinearSoftmaxBackend, X: np.ndarray, y: np.ndarray, pattern=None
 ) -> tuple[float, np.ndarray]:
     """Mean imitation loss over a batch and its gradient in theta: the
     cross-entropy of the prediction against the expert action.
 
-    X holds one feature row per sample and y the expert action indices.
-    The whole batch is computed at once, in the summation order of a
-    per-sample loop, so the results are bit-equal to it.  The logits are a
-    stack of (1 x k) products, one BLAS call per row: one matrix product
-    over the batch sums in another order.
+    X holds one feature row per sample and y the expert action indices;
+    pattern is nonzero_pattern(X), built here unless given.  The whole
+    batch is computed at once, in the summation order of a per-sample
+    loop, so the results are bit-equal to it.  The logits are a stack of
+    (1 x k) products, one BLAS call per row: one matrix product over the
+    batch sums in another order.
 
-    The weight gradient is summed only over the columns that some sample
-    uses (a nonzero feature); the others stay +0.0.  That is what the loop
-    gives them: each of its terms there is a finite D times a signed zero,
-    and a sum from +0.0 of signed zeros is +0.0.  The hashed embeddings hit
-    few coordinates, so most columns are unused.  A non-finite feature, or
-    a sample whose logits are not finite (weights that overflow), raises a
-    ValueError naming the sample.
+    The weight gradient sums only the terms of X's nonzero entries: one
+    np.bincount per block adds each weight's terms in input order from
+    +0.0, the running gradient first and then the samples.  The term of a
+    zero entry, a finite D times a signed zero, leaves such a sum as it
+    is, so an unused weight stays +0.0 as in the loop.  A non-finite
+    feature, or a sample whose logits are not finite (weights that
+    overflow), raises a ValueError naming the sample.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
@@ -280,21 +298,11 @@ def loss_and_grad(
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
-    # the outer products over the used columns are formed GRAD_BLOCK rows
-    # at a time below the running total; numpy sums a non-innermost axis
-    # row after row, so each stack's sum continues the loop's order
-    used = np.flatnonzero(X.any(axis=0))
-    stack = np.empty((min(n, GRAD_BLOCK) + 1, N_ACTIONS, used.size))
-    g = np.zeros((N_ACTIONS, used.size))
-    for lo in range(0, n, GRAD_BLOCK):
-        m = min(n - lo, GRAD_BLOCK)
-        stack[0] = g
-        np.multiply(D[lo : lo + m, :, None], X[lo : lo + m, used][:, None, :], out=stack[1 : m + 1])
-        g = stack[: m + 1].sum(axis=0)
-    gW = np.zeros_like(backend.W)
-    gW[:, used] = g / n
-    gb = D.sum(axis=0) / n
-    return float(total), np.concatenate([gW.ravel(), gb])
+    g = np.zeros(backend.W.size)
+    for rows, bins, vals in nonzero_pattern(X) if pattern is None else pattern:
+        # take is much faster than fancy indexing on the transposed D
+        g = np.bincount(bins, weights=np.concatenate((g, (D.T.take(rows, axis=1) * vals).ravel())))
+    return float(total), np.concatenate([g / n, D.sum(axis=0) / n])
 
 
 @dataclass
@@ -359,14 +367,20 @@ def train_backend(
     """
     if not len(dataset):
         raise ValueError("training dataset must be nonempty")
+    if epochs < 0:
+        raise ValueError(f"epochs must be at least 0, not {epochs}")
+    if not np.isfinite(lr):
+        raise ValueError(f"the learning rate lr must be finite, not {lr}")
     X = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
     y = np.array([int(a) for _, a in dataset])
+    # X's nonzeros, found once for every epoch; loss_and_grad rejects a bad shape
+    pattern = list(nonzero_pattern(X)) if X.shape[1:] == (backend.feature_dim,) else None
     losses = []
     for _ in range(epochs):
-        loss, grad = loss_and_grad(backend, X, y)
+        loss, grad = loss_and_grad(backend, X, y, pattern=pattern)
         losses.append(loss)
         backend.set_params(backend.get_params() - lr * grad)
-    final_loss, _ = loss_and_grad(backend, X, y)
+    final_loss, _ = loss_and_grad(backend, X, y, pattern=pattern)
     return TrainReport(losses=losses, final_loss=final_loss)
 
 

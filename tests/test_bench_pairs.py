@@ -60,6 +60,15 @@ def test_summary_needs_matched_pairs(bench_pairs):
         bench_pairs.summarize(SPEC, [run], [run])
 
 
+def test_digests_record_whether_the_outputs_are_equal(bench_pairs):
+    same = bench_pairs.digest_block({"parent": {"b", "a"}, "change": {"a", "b"}})
+    assert same == {"parent": ["a", "b"], "change": ["a", "b"], "outputs_equal": True}
+    # a change that gives other outputs in any run does not keep them
+    differ = bench_pairs.digest_block({"parent": {"a"}, "change": {"a", "c"}})
+    assert differ == {"parent": ["a"], "change": ["a", "c"], "outputs_equal": False}
+    assert json.loads(json.dumps(differ)) == differ
+
+
 def test_spec_is_the_benchmarks(bench_pairs):
     # the metrics summarized are the ones the benchmark bounds
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

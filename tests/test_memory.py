@@ -220,6 +220,20 @@ class TestRetrieveTopk:
         with pytest.raises(ValueError):
             store.retrieve_topk("mug", np.zeros(2))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "query", [[np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]], ids=["nan", "inf", "overflow"]
+    )
+    def test_query_that_is_not_finite_raises(self, query):
+        # such a query would otherwise rank the bucket in insertion order
+        store = LongTermStore(k=2)
+        for obs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]):
+            store.add("mug", np.array(obs), np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"query embedding for 'mug' must be finite"):
+            store.rank("mug", np.array(query))
+        with pytest.raises(ValueError, match=r"query embedding for 'mug' must be finite"):
+            store.retrieve_topk("mug", np.array(query))
+
     def test_matches_full_sort_oracle(self):
         rng = random.Random(5)
         npr = np.random.default_rng(5)

@@ -96,15 +96,17 @@ class TestEmbeddingOracle:
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
-    def test_index_hashed_once_per_oracle(self, monkeypatch):
+    def test_index_hashed_once_per_process(self, monkeypatch):
         # the memoised coordinates and embeddings are those of hashing on
-        # every call; each oracle hashes a category once
+        # every call; a process hashes a category once per dim, for all of
+        # its oracles
         from lhnav.scenegen import generate_scene
 
         scene = generate_scene(seed=31, size=24, regions=4)
         names = sorted({obj.category for obj in scene.objects}) + ["__void__"]
         hashing = HashEveryCall(dim=16)
         want = {name: hashing.index_for(name) for name in names}
+        want_17 = HashEveryCall(dim=17).index_for(names[0])
         rng = random.Random(5)
         free = free_cells(scene)
         observations, want_embeddings = [], []
@@ -116,6 +118,7 @@ class TestEmbeddingOracle:
             observations.append(obs)
             views = np.concatenate([reference_embed(hashing, v.objects) for v in obs.views])
             want_embeddings.append((views, reference_embed(hashing, obs.visible())))
+        policy.category_index.cache_clear()
         real = policy.hashlib.sha256
         hashed = []
         monkeypatch.setattr(policy.hashlib, "sha256", lambda data: hashed.append(data) or real(data))
@@ -123,12 +126,15 @@ class TestEmbeddingOracle:
         for oracle in oracles:
             for _ in range(3):
                 assert {name: oracle.index_for(name) for name in names} == want
-        assert len(hashed) == 2 * len(names)
+        assert len(hashed) == len(names)
         for obs, (want_views, want_fused) in zip(observations, want_embeddings):
-            views, fused = oracles[0].embed(obs)
+            views, fused = oracles[1].embed(obs)
             assert views.tobytes() == want_views.tobytes()
             assert fused.tobytes() == want_fused.tobytes()
-        assert len(hashed) == 2 * len(names)
+        assert len(hashed) == len(names)
+        # another dim hashes again, to a coordinate of its own
+        assert EmbeddingOracle(dim=17).index_for(names[0]) == want_17
+        assert len(hashed) == len(names) + 1
 
     def test_one_pass_matches_the_per_view_embeddings(self):
         from lhnav.scenegen import generate_scene
@@ -259,7 +265,7 @@ class TestBatchedLossMatchesLoop:
         assert len(dataset) >= 100
         loop_backend = LinearSoftmaxBackend(seed=0)
         report = train_backend(backend, dataset, epochs=300)
-        monkeypatch.setattr(policy, "loss_and_grad", loop_loss_and_grad)
+        monkeypatch.setattr(policy, "loss_and_grad", loop_ignoring_pattern)
         want = train_backend(loop_backend, dataset, epochs=300)
         assert backend.get_params().tobytes() == loop_backend.get_params().tobytes()
         curve = np.array(report.losses + [report.final_loss])
@@ -267,41 +273,92 @@ class TestBatchedLossMatchesLoop:
         assert report.final_loss < report.losses[0]
 
 
+def loop_ignoring_pattern(backend, X, y, pattern=None):
+    """reference_impls.loop_loss_and_grad in the place of loss_and_grad,
+    which train_backend hands the nonzero pattern of X."""
+    return loop_loss_and_grad(backend, X, y)
+
+
+def block_rows(embed_dim):
+    """The rows of one block of policy.nonzero_pattern at this embed_dim."""
+    return policy.GRAD_ENTRIES // LinearSoftmaxBackend(embed_dim=embed_dim).feature_dim
+
+
+@st.composite
+def batch_shapes(draw, embed_dims):
+    """An embed_dim and a batch size n of 1 to three blocks and five rows,
+    or one at a block boundary."""
+    embed_dim = draw(embed_dims)
+    rows = block_rows(embed_dim)
+    n = draw(st.one_of(st.integers(1, 3 * rows + 5), st.sampled_from([rows, rows + 1, 3 * rows + 1])))
+    return embed_dim, n
+
+
+def column_sparse_batch(npr, n, k, zeroed):
+    """Features with about half the entries zero, a fraction of the columns
+    zeroed with mixed signed zeros (which the loop's sum from +0.0 turns
+    into +0.0), and labels; with the zeroed columns."""
+    X = npr.normal(size=(n, k))
+    X[npr.random(X.shape) < 0.5] = 0.0
+    cols = npr.permutation(k)[: round(zeroed * k)]
+    X[:, cols] = np.where(npr.random((n, cols.size)) < 0.5, -0.0, 0.0)
+    return X, npr.integers(0, N_ACTIONS, size=n), cols
+
+
 class TestColumnSparseLoss:
-    """loss_and_grad sums the gradient over the used columns only; the
+    """loss_and_grad sums the gradient over X's nonzero entries only; the
     result stays the per-sample loop's, bit for bit, signed zeros too."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        embed_dim=st.integers(1, 20),
-        n=st.one_of(
-            st.integers(1, 3 * policy.GRAD_BLOCK + 5),
-            st.sampled_from([policy.GRAD_BLOCK, policy.GRAD_BLOCK + 1, 3 * policy.GRAD_BLOCK + 1]),
+        # small batches of narrow features, and batches of up to three
+        # blocks of features as wide as the shipped embeddings' (a block
+        # of narrow ones is thousands of rows, too slow for the loop)
+        shape=st.one_of(
+            st.tuples(st.integers(1, 20), st.integers(1, 100)), batch_shapes(st.integers(48, 64))
         ),
         zeroed=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(embed_dim=3, n=1, zeroed=1.0, scale=1.0, seed=0)
-    @example(embed_dim=16, n=3 * policy.GRAD_BLOCK + 1, zeroed=0.9, scale=1e3, seed=1)
-    def test_bit_equal_to_the_loop(self, embed_dim, n, zeroed, scale, seed):
+    @example(shape=(3, 1), zeroed=1.0, scale=1.0, seed=0)
+    @example(shape=(16, 3 * block_rows(16) + 1), zeroed=0.9, scale=1e3, seed=1)
+    def test_bit_equal_to_the_loop(self, shape, zeroed, scale, seed):
+        embed_dim, n = shape
         npr = np.random.default_rng(seed)
         backend = LinearSoftmaxBackend(embed_dim=embed_dim)
         backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
-        k = backend.feature_dim
-        X = npr.normal(size=(n, k))
-        X[npr.random(X.shape) < 0.5] = 0.0
-        # the zeroed columns hold signed zeros, which the loop's sum from
-        # +0.0 turns into +0.0
-        cols = npr.permutation(k)[: round(zeroed * k)]
-        X[:, cols] = np.where(npr.random((n, cols.size)) < 0.5, -0.0, 0.0)
-        y = npr.integers(0, N_ACTIONS, size=n)
+        X, y, cols = column_sparse_batch(npr, n, backend.feature_dim, zeroed)
         loss, grad = loss_and_grad(backend, X, y)
         want_loss, want_grad = loop_loss_and_grad(backend, X, y)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
         gW = grad[: backend.W.size].reshape(backend.W.shape)
         assert not gW[:, cols].any() and not np.signbit(gW[:, cols]).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=batch_shapes(st.sampled_from([32, 64])),
+        zeroed=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(64, 3 * block_rows(64) + 5), zeroed=0.9, seed=2)
+    def test_training_bit_equal_to_the_loop(self, shape, zeroed, seed):
+        # train_backend finds the nonzeros once and hands them to every
+        # epoch's loss_and_grad; theta and the loss curve stay the loop's
+        embed_dim, n = shape
+        npr = np.random.default_rng(seed)
+        backend = LinearSoftmaxBackend(embed_dim=embed_dim, seed=seed)
+        loop_backend = LinearSoftmaxBackend(embed_dim=embed_dim, seed=seed)
+        X, y, _ = column_sparse_batch(npr, n, backend.feature_dim, zeroed)
+        dataset = list(zip(X, y))
+        report = train_backend(backend, dataset, epochs=3, lr=2.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(policy, "loss_and_grad", loop_ignoring_pattern)
+            want = train_backend(loop_backend, dataset, epochs=3, lr=2.0)
+        assert backend.get_params().tobytes() == loop_backend.get_params().tobytes()
+        curve = np.array(report.losses + [report.final_loss])
+        assert curve.tobytes() == np.array(want.losses + [want.final_loss]).tobytes()
 
     def test_imitation_data_leaves_columns_unused(self):
         # the offline benchmark's kind of data: expert imitation on 24x24
@@ -428,6 +485,21 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_backend(LinearSoftmaxBackend(embed_dim=1), [], epochs=1)
+
+    def test_negative_epochs_rejected(self):
+        # they would otherwise give an empty loss curve
+        backend = LinearSoftmaxBackend(embed_dim=1)
+        dataset = [(np.ones(backend.feature_dim), 2)]
+        with pytest.raises(ValueError, match="epochs must be at least 0, not -3"):
+            train_backend(backend, dataset, epochs=-3)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_learning_rate_that_is_not_finite_rejected(self, lr):
+        # it would otherwise surface an epoch later as non-finite logits
+        backend = LinearSoftmaxBackend(embed_dim=1)
+        dataset = [(np.ones(backend.feature_dim), 2)]
+        with pytest.raises(ValueError, match=rf"learning rate lr must be finite, not {lr}"):
+            train_backend(backend, dataset, epochs=2, lr=lr)
 
     def test_weights_round_trip(self, tmp_path):
         backend = LinearSoftmaxBackend(embed_dim=2, seed=9)

@@ -453,6 +453,23 @@ class TestRunSuite:
         bare = run_suite(scenes, tasks, RunConfig(policy="memory", budget=15))
         assert bare["results"] != reports[0]["results"]
 
+    def test_memory_suite_hashes_each_category_once(self, monkeypatch):
+        # every episode builds its own oracle; they share one memo of the
+        # hashed coordinates, so no category is hashed twice
+        from lhnav import policy
+
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=2)
+        want = run_suite(scenes, tasks, RunConfig(policy="memory", budget=15))
+        policy.category_index.cache_clear()
+        real = policy.hashlib.sha256
+        hashed = []
+        monkeypatch.setattr(
+            policy.hashlib, "sha256", lambda data=b"": hashed.append(data) or real(data)
+        )
+        assert run_suite(scenes, tasks, RunConfig(policy="memory", budget=15)) == want
+        categories = [data for data in hashed if data.startswith(b"lhnav-v1|")]
+        assert categories and len(categories) == len(set(categories))
+
     def test_workers_reuse_the_fields_the_parent_computed(self, tmp_path, monkeypatch):
         # the reachability check fills each scene's field cache before any
         # episode; a worker gets those fields with its scenes and computes

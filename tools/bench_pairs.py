@@ -16,7 +16,9 @@ The summary goes under `--key` in the `--out` JSON file (other keys of an
 existing file are kept): per workload, per end-to-end metric of the
 change's BENCHMARK.json, the runs of each side in pair order with their
 median and quartiles, the pairs each side won and the change of the
-median.  Each side's output digests go under `<key>_digests`.
+median.  Each side's output digests go under `<key>_digests`, per
+workload, with `outputs_equal`: whether both sides gave the same set of
+digests, as a change that keeps the outputs bit-equal must.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ def summarize(spec: list[dict], parent: list[dict], change: list[dict]) -> dict:
     return block
 
 
+def digest_block(seen: dict[str, set[str]]) -> dict:
+    """The digests of one workload: each side's, sorted, and whether the
+    two sides' sets are equal."""
+    block = {name: sorted(digests) for name, digests in seen.items()}
+    block["outputs_equal"] = seen["parent"] == seen["change"]
+    return block
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
     """One untraced benchmark run: its end-to-end metrics and output digest."""
     command = [
@@ -114,7 +124,7 @@ def main(argv=None) -> int:
                 f"{name} {runs[name][-1]['steps_per_s']:.4g}/s" for name in ("parent", "change")),
                 file=sys.stderr)
         blocks[workload] = summarize(benchmark["end_to_end"], runs["parent"], runs["change"])
-        digests[workload] = {name: sorted(seen[name]) for name in seen}
+        digests[workload] = digest_block(seen)
 
     data = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     data.setdefault(args.key, {}).update(blocks)
