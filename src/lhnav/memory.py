@@ -25,6 +25,7 @@ replace (tests/reference_impls.py).
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -76,22 +77,32 @@ class ShortTermMemory:
         return np.add.reduce(self._rows[:n], axis=0) / n
 
 
+@functools.cache
+def _pool_index(n: int) -> np.ndarray:
+    """The (n-1) x (n-1) positions of pool_candidates' slots in
+    concatenate((c, pair means)): slot j of candidate i is c[j] before the
+    merged slot, the mean of pair i at it and c[j+1] after it.  Every
+    caller shares the array, so it is read-only."""
+    i = np.arange(n - 1)
+    index = np.where(i[None, :] < i[:, None], i[None, :], i[None, :] + 1)
+    index[i, i] = n + i
+    index.setflags(write=False)
+    return index
+
+
 def pool_candidates(confidences) -> np.ndarray:
     """All merge candidates of a confidence vector.
 
     Each candidate replaces one adjacent pair (c_i, c_{i+1}) with its mean,
     giving the n-1 rows of an (n-1) x (n-1) array: row i is c[:i], the
-    mean, then c[i+2:].
+    mean, then c[i+2:].  One gather copies them out of c and the pair
+    means.
     """
     c = np.asarray(confidences, dtype=float)
     n = c.shape[0]
     if n < 2:
         raise ValueError("need at least two confidences to pool")
-    i = np.arange(n - 1)
-    # slot j of candidate i holds c[j] before the merged slot, c[j+1] after it
-    out = np.where(i[None, :] < i[:, None], c[:-1], c[1:])
-    out[i, i] = (c[:-1] + c[1:]) / 2.0
-    return out
+    return np.concatenate((c, (c[:-1] + c[1:]) / 2.0)).take(_pool_index(n))
 
 
 def candidate_entropies(candidates) -> np.ndarray:

@@ -17,7 +17,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .memory import (
     LongTermStore,
     N_ACTIONS,
     ShortTermMemory,
-    cross_entropy,
+    EPS,
     forget_and_append,
     row_norms,
     weight_decision,
@@ -224,41 +224,52 @@ class LinearSoftmaxBackend:
 
 
 def nonzero_pattern(X: np.ndarray):
-    """X's nonzero entries, a block of rows (at most GRAD_ENTRIES entries)
-    at a time, in row-major order: their sample rows, their bins in the
-    flat weight gradient (after one bin per weight, for the running
-    gradient) and their values."""
+    """The entries of X that the theta gradient sums over, a block of rows
+    (at most GRAD_ENTRIES entries of X) at a time: the block's nonzero
+    entries in row-major order, then one entry of 1.0 per row for the bias
+    (the weight of a feature that is 1.0 in every sample).  Per block, the
+    entries' sample rows (int32, which np.take widens per call, so a kept
+    pattern holds 4 bytes less per entry), their bins in the flat theta
+    gradient (four per entry, one per action) and their values.  The bins
+    of every block after the first start with one bin per theta value, for
+    the running gradient; the first block's running gradient is zero."""
     n, k = X.shape
+    n_w = N_ACTIONS * k
     step = max(1, GRAD_ENTRIES // k)
-    running, offsets = np.arange(N_ACTIONS * k), np.arange(0, N_ACTIONS * k, k)[:, None]
+    running, offsets = np.arange(n_w + N_ACTIONS), np.arange(0, n_w, k)
     for lo in range(0, n, step):
         block = X[lo : lo + step]
+        m = block.shape[0]
         rows, cols = np.divmod(np.flatnonzero(block != 0), k)
-        bins = np.concatenate((running, (offsets + cols).ravel()))
-        yield lo + rows, bins, block[rows, cols]
+        vals = np.concatenate((block[rows, cols], np.ones(m)))
+        # written into one array, prefix included: a concatenation per
+        # block would hold two copies of the bins at the peak of a streamed call
+        start = running.size if lo else 0
+        bins = np.empty(start + N_ACTIONS * vals.size, dtype=np.intp)
+        bins[:start] = running[:start]
+        entries = bins[start:].reshape(-1, N_ACTIONS)
+        np.add(cols[:, None], offsets, out=entries[: cols.size])
+        entries[cols.size :] = running[n_w:]
+        yield (np.concatenate((rows, np.arange(m))) + lo).astype(np.int32), bins, vals
 
 
-def loss_and_grad(
-    backend: LinearSoftmaxBackend, X: np.ndarray, y: np.ndarray, pattern=None
-) -> tuple[float, np.ndarray]:
-    """Mean imitation loss over a batch and its gradient in theta: the
-    cross-entropy of the prediction against the expert action.
+@dataclass(frozen=True)
+class PreparedBatch:
+    """A checked batch and what every epoch of training on it reuses: the
+    flat index of each sample's label in an (n x 4) row-major array, the
+    labels' one-hot rows and X's nonzero blocks (nonzero_pattern; a list,
+    or a generator for a single pass)."""
 
-    X holds one feature row per sample and y the expert action indices;
-    pattern is nonzero_pattern(X), built here unless given.  The whole
-    batch is computed at once, in the summation order of a per-sample
-    loop, so the results are bit-equal to it.  The logits are a stack of
-    (1 x k) products, one BLAS call per row: one matrix product over the
-    batch sums in another order.
+    X: np.ndarray
+    y: np.ndarray
+    at: np.ndarray
+    onehot: np.ndarray
+    blocks: list | Iterator
 
-    The weight gradient sums only the terms of X's nonzero entries: one
-    np.bincount per block adds each weight's terms in input order from
-    +0.0, the running gradient first and then the samples.  The term of a
-    zero entry, a finite D times a signed zero, leaves such a sum as it
-    is, so an unused weight stays +0.0 as in the loop.  A non-finite
-    feature, or a sample whose logits are not finite (weights that
-    overflow), raises a ValueError naming the sample.
-    """
+
+def prepare_batch(backend: LinearSoftmaxBackend, X, y, keep: bool = False) -> PreparedBatch:
+    """Check a batch against the backend and prepare it for loss_and_grad;
+    keep holds the nonzero blocks in a list, for more than one pass."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
     y = labels.astype(int, copy=False)
@@ -278,31 +289,79 @@ def loss_and_grad(
             f"label {labels[bad[0]]} at sample {bad[0]} is not an action index "
             f"0..{N_ACTIONS - 1}"
         )
+    blocks = nonzero_pattern(X)
+    return PreparedBatch(
+        X=X,
+        y=y,
+        at=np.arange(0, N_ACTIONS * n, N_ACTIONS) + y,
+        onehot=np.eye(N_ACTIONS)[y],
+        blocks=list(blocks) if keep else blocks,
+    )
+
+
+def loss_and_grad(
+    backend: LinearSoftmaxBackend, X: np.ndarray, y: np.ndarray, pattern=None
+) -> tuple[float, np.ndarray]:
+    """Mean imitation loss over a batch and its gradient in theta: the
+    cross-entropy of the prediction against the expert action.
+
+    X holds one feature row per sample and y the expert action indices;
+    pattern is prepare_batch(backend, X, y), checked and prepared here
+    unless given, in which case X and y must be its own.  The whole batch
+    is computed at once, in the summation order of a per-sample loop, so
+    the results are bit-equal to it.  The logits are a stack of (1 x k)
+    products, one BLAS call per row: one matrix product over the batch
+    sums in another order.  The softmax adds a row's four exponentials
+    left to right, as np.sum does a 4-vector.  A sample's loss is
+    -log(clip(p[label])): the loop's one-hot sum adds three signed zeros
+    to it, which leave it as it is.
+
+    The theta gradient sums only the terms of X's nonzero entries and,
+    for the bias, of one entry of 1.0 per sample: one np.bincount per
+    block adds each value's terms in input order from +0.0, the running
+    gradient first and then the samples.  The term of a zero entry, a
+    finite D times a signed zero, leaves such a sum as it is, so an unused
+    weight stays +0.0 as in the loop.  A non-finite
+    feature, or a sample whose logits are not finite (weights that
+    overflow), raises a ValueError naming the sample.
+    """
+    if pattern is None:
+        batch = prepare_batch(backend, X, y)
+    elif pattern.X is X and pattern.y is y:
+        batch = pattern
+    else:
+        raise ValueError("the pattern was prepared from another batch")
+    X, n = batch.X, batch.X.shape[0]
     logits = (X[:, None, :] @ backend.W.T)[:, 0, :] + backend.b
-    # a non-finite feature makes its sample's logits non-finite too, so the
-    # features are only scanned when the logits are not all finite
-    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(logits).all():
+        # a non-finite feature makes its sample's logits non-finite too, so
+        # the features are only scanned when the logits are not all finite
+        i = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
         cols = np.flatnonzero(~np.isfinite(X[i]))
         if cols.size:
             raise ValueError(f"feature {cols[0]} of sample {i} is {X[i, cols[0]]}, not finite")
         raise ValueError(f"the logits of sample {i} are not finite: {logits[i]}")
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    P = e / e.sum(axis=1, keepdims=True)
-    E = np.eye(N_ACTIONS)[y]
-    losses = cross_entropy(P, E)
-    D = P - E
+    l0, l1, l2, l3 = logits.T
+    e = np.exp(logits - np.maximum(np.maximum(np.maximum(l0, l1), l2), l3)[:, None])
+    e0, e1, e2, e3 = e.T
+    P = e / (((e0 + e1) + e2) + e3)[:, None]
+    losses = -np.log(np.clip(P.take(batch.at), EPS, 1.0))
+    D = P - batch.onehot
     # sums along the batch axis add one sample after another, from 0.0 as
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
-    g = np.zeros(backend.W.size)
-    for rows, bins, vals in nonzero_pattern(X) if pattern is None else pattern:
-        # take is much faster than fancy indexing on the transposed D
-        g = np.bincount(bins, weights=np.concatenate((g, (D.T.take(rows, axis=1) * vals).ravel())))
-    return float(total), np.concatenate([g / n, D.sum(axis=0) / n])
+    g = None
+    for rows, bins, vals in batch.blocks:
+        # the block's terms, entry-major: D's row of each entry's sample
+        # times the entry's value (1.0 exactly for a bias entry)
+        terms = D.take(rows, axis=0)
+        terms *= vals[:, None]
+        if g is None:
+            g = np.bincount(bins, weights=terms.ravel(), minlength=backend.W.size + N_ACTIONS)
+        else:
+            g = np.bincount(bins, weights=np.concatenate((g, terms.ravel())))
+    return float(total), g / n
 
 
 @dataclass
@@ -363,24 +422,34 @@ def train_backend(
 
     dataset is a sequence of (feature vector, expert action index) pairs.
     Returns the per-epoch loss curve measured before each update, plus the
-    final loss after the last step.
+    final loss after the last step.  The batch is checked and prepared
+    once (prepare_batch), and every epoch's loss_and_grad reuses it.
     """
     if not len(dataset):
         raise ValueError("training dataset must be nonempty")
+    if type(epochs) is not int:
+        raise TypeError(f"epochs must be an integer, not {epochs!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be at least 0, not {epochs}")
     if not np.isfinite(lr):
         raise ValueError(f"the learning rate lr must be finite, not {lr}")
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
-    y = np.array([int(a) for _, a in dataset])
-    # X's nonzeros, found once for every epoch; loss_and_grad rejects a bad shape
-    pattern = list(nonzero_pattern(X)) if X.shape[1:] == (backend.feature_dim,) else None
+    rows = [np.asarray(x, dtype=float) for x, _ in dataset]
+    for i, x in enumerate(rows):
+        if x.shape != (backend.feature_dim,):
+            raise ValueError(
+                f"the features of sample {i} have shape {x.shape}, not the "
+                f"backend's ({backend.feature_dim},)"
+            )
+    batch = prepare_batch(backend, np.stack(rows), [a for _, a in dataset], keep=True)
+    n_w = backend.W.size
     losses = []
     for _ in range(epochs):
-        loss, grad = loss_and_grad(backend, X, y, pattern=pattern)
+        loss, grad = loss_and_grad(backend, batch.X, batch.y, pattern=batch)
         losses.append(loss)
-        backend.set_params(backend.get_params() - lr * grad)
-    final_loss, _ = loss_and_grad(backend, X, y, pattern=pattern)
+        # the bits of set_params(get_params() - lr * grad), without the copies
+        backend.W = backend.W - lr * grad[:n_w].reshape(backend.W.shape)
+        backend.b = backend.b - lr * grad[n_w:]
+    final_loss, _ = loss_and_grad(backend, batch.X, batch.y, pattern=batch)
     return TrainReport(losses=losses, final_loss=final_loss)
 
 

@@ -71,6 +71,19 @@ class TestPoolCandidates:
         with pytest.raises(ValueError):
             pool_candidates([0.5])
 
+    @pytest.mark.parametrize("n", [2, ShortTermMemory().capacity])
+    def test_gather_matches_the_loop_at_the_smallest_and_a_full_memory(self, n):
+        # the index of one length is built once and shared; writing into a
+        # result must leave the next call's as it was
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            c = rng.random(n) + 1e-6
+            got = pool_candidates(c)
+            assert got.tobytes() == np.stack(loop_pool_candidates(c)).tobytes()
+            got[...] = -1.0
+        c = rng.random(n) + 1e-6
+        assert pool_candidates(c).tobytes() == np.stack(loop_pool_candidates(c)).tobytes()
+
 
 class TestEntropyArgmin:
     def test_uniform_ties_break_to_zero(self):

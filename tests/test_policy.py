@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,24 @@ class TestGradient:
                 assert abs(fd - grad[idx]) / denom < 1e-5
 
 
+def scaled_batch(embed_dim, n, scale, seed):
+    """A backend with weights of the given scale, n feature rows with about
+    half the entries zero, and labels."""
+    npr = np.random.default_rng(seed)
+    backend = LinearSoftmaxBackend(embed_dim=embed_dim)
+    backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
+    X = npr.normal(size=(n, backend.feature_dim))
+    X[npr.random(X.shape) < 0.5] = 0.0
+    return backend, X, npr.integers(0, N_ACTIONS, size=n)
+
+
+# a sample whose label probability is below EPS but not zero (the loss's
+# clip applies), and one whose label probability is exactly 1.0 (its loss
+# is a signed zero)
+LABEL_PROBABILITY_BELOW_EPS = dict(embed_dim=2, n=1, scale=30.0, seed=0)
+LABEL_PROBABILITY_ONE = dict(embed_dim=2, n=1, scale=30.0, seed=3)
+
+
 class TestBatchedLossMatchesLoop:
     """The batched loss_and_grad gives the bits of the per-sample loop it
     replaced (reference_impls.loop_loss_and_grad)."""
@@ -219,20 +238,33 @@ class TestBatchedLossMatchesLoop:
     )
     @example(embed_dim=1, n=1, scale=1e6, seed=0)
     @example(embed_dim=16, n=2, scale=1e3, seed=3)
+    @example(**LABEL_PROBABILITY_BELOW_EPS)
+    @example(**LABEL_PROBABILITY_ONE)
     def test_loss_and_gradient_bit_equal(self, embed_dim, n, scale, seed):
         # zeroed features and saturated softmax rows make signed-zero terms,
         # which only a sum started from 0.0 reproduces
-        npr = np.random.default_rng(seed)
-        backend = LinearSoftmaxBackend(embed_dim=embed_dim)
-        backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
-        X = npr.normal(size=(n, backend.feature_dim))
-        X[npr.random(X.shape) < 0.5] = 0.0
-        y = npr.integers(0, N_ACTIONS, size=n)
+        backend, X, y = scaled_batch(embed_dim, n, scale, seed)
         loss, grad = loss_and_grad(backend, X, y)
         want_loss, want_grad = loop_loss_and_grad(backend, X, y)
         assert isinstance(loss, float)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+    def test_edge_examples_reach_the_edges(self):
+        # the two examples above stay what their names say
+        from lhnav.memory import EPS
+
+        def label_probability(args):
+            backend, X, y = scaled_batch(**args)
+            return backend.probabilities(X[0])[y[0]]
+
+        assert 0.0 < label_probability(LABEL_PROBABILITY_BELOW_EPS) < EPS
+        assert label_probability(LABEL_PROBABILITY_ONE) == 1.0
+        # the sample's loss is -0.0, and the loop's sum from 0.0 makes the
+        # mean +0.0
+        backend, X, y = scaled_batch(**LABEL_PROBABILITY_ONE)
+        loss, _ = loss_and_grad(backend, X, y)
+        assert loss == 0.0 and not np.signbit(loss)
 
     def test_large_batch_bit_equal_in_bounded_memory(self):
         # the gradient's outer products are held a block at a time, so a
@@ -275,7 +307,7 @@ class TestBatchedLossMatchesLoop:
 
 def loop_ignoring_pattern(backend, X, y, pattern=None):
     """reference_impls.loop_loss_and_grad in the place of loss_and_grad,
-    which train_backend hands the nonzero pattern of X."""
+    which train_backend hands its prepared batch as the pattern."""
     return loop_loss_and_grad(backend, X, y)
 
 
@@ -492,6 +524,53 @@ class TestTraining:
         dataset = [(np.ones(backend.feature_dim), 2)]
         with pytest.raises(ValueError, match="epochs must be at least 0, not -3"):
             train_backend(backend, dataset, epochs=-3)
+
+    @pytest.mark.parametrize("epochs", [2.5, True, "3", np.int64(3)])
+    def test_epochs_that_are_not_an_integer_rejected(self, epochs):
+        # 2.5 would otherwise fail in range() and True train one epoch
+        backend = LinearSoftmaxBackend(embed_dim=1)
+        dataset = [(np.ones(backend.feature_dim), 2)]
+        with pytest.raises(TypeError, match=re.escape(f"epochs must be an integer, not {epochs!r}")):
+            train_backend(backend, dataset, epochs=epochs)
+
+    @pytest.mark.parametrize("bad", [11, 13])
+    def test_feature_rows_of_another_length_name_the_sample(self, bad):
+        # np.stack would otherwise fail without naming a sample
+        backend = LinearSoftmaxBackend(embed_dim=2)
+        dataset = [(np.ones(backend.feature_dim), 2) for _ in range(4)]
+        dataset[2] = (np.ones(bad), 1)
+        with pytest.raises(ValueError, match=rf"sample 2 have shape \({bad},\), not .*\(12,\)"):
+            train_backend(backend, dataset, epochs=1)
+
+    def test_label_outside_the_actions_names_the_sample(self):
+        # int() would otherwise truncate 2.5 to the action 2
+        backend = LinearSoftmaxBackend(embed_dim=1)
+        dataset = [(np.ones(backend.feature_dim), a) for a in (0, 1, 2.5)]
+        with pytest.raises(ValueError, match="label 2.5 at sample 2 is not an action index"):
+            train_backend(backend, dataset, epochs=1)
+
+    def test_every_epoch_goes_through_loss_and_grad(self, monkeypatch):
+        # tests that swap in the loop, and the tracer's call and sample
+        # counts, patch or wrap the module's loss_and_grad
+        npr = np.random.default_rng(8)
+        backend = LinearSoftmaxBackend(embed_dim=2, seed=2)
+        dataset = [(npr.normal(size=backend.feature_dim), int(npr.integers(0, 4))) for _ in range(9)]
+        real, seen = policy.loss_and_grad, []
+
+        def counting(backend, X, y, **kwargs):
+            seen.append(X.shape)
+            return real(backend, X, y, **kwargs)
+
+        monkeypatch.setattr(policy, "loss_and_grad", counting)
+        train_backend(backend, dataset, epochs=7)
+        assert seen == [(9, backend.feature_dim)] * 8
+
+    def test_pattern_of_another_batch_rejected(self):
+        backend = LinearSoftmaxBackend(embed_dim=1)
+        X = np.ones((3, backend.feature_dim))
+        batch = policy.prepare_batch(backend, X, [0, 1, 2], keep=True)
+        with pytest.raises(ValueError, match="prepared from another batch"):
+            loss_and_grad(backend, X.copy(), batch.y, pattern=batch)
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_learning_rate_that_is_not_finite_rejected(self, lr):
