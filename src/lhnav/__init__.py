@@ -20,7 +20,6 @@ from .metrics import EpisodeResult, SubtaskRecord, aggregate, cgt, csr, isr, tar
 from .memory import (
     LongTermStore,
     ShortTermMemory,
-    cross_entropy,
     entropy_argmin,
     forget_and_append,
     pool_candidates,

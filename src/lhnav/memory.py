@@ -1,6 +1,6 @@
 """Adaptive memory: bounded short-term store with entropy-guided forgetting,
 a per-target long-term store with cosine top-k retrieval, and the decision
-weighting / imitation loss that tie both into action selection.
+weighting that ties retrieval into action selection.
 
 Forgetting works on the confidence vector: every adjacent pair is a merge
 candidate, the candidate distribution with the smallest entropy wins, and
@@ -406,16 +406,3 @@ def weight_decision(decision: np.ndarray, retrieved_acts) -> np.ndarray:
     if total <= 0:
         return a.copy()
     return weighted / total
-
-
-def cross_entropy(a: np.ndarray, e: np.ndarray) -> float | np.ndarray:
-    """Imitation loss between a decision vector and the expert's target,
-    -sum(e * log a), with a clamped to [EPS, 1] before the log.
-
-    The sum runs over the last axis: two vectors give a float, two
-    matrices one loss per row.
-    """
-    av = np.asarray(a, dtype=float)
-    ev = np.asarray(e, dtype=float)
-    losses = -(ev * np.log(np.clip(av, EPS, 1.0))).sum(axis=-1)
-    return float(losses) if losses.ndim == 0 else losses

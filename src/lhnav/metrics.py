@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .world import SUCCESS_RADIUS
+
 
 @dataclass(frozen=True)
 class SubtaskRecord:
@@ -96,7 +98,7 @@ def cgt(results: list[EpisodeResult]) -> float:
     return total / len(results)
 
 
-def tar(ne: float, gt: float, d_s: float = 1.0) -> float:
+def tar(ne: float, gt: float, d_s: float = SUCCESS_RADIUS) -> float:
     """Target approach rate: 1 minus the shortfall beyond the success radius
     relative to max(NE, GT)."""
     if gt <= 0:

@@ -45,6 +45,10 @@ from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 from .trajectory import Trajectory
 
+# the default length of an observation embedding, the oracle's and the
+# linear backend's; a memory rollout's store holds rows of this length
+EMBED_DIM = 64
+
 # entries of X per block of nonzero_pattern, which bounds the gradient's
 # memory on a large batch; the offline benchmark's 250 x 260 is one block
 GRAD_ENTRIES = 1 << 16
@@ -64,7 +68,7 @@ class EmbeddingOracle:
     over an observation for its three view embeddings and the fused one.
     A process hashes a category once per dim (category_index)."""
 
-    def __init__(self, dim: int = 64):
+    def __init__(self, dim: int = EMBED_DIM):
         if dim < 2:
             raise ValueError("embedding dim must be at least 2")
         self.dim = dim
@@ -127,6 +131,8 @@ class EmbeddingOracle:
 
 
 class PolicyBackend(Protocol):
+    embed_dim: int  # the length of each view embedding that decide reads
+
     def decide(
         self,
         ctx: StepContext,
@@ -146,7 +152,7 @@ class LinearSoftmaxBackend:
     memory, stage one-hot).  Confidence is the probability of the action the
     backend itself would take."""
 
-    def __init__(self, embed_dim: int = 64, seed: int = 0):
+    def __init__(self, embed_dim: int = EMBED_DIM, seed: int = 0):
         self.embed_dim = embed_dim
         self.feature_dim = 3 * embed_dim + embed_dim + MAX_STAGES
         rng = np.random.default_rng(seed)
@@ -533,20 +539,17 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting.  It keeps the context it last sensed for, with
-    the view embeddings, fused embedding and top-k sensed there, so a step
-    handed the same context as the step before (a blocked forward move)
-    does not sense again; the store must not change while it runs."""
+    short-term forgetting.  Its oracle embeds at the backend's embed_dim.
+    It keeps the context it last sensed for, with the view embeddings,
+    fused embedding and top-k sensed there, so a step handed the same
+    context as the step before (a blocked forward move) does not sense
+    again; the store must not change while it runs."""
 
     def __init__(
-        self,
-        backend: PolicyBackend,
-        oracle: EmbeddingOracle,
-        store: LongTermStore | None = None,
-        capacity: int = 32,
+        self, backend: PolicyBackend, store: LongTermStore | None = None, capacity: int = 32
     ):
         self.backend = backend
-        self.oracle = oracle
+        self.oracle = EmbeddingOracle(dim=backend.embed_dim)
         self.store = store if store is not None else LongTermStore()
         self.memory = ShortTermMemory(capacity=capacity)
         self.ctx = self.views = self.fused = self.top = None

@@ -26,7 +26,7 @@ from .expert import UnreachableTargetError, geodesic_distance
 from .files import InputFileError, read_document, write_document
 from .metrics import EpisodeResult, SubtaskRecord
 from .policy import (
-    EmbeddingOracle,
+    EMBED_DIM,
     ExpertPolicy,
     LinearSoftmaxBackend,
     MemoryPolicy,
@@ -91,7 +91,7 @@ def make_policy(
     if cfg.policy == "stop":
         return StopPolicy()
     if cfg.policy == "memory":
-        return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), EmbeddingOracle(), store=store)
+        return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), store=store)
     raise ValueError(f"unknown policy {cfg.policy!r}")
 
 
@@ -250,7 +250,9 @@ def run_suite(
     rejects and one with a move target unreachable from the target before
     it raise a TaskValidationError.  The reduction sorts episodes by
     task id, so shuffled task order and any worker count produce the same
-    report.  The memory policy's store is loaded once, before any episode.
+    report.  The memory policy's store is loaded once, before any episode,
+    and a bucket whose embeddings are not EMBED_DIM long, the length the
+    policy embeds at, raises an InputFileError naming the store file.
     Each worker takes one contiguous chunk of tasks and one pickled copy of
     the scenes, caches included, and of the store.
     """
@@ -273,6 +275,12 @@ def run_suite(
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
+        for target, bucket in store.buckets.items():
+            if bucket.dim != EMBED_DIM:
+                raise InputFileError(
+                    f"{cfg.store_path}: target {target!r} holds embeddings of length "
+                    f"{bucket.dim}, but the memory policy embeds observations of length {EMBED_DIM}"
+                )
     if cfg.out_dir:
         (Path(cfg.out_dir) / "trajectories").mkdir(parents=True, exist_ok=True)
     job = partial(_episode_job, scenes, cfg, store)

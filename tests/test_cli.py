@@ -634,6 +634,35 @@ class TestUsageErrors:
         assert re.search(rf"{re.escape(str(path))} line 2\b", last)
         assert episodes == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_of_another_embedding_length_is_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, workers
+    ):
+        # the memory policy embeds at 64; one bucket of 32-long rows is
+        # refused before any episode runs or anything is written
+        import numpy as np
+
+        from lhnav.memory import LongTermStore
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        tasks = [sample_task(two_room_scene, seed=seed) for seed in (7, 8)]
+        assert "bag-0" in [sub.object_id for sub in tasks[0].move_targets()]
+        save_tasks(tasks, tmp_path / "t.json")
+        store = LongTermStore()
+        store.add("desk", np.ones(64), np.eye(4)[2])
+        store.add("bag", np.ones(32), np.eye(4)[1])
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        out = tmp_path / "run"
+        last = usage_error_line(
+            capsys, "rollout", "--scenes", tmp_path / "scene.json", "--tasks", tmp_path / "t.json",
+            "--out", out, "--policy", "memory", "--store", path, "--workers", workers,
+        )
+        assert str(path) in last and "'bag'" in last
+        assert re.search(r"\b32\b", last) and re.search(r"\b64\b", last)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize(
         "fault", ["missing", "truncated", "not-a-report", "no-aggregate", "no-metric"]

@@ -12,7 +12,6 @@ from lhnav.memory import (
     LongTermStore,
     ShortTermMemory,
     candidate_entropies,
-    cross_entropy,
     entropy_argmin,
     forget_and_append,
     pool_candidates,
@@ -22,7 +21,6 @@ from lhnav.memory import (
 from reference_impls import (
     TupleShortTermMemory,
     entropy_argmin_oracle,
-    loop_cross_entropy,
     loop_entropies,
     loop_entropy_argmin,
     loop_forget_and_append,
@@ -501,44 +499,3 @@ class TestWeightDecision:
     def test_empty_retrieved_raises(self):
         with pytest.raises(ValueError):
             weight_decision(np.full(4, 0.25), [])
-
-
-class TestCrossEntropy:
-    def test_perfect_match_is_zero(self):
-        e = np.array([0.0, 0.0, 1.0, 0.0])
-        assert cross_entropy(e, e) == 0.0
-
-    def test_hand_case(self):
-        e = np.array([1.0, 0.0, 0.0, 0.0])
-        a = np.array([0.7, 0.1, 0.1, 0.1])
-        assert cross_entropy(a, e) == pytest.approx(-math.log(0.7), abs=1e-9)
-
-    def test_nonnegative_and_minimized_at_target(self):
-        # grid search over the 4-simplex: nothing beats a = e
-        rng = np.random.default_rng(8)
-        e = rng.random(4) + 0.05
-        e = e / e.sum()
-        best = cross_entropy(e, e)
-        step = 0.05
-        n = int(1 / step)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                for k in range(n + 1 - i - j):
-                    l = n - i - j - k
-                    a = np.array([i, j, k, l], dtype=float) / n
-                    value = cross_entropy(a, e)
-                    assert value >= 0.0
-                    assert value >= best - 1e-12
-
-    def test_rows_of_a_batch_score_as_single_vectors(self):
-        rng = np.random.default_rng(12)
-        a = rng.random((9, 4))
-        a[3] = [1.0, 0.0, 0.0, 0.0]
-        a = a / a.sum(axis=1, keepdims=True)
-        e = np.eye(4)[rng.integers(0, 4, size=9)]
-        losses = cross_entropy(a, e)
-        assert losses.shape == (9,)
-        want = [loop_cross_entropy(row_a, row_e) for row_a, row_e in zip(a, e)]
-        assert losses.tobytes() == np.array(want).tobytes()
-        single = cross_entropy(a[0], e[0])
-        assert isinstance(single, float) and single == want[0]

@@ -35,6 +35,9 @@ SPOT = ROBOTS["spot"]
 class UniformBackend:
     """Flat decision vector; a probe of the weighting path."""
 
+    def __init__(self, embed_dim: int = 16):
+        self.embed_dim = embed_dim
+
     def decide(self, ctx, views, memory):
         return np.full(N_ACTIONS, 1.0 / N_ACTIONS), 1.0 / N_ACTIONS
 
@@ -43,6 +46,8 @@ class ExpertTeacherBackend:
     """A one-hot on the expert action for the step context, so it exercises
     the full memory/weighting path while never being the reason an episode
     fails."""
+
+    embed_dim = 16
 
     def decide(self, ctx, views, memory):
         action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot, ctx.at_target)
@@ -731,25 +736,31 @@ class TestMemoryPolicyStep:
             oracle.embed_observation(observe(open_scene, ctx.state, SPOT)),
             np.array([0.0, 0.0, 1.0, 0.0]),
         )
-        memory = MemoryPolicy(UniformBackend(), oracle, store, capacity=8)
+        memory = MemoryPolicy(UniformBackend(), store, capacity=8)
         action = memory_policy_step(memory, ctx)
         assert action == Action.MOVE_FORWARD
         assert len(memory.memory) == 1
 
     def test_empty_store_uses_backend_argmax(self, open_scene):
-        oracle = EmbeddingOracle(dim=16)
-
         class Fixed:
+            embed_dim = 16
+
             def decide(self, ctx, rep, mem):
                 return np.array([0.05, 0.6, 0.15, 0.2]), 0.6
 
-        memory = MemoryPolicy(Fixed(), oracle, LongTermStore(), capacity=4)
+        memory = MemoryPolicy(Fixed(), LongTermStore(), capacity=4)
         assert memory_policy_step(memory, self._ctx(open_scene)) == Action.TURN_LEFT
 
+    def test_oracle_embeds_at_the_backend_embed_dim(self, open_scene):
+        memory = MemoryPolicy(LinearSoftmaxBackend(embed_dim=16, seed=0))
+        memory_policy_step(memory, self._ctx(open_scene))
+        assert memory.views.shape == (48,)
+        assert memory.fused.shape == (16,)
+        assert memory.memory.entries.shape == (1, 16)
+
     def test_memory_growth_capped(self, open_scene):
-        oracle = EmbeddingOracle(dim=8)
         ctx = self._ctx(open_scene)
-        memory = MemoryPolicy(UniformBackend(), oracle, LongTermStore(), capacity=3)
+        memory = MemoryPolicy(UniformBackend(embed_dim=8), LongTermStore(), capacity=3)
         mem = memory.memory
         for i in range(10):
             before = len(mem)
@@ -779,9 +790,7 @@ class TestForgetOncePerStep:
         from lhnav.runner import RunConfig, run_episode
 
         task = sample_task(two_room_scene, SPOT, seed=7)
-        memory = MemoryPolicy(
-            LinearSoftmaxBackend(embed_dim=16, seed=0), EmbeddingOracle(dim=16), capacity=4
-        )
+        memory = MemoryPolicy(LinearSoftmaxBackend(embed_dim=16, seed=0), capacity=4)
         traj, _ = run_episode(two_room_scene, task, memory, RunConfig(policy="memory", budget=20))
         assert len(counted) == len(traj.steps) > 4
 
@@ -808,11 +817,10 @@ class TestPolicies:
         # each stage weights the decision by its own target's bucket
         task = sample_task(two_room_scene, seed=7)
         assert [s.object_id for s in task.move_targets()] == ["bag-0", "desk-0"]
-        oracle = EmbeddingOracle(dim=16)
         store = LongTermStore(k=1)
         store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
         store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
-        pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
+        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
         state = sample_spawn(two_room_scene, task)
         actions = [
             pol.act(step_context(two_room_scene, state, target, stage=stage))
@@ -833,7 +841,7 @@ class TestPolicies:
         observed = []
         real = policy.observe
         monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
-        pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
+        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
         reference = SenseEveryStepPolicy(UniformBackend(), oracle, store, capacity=4)
         state = sample_spawn(two_room_scene, task)
         # one context object per (pose, target), as the runner makes them
@@ -853,7 +861,7 @@ class TestPolicies:
         observed = []
         real = policy.observe
         monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
-        pol = MemoryPolicy(UniformBackend(), oracle=EmbeddingOracle(dim=16), capacity=4)
+        pol = MemoryPolicy(UniformBackend(), capacity=4)
         state = sample_spawn(two_room_scene, task)
         first, second = (step_context(two_room_scene, state, "bag-0") for _ in range(2))
         assert first == second and first is not second
@@ -869,14 +877,13 @@ class TestPolicies:
 
     def test_memory_policy_never_mutates_store(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)
-        oracle = EmbeddingOracle(dim=16)
         store = LongTermStore(k=2)
         store.add("bag", np.ones(16), np.array([0.25, 0.25, 0.25, 0.25]))
         snapshot = [
             (t, [(o.copy(), a.copy()) for o, a in b] )
             for t, b in store.buckets.items()
         ]
-        pol = MemoryPolicy(UniformBackend(), store=store, oracle=oracle, capacity=4)
+        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
         state = sample_spawn(two_room_scene, task)
         for _ in range(20):
             pol.act(step_context(two_room_scene, state, "bag-0"))
@@ -899,7 +906,6 @@ class TestPolicies:
         from lhnav.runner import RunConfig, run_episode
         from lhnav.scenegen import generate_scene
 
-        oracle = EmbeddingOracle(dim=16)
         npr = np.random.default_rng(2)
         for seed in (0, 1, 2):
             scene = generate_scene(seed=700 + seed, size=20, regions=4)
@@ -908,9 +914,7 @@ class TestPolicies:
             for obj in scene.objects:
                 act = npr.random(4)
                 store.add(obj.category, npr.normal(size=16), act / act.sum())
-            policy = MemoryPolicy(
-                ExpertTeacherBackend(), store=store, oracle=oracle, capacity=8
-            )
+            policy = MemoryPolicy(ExpertTeacherBackend(), store=store, capacity=8)
             cfg = RunConfig(policy="memory")
             _, result = run_episode(scene, task, policy, cfg)
             assert all(r.success for r in result.records)

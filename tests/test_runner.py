@@ -589,9 +589,7 @@ class TestSenseOncePerPose:
             random_store(scenes, seed=seed).save(store_path)
 
         def cached_policy(cfg, task, store=None):
-            return MemoryPolicy(
-                LinearSoftmaxBackend(seed=cfg.seed), EmbeddingOracle(), store, capacity
-            )
+            return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), store, capacity)
 
         def reference_policy(cfg, task, store=None):
             return SenseEveryStepPolicy(
