@@ -2,12 +2,13 @@
 
 A policy backend maps (step context, concatenated left/front/right view
 embeddings, short-term memory) to a 4-way decision vector over (stop,
-turn_left, move_forward, turn_right) plus a confidence.  The shipped
-learnable backend is a linear softmax over concatenated features with an
-analytic gradient, trained by full-batch gradient descent against expert
-actions.  Imitation data replays a recorded trajectory through the memory
-policy's features, so training and rollout share one feature pipeline.
-A deterministic hashing oracle stands in for the frozen visual encoder.
+turn_left, move_forward, turn_right) and the feature row it decided on.
+The shipped learnable backend is a linear softmax with an analytic
+gradient, trained by full-batch gradient descent against expert actions.
+One memory step, memory_policy_step, serves rollout and the replay of a
+recorded trajectory for imitation data, so the training rows are the
+rows a rollout decides on.  A deterministic hashing oracle stands in for
+the frozen visual encoder.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .world import (
     View,
     observe,
     stock_robot,
+    subtask_success,
 )
 from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
@@ -131,6 +133,8 @@ class EmbeddingOracle:
 
 
 class PolicyBackend(Protocol):
+    """decide returns the decision vector and the feature row it read, or None."""
+
     embed_dim: int  # the length of each view embedding that decide reads
 
     def decide(
@@ -138,7 +142,7 @@ class PolicyBackend(Protocol):
         ctx: StepContext,
         views: np.ndarray,
         memory: ShortTermMemory,
-    ) -> tuple[np.ndarray, float]: ...
+    ) -> tuple[np.ndarray, np.ndarray | None]: ...
 
 
 def one_hot(action: Action) -> np.ndarray:
@@ -149,8 +153,8 @@ def one_hot(action: Action) -> np.ndarray:
 
 class LinearSoftmaxBackend:
     """Softmax over a linear map of (view embeddings, mean short-term
-    memory, stage one-hot).  Confidence is the probability of the action the
-    backend itself would take."""
+    memory, stage one-hot); its decision is the action probabilities and
+    its row the features."""
 
     def __init__(self, embed_dim: int = EMBED_DIM, seed: int = 0):
         self.embed_dim = embed_dim
@@ -176,8 +180,8 @@ class LinearSoftmaxBackend:
         return e / e.sum()
 
     def decide(self, ctx, views, memory):
-        p = self.probabilities(self.features(ctx.stage, views, memory))
-        return p, float(p.max())
+        x = self.features(ctx.stage, views, memory)
+        return self.probabilities(x), x
 
     # -- parameter plumbing for training and persistence --
 
@@ -263,19 +267,21 @@ def nonzero_pattern(X: np.ndarray):
 class PreparedBatch:
     """A checked batch and what every epoch of training on it reuses: the
     flat index of each sample's label in an (n x 4) row-major array, the
-    labels' one-hot rows and X's nonzero blocks (nonzero_pattern; a list,
-    or a generator for a single pass)."""
+    labels' one-hot rows and X's nonzero blocks (nonzero_pattern), listed
+    on first use."""
 
     X: np.ndarray
     y: np.ndarray
     at: np.ndarray
     onehot: np.ndarray
-    blocks: list | Iterator
+
+    @functools.cached_property
+    def blocks(self) -> list:
+        return list(nonzero_pattern(self.X))
 
 
-def prepare_batch(backend: LinearSoftmaxBackend, X, y, keep: bool = False) -> PreparedBatch:
-    """Check a batch against the backend and prepare it for loss_and_grad;
-    keep holds the nonzero blocks in a list, for more than one pass."""
+def prepare_batch(backend: LinearSoftmaxBackend, X, y) -> PreparedBatch:
+    """Check a batch against the backend and prepare it for loss_and_grad."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
     y = labels.astype(int, copy=False)
@@ -295,13 +301,8 @@ def prepare_batch(backend: LinearSoftmaxBackend, X, y, keep: bool = False) -> Pr
             f"label {labels[bad[0]]} at sample {bad[0]} is not an action index "
             f"0..{N_ACTIONS - 1}"
         )
-    blocks = nonzero_pattern(X)
     return PreparedBatch(
-        X=X,
-        y=y,
-        at=np.arange(0, N_ACTIONS * n, N_ACTIONS) + y,
-        onehot=np.eye(N_ACTIONS)[y],
-        blocks=list(blocks) if keep else blocks,
+        X=X, y=y, at=np.arange(0, N_ACTIONS * n, N_ACTIONS) + y, onehot=np.eye(N_ACTIONS)[y]
     )
 
 
@@ -332,9 +333,11 @@ def loss_and_grad(
     overflow), raises a ValueError naming the sample.
     """
     if pattern is None:
+        # one pass, so the blocks stream and only one is held at a time
         batch = prepare_batch(backend, X, y)
+        blocks = nonzero_pattern(batch.X)
     elif pattern.X is X and pattern.y is y:
-        batch = pattern
+        batch, blocks = pattern, pattern.blocks
     else:
         raise ValueError("the pattern was prepared from another batch")
     X, n = batch.X, batch.X.shape[0]
@@ -358,7 +361,7 @@ def loss_and_grad(
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
     g = None
-    for rows, bins, vals in batch.blocks:
+    for rows, bins, vals in blocks:
         # the block's terms, entry-major: D's row of each entry's sample
         # times the entry's value (1.0 exactly for a bias entry)
         terms = D.take(rows, axis=0)
@@ -393,28 +396,22 @@ def collect_imitation_dataset(
 def imitation_dataset(
     scene: Scene, trajectory: Trajectory, backend: LinearSoftmaxBackend, capacity: int = 32
 ) -> list[tuple[np.ndarray, int]]:
-    """One (features, recorded action index) pair per step of a recorded
-    trajectory's move windows: the features the backend would see had the
-    memory policy (empty long-term store) walked the same poses, its short-
-    term memory folding in each step with the backend's own confidence.
-
-    A step at the pose (position and heading) of the step before, as after
-    a blocked forward move, reuses that pose's view and fused embeddings:
-    observing is a pure function of the scene and the pose, and the replay
-    leaves the scene as it is.  The fold still runs on every step."""
+    """One (feature row, recorded action index) pair per step of a recorded
+    trajectory's move windows, the row memory_policy_step decides on for a
+    memory policy (empty long-term store) handed run_episode's contexts: a
+    new one at each window's start and wherever the recorded state changes
+    value.  So it senses once per pose and window and folds every step."""
     robot = stock_robot(trajectory.robot)
-    oracle = EmbeddingOracle(dim=backend.embed_dim)
-    mem = ShortTermMemory(capacity=capacity)
+    policy = MemoryPolicy(backend, capacity=capacity)
     dataset = []
-    pose = None
-    for stage, _, steps in trajectory.replay(scene):
+    for stage, span, steps in trajectory.replay(scene):
+        ctx = None
         for step in steps:
-            if (step.state.position, step.state.heading) != pose:
-                pose = (step.state.position, step.state.heading)
-                views, fused = oracle.embed(observe(scene, step.state, robot))
-            x = backend.features(stage, views, mem)
-            dataset.append((x, int(step.action)))
-            forget_and_append(mem, fused, float(backend.probabilities(x).max()))
+            if ctx is None or ctx.state != step.state:
+                at_target = subtask_success(scene, step.state, span.target_id)
+                ctx = StepContext(scene, step.state, robot, span.target_id, stage, at_target)
+            memory_policy_step(policy, ctx)
+            dataset.append((policy.row, int(step.action)))
     return dataset
 
 
@@ -446,7 +443,7 @@ def train_backend(
                 f"the features of sample {i} have shape {x.shape}, not the "
                 f"backend's ({backend.feature_dim},)"
             )
-    batch = prepare_batch(backend, np.stack(rows), [a for _, a in dataset], keep=True)
+    batch = prepare_batch(backend, np.stack(rows), [a for _, a in dataset])
     n_w = backend.W.size
     losses = []
     for _ in range(epochs):
@@ -466,7 +463,8 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
     """One decision step of a memory policy, updating it in place: observe,
     embed, decide, weight by the actions retrieved for the target's
     category, take the argmax, and fold the observation into short-term
-    memory.
+    memory at the largest decision value; policy.row keeps the feature row.
+    Rollout and the imitation replay both step through here.
 
     When the policy last sensed for this very context object, as after a
     blocked forward move (the runner makes one context per pose), the step
@@ -481,7 +479,8 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
         category = ctx.scene.object(ctx.target_id).category
         policy.top = policy.store.retrieve_topk(category, policy.fused)
         policy.ctx = ctx
-    decision, confidence = policy.backend.decide(ctx, policy.views, policy.memory)
+    decision, policy.row = policy.backend.decide(ctx, policy.views, policy.memory)
+    confidence = float(decision.max())
     if policy.top:
         decision = weight_decision(decision, policy.top.acts)
     forget_and_append(policy.memory, policy.fused, confidence)
@@ -493,8 +492,8 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
 
 @dataclass(frozen=True)
 class StepContext:
-    """One pose of a move window; run_episode makes one per pose and hands
-    the same object to every step at it."""
+    """One pose of a move window; run_episode and imitation_dataset make
+    one per pose and hand the same object to every step at it."""
 
     scene: Scene
     state: AgentState
@@ -541,9 +540,9 @@ class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
     short-term forgetting.  Its oracle embeds at the backend's embed_dim.
     It keeps the context it last sensed for, with the view embeddings,
-    fused embedding and top-k sensed there, so a step handed the same
-    context as the step before (a blocked forward move) does not sense
-    again; the store must not change while it runs."""
+    fused embedding and top-k sensed there (a step handed the context of
+    the step before, as after a blocked move, does not sense again; the
+    store must not change while it runs), and its last feature row, row."""
 
     def __init__(
         self, backend: PolicyBackend, store: LongTermStore | None = None, capacity: int = 32
@@ -552,7 +551,7 @@ class MemoryPolicy:
         self.oracle = EmbeddingOracle(dim=backend.embed_dim)
         self.store = store if store is not None else LongTermStore()
         self.memory = ShortTermMemory(capacity=capacity)
-        self.ctx = self.views = self.fused = self.top = None
+        self.ctx = self.views = self.fused = self.top = self.row = None
 
     def act(self, ctx: StepContext) -> Action:
         return memory_policy_step(self, ctx)

@@ -301,7 +301,8 @@ class SenseEveryStepPolicy:
     def act(self, ctx):
         obs = world_observe(ctx.scene, ctx.state, ctx.robot)
         views, fused = self.oracle.embed(obs)
-        decision, confidence = self.backend.decide(ctx, views, self.memory)
+        decision, _ = self.backend.decide(ctx, views, self.memory)
+        confidence = float(decision.max())
         top = self.store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
         if top:
             decision = weight_decision(decision, top.acts)

@@ -39,7 +39,7 @@ class UniformBackend:
         self.embed_dim = embed_dim
 
     def decide(self, ctx, views, memory):
-        return np.full(N_ACTIONS, 1.0 / N_ACTIONS), 1.0 / N_ACTIONS
+        return np.full(N_ACTIONS, 1.0 / N_ACTIONS), None
 
 
 class ExpertTeacherBackend:
@@ -51,7 +51,7 @@ class ExpertTeacherBackend:
 
     def decide(self, ctx, views, memory):
         action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot, ctx.at_target)
-        return one_hot(action), 1.0
+        return one_hot(action), None
 
 
 def step_context(scene, state, target_id, stage=0):
@@ -573,7 +573,7 @@ class TestTraining:
     def test_pattern_of_another_batch_rejected(self):
         backend = LinearSoftmaxBackend(embed_dim=1)
         X = np.ones((3, backend.feature_dim))
-        batch = policy.prepare_batch(backend, X, [0, 1, 2], keep=True)
+        batch = policy.prepare_batch(backend, X, [0, 1, 2])
         with pytest.raises(ValueError, match="prepared from another batch"):
             loss_and_grad(backend, X.copy(), batch.y, pattern=batch)
 
@@ -746,7 +746,7 @@ class TestMemoryPolicyStep:
             embed_dim = 16
 
             def decide(self, ctx, rep, mem):
-                return np.array([0.05, 0.6, 0.15, 0.2]), 0.6
+                return np.array([0.05, 0.6, 0.15, 0.2]), None
 
         memory = MemoryPolicy(Fixed(), LongTermStore(), capacity=4)
         assert memory_policy_step(memory, self._ctx(open_scene)) == Action.TURN_LEFT
@@ -896,9 +896,9 @@ class TestPolicies:
     def test_expert_teacher_backend_emits_one_hot(self, corridor_scene):
         backend = ExpertTeacherBackend()
         s = AgentState(position=corridor_scene.cell_center((1, 1)), heading=0.0)
-        decision, conf = backend.decide(step_context(corridor_scene, s, "box-0"), None, None)
+        decision, row = backend.decide(step_context(corridor_scene, s, "box-0"), None, None)
         assert np.array_equal(decision, one_hot(Action.MOVE_FORWARD))
-        assert conf == 1.0
+        assert row is None
 
     def test_expert_wrapped_memory_policy_full_success(self):
         # the harness is never the bottleneck: a memory policy fed one-hot

@@ -640,9 +640,10 @@ class TestSenseOncePerPose:
             got = imitation_dataset(scene, loaded, backend, capacity)
             assert [y for _, y in got] == [y for _, y in want]
             assert b"".join(x.tobytes() for x, _ in got) == b"".join(x.tobytes() for x, _ in want)
+            # a new window senses again, even at the pose where the last ended
             poses = [
-                (step.state.position, step.state.heading)
-                for _, _, steps in loaded.replay(scene)
+                (stage, step.state.position, step.state.heading)
+                for stage, _, steps in loaded.replay(scene)
                 for step in steps
             ]
             fresh_poses = sum(i == 0 or pose != poses[i - 1] for i, pose in enumerate(poses))
@@ -650,6 +651,52 @@ class TestSenseOncePerPose:
             total_steps += len(poses)
             total_poses += fresh_poses
         assert total_poses < total_steps * 3 // 4
+
+    def test_replay_decides_on_the_rows_and_contexts_of_the_live_steps(
+        self, tmp_path, monkeypatch
+    ):
+        # a memory episode (empty store) that collides and has windows of a
+        # lone stop, saved and loaded, so equal poses are not one object
+        from lhnav import policy
+
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=1)
+        task = tasks[0]
+        scene = scenes[task.scene_id]
+        cfg = RunConfig(policy="memory", seed=4, budget=40)
+        memory = make_policy(cfg, task)
+        live = []
+        act = memory.act
+
+        def recording_act(ctx):
+            action = act(ctx)
+            live.append((ctx, memory.row))
+            return action
+
+        memory.act = recording_act
+        traj, _ = run_episode(scene, task, memory, cfg)
+        windows = [span for span in traj.spans if span.kind == MOVE_TO]
+        assert any(
+            span.end - span.start == 1 and traj.steps[span.start].action == Action.STOP
+            for span in windows
+        )
+        assert any(step.collided for step in traj.steps)
+        traj.save(tmp_path / "t.jsonl")
+        loaded = Trajectory.load(tmp_path / "t.jsonl")
+
+        replayed = []
+        step = policy.memory_policy_step
+        monkeypatch.setattr(
+            policy, "memory_policy_step", lambda p, ctx: replayed.append(ctx) or step(p, ctx)
+        )
+        dataset = policy.imitation_dataset(scene, loaded, memory.backend, memory.memory.capacity)
+        assert len(dataset) == len(live) == len(traj.steps)
+        assert [y for _, y in dataset] == [int(s.action) for s in traj.steps]
+        assert [x.tobytes() for x, _ in dataset] == [row.tobytes() for _, row in live]
+
+        def fields(ctx):
+            return ctx.state, ctx.target_id, ctx.stage, ctx.at_target
+
+        assert [fields(ctx) for ctx in replayed] == [fields(ctx) for ctx, _ in live]
 
     def test_one_context_object_per_pose(self):
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
