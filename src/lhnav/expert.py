@@ -7,11 +7,18 @@ i = row * cols + col.  Dijkstra keeps every distance internally as an integer
 pair (axis steps, diagonal steps) and a field stores the pair's exact float
 value axis + diag * sqrt(2), so two independent implementations that reduce
 to the same pair agree bit-for-bit.
+
+With only two step lengths Dijkstra needs no heap.  Cells settle in order of
+distance, so the distances a settled cell offers its neighbours, its own
+plus one axis step or plus one diagonal step, arrive in that order too: a
+FIFO queue per step length stays sorted, and the nearer of the two heads is
+the next cell to settle.  Distinct (axis, diag) pairs never tie at grid
+scale, because sqrt(2) is irrational, so the settled distances are exactly
+those of a heap; only the order among cells at one distance may differ.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -31,7 +38,7 @@ class GeodesicField:
     """Distances from one source cell to every cell, in cells."""
 
     value: list[float]  # flat index -> axis + diag * SQRT2; inf where unreachable
-    steps: list[int]  # the reached flat indices, in the order they settled
+    steps: list[int]  # the reached flat indices, each once, in the order they settled
 
 
 def neighbor_table(scene: Scene) -> list:
@@ -42,38 +49,68 @@ def neighbor_table(scene: Scene) -> list:
     if scene._moves is None:
         cols = scene.cols
         free = [ch == FREE for row in scene.grid for ch in row]
-        axis = (-cols, cols, -1, 1)
-        # (diagonal, its vertical axis neighbour, its horizontal one)
-        diag = tuple((dr * cols + dc, dr * cols, dc) for dr in (-1, 1) for dc in (-1, 1))
-        scene._moves = [
-            (
-                tuple(i + o for o in axis if free[i + o]),
-                tuple(i + o for o, v, h in diag if free[i + o] and free[i + v] and free[i + h]),
-            )
-            if is_free
-            else None
-            for i, is_free in enumerate(free)
-        ]
+        moves: list = []
+        for i, is_free in enumerate(free):
+            if not is_free:
+                moves.append(None)
+                continue
+            up, down, left, right = free[i - cols], free[i + cols], free[i - 1], free[i + 1]
+            axis = []
+            if up:
+                axis.append(i - cols)
+            if down:
+                axis.append(i + cols)
+            if left:
+                axis.append(i - 1)
+            if right:
+                axis.append(i + 1)
+            # a diagonal needs both axis cells it passes between
+            diag = []
+            if up and left and free[i - cols - 1]:
+                diag.append(i - cols - 1)
+            if up and right and free[i - cols + 1]:
+                diag.append(i - cols + 1)
+            if down and left and free[i + cols - 1]:
+                diag.append(i + cols - 1)
+            if down and right and free[i + cols + 1]:
+                diag.append(i + cols + 1)
+            moves.append((tuple(axis), tuple(diag)))
+        scene._moves = moves
     return scene._moves
 
 
 def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
-    """Dijkstra over the 8-connected grid from a source cell."""
+    """Dijkstra over the 8-connected grid from a source cell.
+
+    The frontier is two FIFO queues, one per step length, each a list of
+    distances and a list of cells read from a moving head.  A cell settles
+    from the queue whose head is nearer; the module docstring says why
+    that is the heap's order.  An entry whose cell has since been offered
+    a shorter distance is skipped when it comes up.
+    """
     if not scene.is_free(*source):
         raise ValueError(f"source cell {source} is occupied or outside the grid")
     moves = neighbor_table(scene)
     src = source[0] * scene.cols + source[1]
     # (axis, diag) steps of each cell, read only once the cell is reached
     pair = [(0, 0)] * len(moves)
-    # priority uses the float value axis + diag * SQRT2; distinct (axis,
-    # diag) pairs cannot collide at grid scale because sqrt(2) is irrational
     value = [UNREACHABLE] * len(moves)
     value[src] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    axis_val, axis_cell, axis_at = [0.0], [src], 0
+    diag_val, diag_cell, diag_at = [], [], 0
     steps: list[int] = []
-    while heap:
-        val, i = heapq.heappop(heap)
-        if val > value[i]:  # superseded by a shorter pair pushed later
+    while True:
+        if axis_at < len(axis_val) and (
+            diag_at == len(diag_val) or axis_val[axis_at] <= diag_val[diag_at]
+        ):
+            val, i = axis_val[axis_at], axis_cell[axis_at]
+            axis_at += 1
+        elif diag_at < len(diag_val):
+            val, i = diag_val[diag_at], diag_cell[diag_at]
+            diag_at += 1
+        else:
+            break
+        if val > value[i]:  # superseded by a shorter pair offered later
             continue
         steps.append(i)
         a, d = pair[i]
@@ -83,13 +120,15 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
             if val < value[j]:
                 value[j] = val
                 pair[j] = step
-                heapq.heappush(heap, (val, j))
+                axis_val.append(val)
+                axis_cell.append(j)
         val, step = a + (d + 1) * SQRT2, (a, d + 1)
         for j in diag_moves:
             if val < value[j]:
                 value[j] = val
                 pair[j] = step
-                heapq.heappush(heap, (val, j))
+                diag_val.append(val)
+                diag_cell.append(j)
     return GeodesicField(value=value, steps=steps)
 
 

@@ -18,10 +18,12 @@ class InputFileError(ValueError):
     the line or entry where there is one."""
 
 
-def write_lines(path: str | Path, records) -> None:
-    """One canonical JSON line per record."""
+def write_lines(path: str | Path, records, encoded=()) -> None:
+    """One canonical JSON line per record, then the lines of `encoded`,
+    records that the caller has already written as canonical JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_CANONICAL.encode(record) + "\n" for record in records)
+        fh.writelines(line + "\n" for line in encoded)
 
 
 def write_document(path: str | Path, data) -> None:

@@ -3,13 +3,19 @@
 A trajectory file is JSONL: one header line carrying episode identity and
 the config hash, then one line per step record.  Loading a saved trajectory
 reproduces it exactly.
+
+A step line is the canonical JSON of its record (sorted keys, no spaces),
+written by one format string, StepRecord.line, rather than through a dict
+and the JSON encoder: the action name, the collided flag, the holding as a
+JSON string or null, the index, and the pose's three numbers, which print
+as the encoder prints an int or a float, by repr.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 from .files import InputFileError, read_lines, write_lines
@@ -20,6 +26,8 @@ from .world import (
 
 
 _STEP_KEYS = {"i", "pose", "holding", "action", "collided"}
+# the keys in sorted order, as the canonical encoder writes them
+_STEP_LINE = '{"action":"%s","collided":%s,"holding":%s,"i":%d,"pose":[%r,%r,%r]}'
 
 
 def _saved_state(pose, holding) -> AgentState:
@@ -42,18 +50,24 @@ class StepRecord:
     action: Action
     collided: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.index,
-            "pose": [self.state.position[0], self.state.position[1], self.state.heading],
-            "holding": self.state.holding,
-            "action": ACTION_NAMES[self.action],
-            "collided": self.collided,
-        }
+    def line(self) -> str:
+        """The record's canonical JSON line, without the newline.  The
+        pose's numbers are Python ints or floats, as every state is."""
+        state = self.state
+        holding = state.holding
+        return _STEP_LINE % (
+            ACTION_NAMES[self.action],
+            "true" if self.collided else "false",
+            "null" if holding is None else json.dumps(holding),
+            self.index,
+            state.position[0],
+            state.position[1],
+            state.heading,
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
-        """The inverse of to_dict, where holding may be left out; an unknown
+        """The inverse of line, once parsed; holding may be left out.  An unknown
         key, an index that is not an int or a collided that is not a bool
         is a TypeError, and a bad pose or holding a ValueError."""
         unknown = set(d) - _STEP_KEYS
@@ -144,7 +158,7 @@ class Trajectory:
             "final_holding": self.final_state.holding,
             "spans": [vars(s) for s in self.spans],
         }
-        write_lines(path, chain([header], (step.to_dict() for step in self.steps)))
+        write_lines(path, [header], [step.line() for step in self.steps])
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":

@@ -12,7 +12,7 @@ sight is clear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -175,6 +175,9 @@ class Scene:
         self.objects = tuple(objects)
         self.seed = seed
         self.cell_size = float(cell_size)
+        # the grid's size, read on every flat index, so counted once
+        self.rows = len(self.grid)
+        self.cols = len(self.grid[0]) if self.grid else 0
         self._objects_by_id = {o.id: o for o in self.objects}
         self._regions_by_id = {r.id: r for r in self.regions}
         self._region_of_cell = {c: r for r in self.regions for c in r.cells}
@@ -192,14 +195,6 @@ class Scene:
     # -- geometry helpers ---------------------------------------------------
 
     @property
-    def rows(self) -> int:
-        return len(self.grid)
-
-    @property
-    def cols(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
-    @property
     def scene_id(self) -> str:
         return f"scene-{self.seed}"
 
@@ -209,7 +204,7 @@ class Scene:
 
     def cell_of(self, point: tuple[float, float]) -> tuple[int, int]:
         x, y = point
-        return int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size))
+        return math.floor(y / self.cell_size), math.floor(x / self.cell_size)
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         row, col = cell
@@ -282,7 +277,8 @@ class Scene:
             cell = self.cell_of(o.position)
             if not self.is_free(*cell):
                 raise SceneValidationError(f"object {o.id!r} sits in occupied cell")
-            if cell not in set(self._regions_by_id[o.region_id].cells):
+            region = self._region_of_cell.get(cell)
+            if region is None or region.id != o.region_id:
                 raise SceneValidationError(
                     f"object {o.id!r} lies outside its region {o.region_id!r}"
                 )
@@ -414,9 +410,11 @@ def apply_action(scene: Scene, state: AgentState, action: Action, robot: RobotCo
     if action == Action.STOP:
         return StepResult(state, stopped=True)
     if action == Action.TURN_LEFT:
-        return StepResult(replace(state, heading=normalize_heading(state.heading + robot.turn_step)))
+        heading = normalize_heading(state.heading + robot.turn_step)
+        return StepResult(AgentState(state.position, heading, state.holding))
     if action == Action.TURN_RIGHT:
-        return StepResult(replace(state, heading=normalize_heading(state.heading - robot.turn_step)))
+        heading = normalize_heading(state.heading - robot.turn_step)
+        return StepResult(AgentState(state.position, heading, state.holding))
     rad = math.radians(state.heading)
     x, y = state.position
     nx = x + robot.forward_step * math.cos(rad)
@@ -426,7 +424,7 @@ def apply_action(scene: Scene, state: AgentState, action: Action, robot: RobotCo
     shut = row != r0 and col != c0 and not (scene.is_free(r0, col) or scene.is_free(row, c0))
     if shut or not scene.is_free(row, col):
         return StepResult(state, collided=True)
-    return StepResult(replace(state, position=(nx, ny)))
+    return StepResult(AgentState((nx, ny), state.heading, state.holding))
 
 
 # camera order also fixes the tie break: on a shared fov boundary the
@@ -521,13 +519,15 @@ def subtask_success(scene: Scene, state: AgentState, target: str) -> bool:
     cone, and clear line of sight.  The cone is part of the task definition
     and does not scale with the camera fov.
     """
-    from .expert import geodesic_distance
-
     obj = scene.object(target)
-    dist = geodesic_distance(scene, state.position, obj.position)
+    dist = expert.geodesic_distance(scene, state.position, obj.position)
     if not dist <= SUCCESS_RADIUS:  # also rejects unreachable (inf)
         return False
     if abs(bearing_to(state, obj.position)) > SUCCESS_CONE_DEG / 2.0:
         return False
     return line_of_sight(scene, state.position, obj.position)
 
+
+# expert imports this module's names at its top, so it is bound here, last;
+# subtask_success looks geodesic_distance up on it at call time
+from . import expert  # noqa: E402

@@ -13,7 +13,10 @@ from conftest import free_cells
 from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decision
 from lhnav.policy import EmbeddingOracle, one_hot
 from lhnav.splitter import Tag
-from lhnav.world import CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, View
+from lhnav.world import (
+    ACTION_NAMES, CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, StepResult, View,
+    normalize_heading,
+)
 from lhnav.world import subtask_success
 from lhnav.world import observe as world_observe
 
@@ -507,6 +510,13 @@ class StepPairField:
             return math.inf
         return steps_to_meters(s[0], s[1], self.cell_size)
 
+    def value(self, cell):
+        """The distance in cells, axis + diag * SQRT2, as a field stores it."""
+        s = self.steps.get(cell)
+        if s is None:
+            return math.inf
+        return s[0] + s[1] * SQRT2
+
 
 def grid_neighbors(scene, cell):
     """Yield (neighbor, is_diagonal) moves legal from a cell."""
@@ -602,3 +612,40 @@ def reference_apply_release(scene, state, object_id, place_id):
     if not subtask_success(scene, state, place_id):
         return state, False
     return replace(state, holding=None), True
+
+
+# -- the agent step and the step line through dataclasses ---------------------------
+#
+# The apply_action that rebuilt its state with dataclasses.replace and the
+# dict that Trajectory.save encoded for each step before lhnav.world and
+# lhnav.trajectory built them directly, kept line for line.
+
+
+def reference_apply_action(scene, state, action, robot):
+    if action == Action.STOP:
+        return StepResult(state, stopped=True)
+    if action == Action.TURN_LEFT:
+        return StepResult(replace(state, heading=normalize_heading(state.heading + robot.turn_step)))
+    if action == Action.TURN_RIGHT:
+        return StepResult(replace(state, heading=normalize_heading(state.heading - robot.turn_step)))
+    rad = math.radians(state.heading)
+    x, y = state.position
+    nx = x + robot.forward_step * math.cos(rad)
+    ny = y + robot.forward_step * math.sin(rad)
+    row, col = scene.cell_of((nx, ny))
+    r0, c0 = scene.cell_of(state.position)
+    shut = row != r0 and col != c0 and not (scene.is_free(r0, col) or scene.is_free(row, c0))
+    if shut or not scene.is_free(row, col):
+        return StepResult(state, collided=True)
+    return StepResult(replace(state, position=(nx, ny)))
+
+
+def step_record_dict(step):
+    """The dict of a StepRecord whose canonical JSON was its step line."""
+    return {
+        "i": step.index,
+        "pose": [step.state.position[0], step.state.position[1], step.state.heading],
+        "holding": step.state.holding,
+        "action": ACTION_NAMES[step.action],
+        "collided": step.collided,
+    }

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lhnav.expert import geodesic_distance
 from lhnav.memory import LongTermStore
@@ -20,10 +22,11 @@ from lhnav.runner import (
 from lhnav.policy import ExpertPolicy, StopPolicy
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import GRAB, MOVE_TO, RELEASE, Subtask, sample_spawn, sample_task
-from lhnav.trajectory import Trajectory
-from lhnav.world import ROBOTS, Action, Scene, apply_action, stock_robot
+from lhnav.files import _CANONICAL
+from lhnav.trajectory import StepRecord, Trajectory
+from lhnav.world import ROBOTS, Action, AgentState, Scene, apply_action, stock_robot
 
-from reference_impls import reference_apply_grab, reference_apply_release
+from reference_impls import reference_apply_grab, reference_apply_release, step_record_dict
 
 SPOT = ROBOTS["spot"]
 
@@ -325,6 +328,50 @@ class TestTrajectoryFiles:
             match = "step 3: agent position"
         with pytest.raises(ValueError, match=match):
             traj.replay(scene)
+
+
+# a pose number as lhnav makes or loads one: a finite float, -0.0 among
+# them, or an int
+pose_numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+
+
+class TestStepLine:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        index=st.integers(0, 10**6),
+        pose=st.tuples(pose_numbers, pose_numbers, pose_numbers),
+        holding=st.none() | st.text(),
+        action=st.sampled_from(list(Action)),
+        collided=st.booleans(),
+    )
+    @example(0, (-0.0, 0.0, -0.0), None, Action.STOP, False)
+    @example(7, (1, 2, 0), 'mug "7"', Action.TURN_LEFT, True)
+    @example(3, (0.1, 1e-300, 359.99999999999994), "back\\slash", Action.TURN_RIGHT, False)
+    @example(12, (1e16, -2.5, 90.0), "tasse-caf\u00e9-\u2615-\U0001f375", Action.MOVE_FORWARD, True)
+    def test_line_is_the_canonical_json_of_the_record(self, index, pose, holding, action, collided):
+        step = StepRecord(
+            index=index,
+            state=AgentState(position=pose[:2], heading=pose[2], holding=holding),
+            action=action,
+            collided=collided,
+        )
+        line = step.line()
+        assert line == _CANONICAL.encode(step_record_dict(step))
+        assert StepRecord.from_dict(json.loads(line)) == step
+
+    def test_saved_steps_are_the_canonical_lines(self, tmp_path):
+        # the sampled tasks grab and release, so some steps hold an object
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=2)
+        held = 0
+        for k, task in enumerate(tasks):
+            traj, _ = run_episode(scenes[task.scene_id], task, ExpertPolicy(), RunConfig())
+            path = tmp_path / f"{k}.jsonl"
+            traj.save(path)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == _CANONICAL.encode(json.loads(lines[0]))
+            assert lines[1:] == [_CANONICAL.encode(step_record_dict(step)) for step in traj.steps]
+            held += sum(step.state.holding is not None for step in traj.steps)
+        assert held > 0
 
 
 class TestRunSuite:

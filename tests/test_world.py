@@ -26,7 +26,9 @@ from lhnav.world import (
 )
 
 from conftest import free_cells, scene_from
-from reference_impls import grid_is_free, reference_line_of_sight, reference_observe
+from reference_impls import (
+    grid_is_free, reference_apply_action, reference_line_of_sight, reference_observe
+)
 
 SPOT = ROBOTS["spot"]
 
@@ -115,9 +117,14 @@ class TestApplyAction:
         fx, fy = data.draw(st.sampled_from([(0.5, 0.5), (0.0, 0.0)]) | st.tuples(
             st.floats(0.0, 0.999), st.floats(0.0, 0.999)))
         heading = data.draw(st.integers(0, 23).map(lambda k: k * 15.0) | st.floats(0.0, 359.999))
-        s = state((col + fx) * cs, (row + fy) * cs, heading)
+        holding = data.draw(st.none() | st.sampled_from([o.id for o in scene.objects]))
+        s = state((col + fx) * cs, (row + fy) * cs, heading, holding)
         for action in data.draw(st.lists(st.sampled_from(list(Action)), max_size=60)):
             res = apply_action(scene, s, action, robot)
+            # the state built directly is the dataclasses.replace one, bit
+            # for bit (repr tells -0.0 from 0.0)
+            ref = reference_apply_action(scene, s, action, robot)
+            assert res == ref and repr(res) == repr(ref), (s, action)
             x, y = res.state.position
             assert grid_is_free(scene.grid, math.floor(y / cs), math.floor(x / cs)), (s, action)
             assert 0.0 <= res.state.heading < 360.0
@@ -133,7 +140,7 @@ class TestApplyAction:
                 )
                 blocked = corner or not grid_is_free(scene.grid, row1, col1)
                 assert res.collided == blocked
-                assert res.state == (s if blocked else AgentState((nx, ny), s.heading))
+                assert res.state == (s if blocked else AgentState((nx, ny), s.heading, holding))
             else:
                 # turns and stop never move the agent
                 assert res.state.position == s.position and not res.collided
@@ -274,6 +281,31 @@ class TestSceneValidation:
         )
         with pytest.raises(SceneValidationError):
             Scene(grid=rows, regions=[region], objects=[bad])
+
+    @pytest.mark.parametrize(
+        "cell, region_id",
+        [((1, 3), "0"), ((1, 1), "1"), ((1, 2), "0")],
+        ids=["other-region", "other-region-reversed", "no-region"],
+    )
+    def test_object_outside_its_region_rejected(self, cell, region_id):
+        rows = ["#####", "#...#", "#####"]
+        regions = [
+            Region(id="0", label="room", cells=((1, 1),)),
+            Region(id="1", label="hall", cells=((1, 3),)),
+        ]
+        x, y = (cell[1] + 0.5) * 0.25, (cell[0] + 0.5) * 0.25
+        obj = ObjectInstance(
+            id="x", category="box", region_id=region_id, position=(x, y), portable=True
+        )
+        with pytest.raises(SceneValidationError, match="lies outside its region"):
+            Scene(grid=rows, regions=regions, objects=[obj])
+        # in its own region the object is accepted
+        home = (1, 1) if region_id == "0" else (1, 3)
+        fine = ObjectInstance(
+            id="x", category="box", region_id=region_id,
+            position=((home[1] + 0.5) * 0.25, (home[0] + 0.5) * 0.25), portable=True,
+        )
+        assert Scene(grid=rows, regions=regions, objects=[fine]).object("x") == fine
 
     @pytest.mark.parametrize("portable", ["no", 0, 1, None])
     def test_portable_must_be_a_bool(self, portable):
@@ -530,6 +562,17 @@ class TestRobotConfig:
 
 
 class TestScenePickle:
+    def test_pickle_keeps_rows_and_cols(self):
+        # the grid's size is set once, when the scene is made, and travels
+        # with it to worker processes
+        from lhnav.scenegen import generate_scene
+
+        scene = generate_scene(seed=4, size=17)
+        clone = pickle.loads(pickle.dumps(scene))
+        assert (scene.rows, scene.cols) == (len(scene.grid), len(scene.grid[0])) == (17, 17)
+        assert (clone.rows, clone.cols) == (17, 17)
+        assert vars(clone)["rows"] == 17 and vars(clone)["cols"] == 17
+
     def test_pickle_keeps_the_caches(self, monkeypatch):
         # worker processes receive scenes by pickle: the geodesic fields,
         # the move table and the sensing memo that sampling tasks, running
