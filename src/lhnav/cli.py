@@ -30,7 +30,7 @@ from .taskforge import (
     save_tasks,
 )
 from .trajectory import Trajectory
-from .world import ROBOTS, Action, Scene, observe, stock_robot
+from .world import ROBOTS, Action, Scene
 
 
 def _load_scenes(args) -> dict[str, Scene]:
@@ -153,19 +153,13 @@ def cmd_split(args) -> int:
             windows = traj.replay(scene)
         except ValueError as exc:
             args.usage_error(f"trajectory {f}: {exc}")
-        robot = stock_robot(traj.robot)
-        for _, span, steps in windows:
+        for _, span, steps, contexts in windows:
             # a stop can only end a window, so the others are its first steps
             actions = [s.action for s in steps if s.action != Action.STOP]
             if not actions:
                 continue
-            segments = split_trajectory(actions)
-            # the segments cover action indices 0..len(actions) - 1 and
-            # overlap, so those steps are observed once for all of them
-            observations = [observe(scene, s.state, robot) for s in steps[: len(actions)]]
             tagged = [
-                replace(seg, tags=tag_segment(scene, steps, observations, seg))
-                for seg in segments
+                replace(seg, tags=tag_segment(contexts, seg)) for seg in split_trajectory(actions)
             ]
             target = scene.object(span.target_id).category
             task = render_step_instruction(

@@ -32,17 +32,7 @@ from .memory import (
     row_norms,
     weight_decision,
 )
-from .world import (
-    Action,
-    AgentState,
-    Observation,
-    RobotConfig,
-    Scene,
-    View,
-    observe,
-    stock_robot,
-    subtask_success,
-)
+from .world import Action, Observation, Scene, StepContext, View
 from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 from .trajectory import Trajectory
@@ -398,18 +388,13 @@ def imitation_dataset(
 ) -> list[tuple[np.ndarray, int]]:
     """One (feature row, recorded action index) pair per step of a recorded
     trajectory's move windows, the row memory_policy_step decides on for a
-    memory policy (empty long-term store) handed run_episode's contexts: a
-    new one at each window's start and wherever the recorded state changes
-    value.  So it senses once per pose and window and folds every step."""
-    robot = stock_robot(trajectory.robot)
+    memory policy (empty long-term store) handed Trajectory.replay's
+    contexts, one per pose and window as run_episode makes them.  So it
+    senses once per pose and window, judges no pose, and folds every step."""
     policy = MemoryPolicy(backend, capacity=capacity)
     dataset = []
-    for stage, span, steps in trajectory.replay(scene):
-        ctx = None
-        for step in steps:
-            if ctx is None or ctx.state != step.state:
-                at_target = subtask_success(scene, step.state, span.target_id)
-                ctx = StepContext(scene, step.state, robot, span.target_id, stage, at_target)
+    for _, _, steps, contexts in trajectory.replay(scene):
+        for step, ctx in zip(steps, contexts):
             memory_policy_step(policy, ctx)
             dataset.append((policy.row, int(step.action)))
     return dataset
@@ -460,22 +445,22 @@ def train_backend(
 
 
 def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
-    """One decision step of a memory policy, updating it in place: observe,
-    embed, decide, weight by the actions retrieved for the target's
-    category, take the argmax, and fold the observation into short-term
-    memory at the largest decision value; policy.row keeps the feature row.
-    Rollout and the imitation replay both step through here.
+    """One decision step of a memory policy, updating it in place: embed
+    the context's observation, decide, weight by the actions retrieved for
+    the target's category, take the argmax, and fold the observation into
+    short-term memory at the largest decision value; policy.row keeps the
+    feature row.  Rollout and the imitation replay both step through here.
 
-    When the policy last sensed for this very context object, as after a
-    blocked forward move (the runner makes one context per pose), the step
-    reuses the views, fused embedding and top-k it kept instead of
-    observing, embedding and retrieving again: those are pure functions of
+    When the policy last stepped on this very context object, as after a
+    blocked forward move (run_episode and Trajectory.replay make one context
+    per pose), the step reuses the views, fused embedding and top-k it kept
+    instead of embedding and retrieving again: those are pure functions of
     the pose and the target, given one store and one oracle, and the store
-    is read-only during an episode.  Another context object is sensed
-    again, even at an equal pose.  The decision and the fold run on every
-    step, because they read the short-term memory."""
+    is read-only during an episode.  Another context object senses its own
+    observation, even at an equal pose.  The decision and the fold run on
+    every step, because they read the short-term memory."""
     if policy.ctx is not ctx:
-        policy.views, policy.fused = policy.oracle.embed(observe(ctx.scene, ctx.state, ctx.robot))
+        policy.views, policy.fused = policy.oracle.embed(ctx.observation)
         category = ctx.scene.object(ctx.target_id).category
         policy.top = policy.store.retrieve_topk(category, policy.fused)
         policy.ctx = ctx
@@ -488,19 +473,6 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
 
 
 # -- runner-facing policies ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepContext:
-    """One pose of a move window; run_episode and imitation_dataset make
-    one per pose and hand the same object to every step at it."""
-
-    scene: Scene
-    state: AgentState
-    robot: RobotConfig
-    target_id: str
-    stage: int           # ordinal of the current navigation stage
-    at_target: bool      # the runner's subtask_success(scene, state, target_id)
 
 
 class Policy(Protocol):
@@ -539,10 +511,10 @@ class StopPolicy:
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
     short-term forgetting.  Its oracle embeds at the backend's embed_dim.
-    It keeps the context it last sensed for, with the view embeddings,
-    fused embedding and top-k sensed there (a step handed the context of
-    the step before, as after a blocked move, does not sense again; the
-    store must not change while it runs), and its last feature row, row."""
+    It keeps the context it last stepped on, with the view embeddings, fused
+    embedding and top-k of its observation (a step handed the context of the
+    step before, as after a blocked move, does not embed or retrieve again;
+    the store must not change while it runs), and its last feature row, row."""
 
     def __init__(
         self, backend: PolicyBackend, store: LongTermStore | None = None, capacity: int = 32

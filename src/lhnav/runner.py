@@ -2,13 +2,13 @@
 judge subtasks, and aggregate metrics into a report.
 
 A navigation subtask ends when the policy emits stop (success is judged at
-that pose) or when the step budget truncates it.  Success is judged here
-only, once per pose, and held in the one step context that every step at
-that pose shares: the policy and the grab or release after a window take
-the runner's verdict.  Later subtasks always run regardless of earlier
-failures, from wherever the agent stands, because the stage-conditional
-metrics need every success flag.  Episodes are independent: a suite can
-fan out over processes and still reduce to the same aggregates.
+that pose) or when the step budget truncates it.  Success is judged by the
+one step context that every step at a pose shares (StepContext.at_target),
+at most once per pose; the policy, oracle success and the grab or release
+after a window read its verdict.  Later subtasks always run regardless of
+earlier failures, from wherever the agent stands, because the stage-
+conditional metrics need every success flag.  Episodes are independent: a
+suite can fan out over processes and still reduce to the same aggregates.
 """
 
 from __future__ import annotations
@@ -32,20 +32,12 @@ from .policy import (
     MemoryPolicy,
     Policy,
     RandomPolicy,
-    StepContext,
     StopPolicy,
 )
 from .memory import LongTermStore
 from .taskforge import GRAB, MOVE_TO, TaskSpec, TaskValidationError, sample_spawn, validate_task
 from .trajectory import StepRecord, SubtaskSpan, Trajectory
-from .world import (
-    AgentState,
-    Scene,
-    apply_action,
-    stock_robot,
-    subtask_success,
-    validate_state,
-)
+from .world import AgentState, Scene, StepContext, apply_action, stock_robot, validate_state
 
 
 POLICIES = ("expert", "random", "memory", "stop")
@@ -143,18 +135,9 @@ def run_episode(
             stopped = False
             # one context per pose: a state is immutable and a stop or a
             # blocked move returns the same object, so only a new state is
-            # judged and given a new context
-            ctx = None
+            # given a new context
+            ctx = StepContext(scene, state, robot, sub.object_id, stage)
             for _ in range(cfg.budget):
-                if ctx is None or ctx.state is not state:
-                    ctx = StepContext(
-                        scene=scene,
-                        state=state,
-                        robot=robot,
-                        target_id=sub.object_id,
-                        stage=stage,
-                        at_target=subtask_success(scene, state, sub.object_id),
-                    )
                 oracle_hit = oracle_hit or ctx.at_target
                 action = policy.act(ctx)
                 result = apply_action(scene, state, action, robot)
@@ -164,14 +147,14 @@ def run_episode(
                     )
                 )
                 path_taken += math.dist(state.position, result.state.position)
-                state = result.state
+                if result.state is not state:
+                    state = result.state
+                    ctx = StepContext(scene, state, robot, sub.object_id, stage)
                 if result.stopped:
                     stopped = True
                     break
             # the pose after the last action belongs to this window too
             at_target = ctx.at_target
-            if ctx.state is not state:
-                at_target = subtask_success(scene, state, sub.object_id)
             oracle_hit = oracle_hit or at_target
             success = stopped and at_target
             ne = geodesic_distance(scene, state.position, target.position)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .world import Action, Scene
+from .world import Action
 
 FORWARD = "move_forward"
 TURN_LEFT = "turn_left"
@@ -131,31 +131,26 @@ def split_trajectory(actions) -> list[Segment]:
 # -- tagging ------------------------------------------------------------------
 
 
-def tag_segment(
-    scene: Scene,
-    steps,
-    observations,
-    segment: Segment,
-) -> tuple[Tag, ...]:
+def tag_segment(contexts, segment: Segment) -> tuple[Tag, ...]:
     """Most frequent visible object categories and region labels over the
-    segment's observations, occurrence fraction as confidence, top five.
+    segment's steps, occurrence fraction as confidence, top five.
 
-    steps is the per-subtask StepRecord list the segment indices refer to,
-    and observations[i] what steps[i] sees; segments that overlap read the
-    same observations, so each step is observed once.  Deterministic
-    stand-in for a learned image tagger.
+    contexts[i] is the StepContext of step i of the window the segment
+    indices refer to, as Trajectory.replay yields them: a step's tags read
+    its context's observation and state, so overlapping segments, and the
+    steps at one pose, sense it once.  Deterministic stand-in for a learned
+    image tagger.
     """
     lo = max(segment.start, 0)
-    hi = min(segment.end, len(steps) - 1)
+    hi = min(segment.end, len(contexts) - 1)
     if lo > hi:
         raise ValueError(f"segment [{segment.start}, {segment.end}] out of range")
     counts: Counter[tuple[str, str]] = Counter()
     n_steps = hi - lo + 1
-    for idx in range(lo, hi + 1):
-        seen = {o.category for o in observations[idx].visible()}
-        for cat in seen:
+    for ctx in contexts[lo : hi + 1]:
+        for cat in {o.category for o in ctx.observation.visible()}:
             counts[(cat, "object")] += 1
-        region = scene.region_at(scene.cell_of(steps[idx].state.position))
+        region = ctx.scene.region_at(ctx.scene.cell_of(ctx.state.position))
         if region is not None:
             counts[(region.label, "region")] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
@@ -178,8 +173,7 @@ def _choose_tag(segment: Segment, target: str) -> str:
     for kind in (preferred, "region" if preferred == "object" else "object"):
         pool = [t for t in candidates if t.kind == kind]
         if pool:
-            best = max(pool, key=lambda t: (t.confidence, ))
-            top_conf = best.confidence
+            top_conf = max(t.confidence for t in pool)
             return min(t.name for t in pool if t.confidence == top_conf)
     return _GENERIC_TAG
 

@@ -21,7 +21,8 @@ from pathlib import Path
 from .files import InputFileError, read_lines, write_lines
 from .taskforge import GRAB, MOVE_TO, RELEASE
 from .world import (
-    ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, Scene, stock_robot, validate_state
+    ACTION_BY_NAME, ACTION_NAMES, Action, AgentState, Scene, StepContext, stock_robot,
+    validate_state,
 )
 
 
@@ -127,10 +128,12 @@ class Trajectory:
         return [r.action for r in records]
 
     def replay(self, scene: Scene):
-        """(stage, span, steps) for each move_to window in order, stage
-        being the window's ordinal.  The trajectory is checked against the
-        scene first: another scene, a span target that the scene lacks, or
-        a step state that validate_state rejects raise a ValueError."""
+        """(stage, span, steps, contexts) for each move_to window in order:
+        the window's ordinal, span and steps, and contexts[i], the StepContext
+        of steps[i], new at the window's start and wherever the recorded state
+        changes value, as run_episode makes them.  The trajectory is checked
+        against the scene on this call: another scene, a span target that the
+        scene lacks, or a step state that validate_state rejects raise a ValueError."""
         if scene.scene_id != self.scene_id:
             raise ValueError(f"trajectory from scene {self.scene_id!r}, not {scene.scene_id!r}")
         for step in self.steps:
@@ -144,8 +147,20 @@ class Trajectory:
                     f"subtask {span.index} targets {span.target_id!r}, "
                     f"which is not in scene {self.scene_id!r}"
                 )
+        robot = stock_robot(self.robot)
         windows = [span for span in self.spans if span.kind == MOVE_TO]
-        return ((i, span, self.steps[span.start : span.end]) for i, span in enumerate(windows))
+
+        def walk():
+            for stage, span in enumerate(windows):
+                steps = self.steps[span.start : span.end]
+                contexts, ctx = [], None
+                for step in steps:
+                    if ctx is None or ctx.state != step.state:
+                        ctx = StepContext(scene, step.state, robot, span.target_id, stage)
+                    contexts.append(ctx)
+                yield stage, span, steps, contexts
+
+        return walk()
 
     def save(self, path: str | Path) -> None:
         header = {

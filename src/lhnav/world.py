@@ -528,6 +528,48 @@ def subtask_success(scene: Scene, state: AgentState, target: str) -> bool:
     return line_of_sight(scene, state.position, obj.position)
 
 
+class _kept:
+    """A value an instance works out on its first read and keeps in its
+    __dict__, which shadows this non-data descriptor from then on; unlike
+    functools.cached_property on Python 3.11, it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+@dataclass(frozen=True)
+class StepContext:
+    """One pose of a move window, with the window's target and stage; run_episode
+    makes one per pose, Trajectory.replay one per recorded pose, and every step
+    at that pose shares it.  It senses (observation) and judges (at_target) its
+    pose on the first read of each and keeps the value, so a pose is sensed and
+    judged at most once, and only if something reads it."""
+
+    scene: Scene
+    state: AgentState
+    robot: RobotConfig
+    target_id: str
+    stage: int  # ordinal of the current navigation stage
+
+    def __init__(self, scene, state, robot, target_id, stage):
+        # a context per pose: one dict update costs half an object.__setattr__ per field
+        vars(self).update(scene=scene, state=state, robot=robot, target_id=target_id, stage=stage)
+
+    @_kept
+    def observation(self) -> Observation:
+        return observe(self.scene, self.state, self.robot)
+
+    @_kept
+    def at_target(self) -> bool:
+        return subtask_success(self.scene, self.state, self.target_id)
+
+
 # expert imports this module's names at its top, so it is bound here, last;
 # subtask_success looks geodesic_distance up on it at call time
 from . import expert  # noqa: E402

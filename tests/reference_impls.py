@@ -321,7 +321,7 @@ def sense_every_step_imitation_dataset(scene, trajectory, backend, capacity):
     oracle = EmbeddingOracle(dim=backend.embed_dim)
     mem = ShortTermMemory(capacity=capacity)
     dataset = []
-    for stage, _, steps in trajectory.replay(scene):
+    for stage, _, steps, _ in trajectory.replay(scene):
         for step in steps:
             views, fused = oracle.embed(world_observe(scene, step.state, robot))
             x = backend.features(stage, views, mem)

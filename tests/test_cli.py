@@ -91,7 +91,7 @@ class TestSplitObservesEachStepOnce:
     ):
         # overlapping padded turn segments share their steps' observations;
         # the output equals tagging each segment with fresh observations
-        from lhnav import cli
+        from lhnav import world
         from lhnav.policy import ExpertPolicy
         from lhnav.runner import RunConfig, run_episode
         from lhnav.scenegen import generate_scene
@@ -111,13 +111,13 @@ class TestSplitObservesEachStepOnce:
             traj.save(traj_dir / f"{task.id}.jsonl")
             trajectories.append(traj)
         observed = []
-        real_observe = cli.observe
+        real_observe = world.observe
 
         def counted(scene, state, robot=None):
             observed.append(state)
             return real_observe(scene, state, robot)
 
-        monkeypatch.setattr(cli, "observe", counted)
+        monkeypatch.setattr(world, "observe", counted)
         out = tmp_path / "steps.json"
         assert run_cli(
             "split", "--trajectories", str(traj_dir),
@@ -146,6 +146,39 @@ class TestSplitObservesEachStepOnce:
         assert overlaps > 0  # the segments did overlap
         assert len(observed) == distinct
         assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+    def test_split_judges_no_pose(self, tmp_path, monkeypatch):
+        # split reads each context's observation and state, never its
+        # verdict, so it checks no success and the scenes it loads compute
+        # no geodesic field
+        from lhnav import cli, world
+        from lhnav.policy import ExpertPolicy
+        from lhnav.runner import RunConfig, run_episode
+        from lhnav.scenegen import generate_scene
+        from lhnav.taskforge import sample_task
+
+        scene = generate_scene(seed=4)
+        scene.save(tmp_path / "scene.json")
+        traj_dir = tmp_path / "trajectories"
+        traj_dir.mkdir()
+        for seed in range(3):
+            task = sample_task(scene, seed=seed, allowed_stages=[3])
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig())
+            traj.save(traj_dir / f"{task.id}.jsonl")
+        checked, loaded = [], []
+        check, load = world.subtask_success, cli._load_scenes
+        monkeypatch.setattr(world, "subtask_success", lambda *args: checked.append(args) or check(*args))
+        monkeypatch.setattr(cli, "_load_scenes", lambda args: loaded.append(load(args)) or loaded[-1])
+        out = tmp_path / "steps.json"
+        assert run_cli(
+            "split", "--trajectories", str(traj_dir),
+            "--scenes", str(tmp_path / "scene.json"), "--out", str(out),
+        ) == 0
+        assert len(json.loads(out.read_text())) >= 3
+        assert checked == []
+        assert [list(scenes) for scenes in loaded] == [[scene.scene_id]]
+        assert all(s._field_cache == {} for s in loaded[0].values())
 
 
 class TestUsageErrors:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lhnav import policy
+from lhnav import policy, world
 from lhnav.expert import expert_next_action
 from lhnav.memory import N_ACTIONS, LongTermStore, ShortTermMemory, forget_and_append
 from lhnav.policy import (
@@ -55,11 +55,8 @@ class ExpertTeacherBackend:
 
 
 def step_context(scene, state, target_id, stage=0):
-    """A runner step context, with the runner's verdict on the state."""
-    return StepContext(
-        scene=scene, state=state, robot=SPOT, target_id=target_id, stage=stage,
-        at_target=subtask_success(scene, state, target_id),
-    )
+    """A runner step context, which judges the state when read."""
+    return StepContext(scene=scene, state=state, robot=SPOT, target_id=target_id, stage=stage)
 
 
 class TestEmbeddingOracle:
@@ -839,8 +836,8 @@ class TestPolicies:
         store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
         store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
         observed = []
-        real = policy.observe
-        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
+        real = world.observe
+        monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or real(*args))
         pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
         reference = SenseEveryStepPolicy(UniformBackend(), oracle, store, capacity=4)
         state = sample_spawn(two_room_scene, task)
@@ -859,8 +856,8 @@ class TestPolicies:
     ):
         task = sample_task(two_room_scene, seed=7)
         observed = []
-        real = policy.observe
-        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or real(*args))
+        real = world.observe
+        monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or real(*args))
         pol = MemoryPolicy(UniformBackend(), capacity=4)
         state = sample_spawn(two_room_scene, task)
         first, second = (step_context(two_room_scene, state, "bag-0") for _ in range(2))

@@ -120,7 +120,7 @@ class TestRunEpisode:
         # the runner judges success once per step and hands the result to
         # the expert and to each grab or release; the pose after a stop is
         # the pose it was judged on
-        from lhnav import runner, world
+        from lhnav import world
 
         calls = 0
         real = world.subtask_success
@@ -130,8 +130,7 @@ class TestRunEpisode:
             calls += 1
             return real(scene, state, target)
 
-        for module in (runner, world):
-            monkeypatch.setattr(module, "subtask_success", counting)
+        monkeypatch.setattr(world, "subtask_success", counting)
         scene = generate_scene(seed=41, size=20, regions=4)
         task = sample_task(scene, ROBOTS["spot"], seed=3)
         traj, result = run_episode(scene, task, ExpertPolicy(), RunConfig())
@@ -307,9 +306,9 @@ class TestTrajectoryFiles:
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
         windows = list(traj.replay(two_room_scene))
         moves = [span for span in traj.spans if span.kind == MOVE_TO]
-        assert [stage for stage, _, _ in windows] == list(range(len(moves))) and len(moves) > 1
-        assert [span for _, span, _ in windows] == moves
-        assert [s for _, _, steps in windows for s in steps] == traj.steps
+        assert [stage for stage, _, _, _ in windows] == list(range(len(moves))) and len(moves) > 1
+        assert [span for _, span, _, _ in windows] == moves
+        assert [s for _, _, steps, _ in windows for s in steps] == traj.steps
 
     @pytest.mark.parametrize("fault", ["other-scene", "unknown-target", "off-grid"])
     def test_replay_checks_the_trajectory_against_its_scene(self, two_room_scene, fault):
@@ -665,7 +664,7 @@ class TestSenseOncePerPose:
     def test_imitation_data_senses_once_per_pose(self, tmp_path, monkeypatch, capacity):
         # memory-policy trajectories that collide often, saved and loaded,
         # so equal poses are equal values and not one state object
-        from lhnav import policy
+        from lhnav import world
         from lhnav.policy import LinearSoftmaxBackend, imitation_dataset
 
         from reference_impls import sense_every_step_imitation_dataset
@@ -673,8 +672,8 @@ class TestSenseOncePerPose:
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         cfg = RunConfig(policy="memory", seed=4, budget=40)
         observed = []
-        observe = policy.observe
-        monkeypatch.setattr(policy, "observe", lambda *args: observed.append(args) or observe(*args))
+        observe = world.observe
+        monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or observe(*args))
         total_steps = total_poses = 0
         for task in tasks:
             scene = scenes[task.scene_id]
@@ -690,7 +689,7 @@ class TestSenseOncePerPose:
             # a new window senses again, even at the pose where the last ended
             poses = [
                 (stage, step.state.position, step.state.heading)
-                for stage, _, steps in loaded.replay(scene)
+                for stage, _, steps, _ in loaded.replay(scene)
                 for step in steps
             ]
             fresh_poses = sum(i == 0 or pose != poses[i - 1] for i, pose in enumerate(poses))
@@ -698,6 +697,32 @@ class TestSenseOncePerPose:
             total_steps += len(poses)
             total_poses += fresh_poses
         assert total_poses < total_steps * 3 // 4
+
+    def test_imitation_data_judges_no_pose(self, tmp_path, monkeypatch):
+        # nothing that reads a replayed context asks for its verdict, so the
+        # replay checks no success and a freshly loaded scene computes no
+        # geodesic field
+        from lhnav import world
+        from lhnav.policy import LinearSoftmaxBackend, imitation_dataset
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        cfg = RunConfig(policy="memory", seed=4, budget=40)
+        checked = []
+        check = world.subtask_success
+        monkeypatch.setattr(world, "subtask_success", lambda *args: checked.append(args) or check(*args))
+        for task in tasks:
+            scene = scenes[task.scene_id]
+            traj, _ = run_episode(scene, task, make_policy(cfg, task), cfg)
+            traj.save(tmp_path / "t.jsonl")
+            scene.save(tmp_path / "scene.json")
+            loaded_scene = Scene.load(tmp_path / "scene.json")
+            del checked[:]
+            dataset = imitation_dataset(
+                loaded_scene, Trajectory.load(tmp_path / "t.jsonl"), LinearSoftmaxBackend(seed=7)
+            )
+            assert len(dataset) == len(traj.steps) > 0
+            assert checked == []
+            assert loaded_scene._field_cache == {}
 
     def test_replay_decides_on_the_rows_and_contexts_of_the_live_steps(
         self, tmp_path, monkeypatch
@@ -771,7 +796,7 @@ class TestSenseOncePerPose:
 
     @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
     def test_one_sensing_and_one_check_per_pose_and_target(self, monkeypatch, with_store):
-        from lhnav import policy, runner
+        from lhnav import runner, world
 
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         store = random_store(scenes, seed=4) if with_store else None
@@ -784,11 +809,11 @@ class TestSenseOncePerPose:
                 return result
             return record
 
-        monkeypatch.setattr(policy, "observe", recording(observed, policy.observe))
+        monkeypatch.setattr(world, "observe", recording(observed, world.observe))
         monkeypatch.setattr(
             LongTermStore, "retrieve_topk", recording(retrieved, LongTermStore.retrieve_topk)
         )
-        monkeypatch.setattr(runner, "subtask_success", recording(checked, runner.subtask_success))
+        monkeypatch.setattr(world, "subtask_success", recording(checked, world.subtask_success))
         monkeypatch.setattr(runner, "apply_action", recording(moved, runner.apply_action))
 
         cfg = RunConfig(policy="memory", seed=4, budget=40)

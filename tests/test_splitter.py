@@ -15,7 +15,7 @@ from lhnav.splitter import (
     tag_segment,
     turn_records,
 )
-from lhnav.world import Action, AgentState, ROBOTS, observe
+from lhnav.world import Action, AgentState, ROBOTS, StepContext
 from lhnav.trajectory import StepRecord
 
 from conftest import scene_from
@@ -120,8 +120,8 @@ class TestTagSegment:
         ]
 
     def _tag(self, scene, steps, segment):
-        observations = [observe(scene, s.state, SPOT) for s in steps]
-        return tag_segment(scene, steps, observations, segment)
+        contexts = [StepContext(scene, s.state, SPOT, "", 0) for s in steps]
+        return tag_segment(contexts, segment)
 
     def test_region_and_object_tags(self, corridor_scene):
         steps = self._steps_along(corridor_scene, [(1, 1), (1, 2), (1, 3)])
