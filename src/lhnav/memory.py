@@ -17,10 +17,11 @@ vector are the rows of one (n-1) x (n-1) matrix, and one row-wise formula
 gives every candidate's entropy.  Each long-term bucket holds an (m x dim)
 matrix of observation rows, the m row norms and an (m x 4) matrix of
 action rows, so a retrieval is one batched product over the bucket, one
-stable sort and one fancy index of each matrix.  A store file loads as one
-stacked matrix per target, its norms and checks computed over whole
-arrays.  Results are bit-identical to the per-entry loops and tuples they
-replace (tests/reference_impls.py).
+stable sort and one fancy index of each matrix.  Every embedding in a
+store has one length, so a store file loads as one stacked matrix, its
+norms and checks computed over the whole array, and each target's bucket
+is cut from it.  Results are bit-identical to the per-entry loops and
+tuples they replace (tests/reference_impls.py).
 """
 
 from __future__ import annotations
@@ -166,26 +167,18 @@ class _Bucket:
     their norms and action rows.  Iterating yields (obs, act) pairs.  The
     arrays grow by doubling, so an add copies O(dim) values amortized."""
 
-    def __init__(self, obs: np.ndarray, norms: np.ndarray, acts: np.ndarray, m: int) -> None:
+    def __init__(self, obs: np.ndarray, norms: np.ndarray, acts: np.ndarray) -> None:
         # the first m rows are the entries, the rest is room to grow
         self._obs = obs
         self._norms = norms
         self._acts = acts
-        self._m = m
-
-    @classmethod
-    def empty(cls, dim: int) -> "_Bucket":
-        return cls(np.empty((4, dim)), np.empty(4), np.empty((4, N_ACTIONS)), 0)
+        self._m = norms.shape[0]
 
     def __len__(self) -> int:
         return self._m
 
     def __iter__(self):
         return zip(self.obs, self.acts)
-
-    @property
-    def dim(self) -> int:
-        return self._obs.shape[1]
 
     @property
     def obs(self) -> np.ndarray:
@@ -228,49 +221,30 @@ class TopK:
         return self.acts.shape[0]
 
 
-def _check_length(target: str, bucket: _Bucket, embedding: np.ndarray) -> None:
-    """A bucket holds embeddings of one length."""
-    if embedding.shape != (bucket.dim,):
-        raise ValueError(
-            f"target {target!r}: embedding of length {embedding.size} "
-            f"does not match the bucket's length {bucket.dim}"
-        )
-
-
-def _stacked_buckets(records) -> dict[str, _Bucket] | None:
-    """One bucket per target, built from the stacked rows of the (where,
-    target, obs, act) records, or None when a row fails a check of
-    LongTermStore.add."""
-    groups: dict = {}
-    try:
-        for _, target, obs, act in records:
-            group = groups.setdefault(target, ([], []))
-            group[0].append(obs)
-            group[1].append(act)
-    except TypeError:  # an unhashable target
+def _refusal(norms: np.ndarray, acts: np.ndarray) -> tuple[int, str] | None:
+    """The first of a stack of entries that the store refuses, as (row,
+    reason), or None.  An embedding's norm, which rank divides by, must be
+    finite and nonzero (a NaN or an infinity in the embedding makes it NaN
+    or infinite), and an action row nonnegative and sum to 1."""
+    # written so that a NaN fails the tests too; a ufunc's own reduce skips
+    # the Python wrappers of .min and .sum, a cost for add's one row
+    obs_ok = (0.0 < norms) & (norms < math.inf)
+    sums = np.add.reduce(acts, axis=1)
+    ok = obs_ok & (np.minimum.reduce(acts, axis=1) >= 0.0) & (abs(sums - 1.0) <= 1e-9)
+    i = int(ok.argmin())  # the first False, or 0 when every row is accepted
+    if ok[i]:
         return None
-    buckets = {}
-    for target, (obs, act) in groups.items():
-        try:
-            O = np.array(obs, dtype=float)
-            A = np.array(act, dtype=float)
-        except (ValueError, TypeError, OverflowError):
-            return None
-        if O.ndim != 2 or A.shape != (O.shape[0], N_ACTIONS):
-            return None
-        norms = row_norms(O)
-        if not (np.isfinite(norms).all() and norms.all()):
-            return None
-        if (A < 0).any() or not (np.abs(A.sum(axis=1) - 1.0) <= 1e-9).all():
-            return None
-        buckets[target] = _Bucket(O, norms, A, O.shape[0])
-    return buckets
+    if not obs_ok[i]:
+        return i, f"observation embedding must be finite and nonzero (its norm is {norms[i]})"
+    return i, "action distribution must be finite, nonnegative and sum to 1"
 
 
 class LongTermStore:
     """Per-target buckets of (observation embedding, action distribution).
 
-    Read-only during evaluation; insertion order is the retrieval tie-break.
+    Every embedding in a store has one length, dim: None while the store
+    is empty, then set by the first entry.  Read-only during evaluation;
+    insertion order is the retrieval tie-break.
     """
 
     def __init__(self, k: int = 5):
@@ -278,32 +252,46 @@ class LongTermStore:
             raise ValueError("k must be positive")
         self.k = k
         self.buckets: dict[str, _Bucket] = {}
+        self.dim: int | None = None
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets.values())
 
-    def add(self, target: str, obs: np.ndarray, act: np.ndarray) -> None:
+    def _check_length(self, target: str, embedding: np.ndarray) -> None:
+        if embedding.shape != (self.dim,):
+            raise ValueError(
+                f"target {target!r}: embedding of length {embedding.size} "
+                f"does not match the store's length {self.dim}"
+            )
+
+    def _entry(self, target: str, obs, act) -> tuple[np.ndarray, np.ndarray]:
+        """One entry's embedding and action distribution as float vectors,
+        checked for type, shape and length; _refusal checks their values."""
+        if not isinstance(target, str):
+            raise TypeError(f"a store target must be a string, not {type(target).__name__}")
         obs = np.asarray(obs, dtype=float)
         act = np.asarray(act, dtype=float)
         if obs.ndim != 1:
             raise ValueError("observation embedding must be a vector")
-        # the norm rank divides by, computed once per entry; a NaN or an
-        # infinity in the embedding makes it NaN or infinite
-        norm = float(np.linalg.norm(obs))
-        if not math.isfinite(norm):
-            raise ValueError(f"observation embedding must be finite (its norm is {norm})")
-        if norm == 0.0:
-            raise ValueError("observation embedding must be nonzero")
         if act.shape != (N_ACTIONS,):
             raise ValueError(f"action distribution must have length {N_ACTIONS}")
-        # negated so that a NaN sum fails the test too
-        if np.any(act < 0) or not abs(float(act.sum()) - 1.0) <= 1e-9:
-            raise ValueError("action distribution must be finite, nonnegative and sum to 1")
+        if self.dim is not None:
+            self._check_length(target, obs)
+        return obs, act
+
+    def add(self, target: str, obs: np.ndarray, act: np.ndarray) -> None:
+        obs, act = self._entry(target, obs, act)
+        obs, act = obs[None], act[None]
+        norms = row_norms(obs)
+        refused = _refusal(norms, act)
+        if refused is not None:
+            raise ValueError(refused[1])
+        self.dim = obs.shape[1]
         bucket = self.buckets.get(target)
-        if bucket is None:
-            bucket = self.buckets[target] = _Bucket.empty(obs.shape[0])
-        _check_length(target, bucket, obs)
-        bucket.append(obs, norm, act)
+        if bucket is None:  # copies, so that the caller's arrays stay theirs
+            self.buckets[target] = _Bucket(obs.copy(), norms, act.copy())
+        else:
+            bucket.append(obs[0], norms[0], act[0])
 
     def rank(self, target: str, query: np.ndarray) -> list[int]:
         """Bucket indices sorted by descending cosine similarity to the query;
@@ -318,7 +306,7 @@ class LongTermStore:
         bucket = self.buckets.get(target)
         if not bucket:
             return []
-        _check_length(target, bucket, q)
+        self._check_length(target, q)
         # a stack of row-by-column products is one np.dot per row; a plain
         # matrix-vector product sums in another order, off in the last bit
         dots = (bucket.obs[:, None, :] @ q[:, None])[:, 0, 0]
@@ -351,38 +339,45 @@ class LongTermStore:
         """Entries written by save; a missing file or a bad line raises an
         InputFileError naming the path and the line number.
 
-        Each target's rows are stacked and checked as arrays.  When a check
-        fails, the entries are added again one at a time in file order, so
-        that the error names the first bad line and what is wrong with it.
+        Lines are read up to the first that is not an entry of the store's
+        one length.  The rows read are stacked into one matrix and checked
+        as whole arrays, so that the first bad line in the file is named;
+        each target's bucket is then cut from the stack.
         """
-        records = []
+        store = cls(k=k)
+        targets, obs_rows, act_rows, numbers = [], [], [], []
         broken = None  # the error of the first line that is no entry
         try:
             for number, rec in read_lines(path):
                 where = f"{path} line {number}"
                 if not isinstance(rec, dict) or not {"target", "obs", "act"} <= rec.keys():
                     raise InputFileError(f"{where}: a store entry needs target, obs and act")
-                obs = rec["obs"]
                 try:
-                    # an array takes a quarter of the memory of a list of floats
-                    obs = np.array(obs)
-                except ValueError:
-                    pass  # raises again, naming the line, when added below
-                records.append((where, rec["target"], obs, rec["act"]))
+                    obs, act = store._entry(rec["target"], rec["obs"], rec["act"])
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise InputFileError(f"{where}: {exc}") from exc
+                store.dim = obs.shape[0]  # set by the first line, kept by _entry
+                targets.append(rec["target"])
+                obs_rows.append(obs)
+                act_rows.append(act)
+                numbers.append(number)
         except InputFileError as exc:
             broken = exc
-        store = cls(k=k)
-        buckets = None if broken else _stacked_buckets(records)
-        if buckets is not None:
-            store.buckets = buckets
-            return store
-        for where, target, obs, act in records:
-            try:
-                store.add(target, np.array(obs), np.array(act))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise InputFileError(f"{where}: {exc}") from exc
+        if numbers:
+            obs, acts = np.array(obs_rows), np.array(act_rows)
+            del obs_rows, act_rows  # the stacks hold the rows now
+            norms = row_norms(obs)
+            refused = _refusal(norms, acts)
+            if refused is not None:
+                i, reason = refused
+                raise InputFileError(f"{path} line {numbers[i]}: {reason}")
         if broken is not None:
             raise broken
+        rows: dict[str, list[int]] = {}
+        for i, target in enumerate(targets):
+            rows.setdefault(target, []).append(i)
+        for target, index in rows.items():
+            store.buckets[target] = _Bucket(obs[index], norms[index], acts[index])
         return store
 
 

@@ -234,7 +234,7 @@ def run_suite(
     it raise a TaskValidationError.  The reduction sorts episodes by
     task id, so shuffled task order and any worker count produce the same
     report.  The memory policy's store is loaded once, before any episode,
-    and a bucket whose embeddings are not EMBED_DIM long, the length the
+    and a store whose embeddings are not EMBED_DIM long, the length the
     policy embeds at, raises an InputFileError naming the store file.
     Each worker takes one contiguous chunk of tasks and one pickled copy of
     the scenes, caches included, and of the store.
@@ -258,12 +258,11 @@ def run_suite(
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
-        for target, bucket in store.buckets.items():
-            if bucket.dim != EMBED_DIM:
-                raise InputFileError(
-                    f"{cfg.store_path}: target {target!r} holds embeddings of length "
-                    f"{bucket.dim}, but the memory policy embeds observations of length {EMBED_DIM}"
-                )
+        if store.dim not in (None, EMBED_DIM):
+            raise InputFileError(
+                f"{cfg.store_path}: the store holds embeddings of length {store.dim}, "
+                f"but the memory policy embeds observations of length {EMBED_DIM}"
+            )
     if cfg.out_dir:
         (Path(cfg.out_dir) / "trajectories").mkdir(parents=True, exist_ok=True)
     job = partial(_episode_job, scenes, cfg, store)

@@ -12,6 +12,7 @@ not contain.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import urllib.error
@@ -157,18 +158,19 @@ def _stage_candidates(scene: Scene, portable: bool) -> list:
 
 
 def _pick_target(rng: random.Random, scene: Scene, pool, prev_obj, used: set[str]):
-    """Deterministically pick the next stage target, preferring a different
-    region and a decent geodesic separation from the previous one."""
+    """Deterministically pick the next stage target, one reachable from the
+    previous one, preferring a different region and a decent geodesic
+    separation from it."""
     candidates = [o for o in pool if o.id not in used]
     if prev_obj is not None:
+        # the previous target is the fixed end, so all candidates share its
+        # geodesic field
+        gap = {o.id: geodesic_distance(scene, o.position, prev_obj.position) for o in candidates}
+        candidates = [o for o in candidates if gap[o.id] < math.inf]
         spread = [
             o
             for o in candidates
-            if o.region_id != prev_obj.region_id
-            # the previous target is the fixed end, so all candidates share
-            # its geodesic field
-            and geodesic_distance(scene, o.position, prev_obj.position)
-            >= MIN_TARGET_SEPARATION
+            if o.region_id != prev_obj.region_id and gap[o.id] >= MIN_TARGET_SEPARATION
         ]
         if not spread:
             spread = [
@@ -221,8 +223,10 @@ def sample_task(
     under the seed.
 
     allowed_stages restricts the number of navigation stages (default 2..4,
-    capped by what the scene can support).  A SceneTooSparseError depends
-    on the scene and allowed_stages only, never on the seed.
+    capped by what the scene can support).  Each target is reachable from
+    the one before it.  A SceneTooSparseError depends on the scene and
+    allowed_stages only, never on the seed, unless the scene's free space
+    is split: there the seed's first picks can leave a later stage none.
     """
     robot = robot or ROBOTS["spot"]
     rng = random.Random(f"task:{scene.seed}:{seed}")

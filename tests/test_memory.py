@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lhnav.files import InputFileError
 from lhnav.memory import (
     LongTermStore,
     ShortTermMemory,
@@ -215,15 +216,30 @@ class TestRetrieveTopk:
         assert not top and top.acts.shape == (0, 4)
 
     def test_embedding_length_must_match_bucket(self):
+        # one length per store, set by its first accepted entry: a bucket
+        # of another target takes no other length either
         store = LongTermStore()
         act = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="nonzero"):
+            store.add("mug", np.zeros(16), act)
+        assert store.dim is None
         store.add("mug", np.ones(64), act)
-        with pytest.raises(ValueError, match=r"'mug'.* 16 .* 64"):
-            store.add("mug", np.ones(16), act)
+        assert store.dim == 64
+        for target in ("mug", "cup"):
+            with pytest.raises(ValueError, match=rf"'{target}'.* 16 .* 64"):
+                store.add(target, np.ones(16), act)
         with pytest.raises(ValueError, match=r"'mug'.* 16 .* 64"):
             store.rank("mug", np.ones(16))
-        store.add("cup", np.ones(16), act)  # each bucket keeps its own length
-        assert len(store) == 2
+        assert len(store) == 1 and list(store.buckets) == ["mug"]
+
+    @pytest.mark.parametrize("target", [7, None, ("mug",)])
+    def test_target_must_be_a_string(self, target):
+        # no category key could retrieve such an entry, and save could not
+        # sort it among string targets
+        store = LongTermStore()
+        with pytest.raises(TypeError, match="target must be a string"):
+            store.add(target, np.ones(4), np.array([1.0, 0.0, 0.0, 0.0]))
+        assert len(store) == 0
 
     def test_zero_query_raises(self):
         store = LongTermStore()
@@ -288,10 +304,13 @@ class TestRetrieveTopk:
             '{"target": "cup", "obs": [Infinity, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
             '{"target": "cup", "obs": [1.0, 0.0, 0.0], "act": [NaN, 0.0, 0.0, 1.0]}',
             '{"target": "cup", "obs": [1' + "0" * 400 + ', 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": 7, "obs": [1.0, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": null, "obs": [1.0, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
         ],
         ids=[
             "truncated", "not-json", "missing-obs", "not-an-object", "wrong-length",
             "nan-obs", "infinite-obs", "nan-act", "integer-beyond-float",
+            "integer-target", "null-target",
         ],
     )
     def test_bad_line_names_path_and_line_number(self, tmp_path, bad_line):
@@ -307,31 +326,31 @@ class TestRetrieveTopk:
 
 class TestBatchedLoad:
     def test_matches_per_row_add(self, tmp_path):
-        # targets interleaved in the file, one embedding length each
+        # targets interleaved in the file, rows of mixed scales
         npr = np.random.default_rng(31)
-        dims = {"mug": 8, "cup": 64, "box": 1, "lamp": 65}
-        targets = list(dims)
+        targets = ["mug", "cup", "box", "lamp"]
         ref = LongTermStore()
         path = tmp_path / "store.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             for _ in range(600):
                 target = targets[int(npr.integers(len(targets)))]
-                obs = npr.normal(size=dims[target]) * npr.choice([1e-3, 1.0, 1e3])
+                obs = npr.normal(size=64) * npr.choice([1e-3, 1.0, 1e3])
                 act = npr.random(4)
                 act = act / act.sum()
                 ref.add(target, obs, act)
                 fh.write(json.dumps({"target": target, "obs": obs.tolist(), "act": act.tolist()}) + "\n")
         loaded = LongTermStore.load(path)
         assert list(loaded.buckets) == list(ref.buckets)
+        assert loaded.dim == ref.dim == 64
         for target, bucket in ref.buckets.items():
             got = loaded.buckets[target]
             assert got.obs.tobytes() == bucket.obs.tobytes(), target
             assert got.norms.tobytes() == bucket.norms.tobytes(), target
             assert got.acts.tobytes() == bucket.acts.tobytes(), target
         # a loaded bucket still grows
-        loaded.add("mug", np.ones(8), np.full(4, 0.25))
-        ref.add("mug", np.ones(8), np.full(4, 0.25))
-        assert loaded.rank("mug", np.ones(8)) == ref.rank("mug", np.ones(8))
+        loaded.add("mug", np.ones(64), np.full(4, 0.25))
+        ref.add("mug", np.ones(64), np.full(4, 0.25))
+        assert loaded.rank("mug", np.ones(64)) == ref.rank("mug", np.ones(64))
 
     def test_the_first_bad_line_is_named(self, tmp_path):
         good = '{"target": "cup", "obs": [1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}'
@@ -339,6 +358,50 @@ class TestBatchedLoad:
         path = tmp_path / "store.jsonl"
         path.write_text("\n".join([good, nan_obs, "not json", good]) + "\n")
         with pytest.raises(ValueError, match=r"line 2: observation embedding must be finite"):
+            LongTermStore.load(path)
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            # target B's NaN row comes before target A's bad action row
+            (["a", "b-nan", "a", "a-bad-act", "b"], r"line 2: observation embedding must be finite"),
+            (["a", "b", "a", "a-bad-act", "b-nan"], r"line 4: action distribution must be"),
+            # a bad row comes before the line of another length that ends the read
+            (["a", "b-nan", "a", "a-short"], r"line 2: observation embedding must be finite"),
+            (["a", "b", "a-short", "b-nan"], r"line 3: .* length 32 .* length 64"),
+        ],
+        ids=["nan-before-act", "act-before-nan", "nan-before-length", "length-before-nan"],
+    )
+    def test_the_first_bad_line_across_targets_is_named(self, tmp_path, lines, named):
+        act = [0.25] * 4
+        rows = {
+            "a": ("cup", [1.0] * 64, act),
+            "b": ("mug", [2.0] * 64, act),
+            "b-nan": ("mug", [math.nan] + [1.0] * 63, act),
+            "a-bad-act": ("cup", [1.0] * 64, [0.5, 0.5, 0.5, -0.5]),
+            "a-short": ("cup", [1.0] * 32, act),
+        }
+        path = tmp_path / "store.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                target, obs, act_row = rows[line]
+                fh.write(json.dumps({"target": target, "obs": obs, "act": act_row}) + "\n")
+        with pytest.raises(InputFileError, match=named):
+            LongTermStore.load(path)
+
+    def test_a_file_of_two_lengths_is_refused_at_the_first_line_of_the_second(self, tmp_path):
+        store = LongTermStore()
+        store.add("cup", np.ones(64), np.eye(4)[0])
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            for target, dim in [("mug", 64), ("mug", 32), ("cup", 64), ("cup", 32)]:
+                fh.write(json.dumps({"target": target, "obs": [1.0] * dim, "act": [0, 1, 0, 0]}) + "\n")
+        with pytest.raises(
+            InputFileError,
+            match=rf"{re.escape(str(path))} line 3: target 'mug': embedding of length 32 "
+            r"does not match the store's length 64",
+        ):
             LongTermStore.load(path)
 
 
