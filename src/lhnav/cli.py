@@ -72,9 +72,7 @@ def cmd_gen_scene(args) -> int:
         )
     except ValueError as exc:
         args.usage_error(str(exc))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{scene.scene_id}.json"
+    path = Path(args.out) / f"{scene.scene_id}.json"
     scene.save(path)
     print(f"wrote {path}")
     return 0

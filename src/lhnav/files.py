@@ -2,7 +2,8 @@
 JSON lines hold one canonical record (sorted keys, no spaces) per line:
 trajectories, long-term stores, and the one-record scene and weights files.
 Documents hold one sorted JSON value indented by two spaces: task lists,
-reports and split output."""
+reports and split output.  Both writers create the file's directory when
+it is missing."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ class InputFileError(ValueError):
 def write_lines(path: str | Path, records, encoded=()) -> None:
     """One canonical JSON line per record, then the lines of `encoded`,
     records that the caller has already written as canonical JSON."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_CANONICAL.encode(record) + "\n" for record in records)
         fh.writelines(line + "\n" for line in encoded)
@@ -28,7 +30,9 @@ def write_lines(path: str | Path, records, encoded=()) -> None:
 
 def write_document(path: str | Path, data) -> None:
     """One JSON document with sorted keys, indented by two spaces."""
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_document(path: str | Path):

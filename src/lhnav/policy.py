@@ -41,11 +41,6 @@ from .trajectory import Trajectory
 # linear backend's; a memory rollout's store holds rows of this length
 EMBED_DIM = 64
 
-# entries of X per block of nonzero_pattern, which bounds the gradient's
-# memory on a large batch; the offline benchmark's 250 x 260 is one block
-GRAD_ENTRIES = 1 << 16
-
-
 @functools.cache
 def category_index(name: str, dim: int) -> int:
     """A category's hashed coordinate among dim, kept for the process."""
@@ -223,51 +218,24 @@ class LinearSoftmaxBackend:
 # -- training -------------------------------------------------------------------
 
 
-def nonzero_pattern(X: np.ndarray):
-    """The entries of X that the theta gradient sums over, a block of rows
-    (at most GRAD_ENTRIES entries of X) at a time: the block's nonzero
-    entries in row-major order, then one entry of 1.0 per row for the bias
-    (the weight of a feature that is 1.0 in every sample).  Per block, the
-    entries' sample rows (int32, which np.take widens per call, so a kept
-    pattern holds 4 bytes less per entry), their bins in the flat theta
-    gradient (four per entry, one per action) and their values.  The bins
-    of every block after the first start with one bin per theta value, for
-    the running gradient; the first block's running gradient is zero."""
-    n, k = X.shape
-    n_w = N_ACTIONS * k
-    step = max(1, GRAD_ENTRIES // k)
-    running, offsets = np.arange(n_w + N_ACTIONS), np.arange(0, n_w, k)
-    for lo in range(0, n, step):
-        block = X[lo : lo + step]
-        m = block.shape[0]
-        rows, cols = np.divmod(np.flatnonzero(block != 0), k)
-        vals = np.concatenate((block[rows, cols], np.ones(m)))
-        # written into one array, prefix included: a concatenation per
-        # block would hold two copies of the bins at the peak of a streamed call
-        start = running.size if lo else 0
-        bins = np.empty(start + N_ACTIONS * vals.size, dtype=np.intp)
-        bins[:start] = running[:start]
-        entries = bins[start:].reshape(-1, N_ACTIONS)
-        np.add(cols[:, None], offsets, out=entries[: cols.size])
-        entries[cols.size :] = running[n_w:]
-        yield (np.concatenate((rows, np.arange(m))) + lo).astype(np.int32), bins, vals
-
-
 @dataclass(frozen=True)
 class PreparedBatch:
     """A checked batch and what every epoch of training on it reuses: the
     flat index of each sample's label in an (n x 4) row-major array, the
-    labels' one-hot rows and X's nonzero blocks (nonzero_pattern), listed
-    on first use."""
+    labels' one-hot rows, and the entries that the theta gradient sums
+    over.  Those are X's nonzero entries in row-major order, then one entry
+    of 1.0 per sample for the bias (the weight of a feature that is 1.0 in
+    every sample).  Per entry: its sample row (int32, which np.take widens
+    per call, so the batch holds 4 bytes less per entry), its four bins in
+    the flat theta gradient (one per action) and its value."""
 
     X: np.ndarray
     y: np.ndarray
     at: np.ndarray
     onehot: np.ndarray
-
-    @functools.cached_property
-    def blocks(self) -> list:
-        return list(nonzero_pattern(self.X))
+    rows: np.ndarray
+    bins: np.ndarray
+    vals: np.ndarray
 
 
 def prepare_batch(backend: LinearSoftmaxBackend, X, y) -> PreparedBatch:
@@ -291,8 +259,20 @@ def prepare_batch(backend: LinearSoftmaxBackend, X, y) -> PreparedBatch:
             f"label {labels[bad[0]]} at sample {bad[0]} is not an action index "
             f"0..{N_ACTIONS - 1}"
         )
+    k = X.shape[1]
+    rows, cols = np.divmod(np.flatnonzero(X != 0), k)
+    vals = np.concatenate((X[rows, cols], np.ones(n)))
+    bins = np.empty((vals.size, N_ACTIONS), dtype=np.intp)
+    np.add(cols[:, None], np.arange(0, N_ACTIONS * k, k), out=bins[: cols.size])
+    bins[cols.size :] = np.arange(N_ACTIONS * k, N_ACTIONS * (k + 1))
     return PreparedBatch(
-        X=X, y=y, at=np.arange(0, N_ACTIONS * n, N_ACTIONS) + y, onehot=np.eye(N_ACTIONS)[y]
+        X=X,
+        y=y,
+        at=np.arange(0, N_ACTIONS * n, N_ACTIONS) + y,
+        onehot=np.eye(N_ACTIONS)[y],
+        rows=np.concatenate((rows, np.arange(n))).astype(np.int32),
+        bins=bins.ravel(),
+        vals=vals,
     )
 
 
@@ -313,21 +293,19 @@ def loss_and_grad(
     -log(clip(p[label])): the loop's one-hot sum adds three signed zeros
     to it, which leave it as it is.
 
-    The theta gradient sums only the terms of X's nonzero entries and,
-    for the bias, of one entry of 1.0 per sample: one np.bincount per
-    block adds each value's terms in input order from +0.0, the running
-    gradient first and then the samples.  The term of a zero entry, a
-    finite D times a signed zero, leaves such a sum as it is, so an unused
-    weight stays +0.0 as in the loop.  A non-finite
-    feature, or a sample whose logits are not finite (weights that
-    overflow), raises a ValueError naming the sample.
+    The theta gradient sums only the terms of the batch's entries: X's
+    nonzero entries and, for the bias, one entry of 1.0 per sample.  One
+    np.bincount adds each theta value's terms in input order from +0.0,
+    which is sample order.  The term of a zero entry, a finite D times a
+    signed zero, leaves such a sum as it is, so an unused weight stays
+    +0.0 as in the loop.  A non-finite feature, or a sample whose logits
+    are not finite (weights that overflow), raises a ValueError naming the
+    sample.
     """
     if pattern is None:
-        # one pass, so the blocks stream and only one is held at a time
         batch = prepare_batch(backend, X, y)
-        blocks = nonzero_pattern(batch.X)
     elif pattern.X is X and pattern.y is y:
-        batch, blocks = pattern, pattern.blocks
+        batch = pattern
     else:
         raise ValueError("the pattern was prepared from another batch")
     X, n = batch.X, batch.X.shape[0]
@@ -350,16 +328,11 @@ def loss_and_grad(
     # the loop did (so an all-zero sum is +0.0); np.sum of a vector and
     # Python's sum() add in other orders
     total = np.cumsum(np.concatenate(([0.0], losses)))[-1] / n
-    g = None
-    for rows, bins, vals in blocks:
-        # the block's terms, entry-major: D's row of each entry's sample
-        # times the entry's value (1.0 exactly for a bias entry)
-        terms = D.take(rows, axis=0)
-        terms *= vals[:, None]
-        if g is None:
-            g = np.bincount(bins, weights=terms.ravel(), minlength=backend.W.size + N_ACTIONS)
-        else:
-            g = np.bincount(bins, weights=np.concatenate((g, terms.ravel())))
+    # the terms, entry-major: D's row of each entry's sample times the
+    # entry's value (1.0 exactly for a bias entry)
+    terms = D.take(batch.rows, axis=0)
+    terms *= batch.vals[:, None]
+    g = np.bincount(batch.bins, weights=terms.ravel(), minlength=backend.W.size + N_ACTIONS)
     return float(total), g / n
 
 

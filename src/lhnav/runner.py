@@ -263,8 +263,6 @@ def run_suite(
                 f"{cfg.store_path}: the store holds embeddings of length {store.dim}, "
                 f"but the memory policy embeds observations of length {EMBED_DIM}"
             )
-    if cfg.out_dir:
-        (Path(cfg.out_dir) / "trajectories").mkdir(parents=True, exist_ok=True)
     job = partial(_episode_job, scenes, cfg, store)
 
     workers = min(cfg.workers, len(tasks))
@@ -286,9 +284,7 @@ def run_suite(
         "results": [res.to_dict() for res in results],
     }
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_report(report, out / "report.json")
+        save_report(report, Path(cfg.out_dir) / "report.json")
     return report
 
 

@@ -737,6 +737,37 @@ class TestUsageErrors:
         last = usage_error_line(capsys, "report", "--results", path, "--format", fmt)
         assert str(path) in last
 
+
+class TestOutputUnderAMissingDirectory:
+    """Every --out creates the directories that it names."""
+
+    def test_gen_tasks(self, tmp_path, two_room_scene):
+        two_room_scene.save(tmp_path / "scene.json")
+        out = tmp_path / "missing" / "deeper" / "tasks.json"
+        assert run_cli(
+            "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "2", "--out", str(out)
+        ) == 0
+        assert len(json.loads(out.read_text())) == 2
+
+    def test_split(self, tmp_path, two_room_scene):
+        from lhnav.taskforge import sample_task, save_tasks
+
+        scene = tmp_path / "scene.json"
+        two_room_scene.save(scene)
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        run = tmp_path / "run"
+        assert run_cli(
+            "rollout", "--scenes", str(scene), "--tasks", str(tmp_path / "t.json"),
+            "--policy", "expert", "--out", str(run),
+        ) == 0
+        out = tmp_path / "missing" / "steps.json"
+        assert run_cli(
+            "split", "--trajectories", str(run / "trajectories"), "--scenes", str(scene),
+            "--out", str(out),
+        ) == 0
+        assert json.loads(out.read_text())
+
+
 class TestConfigFile:
     """There is no config file: every value comes from a flag."""
 
