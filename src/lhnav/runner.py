@@ -37,7 +37,7 @@ from .policy import (
 from .memory import LongTermStore
 from .taskforge import GRAB, MOVE_TO, TaskSpec, TaskValidationError, sample_spawn, validate_task
 from .trajectory import StepRecord, SubtaskSpan, Trajectory
-from .world import AgentState, Scene, StepContext, apply_action, stock_robot, validate_state
+from .world import Action, AgentState, Scene, StepContext, apply_action, stock_robot, validate_state
 
 
 POLICIES = ("expert", "random", "memory", "stop")
@@ -132,7 +132,6 @@ def run_episode(
             seg_start = len(steps)
             oracle_hit = False
             path_taken = 0.0
-            stopped = False
             # one context per pose: a state is immutable and a stop or a
             # blocked move returns the same object, so only a new state is
             # given a new context
@@ -140,19 +139,16 @@ def run_episode(
             for _ in range(cfg.budget):
                 oracle_hit = oracle_hit or ctx.at_target
                 action = policy.act(ctx)
-                result = apply_action(scene, state, action, robot)
-                steps.append(
-                    StepRecord(
-                        index=len(steps), state=state, action=action, collided=result.collided
-                    )
-                )
-                path_taken += math.dist(state.position, result.state.position)
-                if result.state is not state:
-                    state = result.state
+                after, collided = apply_action(scene, state, action, robot)
+                steps.append(StepRecord(state, action, collided))
+                path_taken += math.dist(state.position, after.position)
+                if after is not state:
+                    state = after
                     ctx = StepContext(scene, state, robot, sub.object_id, stage)
-                if result.stopped:
-                    stopped = True
+                if action == Action.STOP:
                     break
+            # the budget is positive, so the window has a last action
+            stopped = action == Action.STOP
             # the pose after the last action belongs to this window too
             at_target = ctx.at_target
             oracle_hit = oracle_hit or at_target

@@ -191,41 +191,30 @@ def render_step_instruction(
     """
     if not segments:
         raise ValueError("need at least one segment")
-    steps = []
+    last = len(segments) - 1
+    steps, clauses = [], []
     for i, seg in enumerate(segments):
-        if i == len(segments) - 1 and seg.label == FORWARD:
-            steps.append((seg.label, target))  # the walk to the target is the step
+        if seg.label == FORWARD and i == last:
+            tag = target  # the walk to the target is the step
+            clause = f"{'finally ' if i else ''}go straight to the {target}"
         else:
-            steps.append((seg.label, _choose_tag(seg, target)))
-    steps = tuple(steps)
-    clauses: list[str] = []
-    for i, (seg, (_, tag)) in enumerate(zip(segments, steps)):
-        last = i == len(segments) - 1
-        if seg.label == FORWARD:
-            if last and len(segments) == 1:
-                clauses.append(f"go straight to the {target}")
-            elif last:
-                clauses.append(f"finally go straight to the {target}")
-            elif i == 0:
-                clauses.append(f"move forward through the {tag}")
+            tag = _choose_tag(seg, target)
+            if seg.label == FORWARD:
+                clause = f"{'go ahead' if i else 'move forward'} through the {tag}"
+            elif seg.label == TURN_LEFT:
+                clause = f"make a left turn at the {tag}"
             else:
-                clauses.append(f"go ahead through the {tag}")
-        elif seg.label == TURN_LEFT:
-            clauses.append(f"make a left turn at the {tag}")
-        else:
-            clauses.append(f"turn right at the {tag}")
+                clause = f"turn right at the {tag}"
+        steps.append((seg.label, tag))
+        clauses.append(clause)
     if segments[-1].label != FORWARD:
         clauses.append(f"finally go straight to the {target}")
-    if len(clauses) == 1:
-        text = clauses[0]
-    else:
-        text = clauses[0] + " and " + clauses[1]
-        for clause in clauses[2:]:
-            text += ", " + clause
+    head, *rest = clauses
+    text = f"{head} and {', '.join(rest)}" if rest else head
     text = text[0].upper() + text[1:] + "."
     return StepByStepTask(
         target=target,
-        steps=steps,
+        steps=tuple(steps),
         instruction=text,
         source_task_id=source_task_id,
         source_subtask=source_subtask,

@@ -152,21 +152,36 @@ def validate_task(scene: Scene, task: TaskSpec) -> None:
 # -- template backend ------------------------------------------------------------
 
 
-def _stage_candidates(scene: Scene, portable: bool) -> list:
-    pool = [o for o in scene.objects if o.portable == portable]
-    return sorted(pool, key=lambda o: o.id)
+def _component_objects(scene: Scene) -> list:
+    """The objects of the free-space component that holds the most of them,
+    a tie going to the component of the smallest object id."""
+    best: list = []
+    placed: set[str] = set()
+    for first in sorted(scene.objects, key=lambda o: o.id):
+        if first.id not in placed:
+            # first is the fixed end, so the queries share its cached field
+            members = [
+                o for o in scene.objects
+                if geodesic_distance(scene, o.position, first.position) < math.inf
+            ]
+            placed.update(o.id for o in members)
+            if len(members) > len(best):
+                best = members
+    return best
+
+
+def _stage_candidates(objects, portable: bool) -> list:
+    return sorted((o for o in objects if o.portable == portable), key=lambda o: o.id)
 
 
 def _pick_target(rng: random.Random, scene: Scene, pool, prev_obj, used: set[str]):
-    """Deterministically pick the next stage target, one reachable from the
-    previous one, preferring a different region and a decent geodesic
-    separation from it."""
+    """Deterministically pick the next stage target, preferring a different
+    region and a decent geodesic separation from the previous one."""
     candidates = [o for o in pool if o.id not in used]
     if prev_obj is not None:
         # the previous target is the fixed end, so all candidates share its
         # geodesic field
         gap = {o.id: geodesic_distance(scene, o.position, prev_obj.position) for o in candidates}
-        candidates = [o for o in candidates if gap[o.id] < math.inf]
         spread = [
             o
             for o in candidates
@@ -223,18 +238,18 @@ def sample_task(
     under the seed.
 
     allowed_stages restricts the number of navigation stages (default 2..4,
-    capped by what the scene can support).  Each target is reachable from
-    the one before it.  A SceneTooSparseError depends on the scene and
-    allowed_stages only, never on the seed, unless the scene's free space
-    is split: there the seed's first picks can leave a later stage none.
+    capped by what the scene can support).  Every target comes from one
+    free-space component, the one that holds the most objects, so each is
+    reachable from the one before it.  A SceneTooSparseError depends on
+    the scene and allowed_stages only, never on the seed.
     """
     robot = robot or ROBOTS["spot"]
     rng = random.Random(f"task:{scene.seed}:{seed}")
-    regions_with_objects = {o.region_id for o in scene.objects}
-    if len(regions_with_objects) < 2:
+    objects = _component_objects(scene)
+    if len({o.region_id for o in objects}) < 2:
         raise SceneTooSparseError("need objects in at least two regions")
-    portables = _stage_candidates(scene, portable=True)
-    receptacles = _stage_candidates(scene, portable=False)
+    portables = _stage_candidates(objects, portable=True)
+    receptacles = _stage_candidates(objects, portable=False)
     destinations = receptacles or portables
     if not portables or not destinations:
         raise SceneTooSparseError("need at least one portable object and one place")

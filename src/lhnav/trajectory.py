@@ -7,8 +7,9 @@ reproduces it exactly.
 A step line is the canonical JSON of its record (sorted keys, no spaces),
 written by one format string, StepRecord.line, rather than through a dict
 and the JSON encoder: the action name, the collided flag, the holding as a
-JSON string or null, the index, and the pose's three numbers, which print
-as the encoder prints an int or a float, by repr.
+JSON string or null, the step's place as its index (the record keeps no
+index), and the pose's three numbers, which print as the encoder prints an
+int or a float, by repr.
 """
 
 from __future__ import annotations
@@ -46,21 +47,20 @@ def _saved_state(pose, holding) -> AgentState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    index: int
     state: AgentState  # pose before the action
     action: Action
     collided: bool
 
-    def line(self) -> str:
-        """The record's canonical JSON line, without the newline.  The
-        pose's numbers are Python ints or floats, as every state is."""
+    def line(self, index: int) -> str:
+        """The record's canonical JSON line at place index, without the
+        newline; the pose's numbers are Python ints or floats, as every state is."""
         state = self.state
         holding = state.holding
         return _STEP_LINE % (
             ACTION_NAMES[self.action],
             "true" if self.collided else "false",
             "null" if holding is None else json.dumps(holding),
-            self.index,
+            index,
             state.position[0],
             state.position[1],
             state.heading,
@@ -68,9 +68,9 @@ class StepRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
-        """The inverse of line, once parsed; holding may be left out.  An unknown
-        key, an index that is not an int or a collided that is not a bool
-        is a TypeError, and a bad pose or holding a ValueError."""
+        """The inverse of line, once parsed, but for the index, which load checks;
+        holding may be left out.  An unknown key, an index that is not an int or
+        a collided that is not a bool is a TypeError, a bad pose or holding a ValueError."""
         unknown = set(d) - _STEP_KEYS
         if unknown:
             raise TypeError(f"unknown step keys {sorted(unknown)}")
@@ -79,7 +79,6 @@ class StepRecord:
         if type(d["collided"]) is not bool:
             raise TypeError(f"collided must be a bool, not {d['collided']!r}")
         return cls(
-            index=d["i"],
             state=_saved_state(d["pose"], d.get("holding")),
             action=ACTION_BY_NAME[d["action"]],
             collided=d["collided"],
@@ -136,11 +135,11 @@ class Trajectory:
         scene lacks, or a step state that validate_state rejects raise a ValueError."""
         if scene.scene_id != self.scene_id:
             raise ValueError(f"trajectory from scene {self.scene_id!r}, not {scene.scene_id!r}")
-        for step in self.steps:
+        for i, step in enumerate(self.steps):
             try:
                 validate_state(scene, step.state)
             except ValueError as exc:
-                raise ValueError(f"step {step.index}: {exc}") from exc
+                raise ValueError(f"step {i}: {exc}") from exc
         for span in self.spans:
             if not scene.has_object(span.target_id):
                 raise ValueError(
@@ -173,7 +172,7 @@ class Trajectory:
             "final_holding": self.final_state.holding,
             "spans": [vars(s) for s in self.spans],
         }
-        write_lines(path, [header], [step.line() for step in self.steps])
+        write_lines(path, [header], [step.line(i) for i, step in enumerate(self.steps)])
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
@@ -222,8 +221,8 @@ class Trajectory:
                 step = StepRecord.from_dict(record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
-            if step.index != i:
-                raise InputFileError(f"{path} line {number}: step {step.index} where {i} was due")
+            if record["i"] != i:
+                raise InputFileError(f"{path} line {number}: step {record['i']} where {i} was due")
             if step.action == Action.STOP and i not in stop_at:
                 raise InputFileError(
                     f"{path} line {number}: step {i} is a stop that does not end a move window"

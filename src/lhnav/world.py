@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 from .files import InputFileError, read_document, write_lines
 
@@ -181,9 +182,6 @@ class Scene:
         self._objects_by_id = {o.id: o for o in self.objects}
         self._regions_by_id = {r.id: r for r in self.regions}
         self._region_of_cell = {c: r for r in self.regions for c in r.cells}
-        self._free = frozenset(
-            (r, c) for r, row in enumerate(self.grid) for c, ch in enumerate(row) if ch == FREE
-        )
         # per-instance caches, pickled with the scene: the expert module's
         # geodesic fields keyed by source cell and legal moves of every flat
         # cell index, and the sensing lines of the last observed position
@@ -199,8 +197,9 @@ class Scene:
         return f"scene-{self.seed}"
 
     def is_free(self, row: int, col: int) -> bool:
-        """False for occupied cells and for cells outside the grid."""
-        return (row, col) in self._free
+        """False for occupied cells and for cells outside the grid; the
+        bounds come first, so a negative index does not wrap."""
+        return 0 <= row < self.rows and 0 <= col < self.cols and self.grid[row][col] == FREE
 
     def cell_of(self, point: tuple[float, float]) -> tuple[int, int]:
         x, y = point
@@ -392,23 +391,22 @@ def line_of_sight(
 # -- operations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     state: AgentState
     collided: bool = False
-    stopped: bool = False
 
 
 def apply_action(scene: Scene, state: AgentState, action: Action, robot: RobotConfig) -> StepResult:
-    """Apply one atomic action.
+    """Apply one atomic action; the result unpacks as (state, collided).
 
-    Forward moves are blocked (position unchanged, collided flag set) when
+    Forward moves are blocked (the same state back, collided set) when
     the destination cell is occupied or a diagonal neighbour joined only by
     a corner, which no geodesic field crosses; turns rotate by the robot's
-    turn step; stop leaves the state unchanged and flags episode-level stop.
+    turn step; stop gives the same state back, and the caller that sees a
+    stop action ends its window.
     """
     if action == Action.STOP:
-        return StepResult(state, stopped=True)
+        return StepResult(state)
     if action == Action.TURN_LEFT:
         heading = normalize_heading(state.heading + robot.turn_step)
         return StepResult(AgentState(state.position, heading, state.holding))

@@ -119,6 +119,44 @@ def sealed_scene():
 
 
 @pytest.fixture
+def sealed_room_scene():
+    """Three rooms in a row: a door joins the first two, a wall seals the
+    third.  The cup and the desk share the larger component, the jar is
+    alone in the sealed room."""
+    rows = [
+        "#############",
+        "#...#...#...#",
+        "#.......#...#",
+        "#...#...#...#",
+        "#############",
+    ]
+
+    def room(first_col):
+        return tuple((r, c) for r in range(1, 4) for c in range(first_col, first_col + 3))
+
+    def at(cell):
+        return ((cell[1] + 0.5) * 0.25, (cell[0] + 0.5) * 0.25)
+
+    regions = [
+        Region(id="0", label="kitchen", cells=room(1)),
+        Region(id="1", label="study", cells=room(5)),
+        Region(id="2", label="pantry", cells=room(9)),
+    ]
+    objects = [
+        ObjectInstance(
+            id="cup-0", category="cup", region_id="0", position=at((1, 1)), portable=True,
+        ),
+        ObjectInstance(
+            id="desk-1", category="desk", region_id="1", position=at((3, 7)), portable=False,
+        ),
+        ObjectInstance(
+            id="jar-2", category="jar", region_id="2", position=at((2, 10)), portable=True,
+        ),
+    ]
+    return Scene(grid=rows, regions=regions, objects=objects, seed=3)
+
+
+@pytest.fixture
 def open_scene():
     """A 14x14 single room with a central pillar for occlusion tests."""
     rows = []

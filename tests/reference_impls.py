@@ -623,7 +623,7 @@ def reference_apply_release(scene, state, object_id, place_id):
 
 def reference_apply_action(scene, state, action, robot):
     if action == Action.STOP:
-        return StepResult(state, stopped=True)
+        return StepResult(state)
     if action == Action.TURN_LEFT:
         return StepResult(replace(state, heading=normalize_heading(state.heading + robot.turn_step)))
     if action == Action.TURN_RIGHT:
@@ -640,10 +640,11 @@ def reference_apply_action(scene, state, action, robot):
     return StepResult(replace(state, position=(nx, ny)))
 
 
-def step_record_dict(step):
-    """The dict of a StepRecord whose canonical JSON was its step line."""
+def step_record_dict(index, step):
+    """The dict of the StepRecord at place index whose canonical JSON was
+    its step line."""
     return {
-        "i": step.index,
+        "i": index,
         "pose": [step.state.position[0], step.state.position[1], step.state.heading],
         "holding": step.state.holding,
         "action": ACTION_NAMES[step.action],

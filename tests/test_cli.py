@@ -84,6 +84,28 @@ class TestPipeline:
             "--policy", "memory", "--budget", "30", "--out", str(tmp_path / "m"),
         ) == 0
 
+    def test_gen_tasks_and_expert_rollout_on_a_scene_with_a_sealed_room(
+        self, tmp_path, capsys, sealed_room_scene
+    ):
+        # the jar's room has no door, so every task is drawn from the cup's
+        # and the desk's rooms, at every seed
+        scene_path = tmp_path / "scene.json"
+        sealed_room_scene.save(scene_path)
+        tasks_path = tmp_path / "tasks.json"
+        assert run_cli(
+            "gen-tasks", "--scenes", str(scene_path), "--count", "5", "--out", str(tasks_path),
+        ) == 0
+        assert "dropping scene" not in capsys.readouterr().err
+        tasks = json.loads(tasks_path.read_text())
+        assert len(tasks) == 5
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            "rollout", "--scenes", str(scene_path), "--tasks", str(tasks_path),
+            "--policy", "expert", "--out", str(run_dir),
+        ) == 0
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["num_tasks"] == 5 and report["aggregate"]["sr"] == 1.0
+
 
 class TestSplitObservesEachStepOnce:
     def test_one_observation_per_distinct_step_and_reference_tags(
@@ -429,8 +451,8 @@ class TestUsageErrors:
     def test_gen_tasks_on_a_scene_of_unconnected_rooms_is_a_usage_error(
         self, tmp_path, capsys, sealed_scene
     ):
-        # no target can follow another there, so the scene hosts no task
-        # that rollout would accept
+        # each room holds one object, so the component sample_task draws
+        # from, the cup's, has objects in one region only
         sealed_scene.save(tmp_path / "scene.json")
         with pytest.raises(SystemExit) as exc:
             run_cli(
@@ -439,7 +461,9 @@ class TestUsageErrors:
             )
         assert exc.value.code == 2
         dropped, *usage = capsys.readouterr().err.splitlines()
-        assert dropped.startswith(f"dropping scene {sealed_scene.scene_id}")
+        assert dropped == (
+            f"dropping scene {sealed_scene.scene_id}: need objects in at least two regions"
+        )
         assert usage[0].startswith("usage: lhnav gen-tasks")
         assert "--scenes" in usage[-1] and str(tmp_path / "scene.json") in usage[-1]
         assert not (tmp_path / "t.json").exists()

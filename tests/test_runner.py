@@ -86,8 +86,6 @@ class TestRunEpisode:
         cfg = RunConfig(policy="expert")
         traj, result = run_episode(two_room_scene, task, make_policy(cfg, task), cfg)
         assert sum(r.steps for r in result.records) == len(traj.steps)
-        indices = [s.index for s in traj.steps]
-        assert indices == list(range(len(traj.steps)))
 
     def test_gt_matches_geodesic_at_each_subtask_start(self):
         scene = generate_scene(seed=55, size=20, regions=4)
@@ -349,13 +347,12 @@ class TestStepLine:
     @example(12, (1e16, -2.5, 90.0), "tasse-caf\u00e9-\u2615-\U0001f375", Action.MOVE_FORWARD, True)
     def test_line_is_the_canonical_json_of_the_record(self, index, pose, holding, action, collided):
         step = StepRecord(
-            index=index,
             state=AgentState(position=pose[:2], heading=pose[2], holding=holding),
             action=action,
             collided=collided,
         )
-        line = step.line()
-        assert line == _CANONICAL.encode(step_record_dict(step))
+        line = step.line(index)
+        assert line == _CANONICAL.encode(step_record_dict(index, step))
         assert StepRecord.from_dict(json.loads(line)) == step
 
     def test_saved_steps_are_the_canonical_lines(self, tmp_path):
@@ -368,7 +365,9 @@ class TestStepLine:
             traj.save(path)
             lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[0] == _CANONICAL.encode(json.loads(lines[0]))
-            assert lines[1:] == [_CANONICAL.encode(step_record_dict(step)) for step in traj.steps]
+            assert lines[1:] == [
+                _CANONICAL.encode(step_record_dict(i, step)) for i, step in enumerate(traj.steps)
+            ]
             held += sum(step.state.holding is not None for step in traj.steps)
         assert held > 0
 

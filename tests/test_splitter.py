@@ -111,12 +111,11 @@ class TestTagSegment:
     def _steps_along(self, scene, cells, heading=0.0):
         return [
             StepRecord(
-                index=i,
                 state=AgentState(position=scene.cell_center(c), heading=heading),
                 action=Action.MOVE_FORWARD,
                 collided=False,
             )
-            for i, c in enumerate(cells)
+            for c in cells
         ]
 
     def _tag(self, scene, steps, segment):

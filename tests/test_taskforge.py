@@ -116,6 +116,23 @@ class TestSampleTask:
             first = scene.object(task.move_targets()[0].object_id)
             assert geodesic_distance(scene, spawn.position, first.position) >= 2.0
 
+    def test_split_scene_draws_every_target_from_one_component(self, sealed_room_scene):
+        # the cup and the desk share the component with the most objects;
+        # the jar, sealed in a room of its own, is never a target
+        scene = sealed_room_scene
+        for seed in range(40):
+            task = sample_task(scene, SPOT, seed=seed)
+            first, *rest = [scene.object(s.object_id) for s in task.move_targets()]
+            for obj in rest:
+                assert geodesic_distance(scene, obj.position, first.position) < math.inf
+            assert [s.object_id for s in task.move_targets()] == ["cup-0", "desk-1"]
+
+    def test_a_tie_between_components_goes_to_the_smallest_object_id(self, sealed_scene):
+        # one object per room: the cup's component wins, and its one region
+        # is too few
+        with pytest.raises(SceneTooSparseError, match="at least two regions"):
+            sample_task(sealed_scene, SPOT, seed=0)
+
     def test_stage_range_respected(self):
         scene = generate_scene(seed=4, size=24, regions=5, objects_per_region=6)
         for seed in range(40):

