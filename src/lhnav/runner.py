@@ -35,7 +35,9 @@ from .policy import (
     StopPolicy,
 )
 from .memory import LongTermStore
-from .taskforge import GRAB, MOVE_TO, TaskSpec, TaskValidationError, sample_spawn, validate_task
+from .taskforge import (
+    GRAB, MOVE_TO, TaskSpec, TaskValidationError, check_reachable, sample_spawn, validate_task
+)
 from .trajectory import StepRecord, SubtaskSpan, Trajectory
 from .world import Action, AgentState, Scene, StepContext, apply_action, stock_robot, validate_state
 
@@ -225,15 +227,14 @@ def run_suite(
     """Run every task, write trajectories, and aggregate a report.
 
     Every task is checked against its scene before any episode runs; an
-    empty suite, a task from an unknown scene, one that validate_task
-    rejects and one with a move target unreachable from the target before
-    it raise a TaskValidationError.  The reduction sorts episodes by
-    task id, so shuffled task order and any worker count produce the same
-    report.  The memory policy's store is loaded once, before any episode,
-    and a store whose embeddings are not EMBED_DIM long, the length the
-    policy embeds at, raises an InputFileError naming the store file.
-    Each worker takes one contiguous chunk of tasks and one pickled copy of
-    the scenes, caches included, and of the store.
+    empty suite, a task from an unknown scene, and one that validate_task
+    or check_reachable rejects raise a TaskValidationError.  The reduction
+    sorts episodes by task id, so shuffled task order and any worker count
+    produce the same report.  The memory policy's store is loaded once,
+    before any episode, and a store whose embeddings are not EMBED_DIM
+    long, the length the policy embeds at, raises an InputFileError naming
+    the store file.  Each worker takes one contiguous chunk of tasks and
+    one pickled copy of the scenes, caches included, and of the store.
     """
     if not tasks:
         raise TaskValidationError("the suite holds no tasks")
@@ -244,13 +245,7 @@ def run_suite(
             )
         scene = scenes[task.scene_id]
         validate_task(scene, task)
-        # each query is toward a target, whose field its window needs anyway
-        targets = [scene.object(sub.object_id) for sub in task.move_targets()]
-        for prev, target in zip(targets, targets[1:]):
-            if geodesic_distance(scene, prev.position, target.position) == math.inf:
-                raise TaskValidationError(
-                    f"task {task.id!r}: target {target.id!r} is unreachable from {prev.id!r}"
-                )
+        check_reachable(scene, task)
     store = None
     if cfg.policy == "memory" and cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
@@ -280,16 +275,12 @@ def run_suite(
         "results": [res.to_dict() for res in results],
     }
     if cfg.out_dir:
-        save_report(report, Path(cfg.out_dir) / "report.json")
+        write_document(Path(cfg.out_dir) / "report.json", report)
     return report
 
 
-def save_report(report: dict, path: str | Path) -> None:
-    write_document(path, report)
-
-
 def load_report(path: str | Path) -> dict:
-    """A report written by save_report; a missing or malformed file, or one
+    """A report written by run_suite; a missing or malformed file, or one
     without what format_report_table prints, raises an InputFileError."""
     report = read_document(path)
     agg = report.get("aggregate") if isinstance(report, dict) else None

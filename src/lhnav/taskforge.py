@@ -149,6 +149,19 @@ def validate_task(scene: Scene, task: TaskSpec) -> None:
         prev = sub
 
 
+def check_reachable(scene: Scene, task: TaskSpec) -> None:
+    """Each move target must be reachable from the one before it, or a
+    TaskValidationError names the task and both targets.  A sampled task
+    passes by construction: its targets share one free-space component."""
+    # each query is toward a target, whose field its window needs anyway
+    targets = [scene.object(sub.object_id) for sub in task.move_targets()]
+    for prev, target in zip(targets, targets[1:]):
+        if geodesic_distance(scene, prev.position, target.position) == math.inf:
+            raise TaskValidationError(
+                f"task {task.id!r}: target {target.id!r} is unreachable from {prev.id!r}"
+            )
+
+
 # -- template backend ------------------------------------------------------------
 
 
@@ -200,19 +213,12 @@ def _pick_target(rng: random.Random, scene: Scene, pool, prev_obj, used: set[str
 
 
 def _instruction(scene: Scene, stages) -> str:
-    def phrase(obj) -> str:
-        return f"the {obj.category} in {scene.region(obj.region_id).label}"
-
-    if len(stages) == 2:
-        return f"take {phrase(stages[0])} to {phrase(stages[1])}"
-    if len(stages) == 3:
-        return (
-            f"take {phrase(stages[0])} to {phrase(stages[1])}, "
-            f"then retrieve {phrase(stages[2])}"
-        )
-    return (
-        f"take {phrase(stages[0])} to {phrase(stages[1])}, "
-        f"then take {phrase(stages[2])} to {phrase(stages[3])}"
+    """One clause per carry, joined by ", then ": "take A to B" for a pair
+    of stages, "retrieve A" for a lone last one."""
+    phrases = [f"the {o.category} in {scene.region(o.region_id).label}" for o in stages]
+    carries = [phrases[i : i + 2] for i in range(0, len(phrases), 2)]
+    return ", then ".join(
+        f"take {c[0]} to {c[1]}" if len(c) == 2 else f"retrieve {c[0]}" for c in carries
     )
 
 
@@ -345,7 +351,8 @@ def parse_reply(scene: Scene, robot: RobotConfig, content: str, seed: int = 0) -
 
     The reply body is a dictionary with "Task instruction" and
     "Subtask list" entries; every referenced object and region must resolve
-    against the scene.
+    against the scene.  The task must then pass validate_task and
+    check_reachable, as a loaded one must before run_suite runs it.
     """
     try:
         data = json.loads(content)
@@ -417,6 +424,7 @@ def parse_reply(scene: Scene, robot: RobotConfig, content: str, seed: int = 0) -
         seed=seed,
     )
     validate_task(scene, task)
+    check_reachable(scene, task)
     return task
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhnav.files import InputFileError
+from lhnav.files import InputFileError, write_document
 from lhnav.memory import LongTermStore
 from lhnav.policy import ExpertPolicy, LinearSoftmaxBackend
-from lhnav.runner import RunConfig, load_report, run_episode, run_suite, save_report
+from lhnav.runner import RunConfig, load_report, run_episode, run_suite
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import load_tasks, sample_task, save_tasks
 from lhnav.trajectory import Trajectory
@@ -58,8 +58,8 @@ def valid(tmp_path_factory):
         "trajectory": trajectory.save,
         "store": store.save,
         "weights": LinearSoftmaxBackend(embed_dim=1).save,
-        "report": lambda path: save_report(
-            run_suite({scene.scene_id: scene}, [task], RunConfig(budget=40)), path
+        "report": lambda path: write_document(
+            path, run_suite({scene.scene_id: scene}, [task], RunConfig(budget=40))
         ),
     }
     texts = {}

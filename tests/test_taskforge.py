@@ -44,6 +44,19 @@ PROMPT1_EXAMPLE_REPLY = json.dumps(
     }
 )
 
+# the jar's room has no door to the cup's in the sealed_scene fixture
+SEALED_REPLY = json.dumps(
+    {
+        "Task instruction": "take the cup in cellar to the jar in vault",
+        "Subtask list": [
+            "Move_to('cup_0')",
+            "Grab('cup')",
+            "Move_to('jar_1')",
+            "Release('cup')",
+        ],
+    }
+)
+
 
 class TestSampleTask:
     def test_two_room_fixture(self, two_room_scene):
@@ -138,6 +151,31 @@ class TestSampleTask:
         for seed in range(40):
             task = sample_task(scene, SPOT, seed=seed, allowed_stages=[3])
             assert len(task.move_targets()) == 3
+
+    @pytest.mark.parametrize("stages", [2, 3, 4])
+    def test_instruction_names_each_carry(self, stages):
+        scene = generate_scene(seed=4, size=24, regions=5, objects_per_region=6)
+        for seed in range(10):
+            task = sample_task(scene, SPOT, seed=seed, allowed_stages=[stages])
+            p = [
+                f"the {o.category} in {scene.region(o.region_id).label}"
+                for o in (scene.object(s.object_id) for s in task.move_targets())
+            ]
+            assert task.instruction == {
+                2: "take {} to {}",
+                3: "take {} to {}, then retrieve {}",
+                4: "take {} to {}, then take {} to {}",
+            }[stages].format(*p)
+
+    def test_validating_a_sampled_task_queries_no_geodesic_field(self):
+        # sample_task calls validate_task; a reachability query there would
+        # compute fields toward targets that sampling never needed
+        scene = generate_scene(seed=2, size=24, regions=5, objects_per_region=6)
+        tasks = [sample_task(scene, SPOT, seed=seed) for seed in range(20)]
+        scene._field_cache.clear()
+        for task in tasks:
+            validate_task(scene, task)
+        assert scene._field_cache == {}
 
 
 class TestValidateTask:
@@ -332,6 +370,28 @@ class TestLlmClient:
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert stub_server in last and "seed 3" in last and "dictionary" in last
+        assert not (tmp_path / "t.json").exists()
+
+    def test_reply_with_an_unreachable_target_rejected(self, sealed_scene):
+        with pytest.raises(
+            TaskValidationError, match="target 'jar-0' is unreachable from 'cup-0'"
+        ):
+            parse_reply(sealed_scene, SPOT, SEALED_REPLY)
+
+    def test_gen_tasks_refuses_a_reply_with_an_unreachable_target(
+        self, tmp_path, monkeypatch, capsys, sealed_scene, stub_server
+    ):
+        monkeypatch.setattr(_StubHandler, "reply_content", SEALED_REPLY)
+        sealed_scene.save(tmp_path / "scene.json")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "1",
+                "--llm-endpoint", stub_server, "--out", str(tmp_path / "t.json"),
+            ])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert stub_server in last and "seed 0" in last
+        assert "target 'jar-0' is unreachable from 'cup-0'" in last
         assert not (tmp_path / "t.json").exists()
 
     def test_hallucinated_object_rejected_by_name(self, two_room_scene):
