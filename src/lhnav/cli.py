@@ -151,7 +151,7 @@ def cmd_split(args) -> int:
             windows = traj.replay(scene)
         except ValueError as exc:
             args.usage_error(f"trajectory {f}: {exc}")
-        for _, span, steps, contexts in windows:
+        for span, steps, contexts in windows:
             # a stop can only end a window, so the others are its first steps
             actions = [s.action for s in steps if s.action != Action.STOP]
             if not actions:

@@ -9,7 +9,7 @@ the new entry is appended.  Merging the most mutually redundant entries is
 what keeps distinctive low-confidence memories alive.
 
 Every step of the memory policy is array operations.  The short-term
-memory is a (capacity x dim) row buffer and a confidence vector, updated in
+memory is a (CAPACITY x dim) row buffer and a confidence vector, updated in
 place: a merge writes (a + b) / 2 into the first slot of the pair and
 shifts the later rows down with one slice copy, and the mean entry is one
 reduction over the first n rows.  The n-1 pair candidates of a confidence
@@ -17,7 +17,7 @@ vector are the rows of one (n-1) x (n-1) matrix, and one row-wise formula
 gives every candidate's entropy.  Each long-term bucket holds an (m x dim)
 matrix of observation rows, the m row norms and an (m x 4) matrix of
 action rows, so a retrieval is one batched product over the bucket, one
-stable sort and one fancy index of each matrix.  Every embedding in a
+stable sort and one fancy index of the action rows.  Every embedding in a
 store has one length, so a store file loads as one stacked matrix, its
 norms and checks computed over the whole array, and each target's bucket
 is cut from it.  Results are bit-identical to the per-entry loops and
@@ -39,20 +39,22 @@ EPS = 1e-12
 # decision vectors are laid out as (stop, turn_left, move_forward, turn_right)
 N_ACTIONS = 4
 
+# the slots of a short-term memory; forgetting merges two, so at least 2
+CAPACITY = 32
+
+# the long-term entries a retrieval returns
+TOP_K = 5
+
 
 class ShortTermMemory:
-    """Short-term memory: the first n rows of a (capacity x dim) buffer are
+    """Short-term memory: the first n rows of a (CAPACITY x dim) buffer are
     the entries in order, and the first n slots of a vector their
     confidences.  forget_and_append updates it in place.  The first entry
-    fixes the row length and allocates the buffer."""
+    fixes the row length dim and allocates the buffer."""
 
-    def __init__(self, capacity: int = 32) -> None:
-        # forgetting merges two slots, so a memory of one slot cannot forget
-        if capacity < 2:
-            raise ValueError(f"capacity must be at least 2, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._rows: np.ndarray | None = None
-        self._conf = np.empty(capacity)
+        self._conf = np.empty(CAPACITY)
         self._n = 0
 
     def __len__(self) -> int:
@@ -69,10 +71,11 @@ class ShortTermMemory:
     def confidences(self) -> tuple[float, ...]:
         return tuple(self._conf[: self._n].tolist())
 
-    def mean_entry(self, dim: int) -> np.ndarray:
+    def mean_entry(self) -> np.ndarray:
+        """The mean of the entries; an empty memory has none."""
         n = self._n
         if not n:
-            return np.zeros(dim)
+            raise ValueError("an empty memory has no mean entry")
         # the bits of np.mean over a stack of the rows: they are added one
         # after another, then divided
         return np.add.reduce(self._rows[:n], axis=0) / n
@@ -144,13 +147,13 @@ def forget_and_append(mem: ShortTermMemory, h_new: np.ndarray, c_new: float) -> 
     if rows is None:
         if h.ndim != 1:
             raise ValueError("a memory entry must be a vector")
-        rows = mem._rows = np.empty((mem.capacity, h.shape[0]))
+        rows = mem._rows = np.empty((CAPACITY, h.shape[0]))
     if h.shape != rows.shape[1:]:
         raise ValueError(
             f"entry of shape {h.shape} does not match the memory's rows "
             f"of length {rows.shape[1]}"
         )
-    if n == mem.capacity:
+    if n == CAPACITY:
         lo = entropy_argmin(pool_candidates(conf[:n]))
         rows[lo] = (rows[lo] + rows[lo + 1]) / 2
         rows[lo + 1 : n - 1] = rows[lo + 2 : n]
@@ -210,11 +213,10 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 class TopK:
-    """Retrieved entries in rank order: observation rows (k x dim) and
-    action rows (k x 4), each one fancy index of the bucket."""
+    """Retrieved entries in rank order: their action rows (k x 4), one fancy
+    index of the bucket."""
 
-    def __init__(self, obs: np.ndarray, acts: np.ndarray) -> None:
-        self.obs = obs
+    def __init__(self, acts: np.ndarray) -> None:
         self.acts = acts
 
     def __len__(self) -> int:
@@ -247,10 +249,7 @@ class LongTermStore:
     insertion order is the retrieval tie-break.
     """
 
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
+    def __init__(self) -> None:
         self.buckets: dict[str, _Bucket] = {}
         self.dim: int | None = None
 
@@ -314,13 +313,12 @@ class LongTermStore:
         return np.argsort(-sims, kind="stable").tolist()
 
     def retrieve_topk(self, target: str, query: np.ndarray) -> TopK:
-        """Top min(k, m) entries by cosine similarity; an empty or missing
-        bucket gives no rows."""
+        """Top min(TOP_K, m) entries by cosine similarity; an empty or
+        missing bucket gives no rows."""
         bucket = self.buckets.get(target)
         if not bucket:
-            return TopK(np.empty((0, np.size(query))), np.empty((0, N_ACTIONS)))
-        top = self.rank(target, query)[: self.k]
-        return TopK(bucket.obs[top], bucket.acts[top])
+            return TopK(np.empty((0, N_ACTIONS)))
+        return TopK(bucket.acts[self.rank(target, query)[:TOP_K]])
 
     # -- persistence ---------------------------------------------------------
 
@@ -335,7 +333,7 @@ class LongTermStore:
         )
 
     @classmethod
-    def load(cls, path: str | Path, k: int = 5) -> "LongTermStore":
+    def load(cls, path: str | Path) -> "LongTermStore":
         """Entries written by save; a missing file or a bad line raises an
         InputFileError naming the path and the line number.
 
@@ -344,7 +342,7 @@ class LongTermStore:
         as whole arrays, so that the first bad line in the file is named;
         each target's bucket is then cut from the stack.
         """
-        store = cls(k=k)
+        store = cls()
         targets, obs_rows, act_rows, numbers = [], [], [], []
         broken = None  # the error of the first line that is no entry
         try:

@@ -37,37 +37,34 @@ from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 from .trajectory import Trajectory
 
-# the default length of an observation embedding, the oracle's and the
-# linear backend's; a memory rollout's store holds rows of this length
+# the length of an observation embedding, the oracle's and the linear
+# backend's; a memory rollout's store holds rows of this length
 EMBED_DIM = 64
 
+
 @functools.cache
-def category_index(name: str, dim: int) -> int:
-    """A category's hashed coordinate among dim, kept for the process."""
+def category_index(name: str) -> int:
+    """A category's hashed coordinate among EMBED_DIM, kept for the process."""
     digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % dim
+    return int.from_bytes(digest[:8], "big") % EMBED_DIM
 
 
 class EmbeddingOracle:
-    """Deterministic observation embeddings: every category owns a hashed
-    coordinate, scaled by 1/(1+range) and L2-normalized.  An empty
-    observation maps to a fixed unit "void" vector.  embed makes one pass
-    over an observation for its three view embeddings and the fused one.
-    A process hashes a category once per dim (category_index)."""
-
-    def __init__(self, dim: int = EMBED_DIM):
-        if dim < 2:
-            raise ValueError("embedding dim must be at least 2")
-        self.dim = dim
+    """Deterministic observation embeddings of length EMBED_DIM: every
+    category owns a hashed coordinate, scaled by 1/(1+range) and
+    L2-normalized.  An empty observation maps to a fixed unit "void"
+    vector.  embed makes one pass over an observation for its three view
+    embeddings and the fused one.  A process hashes a category once
+    (category_index)."""
 
     def index_for(self, name: str) -> int:
-        return category_index(name, self.dim)
+        return category_index(name)
 
     def _embed_rows(self, pair_lists) -> np.ndarray:
         """One row per list of (category, range) pairs: every category adds
         1/(1+range) to its hashed coordinate, and the row is L2-normalized.
         No pairs gives the void vector."""
-        rows = np.zeros((len(pair_lists), self.dim))
+        rows = np.zeros((len(pair_lists), EMBED_DIM))
         for row, pairs in zip(rows, pair_lists):
             if not pairs:
                 row[self.index_for("__void__")] = 1.0
@@ -118,9 +115,8 @@ class EmbeddingOracle:
 
 
 class PolicyBackend(Protocol):
-    """decide returns the decision vector and the feature row it read, or None."""
-
-    embed_dim: int  # the length of each view embedding that decide reads
+    """decide returns the decision vector and the feature row it read, or
+    None; each view embedding it reads is EMBED_DIM long."""
 
     def decide(
         self,
@@ -141,20 +137,21 @@ class LinearSoftmaxBackend:
     memory, stage one-hot); its decision is the action probabilities and
     its row the features."""
 
-    def __init__(self, embed_dim: int = EMBED_DIM, seed: int = 0):
-        self.embed_dim = embed_dim
-        self.feature_dim = 3 * embed_dim + embed_dim + MAX_STAGES
+    feature_dim = 3 * EMBED_DIM + EMBED_DIM + MAX_STAGES
+
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.W = rng.normal(0.0, 0.01, size=(N_ACTIONS, self.feature_dim))
         self.b = np.zeros(N_ACTIONS)
 
     def features(self, stage: int, views: np.ndarray, memory: ShortTermMemory) -> np.ndarray:
-        """A fresh row: the view embeddings, the mean short-term entry and
-        the stage one-hot."""
-        d = self.embed_dim
+        """A fresh row: the view embeddings, the mean short-term entry (zero
+        while the memory is empty) and the stage one-hot."""
+        d = EMBED_DIM
         x = np.zeros(self.feature_dim)
         x[: 3 * d] = views
-        x[3 * d : 4 * d] = memory.mean_entry(d)
+        if len(memory):
+            x[3 * d : 4 * d] = memory.mean_entry()
         x[4 * d + min(stage, MAX_STAGES - 1)] = 1.0
         return x
 
@@ -180,7 +177,7 @@ class LinearSoftmaxBackend:
 
     def save(self, path: str | Path) -> None:
         payload = {
-            "embed_dim": self.embed_dim,
+            "embed_dim": EMBED_DIM,
             "n_actions": N_ACTIONS,
             "theta": self.get_params().tolist(),
         }
@@ -188,7 +185,8 @@ class LinearSoftmaxBackend:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearSoftmaxBackend":
-        """Weights written by save; a missing or malformed file raises an
+        """Weights written by save; a missing or malformed file, or weights
+        for embeddings of another length than EMBED_DIM, raise an
         InputFileError naming the path.  Other keys, such as the literal_ce
         flag that older files carry, are ignored."""
         payload = read_document(path)
@@ -199,15 +197,15 @@ class LinearSoftmaxBackend:
             raise InputFileError(f"{path}: not a weights file ({exc!r})") from exc
         if n_actions != N_ACTIONS:
             raise InputFileError(f"{path}: weights are for {n_actions} actions, not {N_ACTIONS}")
-        if type(embed_dim) is not int or embed_dim < 1:
-            raise InputFileError(f"{path}: embed_dim must be a positive integer, not {embed_dim!r}")
-        backend = cls(embed_dim=embed_dim)
+        if type(embed_dim) is not int or embed_dim != EMBED_DIM:
+            raise InputFileError(
+                f"{path}: the weights are for embeddings of length {embed_dim!r}, "
+                f"but the policy embeds observations of length {EMBED_DIM}"
+            )
+        backend = cls()
         expected = backend.get_params().size
         if theta.shape != (expected,):
-            raise InputFileError(
-                f"{path}: theta has {theta.size} values, "
-                f"embed_dim {backend.embed_dim} needs {expected}"
-            )
+            raise InputFileError(f"{path}: theta has {theta.size} values, not {expected}")
         if not np.isfinite(theta).all():
             bad = int(np.flatnonzero(~np.isfinite(theta))[0])
             raise InputFileError(f"{path}: theta must be finite (value {bad} is {theta[bad]})")
@@ -347,26 +345,25 @@ def collect_imitation_dataset(
     task: TaskSpec,
     backend: LinearSoftmaxBackend,
     budget: int = 500,
-    capacity: int = 32,
 ) -> list[tuple[np.ndarray, int]]:
     """The imitation_dataset of the expert's episode of the task."""
     from . import runner
 
     trajectory, _ = runner.run_episode(scene, task, ExpertPolicy(), runner.RunConfig(budget=budget))
-    return imitation_dataset(scene, trajectory, backend, capacity)
+    return imitation_dataset(scene, trajectory, backend)
 
 
 def imitation_dataset(
-    scene: Scene, trajectory: Trajectory, backend: LinearSoftmaxBackend, capacity: int = 32
+    scene: Scene, trajectory: Trajectory, backend: LinearSoftmaxBackend
 ) -> list[tuple[np.ndarray, int]]:
     """One (feature row, recorded action index) pair per step of a recorded
     trajectory's move windows, the row memory_policy_step decides on for a
     memory policy (empty long-term store) handed Trajectory.replay's
     contexts, one per pose and window as run_episode makes them.  So it
     senses once per pose and window, judges no pose, and folds every step."""
-    policy = MemoryPolicy(backend, capacity=capacity)
+    policy = MemoryPolicy(backend)
     dataset = []
-    for _, _, steps, contexts in trajectory.replay(scene):
+    for _, steps, contexts in trajectory.replay(scene):
         for step, ctx in zip(steps, contexts):
             memory_policy_step(policy, ctx)
             dataset.append((policy.row, int(step.action)))
@@ -483,19 +480,17 @@ class StopPolicy:
 
 class MemoryPolicy:
     """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting.  Its oracle embeds at the backend's embed_dim.
-    It keeps the context it last stepped on, with the view embeddings, fused
-    embedding and top-k of its observation (a step handed the context of the
-    step before, as after a blocked move, does not embed or retrieve again;
-    the store must not change while it runs), and its last feature row, row."""
+    short-term forgetting.  It keeps the context it last stepped on, with
+    the view embeddings, fused embedding and top-k of its observation (a
+    step handed the context of the step before, as after a blocked move,
+    does not embed or retrieve again; the store must not change while it
+    runs), and its last feature row, row."""
 
-    def __init__(
-        self, backend: PolicyBackend, store: LongTermStore | None = None, capacity: int = 32
-    ):
+    def __init__(self, backend: PolicyBackend, store: LongTermStore | None = None):
         self.backend = backend
-        self.oracle = EmbeddingOracle(dim=backend.embed_dim)
+        self.oracle = EmbeddingOracle()
         self.store = store if store is not None else LongTermStore()
-        self.memory = ShortTermMemory(capacity=capacity)
+        self.memory = ShortTermMemory()
         self.ctx = self.views = self.fused = self.top = self.row = None
 
     def act(self, ctx: StepContext) -> Action:

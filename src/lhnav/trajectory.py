@@ -127,12 +127,13 @@ class Trajectory:
         return [r.action for r in records]
 
     def replay(self, scene: Scene):
-        """(stage, span, steps, contexts) for each move_to window in order:
-        the window's ordinal, span and steps, and contexts[i], the StepContext
-        of steps[i], new at the window's start and wherever the recorded state
-        changes value, as run_episode makes them.  The trajectory is checked
-        against the scene on this call: another scene, a span target that the
-        scene lacks, or a step state that validate_state rejects raise a ValueError."""
+        """(span, steps, contexts) for each move_to window in order: the
+        window's span and steps, and contexts[i], the StepContext of
+        steps[i], whose stage is the window's ordinal, new at the window's
+        start and wherever the recorded state changes value, as run_episode
+        makes them.  The trajectory is checked against the scene on this
+        call: another scene, a span target that the scene lacks, or a step
+        state that validate_state rejects raise a ValueError."""
         if scene.scene_id != self.scene_id:
             raise ValueError(f"trajectory from scene {self.scene_id!r}, not {scene.scene_id!r}")
         for i, step in enumerate(self.steps):
@@ -157,7 +158,7 @@ class Trajectory:
                     if ctx is None or ctx.state != step.state:
                         ctx = StepContext(scene, step.state, robot, span.target_id, stage)
                     contexts.append(ctx)
-                yield stage, span, steps, contexts
+                yield span, steps, contexts
 
         return walk()
 

@@ -1,6 +1,21 @@
+import numpy as np
 import pytest
 
+from lhnav.memory import N_ACTIONS
+from lhnav.policy import LinearSoftmaxBackend
 from lhnav.world import ObjectInstance, Region, Scene
+
+
+class NarrowBackend(LinearSoftmaxBackend):
+    """A linear softmax backend over k features instead of the shipped
+    feature_dim, with its weights drawn as LinearSoftmaxBackend draws them.
+    prepare_batch, loss_and_grad and train_backend read only W, b and
+    feature_dim, so the loss and training tests run at small widths."""
+
+    def __init__(self, k: int, seed: int = 0):
+        self.feature_dim = k
+        self.W = np.random.default_rng(seed).normal(0.0, 0.01, (N_ACTIONS, k))
+        self.b = np.zeros(N_ACTIONS)
 
 
 def free_cells(scene):

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from conftest import free_cells
-from lhnav.memory import EPS, ShortTermMemory, forget_and_append, weight_decision
-from lhnav.policy import EmbeddingOracle, one_hot
+from lhnav.memory import CAPACITY, EPS, ShortTermMemory, forget_and_append, weight_decision
+from lhnav.policy import EMBED_DIM, EmbeddingOracle, one_hot
 from lhnav.splitter import Tag
 from lhnav.world import (
     ACTION_NAMES, CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, StepResult, View,
@@ -204,14 +204,11 @@ class TupleShortTermMemory:
 
     entries: tuple = ()
     confidences: tuple = ()
-    capacity: int = 32
 
     def __post_init__(self):
-        if self.capacity < 2:
-            raise ValueError(f"capacity must be at least 2, got {self.capacity}")
         if len(self.entries) != len(self.confidences):
             raise ValueError("entries and confidences must have equal length")
-        if len(self.entries) > self.capacity:
+        if len(self.entries) > CAPACITY:
             raise ValueError("memory exceeds capacity")
         if any(c <= 0 for c in self.confidences):
             raise ValueError("confidences must be positive")
@@ -219,9 +216,7 @@ class TupleShortTermMemory:
     def __len__(self):
         return len(self.entries)
 
-    def mean_entry(self, dim):
-        if not self.entries:
-            return np.zeros(dim)
+    def mean_entry(self):
         return np.mean(np.stack(self.entries), axis=0)
 
 
@@ -232,7 +227,7 @@ def loop_forget_and_append(mem, h_new, c_new):
         raise ValueError("new confidence must be positive")
     entries = list(mem.entries)
     confs = list(mem.confidences)
-    if len(entries) >= mem.capacity:
+    if len(entries) >= CAPACITY:
         idx = loop_entropy_argmin(loop_pool_candidates(confs))
         lo, hi = idx, idx + 2
         merged_entry = np.mean(np.stack(entries[lo:hi]), axis=0)
@@ -241,21 +236,16 @@ def loop_forget_and_append(mem, h_new, c_new):
         confs[lo:hi] = [merged_conf]
     entries.append(np.asarray(h_new, dtype=float))
     confs.append(float(c_new))
-    return TupleShortTermMemory(
-        entries=tuple(entries), confidences=tuple(confs), capacity=mem.capacity
-    )
+    return TupleShortTermMemory(entries=tuple(entries), confidences=tuple(confs))
 
 
 class HashEveryCall:
     """The coordinates of lhnav.policy.EmbeddingOracle before it kept
     them: a sha256 of the category on every call."""
 
-    def __init__(self, dim):
-        self.dim = dim
-
     def index_for(self, name):
         digest = hashlib.sha256(f"lhnav-v1|{name}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dim
+        return int.from_bytes(digest[:8], "big") % EMBED_DIM
 
 
 def reference_embed(oracle, sightings):
@@ -266,7 +256,7 @@ def reference_embed(oracle, sightings):
     for s in sightings:
         if s.category not in closest or s.range < closest[s.category]:
             closest[s.category] = s.range
-    v = np.zeros(oracle.dim)
+    v = np.zeros(EMBED_DIM)
     if not closest:
         v[oracle.index_for("__void__")] = 1.0
         return v
@@ -295,11 +285,11 @@ class SenseEveryStepPolicy:
     observes, embeds and retrieves, even at the pose and for the target of
     the step before."""
 
-    def __init__(self, backend, oracle, store, capacity):
+    def __init__(self, backend, oracle, store):
         self.backend = backend
         self.oracle = oracle
         self.store = store
-        self.memory = ShortTermMemory(capacity=capacity)
+        self.memory = ShortTermMemory()
 
     def act(self, ctx):
         obs = world_observe(ctx.scene, ctx.state, ctx.robot)
@@ -314,17 +304,17 @@ class SenseEveryStepPolicy:
         return action
 
 
-def sense_every_step_imitation_dataset(scene, trajectory, backend, capacity):
+def sense_every_step_imitation_dataset(scene, trajectory, backend):
     """lhnav.policy.imitation_dataset before it sensed once per pose: every
     step observes and embeds, even at the pose of the step before."""
     robot = ROBOTS[trajectory.robot]
-    oracle = EmbeddingOracle(dim=backend.embed_dim)
-    mem = ShortTermMemory(capacity=capacity)
+    oracle = EmbeddingOracle()
+    mem = ShortTermMemory()
     dataset = []
-    for stage, _, steps, _ in trajectory.replay(scene):
-        for step in steps:
+    for _, steps, contexts in trajectory.replay(scene):
+        for step, ctx in zip(steps, contexts):
             views, fused = oracle.embed(world_observe(scene, step.state, robot))
-            x = backend.features(stage, views, mem)
+            x = backend.features(ctx.stage, views, mem)
             dataset.append((x, int(step.action)))
             forget_and_append(mem, fused, float(backend.probabilities(x).max()))
     return dataset

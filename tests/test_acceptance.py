@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from lhnav.memory import (
+    CAPACITY,
+    TOP_K,
     LongTermStore,
     ShortTermMemory,
     entropy_argmin,
@@ -27,13 +29,14 @@ from lhnav.metrics import (
     tar,
     task_sr,
 )
-from lhnav.policy import LinearSoftmaxBackend, loss_and_grad, train_backend
+from lhnav.policy import loss_and_grad, train_backend
 from lhnav.runner import RunConfig, run_suite
 from lhnav.scenegen import generate_scene
 from lhnav.splitter import split_trajectory, turn_records
 from lhnav.taskforge import sample_task
 from lhnav.world import ROBOTS
 
+from conftest import NarrowBackend
 from reference_impls import entropy_argmin_oracle, reference_split, topk_oracle
 
 SPOT = ROBOTS["spot"]
@@ -139,11 +142,11 @@ def test_criterion_4_entropy_forgetting_oracle():
         agree += 1
     assert agree == 1000
     npr = np.random.default_rng(3)
-    mem = ShortTermMemory(capacity=16)
+    mem = ShortTermMemory()
     violations = 0
     for _ in range(10_000):
         forget_and_append(mem, npr.normal(size=8), rng.random() + 1e-6)
-        if len(mem) > mem.capacity:
+        if len(mem) > CAPACITY:
             violations += 1
     assert violations == 0
     _passed(4, "entropy argmin matches brute force 1000/1000; fixture index 0; 10^4 updates, 0 capacity violations")
@@ -155,8 +158,7 @@ def test_criterion_5_retrieval_oracle():
     for _ in range(1000):
         m = max(1, int(math.exp(rng.uniform(0.0, math.log(1000)))))
         n_v = rng.randint(2, 64)
-        k = rng.randint(1, 10)
-        store = LongTermStore(k=k)
+        store = LongTermStore()
         bucket = []
         for _ in range(m):
             obs = npr.normal(size=n_v)
@@ -164,7 +166,10 @@ def test_criterion_5_retrieval_oracle():
             store.add("t", obs, act / act.sum())
             bucket.append((obs, act / act.sum()))
         query = npr.normal(size=n_v)
-        assert store.rank("t", query)[:k] == topk_oracle(bucket, query, k)
+        want = topk_oracle(bucket, query, TOP_K)
+        assert store.rank("t", query)[:TOP_K] == want
+        acts = store.retrieve_topk("t", query).acts
+        assert acts.tobytes() == np.array([bucket[j][1] for j in want]).tobytes()
     _passed(5, "top-k retrieval equals full-sort truncation on 1000 random stores")
 
 
@@ -189,7 +194,7 @@ def test_criterion_6_expert_and_random_baselines(seeded_suite):
 
 def test_criterion_7_gradient_check():
     npr = np.random.default_rng(5)
-    backend = LinearSoftmaxBackend(embed_dim=2, seed=0)
+    backend = NarrowBackend(12, seed=0)
     X = npr.normal(size=(8, backend.feature_dim))
     y = npr.integers(0, 4, size=8)
     eps = 1e-6
@@ -208,7 +213,7 @@ def test_criterion_7_gradient_check():
             fd = (up - down) / (2 * eps)
             denom = max(abs(fd), abs(grad[idx]), 1e-8)
             assert abs(fd - grad[idx]) / denom < 1e-5
-    fresh = LinearSoftmaxBackend(embed_dim=2, seed=1)
+    fresh = NarrowBackend(12, seed=1)
     dataset = [
         (npr.normal(size=fresh.feature_dim), int(npr.integers(0, 4)))
         for _ in range(30)

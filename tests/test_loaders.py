@@ -57,7 +57,7 @@ def valid(tmp_path_factory):
         "tasks": lambda path: save_tasks([task], path),
         "trajectory": trajectory.save,
         "store": store.save,
-        "weights": LinearSoftmaxBackend(embed_dim=1).save,
+        "weights": LinearSoftmaxBackend().save,
         "report": lambda path: write_document(
             path, run_suite({scene.scene_id: scene}, [task], RunConfig(budget=40))
         ),

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from lhnav.files import InputFileError
 from lhnav.memory import (
+    CAPACITY,
+    TOP_K,
     LongTermStore,
     ShortTermMemory,
     candidate_entropies,
@@ -70,7 +72,7 @@ class TestPoolCandidates:
         with pytest.raises(ValueError):
             pool_candidates([0.5])
 
-    @pytest.mark.parametrize("n", [2, ShortTermMemory().capacity])
+    @pytest.mark.parametrize("n", [2, CAPACITY])
     def test_gather_matches_the_loop_at_the_smallest_and_a_full_memory(self, n):
         # the index of one length is built once and shared; writing into a
         # result must leave the next call's as it was
@@ -120,13 +122,8 @@ class TestEntropyArgmin:
 
 
 class TestForgetAndAppend:
-    @pytest.mark.parametrize("capacity", [0, 1])
-    def test_memory_that_cannot_merge_a_pair_rejected(self, capacity):
-        with pytest.raises(ValueError, match="capacity"):
-            ShortTermMemory(capacity=capacity)
-
     def test_below_capacity_plain_append(self):
-        mem = ShortTermMemory(capacity=4)
+        mem = ShortTermMemory()
         forget_and_append(mem, np.array([1.0, 0.0]), 0.5)
         forget_and_append(mem, np.array([0.0, 1.0]), 0.7)
         assert len(mem) == 2
@@ -134,81 +131,91 @@ class TestForgetAndAppend:
         assert mem.confidences == (0.5, 0.7)
 
     def test_at_capacity_merges_entropy_argmin_pair(self):
-        mem = ShortTermMemory(capacity=4)
-        vecs = [np.eye(4)[i] for i in range(4)]
-        for v, c in zip(vecs, (0.9, 0.9, 0.1, 0.9)):
+        mem = ShortTermMemory()
+        vecs = list(np.eye(CAPACITY))
+        confs = [0.9] * CAPACITY
+        confs[2] = 0.1
+        for v, c in zip(vecs, confs):
             forget_and_append(mem, v, c)
-        new = np.full(4, 0.5)
+        new = np.full(CAPACITY, 0.5)
         forget_and_append(mem, new, 0.6)
-        assert len(mem) == 4
-        # entries 0 and 1 merged elementwise; the 0.1 entry survived
+        assert len(mem) == CAPACITY
+        # entries 0 and 1 merged elementwise; the 0.1 entry survived, and
+        # the later entries shifted down one slot
         assert np.allclose(mem.entries[0], (vecs[0] + vecs[1]) / 2)
         assert mem.confidences[0] == pytest.approx(0.9)
         assert mem.confidences[1] == 0.1
+        assert np.array_equal(mem.entries[1:-1], vecs[2:])
         assert np.allclose(mem.entries[-1], new)
 
     def test_mass_conservation_is_exact(self):
         # dyadic values make the merge arithmetic exact
-        confs = (0.75, 0.25, 0.5, 0.5)
-        mem = ShortTermMemory(capacity=4)
+        confs = (0.75, 0.25, 0.5, 0.5) * (CAPACITY // 4)
+        mem = ShortTermMemory()
         for i, c in enumerate(confs):
-            forget_and_append(mem, np.eye(4)[i], c)
+            forget_and_append(mem, np.eye(CAPACITY)[i], c)
         idx = entropy_argmin(pool_candidates(confs))
-        forget_and_append(mem, np.ones(4), 0.5)
+        forget_and_append(mem, np.ones(CAPACITY), 0.5)
         merged_only = mem.confidences[:-1]
         assert sum(merged_only) == sum(confs) - (confs[idx] + confs[idx + 1]) / 2
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
     def test_confidence_must_be_finite_and_positive(self, c):
-        mem = ShortTermMemory(capacity=2)
-        forget_and_append(mem, np.ones(3), 0.5)
-        forget_and_append(mem, np.ones(3), 0.25)
+        mem = ShortTermMemory()
+        confs = (0.5, 0.25) * (CAPACITY // 2)
+        for conf in confs:
+            forget_and_append(mem, np.ones(3), conf)
         with pytest.raises(ValueError, match="finite and positive"):
             forget_and_append(mem, np.ones(3), c)
         # nothing was merged or stored, so no NaN reaches a later merge
-        assert mem.confidences == (0.5, 0.25)
+        assert mem.confidences == confs
 
     def test_entry_of_another_length_rejected(self):
-        mem = ShortTermMemory(capacity=4)
+        mem = ShortTermMemory()
         forget_and_append(mem, np.ones(3), 0.5)
         with pytest.raises(ValueError, match="length 3"):
             forget_and_append(mem, np.ones(4), 0.5)
         assert len(mem) == 1
-        assert mem.mean_entry(3).tobytes() == np.ones(3).tobytes()
+        assert mem.mean_entry().tobytes() == np.ones(3).tobytes()
+
+    def test_empty_memory_has_no_mean_entry(self):
+        with pytest.raises(ValueError, match="empty memory"):
+            ShortTermMemory().mean_entry()
 
     def test_fuzz_never_exceeds_capacity(self):
         rng = random.Random(11)
         npr = np.random.default_rng(11)
         for trial in range(20):
-            cap = rng.randint(2, 32)
             dim = rng.randint(1, 16)
-            mem = ShortTermMemory(capacity=cap)
+            mem = ShortTermMemory()
             for _ in range(500):
                 forget_and_append(mem, npr.normal(size=dim), rng.random() + 1e-6)
-                assert len(mem) <= cap
-            assert len(mem) == cap
+                assert len(mem) <= CAPACITY
+            assert len(mem) == CAPACITY
 
 
 class TestRetrieveTopk:
     def test_self_match_ranks_first(self):
-        store = LongTermStore(k=2)
+        store = LongTermStore()
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
         a1 = np.array([1.0, 0.0, 0.0, 0.0])
         a2 = np.array([0.0, 0.0, 1.0, 0.0])
-        store.add("mug", e1, a1)
         store.add("mug", e2, a2)
+        store.add("mug", e1, a1)
+        assert store.rank("mug", e1)[0] == 1
         got = store.retrieve_topk("mug", e1)
-        assert np.allclose(got.obs[0], e1) and np.allclose(got.acts[0], a1)
+        assert np.array_equal(got.acts, [a1, a2])
 
     def test_orthogonal_query_prefers_parallel(self):
-        store = LongTermStore(k=1)
+        store = LongTermStore()
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
         store.add("mug", e1, np.array([0.25, 0.25, 0.25, 0.25]))
         store.add("mug", e2, np.array([0.0, 0.0, 0.0, 1.0]))
+        assert store.rank("mug", np.array([0.0, 2.0])) == [1, 0]
         got = store.retrieve_topk("mug", np.array([0.0, 2.0]))
-        assert np.allclose(got.obs[0], e2)
+        assert np.array_equal(got.acts[0], [0.0, 0.0, 0.0, 1.0])
 
     def test_empty_bucket_returns_empty(self):
         store = LongTermStore()
@@ -253,7 +260,7 @@ class TestRetrieveTopk:
     )
     def test_query_that_is_not_finite_raises(self, query):
         # such a query would otherwise rank the bucket in insertion order
-        store = LongTermStore(k=2)
+        store = LongTermStore()
         for obs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]):
             store.add("mug", np.array(obs), np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=r"query embedding for 'mug' must be finite"):
@@ -267,8 +274,7 @@ class TestRetrieveTopk:
         for _ in range(1000):
             m = int(math.exp(rng.uniform(0.0, math.log(1000))))
             n_v = rng.randint(2, 64)
-            k = rng.randint(1, 8)
-            store = LongTermStore(k=k)
+            store = LongTermStore()
             bucket = []
             for _ in range(m):
                 obs = npr.normal(size=n_v)
@@ -277,20 +283,24 @@ class TestRetrieveTopk:
                 store.add("t", obs, act)
                 bucket.append((obs, act))
             query = npr.normal(size=n_v)
-            got = store.rank("t", query)[:k]
-            assert got == topk_oracle(bucket, query, k)
+            want = topk_oracle(bucket, query, TOP_K)
+            assert store.rank("t", query)[:TOP_K] == want
+            got = store.retrieve_topk("t", query)
+            assert got.acts.tobytes() == np.array([bucket[j][1] for j in want]).tobytes()
 
     def test_round_trip_preserves_order(self, tmp_path):
         npr = np.random.default_rng(9)
-        store = LongTermStore(k=3)
+        store = LongTermStore()
         for i in range(10):
             act = npr.random(4)
             store.add("cup", npr.normal(size=8), act / act.sum())
         path = tmp_path / "store.jsonl"
         store.save(path)
-        loaded = LongTermStore.load(path, k=3)
+        loaded = LongTermStore.load(path)
         query = npr.normal(size=8)
         assert store.rank("cup", query) == loaded.rank("cup", query)
+        got, want = loaded.retrieve_topk("cup", query), store.retrieve_topk("cup", query)
+        assert len(got) == TOP_K and got.acts.tobytes() == want.acts.tobytes()
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -427,8 +437,8 @@ class TestArrayFormsMatchLoops:
 
     def test_forget_and_append_matches_the_loop(self):
         rng = np.random.default_rng(21)
-        mem = ShortTermMemory(capacity=8)
-        ref = TupleShortTermMemory(capacity=8)
+        mem = ShortTermMemory()
+        ref = TupleShortTermMemory()
         for step in range(1000):
             h = rng.normal(size=6)
             c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
@@ -436,30 +446,30 @@ class TestArrayFormsMatchLoops:
             ref = loop_forget_and_append(ref, h, c)
             assert mem.confidences == ref.confidences, step
             assert [e.tobytes() for e in mem.entries] == [e.tobytes() for e in ref.entries]
-        assert len(mem) == 8
+        assert len(mem) == CAPACITY
 
     def test_buffer_matches_the_tuple_memory(self):
-        # every capacity, and more appends than slots, so that merges hit
-        # every position of the buffer
+        # rows of many lengths, and more appends than slots, so that merges
+        # hit every position of the buffer
         rng = np.random.default_rng(23)
-        for capacity in range(2, 33):
+        for trial in range(12):
             dim = int(rng.integers(1, 20))
-            mem = ShortTermMemory(capacity=capacity)
-            ref = TupleShortTermMemory(capacity=capacity)
-            for step in range(3 * capacity + 10):
+            mem = ShortTermMemory()
+            ref = TupleShortTermMemory()
+            for step in range(3 * CAPACITY + 10):
                 h = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3])
                 c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
                 forget_and_append(mem, h, c)
                 ref = loop_forget_and_append(ref, h, c)
-                where = (capacity, step)
+                where = (trial, step)
                 assert mem.confidences == ref.confidences, where
                 assert mem.entries.tobytes() == np.stack(ref.entries).tobytes(), where
-                assert mem.mean_entry(dim).tobytes() == ref.mean_entry(dim).tobytes(), where
-            assert len(mem) == capacity
+                assert mem.mean_entry().tobytes() == ref.mean_entry().tobytes(), where
+            assert len(mem) == CAPACITY
 
     def test_rank_keeps_insertion_order_on_ties_and_sees_adds(self):
         npr = np.random.default_rng(13)
-        store = LongTermStore(k=3)
+        store = LongTermStore()
         bucket = []
 
         def add(obs):
@@ -484,7 +494,8 @@ class TestArrayFormsMatchLoops:
             assert got == loop_rank(bucket, query)
         assert got[0] == 6 + 7
         top = store.retrieve_topk("t", query)
-        assert len(top) == 3 and top.obs[0].tobytes() == query.tobytes()
+        assert len(top) == TOP_K
+        assert top.acts.tobytes() == np.array([bucket[j][1] for j in got[:TOP_K]]).tobytes()
 
     def test_rank_matches_the_loop_on_random_stores(self):
         npr = np.random.default_rng(17)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from lhnav import policy, world
 from lhnav.expert import expert_next_action
-from lhnav.memory import N_ACTIONS, LongTermStore, ShortTermMemory, forget_and_append
+from lhnav.files import InputFileError
+from lhnav.memory import CAPACITY, N_ACTIONS, LongTermStore, ShortTermMemory, forget_and_append
 from lhnav.policy import (
+    EMBED_DIM,
     EmbeddingOracle,
     LinearSoftmaxBackend,
     MemoryPolicy,
@@ -25,7 +27,7 @@ from lhnav.policy import (
 from lhnav.taskforge import MOVE_TO, sample_spawn, sample_task
 from lhnav.world import ROBOTS, Action, AgentState, observe, subtask_success
 
-from conftest import free_cells
+from conftest import NarrowBackend, free_cells
 from reference_impls import HashEveryCall, loop_loss_and_grad, reference_embed
 
 SPOT = ROBOTS["spot"]
@@ -33,9 +35,6 @@ SPOT = ROBOTS["spot"]
 
 class UniformBackend:
     """Flat decision vector; a probe of the weighting path."""
-
-    def __init__(self, embed_dim: int = 16):
-        self.embed_dim = embed_dim
 
     def decide(self, ctx, views, memory):
         return np.full(N_ACTIONS, 1.0 / N_ACTIONS), None
@@ -45,8 +44,6 @@ class ExpertTeacherBackend:
     """A one-hot on the expert action for the step context, so it exercises
     the full memory/weighting path while never being the reason an episode
     fails."""
-
-    embed_dim = 16
 
     def decide(self, ctx, views, memory):
         action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot, ctx.at_target)
@@ -60,7 +57,7 @@ def step_context(scene, state, target_id, stage=0):
 
 class TestEmbeddingOracle:
     def test_deterministic(self, open_scene):
-        oracle = EmbeddingOracle(dim=32)
+        oracle = EmbeddingOracle()
         s = AgentState(position=open_scene.cell_center((2, 4)), heading=0.0)
         obs1 = observe(open_scene, s, SPOT)
         obs2 = observe(open_scene, s, SPOT)
@@ -69,7 +66,7 @@ class TestEmbeddingOracle:
         )
 
     def test_disjoint_categories_orthogonal(self):
-        oracle = EmbeddingOracle(dim=64)
+        oracle = EmbeddingOracle()
         cats_a = ["box", "lamp"]
         cats_b = ["toy", "mug"]
         idx_a = {oracle.index_for(c) for c in cats_a}
@@ -80,35 +77,34 @@ class TestEmbeddingOracle:
         assert float(np.dot(va, vb)) == 0.0
 
     def test_empty_observation_gives_unit_void(self):
-        oracle = EmbeddingOracle(dim=16)
+        oracle = EmbeddingOracle()
         v = oracle._embed_pairs([])
         assert np.linalg.norm(v) == pytest.approx(1.0)
         assert np.flatnonzero(v).tolist() == [oracle.index_for("__void__")]
 
     def test_closer_objects_weigh_more(self):
-        oracle = EmbeddingOracle(dim=64)
+        oracle = EmbeddingOracle()
         near = oracle._embed_pairs([("box", 0.5), ("lamp", 3.0)])
         idx_box = oracle.index_for("box")
         idx_lamp = oracle.index_for("lamp")
         assert near[idx_box] > near[idx_lamp]
 
     def test_normalized(self):
-        oracle = EmbeddingOracle(dim=64)
+        oracle = EmbeddingOracle()
         v = oracle._embed_pairs([("box", 1.0), ("lamp", 2.0), ("toy", 0.2)])
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
     def test_index_hashed_once_per_process(self, monkeypatch):
         # the memoised coordinates and embeddings are those of hashing on
-        # every call; a process hashes a category once per dim, for all of
-        # its oracles
+        # every call; a process hashes a category once, for all of its
+        # oracles
         from lhnav.scenegen import generate_scene
 
         scene = generate_scene(seed=31, size=24, regions=4)
         names = sorted({obj.category for obj in scene.objects}) + ["__void__"]
-        hashing = HashEveryCall(dim=16)
+        hashing = HashEveryCall()
         want = {name: hashing.index_for(name) for name in names}
-        want_17 = HashEveryCall(dim=17).index_for(names[0])
         rng = random.Random(5)
         free = free_cells(scene)
         observations, want_embeddings = [], []
@@ -124,7 +120,7 @@ class TestEmbeddingOracle:
         real = policy.hashlib.sha256
         hashed = []
         monkeypatch.setattr(policy.hashlib, "sha256", lambda data: hashed.append(data) or real(data))
-        oracles = [EmbeddingOracle(dim=16), EmbeddingOracle(dim=16)]
+        oracles = [EmbeddingOracle(), EmbeddingOracle()]
         for oracle in oracles:
             for _ in range(3):
                 assert {name: oracle.index_for(name) for name in names} == want
@@ -134,15 +130,12 @@ class TestEmbeddingOracle:
             assert views.tobytes() == want_views.tobytes()
             assert fused.tobytes() == want_fused.tobytes()
         assert len(hashed) == len(names)
-        # another dim hashes again, to a coordinate of its own
-        assert EmbeddingOracle(dim=17).index_for(names[0]) == want_17
-        assert len(hashed) == len(names) + 1
 
     def test_one_pass_matches_the_per_view_embeddings(self):
         from lhnav.scenegen import generate_scene
 
         rng = random.Random(12)
-        oracle = EmbeddingOracle(dim=16)
+        oracle = EmbeddingOracle()
         for seed in range(4):
             scene = generate_scene(seed=900 + seed, size=24, regions=4)
             free = free_cells(scene)
@@ -164,20 +157,22 @@ class TestEmbeddingOracle:
 
 class TestLinearSoftmaxBackend:
     def test_features_are_views_memory_and_stage(self, open_scene):
-        backend = LinearSoftmaxBackend(embed_dim=16)
-        oracle = EmbeddingOracle(dim=16)
+        backend = LinearSoftmaxBackend()
+        oracle = EmbeddingOracle()
         s = AgentState(position=open_scene.cell_center((3, 3)), heading=0.0)
         obs = observe(open_scene, s, SPOT)
         assert [v.direction for v in obs.views] == ["left", "front", "right"]
         views = np.concatenate([oracle.embed_view(v) for v in obs.views])
         mem = ShortTermMemory()
-        forget_and_append(mem, np.ones(16), 0.5)
-        forget_and_append(mem, np.zeros(16), 0.5)
+        # an empty memory reads as a zero mean entry
+        assert not backend.features(1, views, mem)[192:256].any()
+        forget_and_append(mem, np.ones(64), 0.5)
+        forget_and_append(mem, np.zeros(64), 0.5)
         x = backend.features(1, views, mem)
-        assert x.shape == (backend.feature_dim,) == (68,)
-        assert np.array_equal(x[:48], views)
-        assert np.array_equal(x[48:64], np.full(16, 0.5))
-        assert np.array_equal(x[64:], [0.0, 1.0, 0.0, 0.0])
+        assert x.shape == (backend.feature_dim,) == (260,)
+        assert np.array_equal(x[:192], views)
+        assert np.array_equal(x[192:256], np.full(64, 0.5))
+        assert np.array_equal(x[256:], [0.0, 1.0, 0.0, 0.0])
 
 
 def random_features(rng, backend, n):
@@ -187,7 +182,7 @@ def random_features(rng, backend, n):
 class TestGradient:
     def test_matches_central_finite_differences(self):
         npr = np.random.default_rng(17)
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=3)
+        backend = NarrowBackend(12, seed=3)
         X = random_features(npr, backend, 6)
         y = npr.integers(0, 4, size=6)
         for draw in range(10):
@@ -208,11 +203,11 @@ class TestGradient:
                 assert abs(fd - grad[idx]) / denom < 1e-5
 
 
-def scaled_batch(embed_dim, n, scale, seed):
-    """A backend with weights of the given scale, n feature rows with about
-    half the entries zero, and labels."""
+def scaled_batch(k, n, scale, seed):
+    """A backend over k features with weights of the given scale, n feature
+    rows with about half the entries zero, and labels."""
     npr = np.random.default_rng(seed)
-    backend = LinearSoftmaxBackend(embed_dim=embed_dim)
+    backend = NarrowBackend(k)
     backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
     X = npr.normal(size=(n, backend.feature_dim))
     X[npr.random(X.shape) < 0.5] = 0.0
@@ -222,8 +217,8 @@ def scaled_batch(embed_dim, n, scale, seed):
 # a sample whose label probability is below EPS but not zero (the loss's
 # clip applies), and one whose label probability is exactly 1.0 (its loss
 # is a signed zero)
-LABEL_PROBABILITY_BELOW_EPS = dict(embed_dim=2, n=1, scale=30.0, seed=0)
-LABEL_PROBABILITY_ONE = dict(embed_dim=2, n=1, scale=30.0, seed=3)
+LABEL_PROBABILITY_BELOW_EPS = dict(k=12, n=1, scale=30.0, seed=0)
+LABEL_PROBABILITY_ONE = dict(k=12, n=1, scale=30.0, seed=3)
 
 
 class TestBatchedLossMatchesLoop:
@@ -232,19 +227,19 @@ class TestBatchedLossMatchesLoop:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        embed_dim=st.integers(1, 20),
+        k=st.integers(8, 84),
         n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 40), st.sampled_from([400, 1500])),
         scale=st.sampled_from([1e-3, 0.01, 1.0, 30.0, 1e3, 1e6]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(embed_dim=1, n=1, scale=1e6, seed=0)
-    @example(embed_dim=16, n=2, scale=1e3, seed=3)
+    @example(k=8, n=1, scale=1e6, seed=0)
+    @example(k=68, n=2, scale=1e3, seed=3)
     @example(**LABEL_PROBABILITY_BELOW_EPS)
     @example(**LABEL_PROBABILITY_ONE)
-    def test_loss_and_gradient_bit_equal(self, embed_dim, n, scale, seed):
+    def test_loss_and_gradient_bit_equal(self, k, n, scale, seed):
         # zeroed features and saturated softmax rows make signed-zero terms,
         # which only a sum started from 0.0 reproduces
-        backend, X, y = scaled_batch(embed_dim, n, scale, seed)
+        backend, X, y = scaled_batch(k, n, scale, seed)
         loss, grad = loss_and_grad(backend, X, y)
         want_loss, want_grad = loop_loss_and_grad(backend, X, y)
         assert isinstance(loss, float)
@@ -318,12 +313,12 @@ def loop_ignoring_pattern(backend, X, y, pattern=None):
     return loop_loss_and_grad(backend, X, y)
 
 
-def block_rows(embed_dim):
-    """The rows of 65,536 entries of X at this embed_dim (252 at 64): a
-    gradient summed in blocks of that many entries would cut its sums
-    there, so the examples below test that many rows, one more, and three
-    times as many plus one."""
-    return 65536 // LinearSoftmaxBackend(embed_dim=embed_dim).feature_dim
+def block_rows(k):
+    """The rows of 65,536 entries of X at k features (252 at the shipped
+    260): a gradient summed in blocks of that many entries would cut its
+    sums there, so the examples below test that many rows, one more, and
+    three times as many plus one."""
+    return 65536 // k
 
 
 def column_sparse_batch(npr, n, k, zeroed):
@@ -344,24 +339,24 @@ class TestColumnSparseLoss:
     @settings(max_examples=200, deadline=None)
     @given(
         # small batches of narrow features, and batches of up to 1000 rows
-        # of features about as wide as the shipped embeddings'
+        # of features about as wide as the shipped ones
         shape=st.one_of(
-            st.tuples(st.integers(1, 20), st.integers(1, 100)),
-            st.tuples(st.integers(48, 64), st.integers(1, 1000)),
+            st.tuples(st.integers(8, 84), st.integers(1, 100)),
+            st.tuples(st.integers(196, 260), st.integers(1, 1000)),
         ),
         zeroed=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(shape=(3, 1), zeroed=1.0, scale=1.0, seed=0)
-    @example(shape=(16, 3 * block_rows(16) + 1), zeroed=0.9, scale=1e3, seed=1)
-    @example(shape=(64, block_rows(64)), zeroed=0.5, scale=1.0, seed=3)
-    @example(shape=(64, block_rows(64) + 1), zeroed=0.5, scale=1e3, seed=4)
-    @example(shape=(64, 3 * block_rows(64) + 1), zeroed=0.9, scale=1.0, seed=5)
+    @example(shape=(16, 1), zeroed=1.0, scale=1.0, seed=0)
+    @example(shape=(68, 3 * block_rows(68) + 1), zeroed=0.9, scale=1e3, seed=1)
+    @example(shape=(260, block_rows(260)), zeroed=0.5, scale=1.0, seed=3)
+    @example(shape=(260, block_rows(260) + 1), zeroed=0.5, scale=1e3, seed=4)
+    @example(shape=(260, 3 * block_rows(260) + 1), zeroed=0.9, scale=1.0, seed=5)
     def test_bit_equal_to_the_loop(self, shape, zeroed, scale, seed):
-        embed_dim, n = shape
+        k, n = shape
         npr = np.random.default_rng(seed)
-        backend = LinearSoftmaxBackend(embed_dim=embed_dim)
+        backend = NarrowBackend(k)
         backend.set_params(npr.normal(0.0, scale, size=backend.get_params().shape))
         X, y, cols = column_sparse_batch(npr, n, backend.feature_dim, zeroed)
         loss, grad = loss_and_grad(backend, X, y)
@@ -373,20 +368,20 @@ class TestColumnSparseLoss:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        shape=st.tuples(st.sampled_from([32, 64]), st.integers(1, 1000)),
+        shape=st.tuples(st.sampled_from([132, 260]), st.integers(1, 1000)),
         zeroed=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(shape=(64, block_rows(64)), zeroed=0.5, seed=3)
-    @example(shape=(64, block_rows(64) + 1), zeroed=0.0, seed=4)
-    @example(shape=(64, 3 * block_rows(64) + 1), zeroed=0.9, seed=2)
+    @example(shape=(260, block_rows(260)), zeroed=0.5, seed=3)
+    @example(shape=(260, block_rows(260) + 1), zeroed=0.0, seed=4)
+    @example(shape=(260, 3 * block_rows(260) + 1), zeroed=0.9, seed=2)
     def test_training_bit_equal_to_the_loop(self, shape, zeroed, seed):
         # train_backend finds the nonzeros once and hands them to every
         # epoch's loss_and_grad; theta and the loss curve stay the loop's
-        embed_dim, n = shape
+        k, n = shape
         npr = np.random.default_rng(seed)
-        backend = LinearSoftmaxBackend(embed_dim=embed_dim, seed=seed)
-        loop_backend = LinearSoftmaxBackend(embed_dim=embed_dim, seed=seed)
+        backend = NarrowBackend(k, seed=seed)
+        loop_backend = NarrowBackend(k, seed=seed)
         X, y, _ = column_sparse_batch(npr, n, backend.feature_dim, zeroed)
         dataset = list(zip(X, y))
         report = train_backend(backend, dataset, epochs=3, lr=2.0)
@@ -427,7 +422,7 @@ class TestColumnSparseLoss:
 
 class TestLossInputs:
     def _batch(self):
-        backend = LinearSoftmaxBackend(embed_dim=2)
+        backend = NarrowBackend(12)
         X = np.random.default_rng(4).normal(size=(5, backend.feature_dim))
         return backend, X, np.array([0, 1, 2, 3, 2])
 
@@ -481,7 +476,7 @@ class TestTraining:
     def test_separable_toy_set_reaches_full_accuracy(self):
         # two far-apart clusters mapping to distinct actions
         npr = np.random.default_rng(5)
-        backend = LinearSoftmaxBackend(embed_dim=1, seed=0)
+        backend = NarrowBackend(8, seed=0)
         dataset = []
         for _ in range(30):
             x = npr.normal(0, 0.1, size=backend.feature_dim)
@@ -500,7 +495,7 @@ class TestTraining:
 
     def test_zero_learning_rate_changes_nothing(self):
         npr = np.random.default_rng(6)
-        backend = LinearSoftmaxBackend(embed_dim=1, seed=1)
+        backend = NarrowBackend(8, seed=1)
         theta_before = backend.get_params().copy()
         dataset = [(npr.normal(size=backend.feature_dim), 2) for _ in range(8)]
         report = train_backend(backend, dataset, epochs=5, lr=0.0)
@@ -509,7 +504,7 @@ class TestTraining:
 
     def test_loss_non_increasing_full_batch(self):
         npr = np.random.default_rng(7)
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=2)
+        backend = NarrowBackend(12, seed=2)
         dataset = [
             (npr.normal(size=backend.feature_dim), int(npr.integers(0, 4)))
             for _ in range(40)
@@ -521,11 +516,11 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_backend(LinearSoftmaxBackend(embed_dim=1), [], epochs=1)
+            train_backend(NarrowBackend(8), [], epochs=1)
 
     def test_negative_epochs_rejected(self):
         # they would otherwise give an empty loss curve
-        backend = LinearSoftmaxBackend(embed_dim=1)
+        backend = NarrowBackend(8)
         dataset = [(np.ones(backend.feature_dim), 2)]
         with pytest.raises(ValueError, match="epochs must be at least 0, not -3"):
             train_backend(backend, dataset, epochs=-3)
@@ -533,7 +528,7 @@ class TestTraining:
     @pytest.mark.parametrize("epochs", [2.5, True, "3", np.int64(3)])
     def test_epochs_that_are_not_an_integer_rejected(self, epochs):
         # 2.5 would otherwise fail in range() and True train one epoch
-        backend = LinearSoftmaxBackend(embed_dim=1)
+        backend = NarrowBackend(8)
         dataset = [(np.ones(backend.feature_dim), 2)]
         with pytest.raises(TypeError, match=re.escape(f"epochs must be an integer, not {epochs!r}")):
             train_backend(backend, dataset, epochs=epochs)
@@ -541,7 +536,7 @@ class TestTraining:
     @pytest.mark.parametrize("bad", [11, 13])
     def test_feature_rows_of_another_length_name_the_sample(self, bad):
         # np.stack would otherwise fail without naming a sample
-        backend = LinearSoftmaxBackend(embed_dim=2)
+        backend = NarrowBackend(12)
         dataset = [(np.ones(backend.feature_dim), 2) for _ in range(4)]
         dataset[2] = (np.ones(bad), 1)
         with pytest.raises(ValueError, match=rf"sample 2 have shape \({bad},\), not .*\(12,\)"):
@@ -549,7 +544,7 @@ class TestTraining:
 
     def test_label_outside_the_actions_names_the_sample(self):
         # int() would otherwise truncate 2.5 to the action 2
-        backend = LinearSoftmaxBackend(embed_dim=1)
+        backend = NarrowBackend(8)
         dataset = [(np.ones(backend.feature_dim), a) for a in (0, 1, 2.5)]
         with pytest.raises(ValueError, match="label 2.5 at sample 2 is not an action index"):
             train_backend(backend, dataset, epochs=1)
@@ -558,7 +553,7 @@ class TestTraining:
         # tests that swap in the loop, and the tracer's call and sample
         # counts, patch or wrap the module's loss_and_grad
         npr = np.random.default_rng(8)
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=2)
+        backend = NarrowBackend(12, seed=2)
         dataset = [(npr.normal(size=backend.feature_dim), int(npr.integers(0, 4))) for _ in range(9)]
         real, seen = policy.loss_and_grad, []
 
@@ -571,7 +566,7 @@ class TestTraining:
         assert seen == [(9, backend.feature_dim)] * 8
 
     def test_pattern_of_another_batch_rejected(self):
-        backend = LinearSoftmaxBackend(embed_dim=1)
+        backend = NarrowBackend(8)
         X = np.ones((3, backend.feature_dim))
         batch = policy.prepare_batch(backend, X, [0, 1, 2])
         with pytest.raises(ValueError, match="prepared from another batch"):
@@ -580,13 +575,13 @@ class TestTraining:
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_learning_rate_that_is_not_finite_rejected(self, lr):
         # it would otherwise surface an epoch later as non-finite logits
-        backend = LinearSoftmaxBackend(embed_dim=1)
+        backend = NarrowBackend(8)
         dataset = [(np.ones(backend.feature_dim), 2)]
         with pytest.raises(ValueError, match=rf"learning rate lr must be finite, not {lr}"):
             train_backend(backend, dataset, epochs=2, lr=lr)
 
     def test_weights_round_trip(self, tmp_path):
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=9)
+        backend = LinearSoftmaxBackend(seed=9)
         path = tmp_path / "weights.json"
         backend.save(path)
         loaded = LinearSoftmaxBackend.load(path)
@@ -594,7 +589,7 @@ class TestTraining:
 
     def test_weights_in_the_older_format_load(self, tmp_path):
         # older weights files carry a literal_ce flag, which load ignores
-        backend = LinearSoftmaxBackend(embed_dim=2, seed=9)
+        backend = LinearSoftmaxBackend(seed=9)
         path = tmp_path / "weights.json"
         backend.save(path)
         payload = json.loads(path.read_text())
@@ -609,17 +604,39 @@ class TestTraining:
     )
     def test_weights_with_wrong_shape_name_the_path(self, tmp_path, field, value):
         path = tmp_path / "weights.json"
-        LinearSoftmaxBackend(embed_dim=2).save(path)
+        LinearSoftmaxBackend().save(path)
         payload = json.loads(path.read_text())
         payload[field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="weights.json"):
             LinearSoftmaxBackend.load(path)
 
+    @pytest.mark.parametrize("field", ["n_actions", "embed_dim", "theta"])
+    def test_weights_missing_a_field_name_the_path(self, tmp_path, field):
+        # the loaders' fuzz test seldom drops one of these three keys from a
+        # file whose theta holds 1044 values
+        path = tmp_path / "weights.json"
+        LinearSoftmaxBackend().save(path)
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputFileError, match=rf"weights\.json: not a weights file .*{field}"):
+            LinearSoftmaxBackend.load(path)
+
+    def test_weights_for_another_embedding_length_refused(self, tmp_path):
+        # theta is sized for 32-long embeddings, so only the length is wrong
+        path = tmp_path / "weights.json"
+        theta = np.random.default_rng(3).normal(size=N_ACTIONS * (4 * 32 + 4) + N_ACTIONS)
+        path.write_text(json.dumps({"embed_dim": 32, "n_actions": 4, "theta": theta.tolist()}))
+        with pytest.raises(
+            InputFileError, match=rf"{re.escape(str(path))}: .* length 32, .* length 64"
+        ):
+            LinearSoftmaxBackend.load(path)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_weights_that_are_not_finite_name_the_path(self, tmp_path, value):
         path = tmp_path / "weights.json"
-        LinearSoftmaxBackend(embed_dim=2).save(path)
+        LinearSoftmaxBackend().save(path)
         payload = json.loads(path.read_text())
         payload["theta"][5] = value
         path.write_text(json.dumps(payload))
@@ -629,7 +646,7 @@ class TestTraining:
     def test_imitation_rows_are_distinct_arrays(self, two_room_scene):
         from lhnav.policy import collect_imitation_dataset
 
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        backend = LinearSoftmaxBackend(seed=0)
         task = sample_task(two_room_scene, SPOT, seed=7)
         rows = [x for x, _ in collect_imitation_dataset(two_room_scene, task, backend)]
         assert len(rows) > 3
@@ -639,7 +656,7 @@ class TestTraining:
     def test_collect_imitation_dataset_matches_backend_features(self, two_room_scene):
         from lhnav.policy import collect_imitation_dataset
 
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        backend = LinearSoftmaxBackend(seed=0)
         task = sample_task(two_room_scene, SPOT, seed=7)
         dataset = collect_imitation_dataset(two_room_scene, task, backend)
         assert dataset
@@ -650,24 +667,22 @@ class TestTraining:
         assert dataset[-1][1] == int(Action.STOP)
 
     def test_imitation_pairs_match_plain_loop_with_forgetting(self, two_room_scene):
-        # a small capacity makes short-term forgetting merge entries while
-        # the features are recorded
+        # the episode outlasts the short-term memory, so forgetting merges
+        # entries while the features are recorded
         from lhnav.expert import expert_next_action
         from lhnav.policy import ExpertPolicy, collect_imitation_dataset
         from lhnav.runner import RunConfig, run_episode
 
         stretch = ROBOTS["stretch"]
         task = sample_task(two_room_scene, stretch, seed=7)
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=4)
+        backend = LinearSoftmaxBackend(seed=4)
         backend.set_params(np.random.default_rng(8).normal(0, 0.5, backend.get_params().shape))
-        dataset = collect_imitation_dataset(
-            two_room_scene, task, backend, budget=60, capacity=3
-        )
-        oracle = EmbeddingOracle(dim=16)
+        dataset = collect_imitation_dataset(two_room_scene, task, backend, budget=60)
+        oracle = EmbeddingOracle()
 
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig(budget=60))
         moves = [span for span in traj.spans if span.kind == MOVE_TO]
-        mem = ShortTermMemory(capacity=3)
+        mem = ShortTermMemory()
         expected = []
         for stage, span in enumerate(moves):
             target = span.target_id
@@ -675,16 +690,15 @@ class TestTraining:
                 obs = observe(two_room_scene, step.state, stretch)
                 stage_hot = np.zeros(4)
                 stage_hot[stage] = 1.0
-                x = np.concatenate(
-                    [oracle.embed_view(v) for v in obs.views] + [mem.mean_entry(16), stage_hot]
-                )
+                mean = mem.mean_entry() if len(mem) else np.zeros(EMBED_DIM)
+                x = np.concatenate([oracle.embed_view(v) for v in obs.views] + [mean, stage_hot])
                 at_target = subtask_success(two_room_scene, step.state, target)
                 label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
                 expected.append((x, int(label)))
                 confidence = float(backend.probabilities(x).max())
                 forget_and_append(mem, oracle.embed_observation(obs), confidence)
 
-        assert len(expected) > 3 and len(moves) > 1
+        assert len(expected) > CAPACITY and len(moves) > 1
         assert len(dataset) == len(expected)
         for (x, y), (x_ref, y_ref) in zip(dataset, expected):
             assert y == y_ref
@@ -693,20 +707,21 @@ class TestTraining:
     def test_imitation_data_replayed_from_a_saved_trajectory_is_bit_equal(
         self, tmp_path, two_room_scene
     ):
-        # a capacity of 3 makes short-term forgetting merge entries
+        # the episode outlasts the short-term memory, so forgetting merges
+        # entries
         from lhnav.policy import ExpertPolicy, collect_imitation_dataset, imitation_dataset
         from lhnav.runner import RunConfig, run_episode
         from lhnav.trajectory import Trajectory
 
         task = sample_task(two_room_scene, ROBOTS["stretch"], seed=7)
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=4)
+        backend = LinearSoftmaxBackend(seed=4)
         backend.set_params(np.random.default_rng(8).normal(0, 0.5, backend.get_params().shape))
-        live = collect_imitation_dataset(two_room_scene, task, backend, budget=60, capacity=3)
+        live = collect_imitation_dataset(two_room_scene, task, backend, budget=60)
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig(budget=60))
         traj.save(tmp_path / "t.jsonl")
         loaded = Trajectory.load(tmp_path / "t.jsonl")
-        replayed = imitation_dataset(two_room_scene, loaded, backend, capacity=3)
-        assert len(replayed) == len(live) > 3
+        replayed = imitation_dataset(two_room_scene, loaded, backend)
+        assert len(replayed) == len(live) > CAPACITY
         for (x, y), (x_live, y_live) in zip(replayed, live):
             assert y == y_live
             assert x.tobytes() == x_live.tobytes()
@@ -717,7 +732,7 @@ class TestTraining:
 
         task = sample_task(two_room_scene, ROBOTS["stretch"], seed=7)
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
+        backend = LinearSoftmaxBackend(seed=0)
         dataset = collect_imitation_dataset(two_room_scene, task, backend)
         assert [y for _, y in dataset] == [int(a) for a in traj.actions()]
 
@@ -728,45 +743,43 @@ class TestMemoryPolicyStep:
         return step_context(scene, s, "box-0")
 
     def test_store_weighting_dominates_uniform_backend(self, open_scene):
-        oracle = EmbeddingOracle(dim=16)
+        oracle = EmbeddingOracle()
         ctx = self._ctx(open_scene)
-        store = LongTermStore(k=3)
+        store = LongTermStore()
         store.add(
             "box",
             oracle.embed_observation(observe(open_scene, ctx.state, SPOT)),
             np.array([0.0, 0.0, 1.0, 0.0]),
         )
-        memory = MemoryPolicy(UniformBackend(), store, capacity=8)
+        memory = MemoryPolicy(UniformBackend(), store)
         action = memory_policy_step(memory, ctx)
         assert action == Action.MOVE_FORWARD
         assert len(memory.memory) == 1
 
     def test_empty_store_uses_backend_argmax(self, open_scene):
         class Fixed:
-            embed_dim = 16
-
             def decide(self, ctx, rep, mem):
                 return np.array([0.05, 0.6, 0.15, 0.2]), None
 
-        memory = MemoryPolicy(Fixed(), LongTermStore(), capacity=4)
+        memory = MemoryPolicy(Fixed(), LongTermStore())
         assert memory_policy_step(memory, self._ctx(open_scene)) == Action.TURN_LEFT
 
-    def test_oracle_embeds_at_the_backend_embed_dim(self, open_scene):
-        memory = MemoryPolicy(LinearSoftmaxBackend(embed_dim=16, seed=0))
+    def test_policy_embeds_at_EMBED_DIM(self, open_scene):
+        memory = MemoryPolicy(LinearSoftmaxBackend(seed=0))
         memory_policy_step(memory, self._ctx(open_scene))
-        assert memory.views.shape == (48,)
-        assert memory.fused.shape == (16,)
-        assert memory.memory.entries.shape == (1, 16)
+        assert memory.views.shape == (3 * EMBED_DIM,)
+        assert memory.fused.shape == (EMBED_DIM,)
+        assert memory.memory.entries.shape == (1, EMBED_DIM)
 
     def test_memory_growth_capped(self, open_scene):
         ctx = self._ctx(open_scene)
-        memory = MemoryPolicy(UniformBackend(embed_dim=8), LongTermStore(), capacity=3)
+        memory = MemoryPolicy(UniformBackend(), LongTermStore())
         mem = memory.memory
-        for i in range(10):
+        for i in range(CAPACITY + 8):
             before = len(mem)
             memory_policy_step(memory, ctx)
-            assert len(mem) in (before + 1, mem.capacity)
-        assert len(mem) == 3
+            assert len(mem) in (before + 1, CAPACITY)
+        assert len(mem) == CAPACITY
 
 
 class TestForgetOncePerStep:
@@ -790,17 +803,18 @@ class TestForgetOncePerStep:
         from lhnav.runner import RunConfig, run_episode
 
         task = sample_task(two_room_scene, SPOT, seed=7)
-        memory = MemoryPolicy(LinearSoftmaxBackend(embed_dim=16, seed=0), capacity=4)
-        traj, _ = run_episode(two_room_scene, task, memory, RunConfig(policy="memory", budget=20))
-        assert len(counted) == len(traj.steps) > 4
+        # weights whose episode outlasts the short-term memory
+        memory = MemoryPolicy(LinearSoftmaxBackend(seed=1))
+        traj, _ = run_episode(two_room_scene, task, memory, RunConfig(policy="memory", budget=40))
+        assert len(counted) == len(traj.steps) > CAPACITY
 
     def test_imitation_episode(self, two_room_scene, counted):
         from lhnav.policy import collect_imitation_dataset
 
         task = sample_task(two_room_scene, SPOT, seed=7)
-        backend = LinearSoftmaxBackend(embed_dim=16, seed=0)
-        dataset = collect_imitation_dataset(two_room_scene, task, backend, capacity=4)
-        assert len(counted) == len(dataset) > 4
+        backend = LinearSoftmaxBackend(seed=0)
+        dataset = collect_imitation_dataset(two_room_scene, task, backend)
+        assert len(counted) == len(dataset) > CAPACITY
 
 
 class TestPolicies:
@@ -817,10 +831,10 @@ class TestPolicies:
         # each stage weights the decision by its own target's bucket
         task = sample_task(two_room_scene, seed=7)
         assert [s.object_id for s in task.move_targets()] == ["bag-0", "desk-0"]
-        store = LongTermStore(k=1)
-        store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
-        store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
-        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
+        store = LongTermStore()
+        store.add("bag", np.ones(EMBED_DIM), one_hot(Action.MOVE_FORWARD))
+        store.add("desk", np.ones(EMBED_DIM), one_hot(Action.TURN_RIGHT))
+        pol = MemoryPolicy(UniformBackend(), store=store)
         state = sample_spawn(two_room_scene, task)
         actions = [
             pol.act(step_context(two_room_scene, state, target, stage=stage))
@@ -834,15 +848,15 @@ class TestPolicies:
         from reference_impls import SenseEveryStepPolicy
 
         task = sample_task(two_room_scene, seed=7)
-        oracle = EmbeddingOracle(dim=16)
-        store = LongTermStore(k=1)
-        store.add("bag", np.ones(16), one_hot(Action.MOVE_FORWARD))
-        store.add("desk", np.ones(16), one_hot(Action.TURN_RIGHT))
+        oracle = EmbeddingOracle()
+        store = LongTermStore()
+        store.add("bag", np.ones(EMBED_DIM), one_hot(Action.MOVE_FORWARD))
+        store.add("desk", np.ones(EMBED_DIM), one_hot(Action.TURN_RIGHT))
         observed = []
         real = world.observe
         monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or real(*args))
-        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
-        reference = SenseEveryStepPolicy(UniformBackend(), oracle, store, capacity=4)
+        pol = MemoryPolicy(UniformBackend(), store=store)
+        reference = SenseEveryStepPolicy(UniformBackend(), oracle, store)
         state = sample_spawn(two_room_scene, task)
         # one context object per (pose, target), as the runner makes them
         bag, desk, bag2 = (
@@ -861,7 +875,7 @@ class TestPolicies:
         observed = []
         real = world.observe
         monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or real(*args))
-        pol = MemoryPolicy(UniformBackend(), capacity=4)
+        pol = MemoryPolicy(UniformBackend())
         state = sample_spawn(two_room_scene, task)
         first, second = (step_context(two_room_scene, state, "bag-0") for _ in range(2))
         assert first == second and first is not second
@@ -877,13 +891,13 @@ class TestPolicies:
 
     def test_memory_policy_never_mutates_store(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)
-        store = LongTermStore(k=2)
-        store.add("bag", np.ones(16), np.array([0.25, 0.25, 0.25, 0.25]))
+        store = LongTermStore()
+        store.add("bag", np.ones(EMBED_DIM), np.array([0.25, 0.25, 0.25, 0.25]))
         snapshot = [
             (t, [(o.copy(), a.copy()) for o, a in b] )
             for t, b in store.buckets.items()
         ]
-        pol = MemoryPolicy(UniformBackend(), store=store, capacity=4)
+        pol = MemoryPolicy(UniformBackend(), store=store)
         state = sample_spawn(two_room_scene, task)
         for _ in range(20):
             pol.act(step_context(two_room_scene, state, "bag-0"))
@@ -910,11 +924,11 @@ class TestPolicies:
         for seed in (0, 1, 2):
             scene = generate_scene(seed=700 + seed, size=20, regions=4)
             task = sample_task(scene, SPOT, seed=seed)
-            store = LongTermStore(k=3)
+            store = LongTermStore()
             for obj in scene.objects:
                 act = npr.random(4)
-                store.add(obj.category, npr.normal(size=16), act / act.sum())
-            policy = MemoryPolicy(ExpertTeacherBackend(), store=store, capacity=8)
+                store.add(obj.category, npr.normal(size=EMBED_DIM), act / act.sum())
+            policy = MemoryPolicy(ExpertTeacherBackend(), store=store)
             cfg = RunConfig(policy="memory")
             _, result = run_episode(scene, task, policy, cfg)
             assert all(r.success for r in result.records)

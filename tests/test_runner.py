@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhnav.expert import geodesic_distance
-from lhnav.memory import LongTermStore
+from lhnav.memory import CAPACITY, LongTermStore
 from lhnav.metrics import EpisodeResult
 from lhnav.runner import (
     POLICIES,
@@ -304,9 +304,12 @@ class TestTrajectoryFiles:
         traj, _ = run_episode(two_room_scene, task, ExpertPolicy(), RunConfig())
         windows = list(traj.replay(two_room_scene))
         moves = [span for span in traj.spans if span.kind == MOVE_TO]
-        assert [stage for stage, _, _, _ in windows] == list(range(len(moves))) and len(moves) > 1
-        assert [span for _, span, _, _ in windows] == moves
-        assert [s for _, _, steps, _ in windows for s in steps] == traj.steps
+        assert [span for span, _, _ in windows] == moves and len(moves) > 1
+        # each window's contexts carry its ordinal as their stage
+        assert [{ctx.stage for ctx in contexts} for _, _, contexts in windows] == [
+            {stage} for stage in range(len(moves))
+        ]
+        assert [s for _, steps, _ in windows for s in steps] == traj.steps
 
     @pytest.mark.parametrize("fault", ["other-scene", "unknown-target", "off-grid"])
     def test_replay_checks_the_trajectory_against_its_scene(self, two_room_scene, fault):
@@ -473,10 +476,10 @@ class TestRunSuite:
         calls = tmp_path / "loads.txt"
         load = LongTermStore.load.__func__
 
-        def counting_load(cls, path, k=5):
+        def counting_load(cls, path):
             with open(calls, "a", encoding="utf-8") as fh:
                 fh.write(f"{path}\n")
-            return load(cls, path, k)
+            return load(cls, path)
 
         monkeypatch.setattr(LongTermStore, "load", classmethod(counting_load))
         reports, trajectories = [], []
@@ -618,7 +621,7 @@ class TestSenseOncePerPose:
     # seeds whose untrained weights collide often without a store too
     @pytest.mark.parametrize("seed", [2, 4, 10])
     @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
-    @pytest.mark.parametrize("capacity", [2, 32])
+    @pytest.mark.parametrize("capacity", [2, CAPACITY])
     def test_same_files_as_sensing_every_step(
         self, tmp_path, monkeypatch, seed, with_store, capacity
     ):
@@ -627,6 +630,9 @@ class TestSenseOncePerPose:
 
         from reference_impls import SenseEveryStepPolicy
 
+        # a memory of 2 slots forgets from its third step on, so the
+        # short episodes merge entries too
+        monkeypatch.setattr("lhnav.memory.CAPACITY", capacity)
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         store_path = ""
         if with_store:
@@ -634,14 +640,13 @@ class TestSenseOncePerPose:
             random_store(scenes, seed=seed).save(store_path)
 
         def cached_policy(cfg, task, store=None):
-            return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), store, capacity)
+            return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), store)
 
         def reference_policy(cfg, task, store=None):
             return SenseEveryStepPolicy(
                 LinearSoftmaxBackend(seed=cfg.seed),
                 EmbeddingOracle(),
                 store if store is not None else LongTermStore(),
-                capacity,
             )
 
         outputs = []
@@ -659,7 +664,7 @@ class TestSenseOncePerPose:
         steps = [s for f in files for s in Trajectory.load(f).steps]
         assert sum(s.collided for s in steps) > len(steps) // 4
 
-    @pytest.mark.parametrize("capacity", [2, 32])
+    @pytest.mark.parametrize("capacity", [2, CAPACITY])
     def test_imitation_data_senses_once_per_pose(self, tmp_path, monkeypatch, capacity):
         # memory-policy trajectories that collide often, saved and loaded,
         # so equal poses are equal values and not one state object
@@ -668,6 +673,7 @@ class TestSenseOncePerPose:
 
         from reference_impls import sense_every_step_imitation_dataset
 
+        monkeypatch.setattr("lhnav.memory.CAPACITY", capacity)  # 2 slots: forgetting on most steps
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         cfg = RunConfig(policy="memory", seed=4, budget=40)
         observed = []
@@ -680,16 +686,16 @@ class TestSenseOncePerPose:
             traj.save(tmp_path / "t.jsonl")
             loaded = Trajectory.load(tmp_path / "t.jsonl")
             backend = LinearSoftmaxBackend(seed=7)
-            want = sense_every_step_imitation_dataset(scene, loaded, backend, capacity)
+            want = sense_every_step_imitation_dataset(scene, loaded, backend)
             del observed[:]
-            got = imitation_dataset(scene, loaded, backend, capacity)
+            got = imitation_dataset(scene, loaded, backend)
             assert [y for _, y in got] == [y for _, y in want]
             assert b"".join(x.tobytes() for x, _ in got) == b"".join(x.tobytes() for x, _ in want)
             # a new window senses again, even at the pose where the last ended
             poses = [
-                (stage, step.state.position, step.state.heading)
-                for stage, _, steps, _ in loaded.replay(scene)
-                for step in steps
+                (ctx.stage, step.state.position, step.state.heading)
+                for _, steps, contexts in loaded.replay(scene)
+                for step, ctx in zip(steps, contexts)
             ]
             fresh_poses = sum(i == 0 or pose != poses[i - 1] for i, pose in enumerate(poses))
             assert len(observed) == fresh_poses
@@ -759,7 +765,7 @@ class TestSenseOncePerPose:
         monkeypatch.setattr(
             policy, "memory_policy_step", lambda p, ctx: replayed.append(ctx) or step(p, ctx)
         )
-        dataset = policy.imitation_dataset(scene, loaded, memory.backend, memory.memory.capacity)
+        dataset = policy.imitation_dataset(scene, loaded, memory.backend)
         assert len(dataset) == len(live) == len(traj.steps)
         assert [y for _, y in dataset] == [int(s.action) for s in traj.steps]
         assert [x.tobytes() for x, _ in dataset] == [row.tobytes() for _, row in live]
