@@ -16,7 +16,7 @@ from .world import (
 from .expert import expert_next_action, geodesic_distance
 from .taskforge import Subtask, TaskSpec, sample_spawn, sample_task
 from .splitter import Segment, StepByStepTask, split_trajectory
-from .metrics import EpisodeResult, SubtaskRecord, aggregate, cgt, csr, isr, tar
+from .metrics import EpisodeResult, SubtaskRecord, aggregate, episode_metrics, tar
 from .memory import (
     LongTermStore,
     ShortTermMemory,

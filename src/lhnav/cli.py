@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .files import InputFileError, write_document
+from .files import InputFileError, OutputFileError, write_document
 from .runner import POLICIES, RunConfig, format_report_table, load_report, run_suite
 from .scenegen import generate_scene
 from .splitter import render_step_instruction, split_trajectory, tag_segment
@@ -232,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad input file is a usage error of that command."""
+    """Run one subcommand; a bad input file, or an output path that cannot
+    be written, is a usage error of that command."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFileError as exc:
+    except (InputFileError, OutputFileError) as exc:
         args.usage_error(str(exc))
 
 

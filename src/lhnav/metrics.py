@@ -3,8 +3,10 @@
 Per-subtask success flags feed four stage-aware rates (ISR, CSR, CGT, TAR)
 plus the classic whole-task ones (SR, OSR, SPL, NE).  Success of the first
 subtask's predecessor is defined as 1 so that a fully successful task scores
-exactly 1.0 on every rate.  Tasks may have different subtask counts; each
-task contributes at most 1/M to an aggregate.
+exactly 1.0 on every rate.  episode_metrics scores one episode; aggregate
+averages the task scores over tasks, so each task contributes 1/M whatever
+its subtask count, except NE and TAR, which are means over every subtask
+record of the suite.
 """
 
 from __future__ import annotations
@@ -43,21 +45,9 @@ class EpisodeResult:
         return cls(**{**d, "records": tuple(SubtaskRecord(**r) for r in d["records"])})
 
 
-def _require(results: list[EpisodeResult]) -> None:
-    if not results:
-        raise ValueError("metric requires at least one episode result")
-    for res in results:
-        if res.n < 1:
-            raise ValueError(f"episode {res.task_id!r} has no subtask records")
-
-
-def isr(results: list[EpisodeResult]) -> float:
-    """Mean per-subtask success rate, averaged per task then over tasks."""
-    _require(results)
-    total = 0.0
-    for res in results:
-        total += sum(1.0 for r in res.records if r.success) / res.n
-    return total / len(results)
+METRIC_ORDER = ("sr", "osr", "spl", "ne", "isr", "csr", "cgt", "tar")
+# averaged over all subtask records, not per task; the others are task means
+SUBTASK_MEANS = ("ne", "tar")
 
 
 def _chain_terms(records) -> list[float]:
@@ -72,32 +62,6 @@ def _chain_terms(records) -> list[float]:
     return terms
 
 
-def csr(results: list[EpisodeResult]) -> float:
-    """Success rate rewarding subtasks whose predecessor also succeeded."""
-    _require(results)
-    total = 0.0
-    for res in results:
-        total += sum(_chain_terms(res.records)) / (res.n ** 2)
-    return total / len(results)
-
-
-def cgt(results: list[EpisodeResult]) -> float:
-    """CSR with each subtask weighted by its share of ground-truth length."""
-    _require(results)
-    total = 0.0
-    for res in results:
-        gts = [r.gt for r in res.records]
-        if any(g <= 0 for g in gts):
-            raise ValueError(f"episode {res.task_id!r} has nonpositive ground truth")
-        p_total = sum(gts)
-        terms = _chain_terms(res.records)
-        # term/n is exactly 1.0 on an all-success task, so the weighted sum
-        # reduces to p_total bit-for-bit and the task scores exactly 1
-        weighted = sum(g * (t / res.n) for g, t in zip(gts, terms))
-        total += weighted / p_total
-    return total / len(results)
-
-
 def tar(ne: float, gt: float, d_s: float = SUCCESS_RADIUS) -> float:
     """Target approach rate: 1 minus the shortfall beyond the success radius
     relative to max(NE, GT)."""
@@ -108,65 +72,67 @@ def tar(ne: float, gt: float, d_s: float = SUCCESS_RADIUS) -> float:
     return 1.0 - max(ne - d_s, 0.0) / max(ne, gt)
 
 
-def mean_tar(results: list[EpisodeResult]) -> float:
-    _require(results)
-    values = [tar(r.ne, r.gt) for res in results for r in res.records]
-    return sum(values) / len(values)
+def _subtask_values(records) -> dict[str, list[float]]:
+    """The SUBTASK_MEANS metrics of each record.  NE counts truncated
+    subtasks too, measured where the budget ran out."""
+    return {"ne": [r.ne for r in records], "tar": [tar(r.ne, r.gt) for r in records]}
 
 
-def task_sr(results: list[EpisodeResult]) -> float:
-    """Fraction of tasks whose every subtask succeeded in sequence."""
-    _require(results)
-    return sum(1.0 for res in results if all(r.success for r in res.records)) / len(results)
+def episode_metrics(res: EpisodeResult) -> dict[str, float]:
+    """One episode's metrics in METRIC_ORDER.  An episode without records,
+    or with a nonpositive shortest path, a negative path taken or a
+    nonpositive ground truth, raises a ValueError naming it.
 
-
-def osr(results: list[EpisodeResult]) -> float:
-    """Oracle success: the predicate held at some step of every subtask's
-    own window, in sequence."""
-    _require(results)
-    return sum(1.0 for res in results if all(r.oracle_hit for r in res.records)) / len(results)
-
-
-def spl(results: list[EpisodeResult]) -> float:
-    """Success weighted by path length over whole tasks.
-
-    A task's shortest path is the sum of its subtask ground truths and its
-    path taken is the sum of its traveled distances.
+    SR and OSR are 1 when every subtask succeeded, or had the predicate hold
+    in its own window, in sequence.  SPL takes the task's shortest path as
+    the sum of its ground truths and its path taken as the sum of its
+    traveled distances.  ISR is the share of subtasks that succeeded; CSR
+    rewards a subtask whose predecessor also succeeded, and CGT weights
+    CSR's terms by each subtask's share of the ground truth.
     """
-    _require(results)
-    total = 0.0
-    for res in results:
-        short_j = sum(r.gt for r in res.records)
-        taken_j = sum(r.path_taken for r in res.records)
-        if short_j <= 0:
-            raise ValueError(f"task {res.task_id!r} has nonpositive shortest path")
-        if taken_j < 0:
-            raise ValueError(f"task {res.task_id!r} has negative path taken")
-        success = 1.0 if all(r.success for r in res.records) else 0.0
-        total += success * short_j / max(taken_j, short_j)
-    return total / len(results)
-
-
-def mean_ne(results: list[EpisodeResult]) -> float:
-    """Mean subtask navigation error, truncated subtasks included (their
-    error is measured where the budget ran out)."""
-    _require(results)
-    values = [r.ne for res in results for r in res.records]
-    return sum(values) / len(values)
-
-
-METRIC_ORDER = ("sr", "osr", "spl", "ne", "isr", "csr", "cgt", "tar")
+    records, n = res.records, res.n
+    if n < 1:
+        raise ValueError(f"episode {res.task_id!r} has no subtask records")
+    gts = [r.gt for r in records]
+    shortest = sum(gts)
+    taken = sum(r.path_taken for r in records)
+    if shortest <= 0:
+        raise ValueError(f"task {res.task_id!r} has nonpositive shortest path")
+    if taken < 0:
+        raise ValueError(f"task {res.task_id!r} has negative path taken")
+    if any(g <= 0 for g in gts):
+        raise ValueError(f"episode {res.task_id!r} has nonpositive ground truth")
+    success = 1.0 if all(r.success for r in records) else 0.0
+    terms = _chain_terms(records)
+    values = _subtask_values(records)
+    return {
+        "sr": success,
+        "osr": 1.0 if all(r.oracle_hit for r in records) else 0.0,
+        "spl": success * shortest / max(taken, shortest),
+        "ne": sum(values["ne"]) / n,
+        "isr": sum(1.0 for r in records if r.success) / n,
+        "csr": sum(terms) / (n ** 2),
+        # term/n is exactly 1.0 on an all-success task, so the weighted sum
+        # reduces to the shortest path bit-for-bit and the task scores exactly 1
+        "cgt": sum(g * (t / n) for g, t in zip(gts, terms)) / shortest,
+        "tar": sum(values["tar"]) / n,
+    }
 
 
 def aggregate(results: list[EpisodeResult]) -> dict[str, float]:
-    """All metrics in the fixed reporting order."""
-    return {
-        "sr": task_sr(results),
-        "osr": osr(results),
-        "spl": spl(results),
-        "ne": mean_ne(results),
-        "isr": isr(results),
-        "csr": csr(results),
-        "cgt": cgt(results),
-        "tar": mean_tar(results),
-    }
+    """All metrics in METRIC_ORDER: the SUBTASK_MEANS over every subtask
+    record, the others the mean of the episodes' rows."""
+    if not results:
+        raise ValueError("metric requires at least one episode result")
+    rows = [episode_metrics(res) for res in results]
+    values = _subtask_values([r for res in results for r in res.records])
+    out = {}
+    for name in METRIC_ORDER:
+        if name in SUBTASK_MEANS:
+            out[name] = sum(values[name]) / len(values[name])
+            continue
+        total = 0.0  # a += loop: sum() of floats rounds otherwise on 3.12
+        for row in rows:
+            total += row[name]
+        out[name] = total / len(rows)
+    return out

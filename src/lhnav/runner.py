@@ -271,7 +271,7 @@ def run_suite(
         "config_hash": cfg.config_hash(),
         "num_tasks": len(results),
         "aggregate": metrics_mod.aggregate(results),
-        "per_task": {res.task_id: metrics_mod.aggregate([res]) for res in results},
+        "per_task": {res.task_id: metrics_mod.episode_metrics(res) for res in results},
         "results": [res.to_dict() for res in results],
     }
     if cfg.out_dir:

@@ -65,8 +65,12 @@ def generate_scene(
         raise ValueError("size must be at least 9")
     if not 2 <= regions <= len(ROOM_LABELS):
         raise ValueError(f"regions must be in 2..{len(ROOM_LABELS)}")
-    if objects_per_region < 2:
-        raise ValueError("need at least two objects per region")
+    categories = len(PORTABLE_CATEGORIES) + len(RECEPTACLE_CATEGORIES)
+    if not 2 <= objects_per_region <= categories:
+        raise ValueError(
+            f"objects per region must be in 2..{categories}, one per portable "
+            f"or receptacle category, got {objects_per_region}"
+        )
     rng = random.Random(f"scene:{seed}")
 
     # lattice of room slots, roughly square
@@ -81,6 +85,11 @@ def generate_scene(
     room_w = (interior - (k_cols - 1)) // k_cols
     if room_h < 3 or room_w < 3:
         raise ValueError("size too small for the requested region count")
+    if objects_per_region > room_h * room_w:
+        raise ValueError(
+            f"{objects_per_region} objects per region do not fit in rooms of "
+            f"{room_h * room_w} cells; lower the objects or raise the size"
+        )
 
     room_cells: list[list[tuple[int, int]]] = []
     room_slot: list[tuple[int, int]] = []

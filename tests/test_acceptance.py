@@ -20,15 +20,7 @@ from lhnav.memory import (
     forget_and_append,
     pool_candidates,
 )
-from lhnav.metrics import (
-    EpisodeResult,
-    SubtaskRecord,
-    cgt,
-    csr,
-    isr,
-    tar,
-    task_sr,
-)
+from lhnav.metrics import EpisodeResult, SubtaskRecord, aggregate, episode_metrics, tar
 from lhnav.policy import loss_and_grad, train_backend
 from lhnav.runner import RunConfig, run_suite
 from lhnav.scenegen import generate_scene
@@ -82,19 +74,19 @@ def seeded_suite():
 
 
 def test_criterion_1_metric_exactness():
-    fixture = [_episode([True, False, True], [4.0, 4.0, 2.0])]
-    assert abs(isr(fixture) - 2 / 3) <= 1e-9
-    assert abs(csr(fixture) - 4 / 9) <= 1e-9
-    assert abs(cgt(fixture) - 7 / 15) <= 1e-9
+    fixture = episode_metrics(_episode([True, False, True], [4.0, 4.0, 2.0]))
+    assert abs(fixture["isr"] - 2 / 3) <= 1e-9
+    assert abs(fixture["csr"] - 4 / 9) <= 1e-9
+    assert abs(fixture["cgt"] - 7 / 15) <= 1e-9
     rng = random.Random(0)
     for trial in range(200):
         n = rng.randint(1, 4)
         gts = [rng.uniform(0.3, 12.0) for _ in range(n)]
-        perfect = [_episode([True] * n, gts, task_id=f"p{trial}")]
-        assert task_sr(perfect) == 1.0
-        assert isr(perfect) == 1.0
-        assert csr(perfect) == 1.0
-        assert cgt(perfect) == 1.0
+        perfect = aggregate([_episode([True] * n, gts, task_id=f"p{trial}")])
+        assert perfect["sr"] == 1.0
+        assert perfect["isr"] == 1.0
+        assert perfect["csr"] == 1.0
+        assert perfect["cgt"] == 1.0
     _passed(1, "ISR=2/3, CSR=4/9, CGT=7/15 within 1e-9; perfect runs exactly 1.0")
 
 
@@ -281,6 +273,7 @@ def test_criterion_9_monotonicity():
             truncated=old.truncated,
         )
         flipped[j] = EpisodeResult(flipped[j].task_id, tuple(recs))
-        for metric in (isr, csr, cgt, task_sr):
-            assert metric(flipped) >= metric(results) - 1e-12
+        before, after = aggregate(results), aggregate(flipped)
+        for name in ("isr", "csr", "cgt", "sr"):
+            assert after[name] >= before[name] - 1e-12
     _passed(9, "1000 random flips of a failed subtask never decrease ISR/CSR/CGT/SR")

@@ -3,6 +3,7 @@ without running a benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,54 @@ def test_spec_is_the_benchmarks(bench_pairs):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in spec} >= {m["name"] for m in SPEC}
     assert all({"name", "unit", "better", "bound"} <= set(m) for m in spec)
+
+
+def fake_checkout(root: Path, side: str) -> Path:
+    """The files a benchmark run reads, marked with the side's name, plus
+    what earlier runs and imports leave behind."""
+    (root / "src" / "lhnav" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "lhnav" / "__init__.py").write_text(f"SIDE = {side!r}\n")
+    (root / "src" / "lhnav" / "__pycache__" / "stale.pyc").write_text("")
+    (root / "perfbench" / ".perfbench_work").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(f"# {side}\n")
+    (root / ".perfbench_work").mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": SPEC}))
+    (root / "README.md").write_text("not read by a run\n")
+    return root
+
+
+def test_every_run_starts_from_one_directory_holding_its_sides_files(
+    bench_pairs, tmp_path, monkeypatch
+):
+    checkouts = {side: fake_checkout(tmp_path / side, side) for side in ("parent", "change")}
+    runs = []
+
+    def fake_run(command, cwd, **kwargs):
+        cwd = Path(cwd)
+        side = (cwd / "perfbench" / "run.py").read_text()[2:].strip()
+        assert (cwd / "src" / "lhnav" / "__init__.py").read_text() == f"SIDE = {side!r}\n"
+        staged = sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*"))
+        runs.append((cwd, side, staged, command[1]))
+        (cwd / ".perfbench_work").mkdir()  # what a run leaves behind
+        result = {"correct": True, "metrics": {
+            "wall_s": {"value": 1.0}, "steps_per_s": {"value": 100.0}}}
+        stdout = f"  output digest {side}\n{json.dumps(result)}\n"
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+        "--workload", "expert_rollout", "--seed", "2", "--pairs", "3", "--out", str(out),
+    ]) == 0
+    assert [side for _, side, _, _ in runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert len({cwd for cwd, _, _, _ in runs}) == 1
+    assert runs[0][0] not in (tmp_path / "parent", tmp_path / "change")
+    for _, _, staged, script in runs:
+        assert script == "perfbench/run.py"
+        assert staged == [
+            "BENCHMARK.json", "perfbench", "perfbench/run.py",
+            "src", "src/lhnav", "src/lhnav/__init__.py",
+        ]
+    digests = json.loads(out.read_text())["end_to_end_digests"]["expert_rollout"]
+    assert digests == {"parent": ["parent"], "change": ["change"], "outputs_equal": False}

@@ -387,12 +387,20 @@ class TestUsageErrors:
             (["gen-scene", "--size", "3"], "size"),
             (["gen-scene", "--regions", "0"], "regions"),
             (["gen-scene", "--objects", "1"], "objects"),
+            (["gen-scene", "--objects", "30"], "objects per region must be in 2..20"),
+            (["gen-scene", "--objects", "21"], "objects per region must be in 2..20"),
+            (
+                ["gen-scene", "--size", "9", "--regions", "4", "--objects", "12"],
+                "objects per region do not fit in rooms of 9 cells",
+            ),
             (["gen-tasks", "--scenes", "scenes", "--subtasks", "x"], "--subtasks"),
             (["gen-tasks", "--scenes", "scenes", "--subtasks", "4..2"], "--subtasks"),
             (["gen-tasks", "--scenes", "scenes", "--subtasks", "7"], "--subtasks"),
         ],
         ids=[
             "size", "regions", "objects",
+            "objects-beyond-the-categories", "objects-one-beyond-the-categories",
+            "objects-beyond-a-room",
             "subtasks-not-a-range", "subtasks-empty", "subtasks-out-of-bounds",
         ],
     )
@@ -404,6 +412,17 @@ class TestUsageErrors:
         assert err.startswith(f"usage: lhnav {argv[0]}")
         assert named in err.splitlines()[-1]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--objects", "20"], ["--size", "9", "--regions", "4", "--objects", "9"]],
+        ids=["every-category", "every-room-cell"],
+    )
+    def test_objects_at_the_limit_are_placed(self, tmp_path, argv):
+        assert run_cli("gen-scene", *argv, "--out", str(tmp_path / "out")) == 0
+        (path,) = (tmp_path / "out").glob("*.json")
+        objects = json.loads(path.read_text())["objects"]
+        assert len(objects) == 4 * int(argv[-1])
+        assert len({tuple(o["position"]) for o in objects}) == len(objects)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_gen_tasks_count_below_one_is_a_usage_error(
@@ -790,6 +809,46 @@ class TestOutputUnderAMissingDirectory:
             "--out", str(out),
         ) == 0
         assert json.loads(out.read_text())
+
+
+# the path, then the system's reason, which depends on the path's depth
+CANNOT_WRITE = r"cannot be written \((Not a directory|File exists)\)$"
+
+
+class TestOutputThatCannotBeWritten:
+    """An --out under a file is a usage error naming the path and the
+    system's reason, and leaves the file as it was."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("kept\n")
+        yield path
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rollout(self, tmp_path, capsys, two_room_scene, blocker, workers):
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        save_tasks([sample_task(two_room_scene, seed=s) for s in (7, 8)], tmp_path / "t.json")
+        last = usage_error_line(
+            capsys, "rollout", "--scenes", tmp_path / "scene.json", "--tasks", tmp_path / "t.json",
+            "--policy", "expert", "--workers", workers, "--out", blocker,
+        )
+        assert re.search(f"{re.escape(str(blocker))}/trajectories/.*: {CANNOT_WRITE}", last)
+
+    def test_gen_tasks(self, tmp_path, capsys, two_room_scene, blocker):
+        two_room_scene.save(tmp_path / "scene.json")
+        out = blocker / "t.json"
+        last = usage_error_line(
+            capsys, "gen-tasks", "--scenes", tmp_path / "scene.json", "--count", "1", "--out", out
+        )
+        assert re.search(f"{re.escape(str(out))}: {CANNOT_WRITE}", last)
+
+    def test_gen_scene(self, capsys, blocker):
+        last = usage_error_line(capsys, "gen-scene", "--out", blocker)
+        assert re.search(f"{re.escape(str(blocker))}/scene-0.json: {CANNOT_WRITE}", last)
 
 
 class TestConfigFile:

@@ -5,17 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhnav.metrics import (
+    METRIC_ORDER,
+    SUBTASK_MEANS,
     EpisodeResult,
     SubtaskRecord,
     aggregate,
-    cgt,
-    csr,
-    isr,
-    mean_ne,
-    osr,
-    spl,
+    episode_metrics,
     tar,
-    task_sr,
 )
 
 
@@ -42,36 +38,36 @@ def episode(flags, gts=None, task_id="t0"):
 
 class TestIsr:
     def test_all_succeed(self):
-        assert isr([episode([True, True, True])]) == 1.0
+        assert episode_metrics(episode([True, True, True]))["isr"] == 1.0
 
     def test_two_of_three(self):
-        assert abs(isr([episode([True, False, True])]) - 2 / 3) < 1e-9
+        assert abs(episode_metrics(episode([True, False, True]))["isr"] - 2 / 3) < 1e-9
 
     def test_all_fail(self):
-        assert isr([episode([False, False])]) == 0.0
+        assert episode_metrics(episode([False, False]))["isr"] == 0.0
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            isr([])
+        with pytest.raises(ValueError, match="at least one episode"):
+            aggregate([])
 
 
 class TestCsr:
     def test_all_succeed_is_exactly_one(self):
         for n in (1, 2, 3, 4):
-            assert csr([episode([True] * n)]) == 1.0
+            assert episode_metrics(episode([True] * n))["csr"] == 1.0
 
     def test_hand_case(self):
-        assert abs(csr([episode([True, False, True])]) - 4 / 9) < 1e-9
+        assert abs(episode_metrics(episode([True, False, True]))["csr"] - 4 / 9) < 1e-9
 
     def test_all_fail(self):
-        assert csr([episode([False, False, False])]) == 0.0
+        assert episode_metrics(episode([False, False, False]))["csr"] == 0.0
 
     def test_task_term_one_iff_all_succeed(self):
         rng = random.Random(1)
         for _ in range(200):
             n = rng.randint(1, 4)
             flags = [rng.random() < 0.5 for _ in range(n)]
-            value = csr([episode(flags)])
+            value = episode_metrics(episode(flags))["csr"]
             if all(flags):
                 assert value == 1.0
             else:
@@ -80,18 +76,18 @@ class TestCsr:
 
 class TestCgt:
     def test_all_succeed_is_exactly_one(self):
-        assert cgt([episode([True, True, True], gts=[3.7, 1.1, 9.2])]) == 1.0
+        assert episode_metrics(episode([True, True, True], gts=[3.7, 1.1, 9.2]))["cgt"] == 1.0
 
     def test_hand_case(self):
-        value = cgt([episode([True, False, True], gts=[4.0, 4.0, 2.0])])
+        value = episode_metrics(episode([True, False, True], gts=[4.0, 4.0, 2.0]))["cgt"]
         assert abs(value - 7 / 15) < 1e-9
 
     def test_all_fail(self):
-        assert cgt([episode([False, False], gts=[1.0, 2.0])]) == 0.0
+        assert episode_metrics(episode([False, False], gts=[1.0, 2.0]))["cgt"] == 0.0
 
     def test_nonpositive_gt_raises(self):
-        with pytest.raises(ValueError):
-            cgt([episode([True], gts=[0.0])])
+        with pytest.raises(ValueError, match="nonpositive ground truth"):
+            episode_metrics(episode([True, True], gts=[1.0, 0.0]))
 
 
 class TestTar:
@@ -127,22 +123,21 @@ class TestTar:
 
 class TestWholeTaskMetrics:
     def test_perfect_run(self):
-        results = [episode([True, True]), episode([True, True, True], task_id="t1")]
-        assert task_sr(results) == 1.0
-        assert osr(results) == 1.0
-        assert 0.0 < spl(results) <= 1.0
+        agg = aggregate([episode([True, True]), episode([True, True, True], task_id="t1")])
+        assert agg["sr"] == 1.0
+        assert agg["osr"] == 1.0
+        assert 0.0 < agg["spl"] <= 1.0
 
     def test_single_failure_zeroes_task(self):
-        results = [episode([True, False, True])]
-        assert task_sr(results) == 0.0
+        assert episode_metrics(episode([True, False, True]))["sr"] == 0.0
 
     def test_spl_optimal_path_term_is_one(self):
         res = EpisodeResult("t", (rec(True, gt=4.0, path=4.0),))
-        assert spl([res]) == 1.0
+        assert episode_metrics(res)["spl"] == 1.0
 
     def test_spl_never_exceeds_one(self):
         res = EpisodeResult("t", (rec(True, gt=4.0, path=2.0),))  # shorter than gt
-        assert spl([res]) == 1.0
+        assert episode_metrics(res)["spl"] == 1.0
 
     def test_mean_ne_counts_truncated_subtasks(self):
         res = EpisodeResult(
@@ -152,9 +147,34 @@ class TestWholeTaskMetrics:
                 rec(True, ne=0.5),
             ),
         )
-        assert mean_ne([res]) == 1.25
+        assert episode_metrics(res)["ne"] == 1.25
         all_truncated = EpisodeResult("t", (rec(False, ne=2.0, truncated=True),))
-        assert mean_ne([all_truncated]) == 2.0
+        assert episode_metrics(all_truncated)["ne"] == 2.0
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ((), "has no subtask records"),
+            ((rec(True, gt=0.0), rec(True, gt=0.0)), "has nonpositive shortest path"),
+            ((rec(True, path=-1.0),), "has negative path taken"),
+            ((rec(True, gt=3.0), rec(True, gt=-1.0)), "has nonpositive ground truth"),
+        ],
+        ids=["no-records", "shortest-path", "path-taken", "ground-truth"],
+    )
+    def test_bad_episode_is_named(self, records, message):
+        with pytest.raises(ValueError, match=f"'bad' {message}"):
+            episode_metrics(EpisodeResult("bad", records))
+
+    def test_first_of_two_bad_episodes_is_named(self):
+        results = [
+            episode([True], task_id="ok"),
+            EpisodeResult("first", (rec(True, path=-1.0),)),
+            EpisodeResult("second", ()),
+        ]
+        with pytest.raises(ValueError, match="'first' has negative path taken"):
+            aggregate(results)
 
 
 @st.composite
@@ -203,5 +223,63 @@ class TestProperties:
             truncated=old.truncated,
         )
         flipped[j] = EpisodeResult(flipped[j].task_id, tuple(new_records))
-        for metric in (isr, csr, cgt, task_sr):
-            assert metric(flipped) >= metric(results) - 1e-12
+        before, after = aggregate(results), aggregate(flipped)
+        for name in ("isr", "csr", "cgt", "sr"):
+            assert after[name] >= before[name] - 1e-12
+
+
+@st.composite
+def episode_results(draw):
+    """Random episodes: any success and oracle flags, errors, ground truths
+    and traveled distances a run can record."""
+    reals = st.floats(min_value=0.0, max_value=40.0)
+    out = []
+    for j in range(draw(st.integers(min_value=1, max_value=6))):
+        records = tuple(
+            SubtaskRecord(
+                success=draw(st.booleans()),
+                ne=draw(reals),
+                gt=draw(st.floats(min_value=0.05, max_value=40.0)),
+                steps=draw(st.integers(min_value=0, max_value=500)),
+                path_taken=draw(reals),
+                oracle_hit=draw(st.booleans()),
+                truncated=draw(st.booleans()),
+            )
+            for _ in range(draw(st.integers(min_value=1, max_value=5)))
+        )
+        out.append(EpisodeResult(f"t{j}", records))
+    return out
+
+
+def bits(metrics):
+    return {name: value.hex() for name, value in metrics.items()}
+
+
+class TestOneScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(episode_results())
+    def test_one_episode_aggregates_to_its_row(self, results):
+        for res in results:
+            row = episode_metrics(res)
+            assert list(row) == list(METRIC_ORDER)
+            assert bits(aggregate([res])) == bits(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(episode_results())
+    def test_aggregate_is_the_mean_of_rows_or_of_records(self, results):
+        rows = [episode_metrics(res) for res in results]
+        records = [r for res in results for r in res.records]
+        record_values = {
+            "ne": [r.ne for r in records],
+            "tar": [tar(r.ne, r.gt) for r in records],
+        }
+        want = {}
+        for name in METRIC_ORDER:
+            if name in SUBTASK_MEANS:
+                want[name] = sum(record_values[name]) / len(records)
+            else:
+                total = 0.0
+                for row in rows:
+                    total += row[name]
+                want[name] = total / len(rows)
+        assert bits(aggregate(results)) == bits(want)

@@ -582,6 +582,18 @@ class TestRunSuite:
 
         assert aggregate(results) == report["aggregate"]
 
+    def test_aggregate_runs_once_and_per_task_holds_the_episode_rows(self, monkeypatch):
+        from lhnav import metrics
+
+        calls = []
+        aggregate = metrics.aggregate
+        monkeypatch.setattr(metrics, "aggregate", lambda results: calls.append(1) or aggregate(results))
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        report = run_suite(scenes, tasks, RunConfig(policy="random", budget=40, seed=3))
+        assert len(calls) == 1
+        results = [EpisodeResult.from_dict(d) for d in report["results"]]
+        assert report["per_task"] == {res.task_id: metrics.episode_metrics(res) for res in results}
+
     def test_table_has_fixed_metric_order(self):
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=1)
         cfg = RunConfig(policy="expert")

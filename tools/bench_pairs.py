@@ -4,9 +4,12 @@
         --workload offline_split_train --seed 2 --pairs 10 \\
         --out BENCH_x.json --key end_to_end
 
-Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` from
-the root of each checkout, T being the `run_seconds` of the change's
-BENCHMARK.json, once per side in every pair: the parent first
+Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`, T
+being the `run_seconds` of the change's BENCHMARK.json, once per side in
+every pair.  Before each run the side's `src/`, `perfbench/` and
+BENCHMARK.json are copied into one temporary directory, emptied first,
+and the run starts there: both sides run from the same path, so the
+directory a checkout sits in cannot favour one side.  The parent runs first
 in even pairs (0, 2, ...), the change first in odd ones, so a drift of the
 machine's speed does not favour one side.  Each --workload gets its own
 pairs, one workload after another.  A run that fails or whose outputs do
@@ -25,10 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# what a benchmark run reads of a checkout, and what it leaves there
+STAGED = ("src", "perfbench", "BENCHMARK.json")
+LEFT_OUT = shutil.ignore_patterns("__pycache__", ".perfbench_work")
 
 
 def rounded(value: float) -> float:
@@ -79,13 +88,28 @@ def digest_block(seen: dict[str, set[str]]) -> dict:
     return block
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One untraced benchmark run: its end-to-end metrics and output digest."""
+def stage(checkout: Path, workdir: Path) -> None:
+    """Empty `workdir`, then copy the STAGED files of `checkout` into it."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir(parents=True)
+    for name in STAGED:
+        if (checkout / name).is_dir():
+            shutil.copytree(checkout / name, workdir / name, ignore=LEFT_OUT)
+        else:
+            shutil.copy2(checkout / name, workdir / name)
+
+
+def run_once(
+    checkout: Path, workdir: Path, workload: str, seed: int, seconds: float
+) -> tuple[dict, str]:
+    """One untraced benchmark run of `checkout`, staged in `workdir`: its
+    end-to-end metrics and output digest."""
+    stage(checkout, workdir)
     command = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    proc = subprocess.run(command, cwd=workdir, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     if proc.returncode != 0 or not result.get("correct"):
@@ -110,21 +134,23 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     blocks, digests = {}, {}
-    for workload in args.workload:
-        runs = {"parent": [], "change": []}
-        seen = {"parent": set(), "change": set()}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for name in order:
-                metrics, digest = run_once(
-                    getattr(args, name), workload, args.seed, benchmark["run_seconds"])
-                runs[name].append(metrics)
-                seen[name].add(digest)
-            print(f"{workload} pair {pair}: " + "  ".join(
-                f"{name} {runs[name][-1]['steps_per_s']:.4g}/s" for name in ("parent", "change")),
-                file=sys.stderr)
-        blocks[workload] = summarize(benchmark["end_to_end"], runs["parent"], runs["change"])
-        digests[workload] = digest_block(seen)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        workdir = Path(tmp) / "checkout"
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            seen = {"parent": set(), "change": set()}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for name in order:
+                    metrics, digest = run_once(
+                        getattr(args, name), workdir, workload, args.seed, benchmark["run_seconds"])
+                    runs[name].append(metrics)
+                    seen[name].add(digest)
+                print(f"{workload} pair {pair}: " + "  ".join(
+                    f"{name} {runs[name][-1]['steps_per_s']:.4g}/s" for name in ("parent", "change")),
+                    file=sys.stderr)
+            blocks[workload] = summarize(benchmark["end_to_end"], runs["parent"], runs["change"])
+            digests[workload] = digest_block(seen)
 
     data = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     data.setdefault(args.key, {}).update(blocks)
