@@ -8,20 +8,21 @@ the corresponding pair of memory entries is averaged into one slot before
 the new entry is appended.  Merging the most mutually redundant entries is
 what keeps distinctive low-confidence memories alive.
 
-Every step of the memory policy is array operations.  The short-term
-memory is a (CAPACITY x dim) row buffer and a confidence vector, updated in
+Every step of the memory policy is array operations.  Every embedding in
+both memories is EMBED_DIM long.  The short-term memory is a
+(CAPACITY x EMBED_DIM) row buffer and a confidence vector, updated in
 place: a merge writes (a + b) / 2 into the first slot of the pair and
 shifts the later rows down with one slice copy, and the mean entry is one
 reduction over the first n rows.  The n-1 pair candidates of a confidence
 vector are the rows of one (n-1) x (n-1) matrix, and one row-wise formula
-gives every candidate's entropy.  Each long-term bucket holds an (m x dim)
-matrix of observation rows, the m row norms and an (m x 4) matrix of
-action rows, so a retrieval is one batched product over the bucket, one
-stable sort and one fancy index of the action rows.  Every embedding in a
-store has one length, so a store file loads as one stacked matrix, its
-norms and checks computed over the whole array, and each target's bucket
-is cut from it.  Results are bit-identical to the per-entry loops and
-tuples they replace (tests/reference_impls.py).
+gives every candidate's entropy.  Each long-term bucket holds an
+(m x EMBED_DIM) matrix of observation rows, the m row norms and an
+(m x 4) matrix of action rows, so a retrieval is one batched product over
+the bucket, one stable sort and one fancy index of the action rows.  A
+store file loads as one stacked matrix, its norms and checks computed
+over the whole array, and each target's bucket is cut from it.  Results
+are bit-identical to the per-entry loops and tuples they replace
+(tests/reference_impls.py).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ EPS = 1e-12
 # decision vectors are laid out as (stop, turn_left, move_forward, turn_right)
 N_ACTIONS = 4
 
+# the length of an observation embedding: every row of both memories,
+# and the oracle's and the linear backend's embeddings
+EMBED_DIM = 64
+
 # the slots of a short-term memory; forgetting merges two, so at least 2
 CAPACITY = 32
 
@@ -47,13 +52,12 @@ TOP_K = 5
 
 
 class ShortTermMemory:
-    """Short-term memory: the first n rows of a (CAPACITY x dim) buffer are
-    the entries in order, and the first n slots of a vector their
-    confidences.  forget_and_append updates it in place.  The first entry
-    fixes the row length dim and allocates the buffer."""
+    """Short-term memory: the first n rows of a (CAPACITY x EMBED_DIM)
+    buffer are the entries in order, and the first n slots of a vector
+    their confidences.  forget_and_append updates it in place."""
 
     def __init__(self) -> None:
-        self._rows: np.ndarray | None = None
+        self._rows = np.empty((CAPACITY, EMBED_DIM))
         self._conf = np.empty(CAPACITY)
         self._n = 0
 
@@ -63,8 +67,6 @@ class ShortTermMemory:
     @property
     def entries(self) -> np.ndarray:
         """A copy of the entry rows, oldest first."""
-        if self._rows is None:
-            return np.empty((0, 0))
         return self._rows[: self._n].copy()
 
     @property
@@ -143,16 +145,11 @@ def forget_and_append(mem: ShortTermMemory, h_new: np.ndarray, c_new: float) -> 
     if not 0.0 < c < math.inf:
         raise ValueError(f"confidence must be finite and positive, got {c}")
     h = np.asarray(h_new, dtype=float)
-    rows, conf, n = mem._rows, mem._conf, mem._n
-    if rows is None:
-        if h.ndim != 1:
-            raise ValueError("a memory entry must be a vector")
-        rows = mem._rows = np.empty((CAPACITY, h.shape[0]))
-    if h.shape != rows.shape[1:]:
+    if h.shape != (EMBED_DIM,):
         raise ValueError(
-            f"entry of shape {h.shape} does not match the memory's rows "
-            f"of length {rows.shape[1]}"
+            f"a memory entry must be a vector of length {EMBED_DIM}, not of shape {h.shape}"
         )
+    rows, conf, n = mem._rows, mem._conf, mem._n
     if n == CAPACITY:
         lo = entropy_argmin(pool_candidates(conf[:n]))
         rows[lo] = (rows[lo] + rows[lo + 1]) / 2
@@ -168,7 +165,8 @@ def forget_and_append(mem: ShortTermMemory, h_new: np.ndarray, c_new: float) -> 
 class _Bucket:
     """One target's entries in insertion order, as arrays: observation rows,
     their norms and action rows.  Iterating yields (obs, act) pairs.  The
-    arrays grow by doubling, so an add copies O(dim) values amortized."""
+    arrays grow by doubling, so an add copies O(EMBED_DIM) values
+    amortized."""
 
     def __init__(self, obs: np.ndarray, norms: np.ndarray, acts: np.ndarray) -> None:
         # the first m rows are the entries, the rest is room to grow
@@ -244,23 +242,21 @@ def _refusal(norms: np.ndarray, acts: np.ndarray) -> tuple[int, str] | None:
 class LongTermStore:
     """Per-target buckets of (observation embedding, action distribution).
 
-    Every embedding in a store has one length, dim: None while the store
-    is empty, then set by the first entry.  Read-only during evaluation;
-    insertion order is the retrieval tie-break.
+    Every embedding in a store is EMBED_DIM long.  Read-only during
+    evaluation; insertion order is the retrieval tie-break.
     """
 
     def __init__(self) -> None:
         self.buckets: dict[str, _Bucket] = {}
-        self.dim: int | None = None
 
     def __len__(self) -> int:
         return sum(len(b) for b in self.buckets.values())
 
     def _check_length(self, target: str, embedding: np.ndarray) -> None:
-        if embedding.shape != (self.dim,):
+        if embedding.shape != (EMBED_DIM,):
             raise ValueError(
                 f"target {target!r}: embedding of length {embedding.size} "
-                f"does not match the store's length {self.dim}"
+                f"does not match the store's length {EMBED_DIM}"
             )
 
     def _entry(self, target: str, obs, act) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +270,7 @@ class LongTermStore:
             raise ValueError("observation embedding must be a vector")
         if act.shape != (N_ACTIONS,):
             raise ValueError(f"action distribution must have length {N_ACTIONS}")
-        if self.dim is not None:
-            self._check_length(target, obs)
+        self._check_length(target, obs)
         return obs, act
 
     def add(self, target: str, obs: np.ndarray, act: np.ndarray) -> None:
@@ -285,7 +280,6 @@ class LongTermStore:
         refused = _refusal(norms, act)
         if refused is not None:
             raise ValueError(refused[1])
-        self.dim = obs.shape[1]
         bucket = self.buckets.get(target)
         if bucket is None:  # copies, so that the caller's arrays stay theirs
             self.buckets[target] = _Bucket(obs.copy(), norms, act.copy())
@@ -337,9 +331,9 @@ class LongTermStore:
         """Entries written by save; a missing file or a bad line raises an
         InputFileError naming the path and the line number.
 
-        Lines are read up to the first that is not an entry of the store's
-        one length.  The rows read are stacked into one matrix and checked
-        as whole arrays, so that the first bad line in the file is named;
+        Lines are read up to the first that is not an entry of EMBED_DIM
+        values.  The rows read are stacked into one matrix and checked as
+        whole arrays, so that the first bad line in the file is named;
         each target's bucket is then cut from the stack.
         """
         store = cls()
@@ -354,7 +348,6 @@ class LongTermStore:
                     obs, act = store._entry(rec["target"], rec["obs"], rec["act"])
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise InputFileError(f"{where}: {exc}") from exc
-                store.dim = obs.shape[0]  # set by the first line, kept by _entry
                 targets.append(rec["target"])
                 obs_rows.append(obs)
                 act_rows.append(act)

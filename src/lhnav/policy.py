@@ -24,6 +24,7 @@ import numpy as np
 
 from .files import InputFileError, read_document, write_lines
 from .memory import (
+    EMBED_DIM,
     LongTermStore,
     N_ACTIONS,
     ShortTermMemory,
@@ -36,10 +37,6 @@ from .world import Action, Observation, Scene, StepContext, View
 from . import expert as expert_mod
 from .taskforge import MAX_STAGES, TaskSpec
 from .trajectory import Trajectory
-
-# the length of an observation embedding, the oracle's and the linear
-# backend's; a memory rollout's store holds rows of this length
-EMBED_DIM = 64
 
 
 @functools.cache

@@ -26,7 +26,6 @@ from .expert import UnreachableTargetError, geodesic_distance
 from .files import InputFileError, read_document, write_document
 from .metrics import EpisodeResult, SubtaskRecord
 from .policy import (
-    EMBED_DIM,
     ExpertPolicy,
     LinearSoftmaxBackend,
     MemoryPolicy,
@@ -42,7 +41,16 @@ from .trajectory import StepRecord, SubtaskSpan, Trajectory
 from .world import Action, AgentState, Scene, StepContext, apply_action, stock_robot, validate_state
 
 
-POLICIES = ("expert", "random", "memory", "stop")
+# each policy's name and its builder, which makes a fresh policy for one
+# episode of a task from the run's config and the memory policy's store
+POLICIES = {
+    "expert": lambda cfg, task, store: ExpertPolicy(),
+    "random": lambda cfg, task, store: RandomPolicy(task.id, cfg.seed),
+    "memory": lambda cfg, task, store: MemoryPolicy(
+        LinearSoftmaxBackend(seed=cfg.seed), store=store
+    ),
+    "stop": lambda cfg, task, store: StopPolicy(),
+}
 
 
 @dataclass
@@ -58,7 +66,9 @@ class RunConfig:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+            raise ValueError(f"unknown policy {self.policy!r}; choose from {tuple(POLICIES)}")
+        if self.store_path and self.policy != "memory":
+            raise ValueError(f"only the memory policy reads a store, not {self.policy!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -78,15 +88,7 @@ def make_policy(
     """A fresh policy for one episode of the task.  The memory policy reads
     the given store, which it never writes; without one its store is
     empty."""
-    if cfg.policy == "expert":
-        return ExpertPolicy()
-    if cfg.policy == "random":
-        return RandomPolicy(task.id, cfg.seed)
-    if cfg.policy == "stop":
-        return StopPolicy()
-    if cfg.policy == "memory":
-        return MemoryPolicy(LinearSoftmaxBackend(seed=cfg.seed), store=store)
-    raise ValueError(f"unknown policy {cfg.policy!r}")
+    return POLICIES[cfg.policy](cfg, task, store)
 
 
 def run_episode(
@@ -231,10 +233,9 @@ def run_suite(
     or check_reachable rejects raise a TaskValidationError.  The reduction
     sorts episodes by task id, so shuffled task order and any worker count
     produce the same report.  The memory policy's store is loaded once,
-    before any episode, and a store whose embeddings are not EMBED_DIM
-    long, the length the policy embeds at, raises an InputFileError naming
-    the store file.  Each worker takes one contiguous chunk of tasks and
-    one pickled copy of the scenes, caches included, and of the store.
+    before any episode, and LongTermStore.load refuses a bad file.  Each
+    worker takes one contiguous chunk of tasks and one pickled copy of the
+    scenes, caches included, and of the store.
     """
     if not tasks:
         raise TaskValidationError("the suite holds no tasks")
@@ -247,13 +248,8 @@ def run_suite(
         validate_task(scene, task)
         check_reachable(scene, task)
     store = None
-    if cfg.policy == "memory" and cfg.store_path:
+    if cfg.store_path:
         store = LongTermStore.load(cfg.store_path)
-        if store.dim not in (None, EMBED_DIM):
-            raise InputFileError(
-                f"{cfg.store_path}: the store holds embeddings of length {store.dim}, "
-                f"but the memory policy embeds observations of length {EMBED_DIM}"
-            )
     job = partial(_episode_job, scenes, cfg, store)
 
     workers = min(cfg.workers, len(tasks))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lhnav.memory import N_ACTIONS
+from lhnav.memory import EMBED_DIM, N_ACTIONS
 from lhnav.policy import LinearSoftmaxBackend
 from lhnav.world import ObjectInstance, Region, Scene
 
@@ -16,6 +16,15 @@ class NarrowBackend(LinearSoftmaxBackend):
         self.feature_dim = k
         self.W = np.random.default_rng(seed).normal(0.0, 0.01, (N_ACTIONS, k))
         self.b = np.zeros(N_ACTIONS)
+
+
+def pad(vector):
+    """A vector zero-padded to EMBED_DIM, the one length of both memories'
+    rows.  Zero padding changes no cosine and no mean, so a test keeps its
+    hand-written vectors and expected values."""
+    out = np.zeros(EMBED_DIM)
+    out[: len(vector)] = vector
+    return out
 
 
 def free_cells(scene):

@@ -28,7 +28,7 @@ from lhnav.splitter import split_trajectory, turn_records
 from lhnav.taskforge import sample_task
 from lhnav.world import ROBOTS
 
-from conftest import NarrowBackend
+from conftest import NarrowBackend, pad
 from reference_impls import entropy_argmin_oracle, reference_split, topk_oracle
 
 SPOT = ROBOTS["spot"]
@@ -137,7 +137,7 @@ def test_criterion_4_entropy_forgetting_oracle():
     mem = ShortTermMemory()
     violations = 0
     for _ in range(10_000):
-        forget_and_append(mem, npr.normal(size=8), rng.random() + 1e-6)
+        forget_and_append(mem, pad(npr.normal(size=8)), rng.random() + 1e-6)
         if len(mem) > CAPACITY:
             violations += 1
     assert violations == 0
@@ -153,11 +153,11 @@ def test_criterion_5_retrieval_oracle():
         store = LongTermStore()
         bucket = []
         for _ in range(m):
-            obs = npr.normal(size=n_v)
+            obs = pad(npr.normal(size=n_v))
             act = npr.random(4)
             store.add("t", obs, act / act.sum())
             bucket.append((obs, act / act.sum()))
-        query = npr.normal(size=n_v)
+        query = pad(npr.normal(size=n_v))
         want = topk_oracle(bucket, query, TOP_K)
         assert store.rank("t", query)[:TOP_K] == want
         acts = store.retrieve_topk("t", query).acts

@@ -732,29 +732,46 @@ class TestUsageErrors:
     def test_store_of_another_embedding_length_is_a_usage_error(
         self, tmp_path, capsys, two_room_scene, workers
     ):
-        # the memory policy embeds at 64; a store of 32-long rows is
-        # refused before any episode runs or anything is written
-        import numpy as np
-
-        from lhnav.memory import LongTermStore
+        # the memory policy embeds at 64; a store of 32-long rows, or of
+        # 64-long rows and then 32-long ones, is refused at its first
+        # 32-long line, before any episode runs or anything is written.
+        # LongTermStore.add refuses such rows, so the files are written
+        # by hand
         from lhnav.taskforge import sample_task, save_tasks
 
         two_room_scene.save(tmp_path / "scene.json")
         tasks = [sample_task(two_room_scene, seed=seed) for seed in (7, 8)]
         assert "bag-0" in [sub.object_id for sub in tasks[0].move_targets()]
         save_tasks(tasks, tmp_path / "t.json")
-        store = LongTermStore()
-        store.add("desk", np.ones(32), np.eye(4)[2])
-        store.add("bag", np.ones(32), np.eye(4)[1])
-        path = tmp_path / "store.jsonl"
-        store.save(path)
+        for lengths, line in [([32, 32], 1), ([64, 32], 2)]:
+            path = tmp_path / f"store-{line}.jsonl"
+            with open(path, "w", encoding="utf-8") as fh:
+                for target, act, n in zip(["desk", "bag"], [[0, 0, 1, 0], [0, 1, 0, 0]], lengths):
+                    fh.write(json.dumps({"target": target, "obs": [1.0] * n, "act": act}) + "\n")
+            out = tmp_path / "run"
+            last = usage_error_line(
+                capsys, "rollout", "--scenes", tmp_path / "scene.json", "--tasks", tmp_path / "t.json",
+                "--out", out, "--policy", "memory", "--store", path, "--workers", workers,
+            )
+            assert f"{path} line {line}:" in last
+            assert re.search(r"\b32\b", last) and re.search(r"\b64\b", last)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["expert", "random", "stop"])
+    def test_store_for_another_policy_is_a_usage_error(self, tmp_path, capsys, two_room_scene, policy):
+        # only the memory policy reads a store; another policy would skip
+        # the file yet hash its path into every trajectory
+        from lhnav.taskforge import sample_task, save_tasks
+
+        two_room_scene.save(tmp_path / "scene.json")
+        save_tasks([sample_task(two_room_scene, seed=7)], tmp_path / "t.json")
+        missing = tmp_path / "missing.jsonl"
         out = tmp_path / "run"
         last = usage_error_line(
             capsys, "rollout", "--scenes", tmp_path / "scene.json", "--tasks", tmp_path / "t.json",
-            "--out", out, "--policy", "memory", "--store", path, "--workers", workers,
+            "--out", out, "--policy", policy, "--store", missing,
         )
-        assert str(path) in last
-        assert re.search(r"\b32\b", last) and re.search(r"\b64\b", last)
+        assert "memory" in last and repr(policy) in last
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["table", "json"])

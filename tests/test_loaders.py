@@ -19,6 +19,8 @@ from lhnav.taskforge import load_tasks, sample_task, save_tasks
 from lhnav.trajectory import Trajectory
 from lhnav.world import Scene
 
+from conftest import pad
+
 LOADERS = {
     "scene": Scene.load,
     "tasks": load_tasks,
@@ -51,7 +53,7 @@ def valid(tmp_path_factory):
     trajectory, _ = run_episode(scene, task, ExpertPolicy(), RunConfig(budget=40))
     store = LongTermStore()
     for i in range(3):
-        store.add("cup", np.arange(3.0) + i, np.eye(4)[i])
+        store.add("cup", pad(np.arange(3.0) + i), np.eye(4)[i])
     writers = {
         "scene": scene.save,
         "tasks": lambda path: save_tasks([task], path),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lhnav.files import InputFileError
 from lhnav.memory import (
     CAPACITY,
+    EMBED_DIM,
     TOP_K,
     LongTermStore,
     ShortTermMemory,
@@ -21,6 +22,7 @@ from lhnav.memory import (
     weight_decision,
 )
 
+from conftest import pad
 from reference_impls import (
     TupleShortTermMemory,
     entropy_argmin_oracle,
@@ -31,6 +33,9 @@ from reference_impls import (
     loop_rank,
     topk_oracle,
 )
+
+# the tail of a JSON embedding whose first three values are written out
+PAD = ", 0.0" * (EMBED_DIM - 3)
 
 # confidence vectors of length 2..32: arbitrary values, values drawn from a
 # few (so candidates repeat), and all-equal vectors
@@ -124,20 +129,20 @@ class TestEntropyArgmin:
 class TestForgetAndAppend:
     def test_below_capacity_plain_append(self):
         mem = ShortTermMemory()
-        forget_and_append(mem, np.array([1.0, 0.0]), 0.5)
-        forget_and_append(mem, np.array([0.0, 1.0]), 0.7)
+        forget_and_append(mem, pad([1.0, 0.0]), 0.5)
+        forget_and_append(mem, pad([0.0, 1.0]), 0.7)
         assert len(mem) == 2
-        assert np.allclose(mem.entries[0], [1.0, 0.0])
+        assert np.allclose(mem.entries[0], pad([1.0, 0.0]))
         assert mem.confidences == (0.5, 0.7)
 
     def test_at_capacity_merges_entropy_argmin_pair(self):
         mem = ShortTermMemory()
-        vecs = list(np.eye(CAPACITY))
+        vecs = [pad(v) for v in np.eye(CAPACITY)]
         confs = [0.9] * CAPACITY
         confs[2] = 0.1
         for v, c in zip(vecs, confs):
             forget_and_append(mem, v, c)
-        new = np.full(CAPACITY, 0.5)
+        new = pad(np.full(CAPACITY, 0.5))
         forget_and_append(mem, new, 0.6)
         assert len(mem) == CAPACITY
         # entries 0 and 1 merged elementwise; the 0.1 entry survived, and
@@ -153,9 +158,9 @@ class TestForgetAndAppend:
         confs = (0.75, 0.25, 0.5, 0.5) * (CAPACITY // 4)
         mem = ShortTermMemory()
         for i, c in enumerate(confs):
-            forget_and_append(mem, np.eye(CAPACITY)[i], c)
+            forget_and_append(mem, pad(np.eye(CAPACITY)[i]), c)
         idx = entropy_argmin(pool_candidates(confs))
-        forget_and_append(mem, np.ones(CAPACITY), 0.5)
+        forget_and_append(mem, pad(np.ones(CAPACITY)), 0.5)
         merged_only = mem.confidences[:-1]
         assert sum(merged_only) == sum(confs) - (confs[idx] + confs[idx + 1]) / 2
 
@@ -164,19 +169,25 @@ class TestForgetAndAppend:
         mem = ShortTermMemory()
         confs = (0.5, 0.25) * (CAPACITY // 2)
         for conf in confs:
-            forget_and_append(mem, np.ones(3), conf)
+            forget_and_append(mem, pad(np.ones(3)), conf)
         with pytest.raises(ValueError, match="finite and positive"):
-            forget_and_append(mem, np.ones(3), c)
+            forget_and_append(mem, pad(np.ones(3)), c)
         # nothing was merged or stored, so no NaN reaches a later merge
         assert mem.confidences == confs
 
     def test_entry_of_another_length_rejected(self):
+        # the rows are EMBED_DIM long before any entry is appended, so a
+        # first entry of another length is refused too
         mem = ShortTermMemory()
-        forget_and_append(mem, np.ones(3), 0.5)
-        with pytest.raises(ValueError, match="length 3"):
-            forget_and_append(mem, np.ones(4), 0.5)
-        assert len(mem) == 1
-        assert mem.mean_entry().tobytes() == np.ones(3).tobytes()
+        assert mem.entries.shape == (0, EMBED_DIM)
+        for n in range(2):
+            for shape in [(32,), (EMBED_DIM + 1,), (1, EMBED_DIM)]:
+                refusal = rf"length 64, not of shape {re.escape(str(shape))}"
+                with pytest.raises(ValueError, match=refusal):
+                    forget_and_append(mem, np.ones(shape), 0.5)
+            assert len(mem) == n and mem.entries.shape == (n, EMBED_DIM)
+            forget_and_append(mem, pad(np.ones(3)), 0.5)
+        assert mem.mean_entry().tobytes() == pad(np.ones(3)).tobytes()
 
     def test_empty_memory_has_no_mean_entry(self):
         with pytest.raises(ValueError, match="empty memory"):
@@ -189,7 +200,7 @@ class TestForgetAndAppend:
             dim = rng.randint(1, 16)
             mem = ShortTermMemory()
             for _ in range(500):
-                forget_and_append(mem, npr.normal(size=dim), rng.random() + 1e-6)
+                forget_and_append(mem, pad(npr.normal(size=dim)), rng.random() + 1e-6)
                 assert len(mem) <= CAPACITY
             assert len(mem) == CAPACITY
 
@@ -197,8 +208,8 @@ class TestForgetAndAppend:
 class TestRetrieveTopk:
     def test_self_match_ranks_first(self):
         store = LongTermStore()
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
+        e1 = pad([1.0, 0.0, 0.0])
+        e2 = pad([0.0, 1.0, 0.0])
         a1 = np.array([1.0, 0.0, 0.0, 0.0])
         a2 = np.array([0.0, 0.0, 1.0, 0.0])
         store.add("mug", e2, a2)
@@ -209,12 +220,12 @@ class TestRetrieveTopk:
 
     def test_orthogonal_query_prefers_parallel(self):
         store = LongTermStore()
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
+        e1 = pad([1.0, 0.0])
+        e2 = pad([0.0, 1.0])
         store.add("mug", e1, np.array([0.25, 0.25, 0.25, 0.25]))
         store.add("mug", e2, np.array([0.0, 0.0, 0.0, 1.0]))
-        assert store.rank("mug", np.array([0.0, 2.0])) == [1, 0]
-        got = store.retrieve_topk("mug", np.array([0.0, 2.0]))
+        assert store.rank("mug", pad([0.0, 2.0])) == [1, 0]
+        got = store.retrieve_topk("mug", pad([0.0, 2.0]))
         assert np.array_equal(got.acts[0], [0.0, 0.0, 0.0, 1.0])
 
     def test_empty_bucket_returns_empty(self):
@@ -223,15 +234,17 @@ class TestRetrieveTopk:
         assert not top and top.acts.shape == (0, 4)
 
     def test_embedding_length_must_match_bucket(self):
-        # one length per store, set by its first accepted entry: a bucket
-        # of another target takes no other length either
+        # every embedding of every bucket is EMBED_DIM long, the first
+        # entry's too
         store = LongTermStore()
         act = np.array([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="nonzero"):
-            store.add("mug", np.zeros(16), act)
-        assert store.dim is None
+            store.add("mug", np.zeros(64), act)
+        for target in ("mug", "cup"):
+            with pytest.raises(ValueError, match=rf"'{target}'.* 16 .* 64"):
+                store.add(target, np.ones(16), act)
+        assert len(store) == 0
         store.add("mug", np.ones(64), act)
-        assert store.dim == 64
         for target in ("mug", "cup"):
             with pytest.raises(ValueError, match=rf"'{target}'.* 16 .* 64"):
                 store.add(target, np.ones(16), act)
@@ -250,9 +263,9 @@ class TestRetrieveTopk:
 
     def test_zero_query_raises(self):
         store = LongTermStore()
-        store.add("mug", np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+        store.add("mug", pad([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            store.retrieve_topk("mug", np.zeros(2))
+            store.retrieve_topk("mug", pad(np.zeros(2)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
@@ -262,11 +275,11 @@ class TestRetrieveTopk:
         # such a query would otherwise rank the bucket in insertion order
         store = LongTermStore()
         for obs in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]):
-            store.add("mug", np.array(obs), np.array([1.0, 0.0, 0.0, 0.0]))
+            store.add("mug", pad(obs), np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=r"query embedding for 'mug' must be finite"):
-            store.rank("mug", np.array(query))
+            store.rank("mug", pad(query))
         with pytest.raises(ValueError, match=r"query embedding for 'mug' must be finite"):
-            store.retrieve_topk("mug", np.array(query))
+            store.retrieve_topk("mug", pad(query))
 
     def test_matches_full_sort_oracle(self):
         rng = random.Random(5)
@@ -277,12 +290,12 @@ class TestRetrieveTopk:
             store = LongTermStore()
             bucket = []
             for _ in range(m):
-                obs = npr.normal(size=n_v)
+                obs = pad(npr.normal(size=n_v))
                 act = npr.random(4)
                 act = act / act.sum()
                 store.add("t", obs, act)
                 bucket.append((obs, act))
-            query = npr.normal(size=n_v)
+            query = pad(npr.normal(size=n_v))
             want = topk_oracle(bucket, query, TOP_K)
             assert store.rank("t", query)[:TOP_K] == want
             got = store.retrieve_topk("t", query)
@@ -293,11 +306,11 @@ class TestRetrieveTopk:
         store = LongTermStore()
         for i in range(10):
             act = npr.random(4)
-            store.add("cup", npr.normal(size=8), act / act.sum())
+            store.add("cup", pad(npr.normal(size=8)), act / act.sum())
         path = tmp_path / "store.jsonl"
         store.save(path)
         loaded = LongTermStore.load(path)
-        query = npr.normal(size=8)
+        query = pad(npr.normal(size=8))
         assert store.rank("cup", query) == loaded.rank("cup", query)
         got, want = loaded.retrieve_topk("cup", query), store.retrieve_topk("cup", query)
         assert len(got) == TOP_K and got.acts.tobytes() == want.acts.tobytes()
@@ -310,12 +323,13 @@ class TestRetrieveTopk:
             '{"target": "cup", "act": [0.25, 0.25, 0.25, 0.25]}',
             '["cup", [1.0], [1.0, 0.0, 0.0, 0.0]]',
             '{"target": "cup", "obs": [1.0, 2.0], "act": [1.0, 0.0, 0.0, 0.0]}',
-            '{"target": "cup", "obs": [NaN, 1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
-            '{"target": "cup", "obs": [Infinity, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
-            '{"target": "cup", "obs": [1.0, 0.0, 0.0], "act": [NaN, 0.0, 0.0, 1.0]}',
-            '{"target": "cup", "obs": [1' + "0" * 400 + ', 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
-            '{"target": 7, "obs": [1.0, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
-            '{"target": null, "obs": [1.0, 0.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [NaN, 1.0, 0.0' + PAD + '], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [Infinity, 0.0, 0.0' + PAD + '], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": "cup", "obs": [1.0, 0.0, 0.0' + PAD + '], "act": [NaN, 0.0, 0.0, 1.0]}',
+            '{"target": "cup", "obs": [1' + "0" * 400 + ', 0.0, 0.0' + PAD
+            + '], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": 7, "obs": [1.0, 0.0, 0.0' + PAD + '], "act": [1.0, 0.0, 0.0, 0.0]}',
+            '{"target": null, "obs": [1.0, 0.0, 0.0' + PAD + '], "act": [1.0, 0.0, 0.0, 0.0]}',
         ],
         ids=[
             "truncated", "not-json", "missing-obs", "not-an-object", "wrong-length",
@@ -325,7 +339,7 @@ class TestRetrieveTopk:
     )
     def test_bad_line_names_path_and_line_number(self, tmp_path, bad_line):
         store = LongTermStore()
-        store.add("cup", np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        store.add("cup", pad(np.ones(3)), np.array([1.0, 0.0, 0.0, 0.0]))
         path = tmp_path / "store.jsonl"
         store.save(path)
         with open(path, "a", encoding="utf-8") as fh:
@@ -351,7 +365,6 @@ class TestBatchedLoad:
                 fh.write(json.dumps({"target": target, "obs": obs.tolist(), "act": act.tolist()}) + "\n")
         loaded = LongTermStore.load(path)
         assert list(loaded.buckets) == list(ref.buckets)
-        assert loaded.dim == ref.dim == 64
         for target, bucket in ref.buckets.items():
             got = loaded.buckets[target]
             assert got.obs.tobytes() == bucket.obs.tobytes(), target
@@ -363,8 +376,9 @@ class TestBatchedLoad:
         assert loaded.rank("mug", np.ones(64)) == ref.rank("mug", np.ones(64))
 
     def test_the_first_bad_line_is_named(self, tmp_path):
-        good = '{"target": "cup", "obs": [1.0, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}'
-        nan_obs = '{"target": "cup", "obs": [NaN, 0.0], "act": [1.0, 0.0, 0.0, 0.0]}'
+        act = [1.0, 0.0, 0.0, 0.0]
+        good = json.dumps({"target": "cup", "obs": pad([1.0, 0.0]).tolist(), "act": act})
+        nan_obs = json.dumps({"target": "cup", "obs": pad([math.nan, 0.0]).tolist(), "act": act})
         path = tmp_path / "store.jsonl"
         path.write_text("\n".join([good, nan_obs, "not json", good]) + "\n")
         with pytest.raises(ValueError, match=r"line 2: observation embedding must be finite"):
@@ -414,6 +428,18 @@ class TestBatchedLoad:
         ):
             LongTermStore.load(path)
 
+    def test_a_file_of_another_length_is_refused_at_its_first_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for target in ("mug", "cup"):
+                fh.write(json.dumps({"target": target, "obs": [1.0] * 32, "act": [0, 1, 0, 0]}) + "\n")
+        with pytest.raises(
+            InputFileError,
+            match=rf"{re.escape(str(path))} line 1: target 'mug': embedding of length 32 "
+            r"does not match the store's length 64",
+        ):
+            LongTermStore.load(path)
+
 
 class TestArrayFormsMatchLoops:
     """The array forms of forgetting and retrieval give the bits of the
@@ -440,7 +466,7 @@ class TestArrayFormsMatchLoops:
         mem = ShortTermMemory()
         ref = TupleShortTermMemory()
         for step in range(1000):
-            h = rng.normal(size=6)
+            h = pad(rng.normal(size=6))
             c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
             forget_and_append(mem, h, c)
             ref = loop_forget_and_append(ref, h, c)
@@ -449,15 +475,15 @@ class TestArrayFormsMatchLoops:
         assert len(mem) == CAPACITY
 
     def test_buffer_matches_the_tuple_memory(self):
-        # rows of many lengths, and more appends than slots, so that merges
-        # hit every position of the buffer
+        # rows of many lengths, zero-padded, and more appends than slots, so
+        # that merges hit every position of the buffer
         rng = np.random.default_rng(23)
         for trial in range(12):
             dim = int(rng.integers(1, 20))
             mem = ShortTermMemory()
             ref = TupleShortTermMemory()
             for step in range(3 * CAPACITY + 10):
-                h = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3])
+                h = pad(rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3]))
                 c = float(rng.choice([0.25, 0.5, rng.random() + 1e-6]))
                 forget_and_append(mem, h, c)
                 ref = loop_forget_and_append(ref, h, c)
@@ -500,7 +526,7 @@ class TestArrayFormsMatchLoops:
     def test_rank_matches_the_loop_on_random_stores(self):
         npr = np.random.default_rng(17)
         for trial in range(200):
-            dim = int(npr.choice([2, 7, 16, 64, 65]))
+            dim = int(npr.choice([2, 7, 16, 64]))
             m = int(npr.integers(1, 400))
             base = npr.normal(size=dim)
             store = LongTermStore()
@@ -516,15 +542,16 @@ class TestArrayFormsMatchLoops:
                     obs = base * npr.uniform(0.5, 2.0)
                 else:
                     obs = npr.normal(size=dim)
+                obs = pad(obs)
                 store.add("t", obs, one_hot_act(j))
                 bucket.append((obs, one_hot_act(j)))
-            query = npr.normal(size=dim)
+            query = pad(npr.normal(size=dim))
             assert store.rank("t", query) == loop_rank(bucket, query), trial
 
     def test_buckets_yield_obs_act_pairs(self):
         npr = np.random.default_rng(3)
         store = LongTermStore()
-        added = [(npr.normal(size=8), one_hot_act(j)) for j in range(11)]
+        added = [(pad(npr.normal(size=8)), one_hot_act(j)) for j in range(11)]
         for obs, act in added:
             store.add("cup", obs, act)
         assert len(store.buckets["cup"]) == len(store.buckets.get("cup", ())) == 11

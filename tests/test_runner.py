@@ -208,6 +208,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    def test_unknown_policy_names_every_policy_in_order(self):
+        with pytest.raises(
+            ValueError, match=r"choose from \('expert', 'random', 'memory', 'stop'\)"
+        ):
+            RunConfig(policy="bogus")
+
+    @pytest.mark.parametrize("policy", ["expert", "random", "stop"])
+    def test_store_is_only_for_the_memory_policy(self, policy):
+        with pytest.raises(ValueError, match=rf"only the memory policy reads a store, not '{policy}'"):
+            RunConfig(policy=policy, store_path="store.jsonl")
+        RunConfig(policy="memory", store_path="store.jsonl")
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_policy_builds(self, policy, two_room_scene):
         make_policy(RunConfig(policy=policy), sample_task(two_room_scene, SPOT, seed=7))

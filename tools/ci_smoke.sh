@@ -46,6 +46,12 @@ for store in short-store mixed-store; do
   test "$status" -eq 2
   test ! -e "$smoke/$store-run"
 done
+# only the memory policy reads a store: another policy given one is a
+# usage error too, exit 2 and no output directory
+status=0
+lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy expert --store "$smoke/no-such-store.jsonl" --out "$smoke/expert-store-run" || status=$?
+test "$status" -eq 2
+test ! -e "$smoke/expert-store-run"
 # split reads the memory policy's trajectories too, windows of a lone stop included
 lhnav split --trajectories "$smoke/memory/trajectories" --scenes "$smoke/scenes" --out "$smoke/memory-steps.json"
 # every --policy choice runs through the installed command; the stop
