@@ -92,8 +92,10 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
         raise ValueError(f"source cell {source} is occupied or outside the grid")
     moves = neighbor_table(scene)
     src = source[0] * scene.cols + source[1]
-    # (axis, diag) steps of each cell, read only once the cell is reached
-    pair = [(0, 0)] * len(moves)
+    # the (axis, diag) steps of each cell, as two int lists (no tuple per
+    # cell), read only once the cell is reached
+    axis_steps = [0] * len(moves)
+    diag_steps = [0] * len(moves)
     value = [UNREACHABLE] * len(moves)
     value[src] = 0.0
     axis_val, axis_cell, axis_at = [0.0], [src], 0
@@ -113,20 +115,22 @@ def compute_field(scene: Scene, source: tuple[int, int]) -> GeodesicField:
         if val > value[i]:  # superseded by a shorter pair offered later
             continue
         steps.append(i)
-        a, d = pair[i]
+        a, d = axis_steps[i], diag_steps[i]
         axis_moves, diag_moves = moves[i]
-        val, step = (a + 1) + d * SQRT2, (a + 1, d)
+        val = (a + 1) + d * SQRT2
         for j in axis_moves:
             if val < value[j]:
                 value[j] = val
-                pair[j] = step
+                axis_steps[j] = a + 1
+                diag_steps[j] = d
                 axis_val.append(val)
                 axis_cell.append(j)
-        val, step = a + (d + 1) * SQRT2, (a, d + 1)
+        val = a + (d + 1) * SQRT2
         for j in diag_moves:
             if val < value[j]:
                 value[j] = val
-                pair[j] = step
+                axis_steps[j] = a
+                diag_steps[j] = d + 1
                 diag_val.append(val)
                 diag_cell.append(j)
     return GeodesicField(value=value, steps=steps)

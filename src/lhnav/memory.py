@@ -15,10 +15,13 @@ place: a merge writes (a + b) / 2 into the first slot of the pair and
 shifts the later rows down with one slice copy, and the mean entry is one
 reduction over the first n rows.  The n-1 pair candidates of a confidence
 vector are the rows of one (n-1) x (n-1) matrix, and one row-wise formula
-gives every candidate's entropy.  Each long-term bucket holds an
-(m x EMBED_DIM) matrix of observation rows, the m row norms and an
-(m x 4) matrix of action rows, so a retrieval is one batched product over
-the bucket, one stable sort and one fancy index of the action rows.  A
+gives every candidate's entropy; that step calls the ufuncs' reduce and
+ndarray.argmin directly, the bits of .sum, .all and np.argmin without
+their Python wrappers.  Each long-term bucket
+holds an (m x EMBED_DIM) matrix of observation rows, the m row norms and
+an (m x 4) matrix of action rows, so a retrieval is one batched product
+over the bucket, one stable sort, one fancy index of the action rows and
+one mean of them, which weights every decision taken on that retrieval.  A
 store file loads as one stacked matrix, its norms and checks computed
 over the whole array, and each target's bucket is cut from it.  Results
 are bit-identical to the per-entry loops and tuples they replace
@@ -113,24 +116,29 @@ def pool_candidates(confidences) -> np.ndarray:
 
 def candidate_entropies(candidates) -> np.ndarray:
     """Entropy of each candidate's distribution, normalized to sum 1; the
-    candidates are the rows of one 2-D array."""
+    candidates are the rows of one 2-D array.  A candidate whose mass (its
+    sum) is not finite and positive raises a ValueError naming it."""
     block = np.asarray(candidates, dtype=float)
     if block.ndim != 2:
         raise ValueError(f"candidates must be a 2-D array, not {block.ndim}-D")
     if not block.shape[0]:
         raise ValueError("need at least one candidate")
-    total = block.sum(axis=1)
-    bad = np.flatnonzero(total <= 0)
-    if bad.size:
-        raise ValueError(f"candidate {bad[0]} has nonpositive mass")
+    # the ufuncs' own reduces are the bits of .sum and .all, without their
+    # Python wrappers, a cost on every forgetting step
+    total = np.add.reduce(block, axis=1)
+    # written so that a NaN mass fails the test too
+    ok = (0.0 < total) & (total < math.inf)
+    if not np.logical_and.reduce(ok):
+        i = int(ok.argmin())  # the first refused candidate
+        raise ValueError(f"candidate {i} has mass {total[i]}: it must be finite and positive")
     s = block / total[:, None]
-    return -(s * np.log(np.maximum(s, EPS))).sum(axis=1)
+    return -np.add.reduce(s * np.log(np.maximum(s, EPS)), axis=1)
 
 
 def entropy_argmin(candidates) -> int:
     """Index of the candidate whose normalized distribution has the smallest
     entropy; ties go to the smallest index."""
-    return int(np.argmin(candidate_entropies(candidates)))
+    return int(candidate_entropies(candidates).argmin())
 
 
 def forget_and_append(mem: ShortTermMemory, h_new: np.ndarray, c_new: float) -> None:
@@ -212,10 +220,13 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 class TopK:
     """Retrieved entries in rank order: their action rows (k x 4), one fancy
-    index of the bucket."""
+    index of the bucket, and the mean of those rows, the action
+    distribution that weight_decision biases by (None without rows).  The
+    mean is the bits of np.mean, worked out once per retrieval."""
 
     def __init__(self, acts: np.ndarray) -> None:
         self.acts = acts
+        self.mean = np.add.reduce(acts, axis=0) / acts.shape[0] if acts.shape[0] else None
 
     def __len__(self) -> int:
         return self.acts.shape[0]
@@ -372,23 +383,23 @@ class LongTermStore:
         return store
 
 
-def weight_decision(decision: np.ndarray, retrieved_acts) -> np.ndarray:
-    """Bias a decision vector by the mean of retrieved action distributions,
-    one per row of retrieved_acts (a (k x 4) array, such as TopK.acts, or
-    a list of vectors).
+def weight_decision(decision: np.ndarray, mean_act: np.ndarray) -> np.ndarray:
+    """Bias a decision vector by the mean of the retrieved action
+    distributions (TopK.mean), a vector of N_ACTIONS values; anything else,
+    such as no mean at all, raises a ValueError.
 
     Elementwise product, renormalized to sum 1; the argmax is unaffected by
     the normalization.  When the product vanishes everywhere, a copy of the
     input is returned.
     """
-    if not len(retrieved_acts):
-        raise ValueError("need at least one retrieved action")
+    avg = np.asarray(mean_act, dtype=float)
+    if avg.shape != (N_ACTIONS,):
+        raise ValueError(
+            f"the retrieved mean must be a vector of {N_ACTIONS} actions, not of shape {avg.shape}"
+        )
     a = np.asarray(decision, dtype=float)
-    acts = np.asarray(retrieved_acts, dtype=float)
-    # the bits of np.mean, without its per-call overhead
-    avg = np.add.reduce(acts, axis=0) / acts.shape[0]
     weighted = a * avg
-    total = float(weighted.sum())
+    total = float(np.add.reduce(weighted))
     if total <= 0:
         return a.copy()
     return weighted / total

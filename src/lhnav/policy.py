@@ -136,27 +136,30 @@ class LinearSoftmaxBackend:
 
     feature_dim = 3 * EMBED_DIM + EMBED_DIM + MAX_STAGES
 
+    # the row's tail blocks: the mean entry of an empty memory, and the
+    # one-hot of each stage (the last one also stands for every later stage)
+    _NO_MEAN = np.zeros(EMBED_DIM)
+    _STAGE_HOT = np.eye(MAX_STAGES)
+
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.W = rng.normal(0.0, 0.01, size=(N_ACTIONS, self.feature_dim))
         self.b = np.zeros(N_ACTIONS)
 
     def features(self, stage: int, views: np.ndarray, memory: ShortTermMemory) -> np.ndarray:
-        """A fresh row: the view embeddings, the mean short-term entry (zero
-        while the memory is empty) and the stage one-hot."""
-        d = EMBED_DIM
-        x = np.zeros(self.feature_dim)
-        x[: 3 * d] = views
-        if len(memory):
-            x[3 * d : 4 * d] = memory.mean_entry()
-        x[4 * d + min(stage, MAX_STAGES - 1)] = 1.0
-        return x
+        """A fresh row, one concatenation of the view embeddings, the mean
+        short-term entry (zero while the memory is empty) and the stage
+        one-hot."""
+        mean = memory.mean_entry() if len(memory) else self._NO_MEAN
+        return np.concatenate((views, mean, self._STAGE_HOT[min(stage, MAX_STAGES - 1)]))
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
+        # the ufuncs' own reduces are the bits of .max and .sum, without
+        # their Python wrappers
         logits = self.W @ x + self.b
-        logits = logits - logits.max()
+        logits = logits - np.maximum.reduce(logits)
         e = np.exp(logits)
-        return e / e.sum()
+        return e / np.add.reduce(e)
 
     def decide(self, ctx, views, memory):
         x = self.features(ctx.stage, views, memory)
@@ -357,7 +360,8 @@ def imitation_dataset(
     trajectory's move windows, the row memory_policy_step decides on for a
     memory policy (empty long-term store) handed Trajectory.replay's
     contexts, one per pose and window as run_episode makes them.  So it
-    senses once per pose and window, judges no pose, and folds every step."""
+    observes once per pose of the trajectory, judges no pose, and folds
+    every step."""
     policy = MemoryPolicy(backend)
     dataset = []
     for _, steps, contexts in trajectory.replay(scene):
@@ -413,30 +417,39 @@ def train_backend(
 
 def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
     """One decision step of a memory policy, updating it in place: embed
-    the context's observation, decide, weight by the actions retrieved for
-    the target's category, take the argmax, and fold the observation into
-    short-term memory at the largest decision value; policy.row keeps the
-    feature row.  Rollout and the imitation replay both step through here.
+    the context's observation, decide, weight by the mean of the actions
+    retrieved for the target's category, take the argmax, and fold the
+    observation into short-term memory at the largest decision value;
+    policy.row keeps the feature row.  Rollout and the imitation replay
+    both step through here.
 
-    When the policy last stepped on this very context object, as after a
-    blocked forward move (run_episode and Trajectory.replay make one context
-    per pose), the step reuses the views, fused embedding and top-k it kept
-    instead of embedding and retrieving again: those are pure functions of
-    the pose and the target, given one store and one oracle, and the store
-    is read-only during an episode.  Another context object senses its own
-    observation, even at an equal pose.  The decision and the fold run on
-    every step, because they read the short-term memory."""
-    if policy.ctx is not ctx:
-        policy.views, policy.fused = policy.oracle.embed(ctx.observation)
-        category = ctx.scene.object(ctx.target_id).category
-        policy.top = policy.store.retrieve_topk(category, policy.fused)
-        policy.ctx = ctx
-    decision, policy.row = policy.backend.decide(ctx, policy.views, policy.memory)
-    confidence = float(decision.max())
-    if policy.top:
-        decision = weight_decision(decision, policy.top.acts)
-    forget_and_append(policy.memory, policy.fused, confidence)
-    return Action(int(np.argmax(decision)))
+    Sensing is memoised for the episode, each part under what it is a pure
+    function of, given one scene, robot, oracle and store (the store is
+    read-only during an episode).  The view and fused embeddings depend on
+    the pose alone: policy.sensed keeps them by ctx.state, so a pose the
+    episode has reached before (after a blocked move, on turning back to a
+    heading it has faced, at the start of a window for a new target, or at
+    an equal context of a replay) is neither observed nor embedded again.
+    The top-k depends on the target's category and the fused embedding:
+    policy.retrieved keeps it by (category, fused embedding bytes), so
+    poses that see the same objects at the same ranges share one
+    retrieval.  The decision and the fold run on every step, because they
+    read the short-term memory."""
+    sensed = policy.sensed.get(ctx.state)
+    if sensed is None:
+        views, fused = policy.oracle.embed(ctx.observation)
+        sensed = policy.sensed[ctx.state] = (views, fused, fused.tobytes())
+    views, fused, fused_bytes = sensed
+    category = ctx.scene.object(ctx.target_id).category
+    top = policy.retrieved.get((category, fused_bytes))
+    if top is None:
+        top = policy.retrieved[category, fused_bytes] = policy.store.retrieve_topk(category, fused)
+    decision, policy.row = policy.backend.decide(ctx, views, policy.memory)
+    confidence = float(np.maximum.reduce(decision))
+    if top.mean is not None:
+        decision = weight_decision(decision, top.mean)
+    forget_and_append(policy.memory, fused, confidence)
+    return Action(int(decision.argmax()))
 
 
 # -- runner-facing policies ---------------------------------------------------------
@@ -476,19 +489,23 @@ class StopPolicy:
 
 
 class MemoryPolicy:
-    """Memory-augmented policy: backend decision, long-term weighting, and
-    short-term forgetting.  It keeps the context it last stepped on, with
-    the view embeddings, fused embedding and top-k of its observation (a
-    step handed the context of the step before, as after a blocked move,
-    does not embed or retrieve again; the store must not change while it
-    runs), and its last feature row, row."""
+    """Memory-augmented policy for one episode: backend decision, long-term
+    weighting, and short-term forgetting.  It keeps two memos of sensing
+    (the store must not change while it runs): sensed, a dict from each
+    state the episode has reached to the view embeddings, fused embedding
+    and fused embedding bytes of its observation, and retrieved, a dict
+    from (target category, fused embedding bytes) to the top-k retrieved
+    for them.  row is its last feature row.  A runner builds one per
+    episode, so the memos live for one episode."""
 
     def __init__(self, backend: PolicyBackend, store: LongTermStore | None = None):
         self.backend = backend
         self.oracle = EmbeddingOracle()
         self.store = store if store is not None else LongTermStore()
         self.memory = ShortTermMemory()
-        self.ctx = self.views = self.fused = self.top = self.row = None
+        self.sensed: dict = {}
+        self.retrieved: dict = {}
+        self.row = None
 
     def act(self, ctx: StepContext) -> Action:
         return memory_policy_step(self, ctx)

@@ -298,7 +298,7 @@ class SenseEveryStepPolicy:
         confidence = float(decision.max())
         top = self.store.retrieve_topk(ctx.scene.object(ctx.target_id).category, fused)
         if top:
-            decision = weight_decision(decision, top.acts)
+            decision = weight_decision(decision, np.mean(top.acts, axis=0))
         action = Action(int(np.argmax(decision)))
         forget_and_append(self.memory, fused, confidence)
         return action

@@ -14,6 +14,7 @@ from lhnav.memory import (
     EMBED_DIM,
     TOP_K,
     LongTermStore,
+    TopK,
     ShortTermMemory,
     candidate_entropies,
     entropy_argmin,
@@ -112,6 +113,20 @@ class TestEntropyArgmin:
     def test_all_zero_candidate_raises(self):
         with pytest.raises(ValueError):
             entropy_argmin([np.zeros(3)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_raises_naming_the_candidate(self, bad):
+        # a NaN mass is no smaller than any other, and an infinite one
+        # divides to NaN; both are refused as a nonpositive mass is
+        cands = [[0.5, 0.5], [bad, 0.2], [0.9, 0.1]]
+        with pytest.raises(ValueError, match="candidate 1 has mass"):
+            entropy_argmin(cands)
+        with pytest.raises(ValueError, match="candidate 1 has mass"):
+            candidate_entropies(cands)
+
+    def test_nonpositive_mass_names_the_candidate(self):
+        with pytest.raises(ValueError, match="candidate 2 has mass -0.1"):
+            entropy_argmin([[0.5, 0.5], [0.2, 0.2], [0.1, -0.2]])
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -565,12 +580,12 @@ class TestArrayFormsMatchLoops:
 class TestWeightDecision:
     def test_uniform_weighting_preserves_argmax(self):
         a = np.array([0.1, 0.2, 0.4, 0.3])
-        out = weight_decision(a, [np.full(4, 0.25)])
+        out = weight_decision(a, np.full(4, 0.25))
         assert int(np.argmax(out)) == 2
 
     def test_one_hot_average_dominates(self):
         a = np.full(4, 0.25)
-        out = weight_decision(a, [np.array([0.0, 0.0, 1.0, 0.0])])
+        out = weight_decision(a, np.array([0.0, 0.0, 1.0, 0.0]))
         assert np.allclose(out, [0.0, 0.0, 1.0, 0.0])
 
     def test_hand_case(self):
@@ -578,13 +593,13 @@ class TestWeightDecision:
         avg = np.array([0.25, 0.25, 0.4, 0.1])
         raw = a * avg
         assert np.allclose(raw, [0.025, 0.05, 0.16, 0.03])
-        out = weight_decision(a, [avg])
+        out = weight_decision(a, avg)
         assert int(np.argmax(out)) == 2
         assert out.sum() == pytest.approx(1.0)
 
     def test_degenerate_product_passes_through(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
-        out = weight_decision(a, [np.array([0.0, 1.0, 0.0, 0.0])])
+        out = weight_decision(a, np.array([0.0, 1.0, 0.0, 0.0]))
         assert out.tobytes() == a.tobytes() and out is not a
 
     def test_argmax_invariant_under_rescaling(self):
@@ -592,11 +607,22 @@ class TestWeightDecision:
         for _ in range(100):
             a = rng.random(4) + 1e-9
             acts = [rng.random(4) for _ in range(3)]
-            acts = [x / x.sum() for x in acts]
-            base = weight_decision(a, acts)
-            scaled = weight_decision(3.7 * a, acts)
+            mean = TopK(np.stack([x / x.sum() for x in acts])).mean
+            base = weight_decision(a, mean)
+            scaled = weight_decision(3.7 * a, mean)
             assert int(np.argmax(base)) == int(np.argmax(scaled))
 
     def test_empty_retrieved_raises(self):
-        with pytest.raises(ValueError):
-            weight_decision(np.full(4, 0.25), [])
+        # no retrieved rows have no mean
+        empty = TopK(np.empty((0, 4)))
+        assert empty.mean is None
+        with pytest.raises(ValueError, match="vector of 4 actions"):
+            weight_decision(np.full(4, 0.25), empty.mean)
+        with pytest.raises(ValueError, match="vector of 4 actions"):
+            weight_decision(np.full(4, 0.25), np.empty(0))
+
+    def test_topk_mean_is_np_mean(self):
+        rng = np.random.default_rng(6)
+        for k in range(1, TOP_K + 1):
+            acts = rng.dirichlet([1, 1, 1, 1], size=k)
+            assert TopK(acts).mean.tobytes() == np.mean(acts, axis=0).tobytes()

@@ -767,8 +767,9 @@ class TestMemoryPolicyStep:
     def test_policy_embeds_at_EMBED_DIM(self, open_scene):
         memory = MemoryPolicy(LinearSoftmaxBackend(seed=0))
         memory_policy_step(memory, self._ctx(open_scene))
-        assert memory.views.shape == (3 * EMBED_DIM,)
-        assert memory.fused.shape == (EMBED_DIM,)
+        [(views, fused, _)] = memory.sensed.values()
+        assert views.shape == (3 * EMBED_DIM,)
+        assert fused.shape == (EMBED_DIM,)
         assert memory.memory.entries.shape == (1, EMBED_DIM)
 
     def test_memory_growth_capped(self, open_scene):
@@ -842,7 +843,7 @@ class TestPolicies:
         ]
         assert actions == [Action.MOVE_FORWARD, Action.TURN_RIGHT]
 
-    def test_memory_policy_senses_again_for_a_new_target_at_the_same_pose(
+    def test_memory_policy_retrieves_again_for_a_new_target_at_the_same_pose(
         self, two_room_scene, monkeypatch
     ):
         from reference_impls import SenseEveryStepPolicy
@@ -852,9 +853,16 @@ class TestPolicies:
         store = LongTermStore()
         store.add("bag", np.ones(EMBED_DIM), one_hot(Action.MOVE_FORWARD))
         store.add("desk", np.ones(EMBED_DIM), one_hot(Action.TURN_RIGHT))
-        observed = []
-        real = world.observe
-        monkeypatch.setattr(world, "observe", lambda *args: observed.append(args) or real(*args))
+        observed, retrieved = [], []
+        real_observe, real_retrieve = world.observe, LongTermStore.retrieve_topk
+        monkeypatch.setattr(
+            world, "observe", lambda *args: observed.append(args) or real_observe(*args)
+        )
+        monkeypatch.setattr(
+            LongTermStore,
+            "retrieve_topk",
+            lambda *args: retrieved.append(args[1]) or real_retrieve(*args),
+        )
         pol = MemoryPolicy(UniformBackend(), store=store)
         reference = SenseEveryStepPolicy(UniformBackend(), oracle, store)
         state = sample_spawn(two_room_scene, task)
@@ -864,13 +872,14 @@ class TestPolicies:
         )
         contexts = [bag, bag, desk, desk, bag2]
         actions = [pol.act(ctx) for ctx in contexts]
+        # one pose, observed once; the desk's category is retrieved as the
+        # bag's was, and the bag's second context reuses the bag's retrieval
+        assert len(observed) == 1
+        assert retrieved == ["bag", "desk"]
         assert actions == [reference.act(ctx) for ctx in contexts]
         assert actions == [Action.MOVE_FORWARD] * 2 + [Action.TURN_RIGHT] * 2 + [Action.MOVE_FORWARD]
-        assert len(observed) == 3
 
-    def test_memory_policy_senses_again_for_an_equal_but_distinct_context(
-        self, two_room_scene, monkeypatch
-    ):
+    def test_memory_policy_senses_once_for_equal_contexts(self, two_room_scene, monkeypatch):
         task = sample_task(two_room_scene, seed=7)
         observed = []
         real = world.observe
@@ -881,7 +890,45 @@ class TestPolicies:
         assert first == second and first is not second
         for ctx in (first, first, second, second):
             pol.act(ctx)
-        assert len(observed) == 2
+        assert len(observed) == 1
+
+    def test_memory_policy_does_not_sense_again_at_a_pose_it_turns_back_to(
+        self, two_room_scene, monkeypatch
+    ):
+        from reference_impls import SenseEveryStepPolicy
+
+        task = sample_task(two_room_scene, seed=7)
+        rng = np.random.default_rng(3)
+        store = LongTermStore()
+        for _ in range(8):
+            store.add("bag", rng.random(EMBED_DIM) + 0.01, rng.dirichlet([1, 1, 1, 1]))
+        # a turn left and then right, from a heading both turns keep exact,
+        # comes back to an equal state value in a new state object
+        start = dataclasses.replace(sample_spawn(two_room_scene, task), heading=0.0)
+        left = world.apply_action(two_room_scene, start, Action.TURN_LEFT, SPOT).state
+        back = world.apply_action(two_room_scene, left, Action.TURN_RIGHT, SPOT).state
+        assert back == start and back is not start and left != start
+        contexts = [step_context(two_room_scene, s, "bag-0") for s in (start, left, back, back)]
+        reference = SenseEveryStepPolicy(UniformBackend(), EmbeddingOracle(), store)
+        want = [reference.act(ctx) for ctx in contexts]
+        observed, retrieved = [], []
+        real_observe, real_retrieve = world.observe, LongTermStore.retrieve_topk
+        monkeypatch.setattr(
+            world, "observe", lambda *args: observed.append(args[1]) or real_observe(*args)
+        )
+        monkeypatch.setattr(
+            LongTermStore,
+            "retrieve_topk",
+            lambda *args: retrieved.append(args[1]) or real_retrieve(*args),
+        )
+        pol = MemoryPolicy(UniformBackend(), store=store)
+        assert [pol.act(ctx) for ctx in contexts] == want
+        assert len(observed) == 2 and observed[0] is start and observed[1] is left
+        # both headings see the same objects at the same ranges, so the
+        # second pose shares the first one's retrieval
+        [(_, _, fused), (_, _, fused_left)] = pol.sensed.values()
+        assert fused == fused_left
+        assert retrieved == ["bag"]
 
     def test_step_context_is_frozen(self, two_room_scene):
         task = sample_task(two_room_scene, seed=7)

@@ -715,16 +715,13 @@ class TestSenseOncePerPose:
             got = imitation_dataset(scene, loaded, backend)
             assert [y for _, y in got] == [y for _, y in want]
             assert b"".join(x.tobytes() for x, _ in got) == b"".join(x.tobytes() for x, _ in want)
-            # a new window senses again, even at the pose where the last ended
-            poses = [
-                (ctx.stage, step.state.position, step.state.heading)
-                for _, steps, contexts in loaded.replay(scene)
-                for step, ctx in zip(steps, contexts)
-            ]
-            fresh_poses = sum(i == 0 or pose != poses[i - 1] for i, pose in enumerate(poses))
-            assert len(observed) == fresh_poses
+            # each pose is observed once, even where a new window starts on
+            # the pose where the last ended, or a step comes back to it
+            poses = [step.state for _, steps, _ in loaded.replay(scene) for step in steps]
+            assert len(observed) == len(set(poses))
+            assert [args[1] for args in observed] == list(dict.fromkeys(poses))
             total_steps += len(poses)
-            total_poses += fresh_poses
+            total_poses += len(set(poses))
         assert total_poses < total_steps * 3 // 4
 
     def test_imitation_data_judges_no_pose(self, tmp_path, monkeypatch):
@@ -826,6 +823,9 @@ class TestSenseOncePerPose:
     @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
     def test_one_sensing_and_one_check_per_pose_and_target(self, monkeypatch, with_store):
         from lhnav import runner, world
+        from lhnav.policy import EmbeddingOracle, LinearSoftmaxBackend
+
+        from reference_impls import SenseEveryStepPolicy
 
         scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
         store = random_store(scenes, seed=4) if with_store else None
@@ -846,25 +846,42 @@ class TestSenseOncePerPose:
         monkeypatch.setattr(runner, "apply_action", recording(moved, runner.apply_action))
 
         cfg = RunConfig(policy="memory", seed=4, budget=40)
-        steps = sensings = same_pose_new_target = 0
+        oracle = EmbeddingOracle()
+        steps = sensings = same_pose_new_target = returns = shared = 0
         for task in tasks:
+            scene = scenes[task.scene_id]
+            reference = SenseEveryStepPolicy(
+                LinearSoftmaxBackend(seed=cfg.seed),
+                EmbeddingOracle(),
+                store if store is not None else LongTermStore(),
+            )
+            want, _ = run_episode(scene, task, reference, cfg)
             for calls in (observed, retrieved, checked, moved):
                 calls.clear()
-            scene = scenes[task.scene_id]
             traj, _ = run_episode(scene, task, make_policy(cfg, task, store), cfg)
+            assert [s.action for s in traj.steps] == [s.action for s in want.steps]
             assert len(moved) == len(traj.steps)
             windows = [span for span in traj.spans if span.kind == MOVE_TO]
-            # the policy senses once for each new state object or target
-            # that the steps pass through
-            sensed = fresh([
+            # the policy observes once for each pose of the episode, in the
+            # order the steps first reach it: a pose it returns to, as an
+            # equal state value, for the same target or a new one, is not
+            # observed again
+            keys = [
                 (step.state, span.target_id)
                 for span in windows
                 for step in traj.steps[span.start : span.end]
-            ])
-            assert len(observed) == len(retrieved) == len(sensed)
-            categories = [scene.object(target).category for _, target in sensed]
-            assert [args[1] for args, _ in retrieved] == categories
-            assert all(args[1] is state for (args, _), (state, _) in zip(observed, sensed))
+            ]
+            poses = list(dict.fromkeys(state for state, _ in keys))
+            assert len(observed) == len(poses)
+            assert all(args[1] is state for (args, _), state in zip(observed, poses))
+            # and it retrieves once for each (category, fused embedding) of
+            # the steps, in the same order: poses that see the same objects
+            # at the same ranges share a retrieval
+            fused = {state: oracle.embed(obs)[1].tobytes() for (_, state, _), obs in observed}
+            queries = list(dict.fromkeys(
+                (scene.object(target).category, fused[state]) for state, target in keys
+            ))
+            assert [(args[1], args[2].tobytes()) for args, _ in retrieved] == queries
             # the runner checks a window's states and the pose after its
             # last action, once for each new state object
             expected = []
@@ -880,8 +897,16 @@ class TestSenseOncePerPose:
                 for (args, _), (state, target) in zip(checked, expected)
             )
             steps += len(traj.steps)
-            sensings += len(sensed)
-        # most steps reuse what was sensed, and some windows start at the pose
-        # the last one ended on, for a new target
+            sensings += len(poses)
+            returns += len(fresh(keys)) - len(dict.fromkeys(keys))
+            shared += len(dict.fromkeys(keys)) - len(queries)
+        # most steps reuse what was sensed, some windows start at the pose
+        # the last one ended on, for a new target, and some (pose, target)
+        # pairs share a retrieval.  With the store, some steps also come
+        # back to a (pose, target) sensed earlier, not on the step before;
+        # the untrained weights alone never turn back on this suite, which
+        # TestPolicies covers with a scripted turn
         assert sensings < steps // 2
         assert same_pose_new_target > 0
+        assert shared > 0
+        assert (returns > 0) == with_store

@@ -30,6 +30,25 @@ diff -r "$smoke/run" "$smoke/expert-parallel"
 lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy memory --workers 2 --out "$smoke/memory"
 lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy memory --workers 1 --out "$smoke/memory-serial"
 diff -r "$smoke/memory" "$smoke/memory-serial"
+# with a valid store the memory step retrieves, once per (pose, target)
+# of an episode; the worker count changes no file there either
+python - "$smoke/scenes" "$smoke/store.jsonl" <<'EOF'
+import sys
+from pathlib import Path
+import numpy as np
+from lhnav.memory import EMBED_DIM, LongTermStore
+from lhnav.world import Scene
+rng = np.random.default_rng(0)
+store = LongTermStore()
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    for obj in Scene.load(path).objects:
+        for _ in range(3):
+            store.add(obj.category, rng.random(EMBED_DIM) + 0.01, rng.dirichlet([1, 1, 1.5, 1]))
+store.save(sys.argv[2])
+EOF
+lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy memory --store "$smoke/store.jsonl" --workers 2 --out "$smoke/memory-store"
+lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy memory --store "$smoke/store.jsonl" --workers 1 --out "$smoke/memory-store-serial"
+diff -r "$smoke/memory-store" "$smoke/memory-store-serial"
 # a store whose embeddings are not the memory policy's 64 long, or
 # one whose rows are 64 and then 32 long, is a usage error before
 # any episode: exit 2 and no output directory
