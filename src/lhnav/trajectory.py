@@ -30,19 +30,26 @@ from .world import (
 _STEP_KEYS = {"i", "pose", "holding", "action", "collided"}
 # the keys in sorted order, as the canonical encoder writes them
 _STEP_LINE = '{"action":"%s","collided":%s,"holding":%s,"i":%d,"pose":[%r,%r,%r]}'
+# the types of a saved pose's numbers, and the bound of their magnitude
+_NUMBER = (int, float)
+_MAX = sys.float_info.max
 
 
 def _saved_state(pose, holding) -> AgentState:
     """The state of a saved [x, y, heading] pose and holding; a ValueError
     unless the pose is three finite numbers and holding None or a string."""
-    # the bound also rejects NaN, and an integer too large for a float
-    if type(pose) is not list or len(pose) != 3 or not all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pose
+    if type(pose) is not list or len(pose) != 3:
+        raise ValueError(f"a pose is three finite numbers, not {pose!r}")
+    x, y, heading = pose
+    # the bounds also reject NaN, and an integer too large for a float
+    if not (
+        type(x) in _NUMBER and type(y) in _NUMBER and type(heading) in _NUMBER
+        and -_MAX <= x <= _MAX and -_MAX <= y <= _MAX and -_MAX <= heading <= _MAX
     ):
         raise ValueError(f"a pose is three finite numbers, not {pose!r}")
     if not (holding is None or type(holding) is str):
         raise ValueError(f"holding must be null or an object id, not {holding!r}")
-    return AgentState(position=(pose[0], pose[1]), heading=pose[2], holding=holding)
+    return AgentState((x, y), heading, holding)
 
 
 @dataclass(frozen=True)
@@ -71,18 +78,14 @@ class StepRecord:
         """The inverse of line, once parsed, but for the index, which load checks;
         holding may be left out.  An unknown key, an index that is not an int or
         a collided that is not a bool is a TypeError, a bad pose or holding a ValueError."""
-        unknown = set(d) - _STEP_KEYS
-        if unknown:
-            raise TypeError(f"unknown step keys {sorted(unknown)}")
+        if not _STEP_KEYS.issuperset(d):
+            raise TypeError(f"unknown step keys {sorted(set(d) - _STEP_KEYS)}")
         if type(d["i"]) is not int:
             raise TypeError(f"i must be an integer, not {d['i']!r}")
-        if type(d["collided"]) is not bool:
-            raise TypeError(f"collided must be a bool, not {d['collided']!r}")
-        return cls(
-            state=_saved_state(d["pose"], d.get("holding")),
-            action=ACTION_BY_NAME[d["action"]],
-            collided=d["collided"],
-        )
+        collided = d["collided"]
+        if type(collided) is not bool:
+            raise TypeError(f"collided must be a bool, not {collided!r}")
+        return cls(_saved_state(d["pose"], d.get("holding")), ACTION_BY_NAME[d["action"]], collided)
 
 
 @dataclass(frozen=True)

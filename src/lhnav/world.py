@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import getitem
 from pathlib import Path
 from typing import NamedTuple
 
@@ -128,12 +129,28 @@ class AgentState:
     holding: str | None = None
 
 
+# observe builds the three records below, about 6.5 per sensed pose, so each
+# has one hand-written __init__ that fills its __dict__ item by item, where
+# the generated frozen one calls object.__setattr__ once per field.  The
+# dataclass still gives each its fields, eq, hash, repr and frozen assignment.
+# AgentState and StepRecord keep the generated __init__: many of them stay
+# alive, and a filled __dict__ costs 64 bytes more per record than the
+# generated one's inline values.
+
+
 @dataclass(frozen=True)
 class SightedObject:
     object_id: str
     category: str
     bearing: float  # degrees relative to heading, (-180, 180]
     range: float    # meters, euclidean
+
+    def __init__(self, object_id, category, bearing, range):
+        fields = self.__dict__
+        fields["object_id"] = object_id
+        fields["category"] = category
+        fields["bearing"] = bearing
+        fields["range"] = range
 
 
 @dataclass(frozen=True)
@@ -142,10 +159,19 @@ class View:
     offset: float   # camera axis relative to heading
     objects: tuple[SightedObject, ...]
 
+    def __init__(self, direction, offset, objects):
+        fields = self.__dict__
+        fields["direction"] = direction
+        fields["offset"] = offset
+        fields["objects"] = objects
+
 
 @dataclass(frozen=True)
 class Observation:
     views: tuple[View, View, View]
+
+    def __init__(self, views):
+        self.__dict__["views"] = views
 
     def visible(self) -> list[SightedObject]:
         return [o for v in self.views for o in v.objects]
@@ -240,11 +266,14 @@ class Scene:
         if not self.grid or not self.grid[0]:
             raise SceneValidationError("grid must be nonempty")
         width = len(self.grid[0])
-        for i, row in enumerate(self.grid):
-            if len(row) != width:
-                raise SceneValidationError(f"row {i} has inconsistent width")
-            if any(ch not in (OCCUPIED, FREE) for ch in row):
-                raise SceneValidationError(f"row {i} contains invalid characters")
+        # a set test passes a well-formed grid at once; the rows are walked
+        # one by one only to name the first bad one
+        if not _rows_well_formed(self.grid, width):
+            for i, row in enumerate(self.grid):
+                if len(row) != width:
+                    raise SceneValidationError(f"row {i} has inconsistent width")
+                if any(ch not in (OCCUPIED, FREE) for ch in row):
+                    raise SceneValidationError(f"row {i} contains invalid characters")
         border = (
             all(ch == OCCUPIED for ch in self.grid[0])
             and all(ch == OCCUPIED for ch in self.grid[-1])
@@ -254,16 +283,18 @@ class Scene:
             raise SceneValidationError("grid must be bordered by occupied cells")
         if len(self._regions_by_id) != len(self.regions):
             raise SceneValidationError("region ids must be unique")
-        seen_cells: set[tuple[int, int]] = set()
-        for r in self.regions:
-            for cell in r.cells:
-                if not self.is_free(*cell):
-                    raise SceneValidationError(
-                        f"region {r.id!r} contains occupied cell {cell}"
-                    )
-                if cell in seen_cells:
-                    raise SceneValidationError(f"cell {cell} assigned to two regions")
-                seen_cells.add(cell)
+        # likewise the region cells: walked in order only to name the first bad one
+        if not _cells_free_and_distinct(self, [c for r in self.regions for c in r.cells]):
+            seen_cells: set[tuple[int, int]] = set()
+            for r in self.regions:
+                for cell in r.cells:
+                    if not self.is_free(*cell):
+                        raise SceneValidationError(
+                            f"region {r.id!r} contains occupied cell {cell}"
+                        )
+                    if cell in seen_cells:
+                        raise SceneValidationError(f"cell {cell} assigned to two regions")
+                    seen_cells.add(cell)
         if len(self._objects_by_id) != len(self.objects):
             raise SceneValidationError("object ids must be unique")
         for o in self.objects:
@@ -323,6 +354,40 @@ class Scene:
             raise InputFileError(f"{path}: not a scene ({exc!r})") from exc
 
 
+_GRID_CHARS = frozenset((OCCUPIED, FREE))
+
+
+def _rows_well_formed(grid, width: int) -> bool:
+    """True when every row is a string of width grid characters, in which
+    case Scene._validate's row-by-row checks pass too."""
+    try:
+        text = "".join(grid)
+    except TypeError:  # a row that is not a string
+        return False
+    return set(map(len, grid)) == {width} and _GRID_CHARS.issuperset(text)
+
+
+def _cells_free_and_distinct(scene: Scene, cells: list) -> bool:
+    """True when the cells are pairs of in-bounds indices of free cells, no
+    two equal, in which case Scene._validate's cell-by-cell checks pass too;
+    False when they fail, or when a cell is not such a pair."""
+    if not cells:
+        return True
+    try:
+        rows, cols = zip(*cells)
+        # zip kept the first two of longer cells: every cell is a pair
+        if sum(map(len, cells)) != 2 * len(cells):
+            return False
+        # a negative index would wrap, and one past the grid raises
+        if min(rows) < 0 or min(cols) < 0:
+            return False
+        marks = "".join(map(getitem, map(scene.grid.__getitem__, rows), cols))
+    except (TypeError, ValueError, IndexError):
+        return False
+    # the cell map has one key per distinct cell
+    return marks == FREE * len(cells) and len(scene._region_of_cell) == len(cells)
+
+
 def validate_state(scene: Scene, state: AgentState) -> None:
     if not scene.is_free(*scene.cell_of(state.position)):
         raise ValueError(f"agent position {state.position} is not in free space")
@@ -349,11 +414,15 @@ def line_of_sight(
     cs = scene.cell_size
     grid = scene.grid
     (x0, y0), (x1, y1) = a, b
-    row = int(math.floor(y0 / cs))
-    col = int(math.floor(x0 / cs))
-    row1 = int(math.floor(y1 / cs))
-    col1 = int(math.floor(x1 / cs))
-    if not scene.is_free(row, col):
+    # floor of a float is an int
+    row = math.floor(y0 / cs)
+    col = math.floor(x0 / cs)
+    row1 = math.floor(y1 / cs)
+    col1 = math.floor(x1 / cs)
+    if not (0 <= row < scene.rows and 0 <= col < scene.cols):
+        return False
+    cells = grid[row]  # the walk's current row of the grid
+    if cells[col] != FREE:
         return False
     dx = x1 - x0
     dy = y1 - y0
@@ -374,16 +443,17 @@ def line_of_sight(
         t_max_y = math.inf
         t_delta_y = math.inf
     # the traversal can take at most this many boundary crossings
-    remaining = abs(row1 - row) + abs(col1 - col) + 4
-    while (row != row1 or col != col1) and remaining > 0:
+    for _ in range(abs(row1 - row) + abs(col1 - col) + 4):
+        if row == row1 and col == col1:
+            break
         if t_max_x <= t_max_y:
             col += step_c
             t_max_x += t_delta_x
         else:
             row += step_r
             t_max_y += t_delta_y
-        remaining -= 1
-        if grid[row][col] != FREE:
+            cells = grid[row]
+        if cells[col] != FREE:
             return False
     return True
 
@@ -426,16 +496,16 @@ def apply_action(scene: Scene, state: AgentState, action: Action, robot: RobotCo
 
 
 # camera order also fixes the tie break: on a shared fov boundary the
-# object goes to the camera with the smaller index
+# object goes to the camera with the smaller index.  observe tests the
+# cameras in this order with their offsets written out.
 CAMERA_OFFSETS = (("left", 60.0), ("front", 0.0), ("right", -60.0))
-_CAMERA_AXES = tuple(offset for _, offset in CAMERA_OFFSETS)
 
 
 def _sight_lines(scene: Scene, position: tuple[float, float], sensing_range: float) -> list:
     """The heading-free part of sensing from one position: one
-    [object, range, degrees(atan2) or None at the agent's own position,
+    [range, id, object, degrees(atan2) or None at the agent's own position,
     line of sight or None until first needed] per object within range,
-    ordered by (range, id).
+    sorted, so ordered by (range, id) (ids are unique).
 
     Each scene keeps the lines of the last position it was sensed from, so
     a turn in place reuses them.
@@ -447,14 +517,15 @@ def _sight_lines(scene: Scene, position: tuple[float, float], sensing_range: flo
     ax, ay = position
     lines = []
     for obj in scene.objects:
-        dx = obj.position[0] - ax
-        dy = obj.position[1] - ay
+        ox, oy = obj.position
+        dx = ox - ax
+        dy = oy - ay
         rng = math.hypot(dx, dy)
         if rng > sensing_range:
             continue
         deg = None if rng < 1e-9 else math.degrees(math.atan2(dy, dx))
-        lines.append([obj, rng, deg, None])
-    lines.sort(key=lambda line: (line[1], line[0].id))
+        lines.append([rng, obj.id, obj, deg, None])
+    lines.sort()
     scene._sight_memo = (key, lines)
     return lines
 
@@ -468,37 +539,51 @@ def observe(scene: Scene, state: AgentState, robot: RobotConfig) -> Observation:
     and each view lists its objects by range, then id.
     """
     half_fov = robot.fov_per_camera / 2.0
+    low = -half_fov
     heading = state.heading
+    position = state.position
     # the lines come sorted by (range, id), so every bucket is too
-    buckets: tuple[list[SightedObject], ...] = ([], [], [])
-    for line in _sight_lines(scene, state.position, robot.sensing_range):
-        obj, rng, deg, clear = line
-        # the wraps are signed_angle written out, arithmetic unchanged
+    left, front, right = [], [], []
+    for line in _sight_lines(scene, position, robot.sensing_range):
+        rng, _, obj, deg, clear = line
+        if clear is False:  # occluded, whichever camera it falls in
+            continue
+        # every wrap below is signed_angle written out, the same arithmetic
         if deg is None:
             bearing = 0.0
         else:
             bearing = (deg - heading) % 360.0
             if bearing > 180.0:
                 bearing -= 360.0
-        for camera, offset in enumerate(_CAMERA_AXES):
-            off_axis = (bearing - offset) % 360.0
+        # the camera tests in CAMERA_OFFSETS order; bearing - 0.0 is bearing
+        # and bearing - -60.0 is bearing + 60.0, bit for bit
+        off_axis = (bearing - 60.0) % 360.0
+        if off_axis > 180.0:
+            off_axis -= 360.0
+        if low <= off_axis <= half_fov:
+            bucket = left
+        else:
+            off_axis = bearing % 360.0
             if off_axis > 180.0:
                 off_axis -= 360.0
-            if -half_fov <= off_axis <= half_fov:
-                break
-        else:
-            continue
+            if low <= off_axis <= half_fov:
+                bucket = front
+            else:
+                off_axis = (bearing + 60.0) % 360.0
+                if off_axis > 180.0:
+                    off_axis -= 360.0
+                if not low <= off_axis <= half_fov:
+                    continue
+                bucket = right
         if clear is None:
-            clear = line[3] = line_of_sight(scene, state.position, obj.position)
+            clear = line[4] = line_of_sight(scene, position, obj.position)
         if clear:
-            buckets[camera].append(
-                SightedObject(object_id=obj.id, category=obj.category, bearing=bearing, range=rng)
-            )
-    views = tuple(
-        View(direction=name, offset=offset, objects=tuple(bucket))
-        for (name, offset), bucket in zip(CAMERA_OFFSETS, buckets)
-    )
-    return Observation(views=views)  # type: ignore[arg-type]
+            bucket.append(SightedObject(obj.id, obj.category, bearing, rng))
+    return Observation((
+        View("left", 60.0, tuple(left)),
+        View("front", 0.0, tuple(front)),
+        View("right", -60.0, tuple(right)),
+    ))
 
 
 def bearing_to(state: AgentState, point: tuple[float, float]) -> float:
@@ -556,8 +641,13 @@ class StepContext:
     stage: int  # ordinal of the current navigation stage
 
     def __init__(self, scene, state, robot, target_id, stage):
-        # a context per pose: one dict update costs half an object.__setattr__ per field
-        vars(self).update(scene=scene, state=state, robot=robot, target_id=target_id, stage=stage)
+        # a context per pose, filled as observe's records are
+        fields = self.__dict__
+        fields["scene"] = scene
+        fields["state"] = state
+        fields["robot"] = robot
+        fields["target_id"] = target_id
+        fields["stage"] = stage
 
     @_kept
     def observation(self) -> Observation:

@@ -1,21 +1,27 @@
 """Brute-force reference implementations the production code is tested
 against.  Deliberately primitive: plain loops, no shared helpers."""
 
+import dataclasses
 import hashlib
 import heapq
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from conftest import free_cells
+from lhnav.files import InputFileError, read_lines
 from lhnav.memory import CAPACITY, EPS, ShortTermMemory, forget_and_append, weight_decision
 from lhnav.policy import EMBED_DIM, EmbeddingOracle, one_hot
 from lhnav.splitter import Tag
+from lhnav.taskforge import MOVE_TO
+from lhnav.trajectory import StepRecord, SubtaskSpan, Trajectory
 from lhnav.world import (
-    ACTION_NAMES, CAMERA_OFFSETS, ROBOTS, Action, Observation, SightedObject, StepResult, View,
-    normalize_heading,
+    ACTION_BY_NAME, ACTION_NAMES, CAMERA_OFFSETS, FREE, OCCUPIED, ROBOTS, Action, AgentState,
+    Observation, SceneValidationError, SightedObject, StepResult, View, normalize_heading,
+    stock_robot,
 )
 from lhnav.world import subtask_success
 from lhnav.world import observe as world_observe
@@ -640,3 +646,227 @@ def step_record_dict(index, step):
         "action": ACTION_NAMES[step.action],
         "collided": step.collided,
     }
+
+
+# -- sensing through a loop over the camera axes ----------------------------------
+#
+# The _sight_lines and observe that lhnav.world replaced with written-out
+# camera tests and records built through their own __init__, kept line for
+# line but for two things: the lines are worked out on every call, not kept
+# on the scene (whose memo slot now holds the new lines), and the line of
+# sight is reference_line_of_sight.  Neither changes an output.
+
+LOOP_CAMERA_AXES = tuple(offset for _, offset in CAMERA_OFFSETS)
+
+
+def loop_sight_lines(scene, position, sensing_range):
+    ax, ay = position
+    lines = []
+    for obj in scene.objects:
+        dx = obj.position[0] - ax
+        dy = obj.position[1] - ay
+        rng = math.hypot(dx, dy)
+        if rng > sensing_range:
+            continue
+        deg = None if rng < 1e-9 else math.degrees(math.atan2(dy, dx))
+        lines.append([obj, rng, deg, None])
+    lines.sort(key=lambda line: (line[1], line[0].id))
+    return lines
+
+
+def loop_observe(scene, state, robot):
+    half_fov = robot.fov_per_camera / 2.0
+    heading = state.heading
+    # the lines come sorted by (range, id), so every bucket is too
+    buckets = ([], [], [])
+    for line in loop_sight_lines(scene, state.position, robot.sensing_range):
+        obj, rng, deg, clear = line
+        # the wraps are signed_angle written out, arithmetic unchanged
+        if deg is None:
+            bearing = 0.0
+        else:
+            bearing = (deg - heading) % 360.0
+            if bearing > 180.0:
+                bearing -= 360.0
+        for camera, offset in enumerate(LOOP_CAMERA_AXES):
+            off_axis = (bearing - offset) % 360.0
+            if off_axis > 180.0:
+                off_axis -= 360.0
+            if -half_fov <= off_axis <= half_fov:
+                break
+        else:
+            continue
+        if clear is None:
+            clear = line[3] = reference_line_of_sight(scene, state.position, obj.position)
+        if clear:
+            buckets[camera].append(
+                SightedObject(object_id=obj.id, category=obj.category, bearing=bearing, range=rng)
+            )
+    views = tuple(
+        View(direction=name, offset=offset, objects=tuple(bucket))
+        for (name, offset), bucket in zip(CAMERA_OFFSETS, buckets)
+    )
+    return Observation(views=views)
+
+
+# -- trajectory reads through per-pose generators and a set difference -------------
+#
+# The Trajectory.load, StepRecord.from_dict and _saved_state that
+# lhnav.trajectory replaced with written-out pose checks and an issuperset
+# key test, kept line for line, so a load can be checked against them record
+# for record and message for message.
+
+REFERENCE_STEP_KEYS = {"i", "pose", "holding", "action", "collided"}
+
+
+def reference_saved_state(pose, holding):
+    # the bound also rejects NaN, and an integer too large for a float
+    if type(pose) is not list or len(pose) != 3 or not all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pose
+    ):
+        raise ValueError(f"a pose is three finite numbers, not {pose!r}")
+    if not (holding is None or type(holding) is str):
+        raise ValueError(f"holding must be null or an object id, not {holding!r}")
+    return AgentState(position=(pose[0], pose[1]), heading=pose[2], holding=holding)
+
+
+def reference_step_from_dict(d):
+    unknown = set(d) - REFERENCE_STEP_KEYS
+    if unknown:
+        raise TypeError(f"unknown step keys {sorted(unknown)}")
+    if type(d["i"]) is not int:
+        raise TypeError(f"i must be an integer, not {d['i']!r}")
+    if type(d["collided"]) is not bool:
+        raise TypeError(f"collided must be a bool, not {d['collided']!r}")
+    return StepRecord(
+        state=reference_saved_state(d["pose"], d.get("holding")),
+        action=ACTION_BY_NAME[d["action"]],
+        collided=d["collided"],
+    )
+
+
+def reference_load_trajectory(path):
+    lines = read_lines(path)
+    number, header = next(lines, (0, None))
+    if not isinstance(header, dict) or "final_pose" not in header:
+        raise InputFileError(f"trajectory file {path} has no header line")
+    try:
+        fields = dict(
+            task_id=header["task_id"],
+            scene_id=header["scene_id"],
+            robot=stock_robot(header["robot"]).name,
+            spans=[SubtaskSpan(**s) for s in header["spans"]],
+            final_state=reference_saved_state(header["final_pose"], header.get("final_holding")),
+            config_hash=header.get("config_hash", ""),
+            seed=header.get("seed", 0),
+        )
+        for key in ("task_id", "scene_id", "config_hash"):
+            if type(fields[key]) is not str:
+                raise TypeError(f"{key} must be a string, not {fields[key]!r}")
+        if type(fields["seed"]) is not int:
+            raise TypeError(f"seed must be an integer, not {fields['seed']!r}")
+        # the spans tile the steps in order; end is where the last stops
+        end = 0
+        for span in fields["spans"]:
+            if span.start != end or not span.start <= span.end:
+                raise ValueError(
+                    f"subtask {span.index} spans steps {span.start}..{span.end}, "
+                    f"not from step {end} on"
+                )
+            end = span.end
+        # a window's actions end at its one stop, if it has one
+        stop_at = {span.end - 1 for span in fields["spans"] if span.kind == MOVE_TO}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFileError(f"{path} line {number}: not a trajectory header ({exc!r})") from exc
+    steps = []
+    for i, (number, record) in enumerate(lines):
+        try:
+            step = reference_step_from_dict(record)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
+        if record["i"] != i:
+            raise InputFileError(f"{path} line {number}: step {record['i']} where {i} was due")
+        if step.action == Action.STOP and i not in stop_at:
+            raise InputFileError(
+                f"{path} line {number}: step {i} is a stop that does not end a move window"
+            )
+        steps.append(step)
+    if end != len(steps):
+        raise InputFileError(f"{path}: the spans end at step {end}, the steps at {len(steps)}")
+    return Trajectory(steps=steps, **fields)
+
+
+# -- records built by the generated frozen-dataclass __init__ -----------------------
+
+
+def dataclass_built(cls, *args, **kwargs):
+    """A cls record built by the __init__ that @dataclass(frozen=True)
+    generates for cls's fields (one object.__setattr__ per field), not by
+    cls's own __init__."""
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)],
+        frozen=True,
+    )
+    record = object.__new__(cls)
+    twin.__init__(record, *args, **kwargs)
+    return record
+
+
+# -- scene checks, a row and a cell at a time --------------------------------------
+#
+# The Scene._validate that lhnav.world replaced with set tests over the whole
+# grid and over every region cell, kept line for line (a function of the
+# scene), so the first bad row or cell that a message names can be checked
+# against it.
+
+
+def loop_validate(scene):
+    if not 0 < scene.cell_size < math.inf:
+        raise SceneValidationError(
+            f"cell_size must be positive and finite, got {scene.cell_size}"
+        )
+    if not scene.grid or not scene.grid[0]:
+        raise SceneValidationError("grid must be nonempty")
+    width = len(scene.grid[0])
+    for i, row in enumerate(scene.grid):
+        if len(row) != width:
+            raise SceneValidationError(f"row {i} has inconsistent width")
+        if any(ch not in (OCCUPIED, FREE) for ch in row):
+            raise SceneValidationError(f"row {i} contains invalid characters")
+    border = (
+        all(ch == OCCUPIED for ch in scene.grid[0])
+        and all(ch == OCCUPIED for ch in scene.grid[-1])
+        and all(row[0] == OCCUPIED and row[-1] == OCCUPIED for row in scene.grid)
+    )
+    if not border:
+        raise SceneValidationError("grid must be bordered by occupied cells")
+    if len(scene._regions_by_id) != len(scene.regions):
+        raise SceneValidationError("region ids must be unique")
+    seen_cells = set()
+    for r in scene.regions:
+        for cell in r.cells:
+            if not scene.is_free(*cell):
+                raise SceneValidationError(
+                    f"region {r.id!r} contains occupied cell {cell}"
+                )
+            if cell in seen_cells:
+                raise SceneValidationError(f"cell {cell} assigned to two regions")
+            seen_cells.add(cell)
+    if len(scene._objects_by_id) != len(scene.objects):
+        raise SceneValidationError("object ids must be unique")
+    for o in scene.objects:
+        if not o.category:
+            raise SceneValidationError(f"object {o.id!r} has empty category")
+        if o.region_id not in scene._regions_by_id:
+            raise SceneValidationError(
+                f"object {o.id!r} references unknown region {o.region_id!r}"
+            )
+        cell = scene.cell_of(o.position)
+        if not scene.is_free(*cell):
+            raise SceneValidationError(f"object {o.id!r} sits in occupied cell")
+        region = scene._region_of_cell.get(cell)
+        if region is None or region.id != o.region_id:
+            raise SceneValidationError(
+                f"object {o.id!r} lies outside its region {o.region_id!r}"
+            )

@@ -20,6 +20,7 @@ from lhnav.trajectory import Trajectory
 from lhnav.world import Scene
 
 from conftest import pad
+from reference_impls import reference_load_trajectory
 
 LOADERS = {
     "scene": Scene.load,
@@ -128,6 +129,28 @@ def test_only_a_value_error_naming_the_file_escapes(valid, name, data):
         LOADERS[name](path)
     except InputFileError as exc:
         assert str(path) in str(exc)
+
+
+def _outcome(load, path):
+    """What a load gives: the repr of its trajectory (which tells an int
+    from a float) and the trajectory, or its error's type and message."""
+    try:
+        trajectory = load(path)
+    except InputFileError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(trajectory), trajectory
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trajectory_load_matches_the_reference_loader(valid, data):
+    # the same records, or the same error and message, as the loader of
+    # per-pose generators and a set difference that Trajectory.load replaced
+    root, texts = valid
+    path = root / "mutated-trajectory-against-reference"
+    for text in (texts["trajectory"], data.draw(mutated("trajectory", texts["trajectory"]))):
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(Trajectory.load, path) == _outcome(reference_load_trajectory, path)
 
 
 # (loader, the path in the file's first JSON value of the record that gets

@@ -1,22 +1,28 @@
+import dataclasses
 import math
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhnav import world
+from lhnav.trajectory import StepRecord
 from lhnav.world import (
     ROBOTS,
     Action,
     AgentState,
     ObjectInstance,
+    Observation,
     Region,
     RobotConfig,
     Scene,
     SceneValidationError,
+    SightedObject,
     UnknownObjectError,
+    View,
     apply_action,
     line_of_sight,
     normalize_heading,
@@ -27,7 +33,8 @@ from lhnav.world import (
 
 from conftest import free_cells, scene_from
 from reference_impls import (
-    grid_is_free, reference_apply_action, reference_line_of_sight, reference_observe
+    dataclass_built, grid_is_free, loop_observe, loop_validate, reference_apply_action,
+    reference_line_of_sight, reference_observe,
 )
 
 SPOT = ROBOTS["spot"]
@@ -251,6 +258,78 @@ class TestSubtaskSuccess:
         assert hits > 0  # the property actually fired
 
 
+FLAWS = (
+    "char", "width", "list-row", "border", "occupied", "duplicate", "negative", "outside",
+    "float", "bool", "triple", "object",
+)
+
+
+@st.composite
+def flawed_scenes(draw):
+    """A scene that has not been validated: a bordered grid with random
+    walls, two regions over its free cells and objects at their cell
+    centres, with up to three flaws drawn from FLAWS."""
+    n_rows = draw(st.integers(3, 8))
+    n_cols = draw(st.integers(3, 8))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    grid = [
+        [
+            "#" if r in (0, n_rows - 1) or c in (0, n_cols - 1)
+            or ((r, c) != (1, 1) and rnd.random() < 0.2) else "."
+            for c in range(n_cols)
+        ]
+        for r in range(n_rows)
+    ]
+    free = [(r, c) for r in range(n_rows) for c in range(n_cols) if grid[r][c] == "."]
+    occupied = [(r, c) for r in range(n_rows) for c in range(n_cols) if grid[r][c] == "#"]
+    half = len(free) // 2
+    cells = [free[:half], free[half:]]
+    objects = []
+    for i, (r, c) in enumerate(rnd.sample(free, min(3, len(free)))):
+        objects.append(ObjectInstance(f"o-{i}", "box", str(int((r, c) in free[half:])),
+                                      ((c + 0.5) * CS, (r + 0.5) * CS), True))
+    rows_as_lists = set()
+    for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=3)):
+        row = rnd.randrange(n_rows)
+        region = rnd.randrange(2)
+        place = rnd.randint(0, len(cells[region]))
+        if flaw in ("char", "border"):
+            if flaw == "border":
+                row = rnd.choice((0, n_rows - 1))
+            if grid[row]:  # a width flaw may have cut it to nothing
+                grid[row][rnd.randrange(len(grid[row]))] = "." if flaw == "border" else rnd.choice("x #")
+        elif flaw == "width":
+            if rnd.random() < 0.5:
+                grid[row].append(".")
+            elif grid[row]:
+                grid[row].pop()
+        elif flaw == "list-row":
+            rows_as_lists.add(row)
+        elif flaw == "object" and objects:
+            o = objects.pop(rnd.randrange(len(objects)))
+            r, c = rnd.choice(occupied + free)
+            objects.append(ObjectInstance(o.id, o.category, o.region_id,
+                                          ((c + 0.5) * CS, (r + 0.5) * CS), True))
+        else:
+            r, c = rnd.choice(free)
+            cell = {
+                "occupied": rnd.choice(occupied),
+                "duplicate": (r, c),
+                # an index that would wrap to a free cell, or to the border
+                "negative": rnd.choice([(-rnd.randint(1, n_rows), c), (r, -rnd.randint(1, n_cols))]),
+                "outside": rnd.choice([(n_rows, c), (r, n_cols + 2)]),
+                "float": (float(r), float(c)),
+                "bool": (True, c),
+                "triple": (r, c, 0),
+            }.get(flaw)
+            if cell is not None:
+                cells[region].insert(place, cell)
+    grid = [row if i in rows_as_lists else "".join(row) for i, row in enumerate(grid)]
+    regions = [Region(str(k), f"room-{k}", tuple(cells[k])) for k in range(2)]
+    with mock.patch.object(Scene, "_validate", lambda self: None):
+        return Scene(grid, regions, objects)
+
+
 class TestSceneValidation:
     def test_unbordered_grid_rejected(self):
         with pytest.raises(SceneValidationError):
@@ -326,6 +405,20 @@ class TestSceneValidation:
             for r in range(-1, scene.rows + 1):
                 for c in range(-1, scene.cols + 1):
                     assert scene.is_free(r, c) == grid_is_free(scene.grid, r, c), (r, c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(scene=flawed_scenes())
+    def test_checks_match_the_row_and_cell_loop(self, scene):
+        # the same first error, message included, as the loop over every
+        # row and every region cell that the set tests replaced
+        def outcome(check):
+            try:
+                check(scene)
+            except (SceneValidationError, TypeError, ValueError, IndexError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert outcome(Scene._validate) == outcome(loop_validate)
 
     def test_round_trip_is_bit_exact(self, tmp_path, two_room_scene):
         p1 = tmp_path / "a.json"
@@ -540,6 +633,171 @@ class TestSensingMatchesReference:
         # each object's line of sight is traced once, when it first falls
         # into a camera
         assert sorted(calls) == sorted(o.position for o in open_scene.objects)
+
+
+# every fov edge of cameras that leave gaps (fov 20), abut (60) or overlap
+# (90, 180): a camera axis plus or minus a half fov, as a bearing
+EDGE_FOVS = (20.0, 60.0, 90.0, 180.0)
+FOV_EDGES = sorted({
+    signed_angle(axis + side * fov / 2.0)
+    for axis in (60.0, 0.0, -60.0) for fov in EDGE_FOVS for side in (1, -1)
+})
+
+
+def ulps_around(value, n=2):
+    """value and the n floats on either side of it."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        v = value
+        for _ in range(n):
+            v = math.nextafter(v, direction)
+            out.append(v)
+    return out
+
+
+def edge_robots(scene, position):
+    """Robots of every EDGE_FOVS fov, with the stock range, an unbounded one,
+    and ranges exactly at an object's distance and one ulp short of it."""
+    ranges = [5.0, math.inf]
+    for obj in scene.objects:
+        rng = math.hypot(obj.position[0] - position[0], obj.position[1] - position[1])
+        if rng > 0:
+            ranges += [rng, math.nextafter(rng, 0.0)]
+    return [
+        RobotConfig(name="edge", fov_per_camera=fov, sensing_range=rng)
+        for fov in EDGE_FOVS for rng in ranges
+    ]
+
+
+def edge_headings(scene, position, edges=FOV_EDGES):
+    """Headings in [0, 360) that put an object's bearing on one of `edges`,
+    and the two floats on either side of each: the bearing lands on the
+    edge exactly wherever the object's angle and the edge subtract exactly
+    (objects at cell centres seen from a cell centre or from an object)."""
+    headings = set()
+    for obj in scene.objects:
+        dx = obj.position[0] - position[0]
+        dy = obj.position[1] - position[1]
+        if math.hypot(dx, dy) < 1e-9:
+            continue
+        deg = math.degrees(math.atan2(dy, dx))
+        for edge in edges:
+            for h in ulps_around(normalize_heading(deg - edge)):
+                headings.add(normalize_heading(h))
+    return sorted(headings)
+
+
+class TestObserveMatchesTheCameraLoop:
+    """observe against the loop over the camera axes that it replaced
+    (reference_impls.loop_observe): bearings and ranges bit for bit and every
+    view in the same order, at the fov edges and one ulp either side."""
+
+    @staticmethod
+    def _check(scene, position, headings, robots):
+        for robot in robots:
+            for heading in headings:
+                s = AgentState(position=position, heading=heading)
+                assert bits(observe(scene, s, robot)) == bits(loop_observe(scene, s, robot)), (
+                    position, heading.hex(), robot
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), scene=sensing_scenes())
+    def test_generated_scenes_and_poses(self, data, scene):
+        # objects listed against id order, so ties in range are broken by id
+        scene = Scene(scene.grid, scene.regions, scene.objects[::-1])
+        free = free_cells(scene)
+        kind = data.draw(st.sampled_from(["object", "centre", "inside"]))
+        if kind == "object" and scene.objects:
+            # the agent stands on an object
+            position = data.draw(st.sampled_from(scene.objects)).position
+        else:
+            row, col = data.draw(st.sampled_from(free))
+            fx, fy = (0.5, 0.5) if kind != "inside" else (
+                data.draw(st.floats(0, 0.999)), data.draw(st.floats(0, 0.999))
+            )
+            position = ((col + fx) * CS, (row + fy) * CS)
+        headings = edge_headings(scene, position) or [0.0]
+        # a sample of the edge headings keeps an example short
+        headings = data.draw(st.lists(st.sampled_from(headings), min_size=1, max_size=12))
+        headings += [data.draw(st.floats(0.0, 360.0, exclude_max=True))]
+        robots = data.draw(st.lists(st.sampled_from(edge_robots(scene, position)), min_size=1, max_size=6))
+        self._check(scene, position, headings, robots)
+
+    def test_exact_edges_from_an_object_and_a_cell_centre(self):
+        # objects at cell centres around the agent on the axes and the
+        # diagonals: their angles are multiples of 45 degrees, so every
+        # edge heading puts a bearing exactly on +-30 or +-90, which the
+        # outputs show.  Objects at one range are listed against id order.
+        scene = scene_from(
+            ["#######", "#.....#", "#.....#", "#.....#", "#.....#", "#.....#", "#######"],
+            objects=[("a", "box", (3, 3), True)] + [
+                (f"o-{8 - i}", "cup", (3 + dr, 3 + dc), True)
+                for i, (dr, dc) in enumerate(
+                    [(0, 2), (2, 0), (0, -2), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1)]
+                )
+            ],
+        )
+        seen = set()
+        for position in (scene.object("a").position, scene.cell_center((2, 2))):
+            headings = edge_headings(scene, position, edges=(30.0, -30.0, 90.0, -90.0))
+            robots = edge_robots(scene, position)
+            self._check(scene, position, headings, robots)
+            for robot in robots:
+                for heading in headings:
+                    obs = observe(scene, AgentState(position=position, heading=heading), robot)
+                    seen.update(o.bearing for o in obs.visible())
+        assert {30.0, -30.0, 90.0, -90.0} <= seen
+        assert {math.nextafter(30.0, math.inf), math.nextafter(-30.0, -math.inf)} & seen
+
+
+_SIGHTED = (SightedObject("cup-1", "cup", -30.0, 1.25), SightedObject("bed-0", "bed", 12.5, 2.0))
+_VIEWS = (View("left", 60.0, ()), View("front", 0.0, _SIGHTED), View("right", -60.0, _SIGHTED[:1]))
+# (class, its fields in order, the field to assign to): each record with
+# every field given, and AgentState with its default holding too
+RECORDS = [
+    (AgentState, ((0.375, 1.125), 330.0, "cup-1"), "heading"),
+    (AgentState, ((0.375, 1.125), 330.0), "holding"),
+    (StepRecord, (AgentState((1, 2.5), 30.0), Action.MOVE_FORWARD, True), "collided"),
+    (SightedObject, ("cup-1", "cup", -30.0, 1.25), "bearing"),
+    (View, ("front", 0.0, _SIGHTED), "objects"),
+    (Observation, (_VIEWS,), "views"),
+]
+RECORD_IDS = [f"{cls.__name__}-{len(args)}" for cls, args, _ in RECORDS]
+
+
+class TestRecordsKeepDataclassBehaviour:
+    """Each record as its class builds it, through a hand-written __init__
+    or the generated one, equals, hashes, reprs and pickles as the one the
+    generated frozen-dataclass __init__ builds, and stays frozen."""
+
+    @pytest.mark.parametrize("cls, args, name", RECORDS, ids=RECORD_IDS)
+    def test_like_the_dataclass_built_record(self, cls, args, name):
+        built, reference = cls(*args), dataclass_built(cls, *args)
+        by_keyword = cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), args)})
+        for record in (built, by_keyword):
+            assert type(record) is cls
+            assert record == reference and not record != reference
+            assert hash(record) == hash(reference)
+            assert repr(record) == repr(reference)
+            assert list(vars(record).items()) == list(vars(reference).items())
+            assert pickle.dumps(record) == pickle.dumps(reference)
+            assert pickle.loads(pickle.dumps(record)) == reference
+            assert dataclasses.replace(record) == reference
+            assert dataclasses.astuple(record) == dataclasses.astuple(reference)
+
+    @pytest.mark.parametrize("cls, args, name", RECORDS, ids=RECORD_IDS)
+    def test_frozen(self, cls, args, name):
+        record = cls(*args)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert record == dataclass_built(cls, *args)
+
+    def test_a_different_field_is_unequal(self):
+        assert AgentState((0.5, 0.5), 30.0) != AgentState((0.5, 0.5), 60.0)
+        assert AgentState((0.5, 0.5), 30.0) != AgentState((0.5, 0.5), 30.0, "cup-1")
 
 
 class TestRobotConfig:

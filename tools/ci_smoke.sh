@@ -133,5 +133,15 @@ got = [(t["source_task_id"], t["source_subtask"]) for t in tasks]
 assert expected and got == expected, (len(got), len(expected))
 print(f"{len(got)} step tasks, one per move_to span with a non-stop action")
 EOF
+# and the split's bytes are pinned: 48 objects and longer sight lines than
+# the golden workloads' put sensing, replay and trajectory reads to the test
+python - "$big/steps.json" <<'EOF'
+import hashlib, sys
+from pathlib import Path
+pinned = "52ec4f710976d670909a3c37f661561bec38817b886bd12547a0144d6a8ea2d7"
+got = hashlib.sha256(Path(sys.argv[1]).read_bytes()).hexdigest()
+assert got == pinned, f"{sys.argv[1]}: sha256 {got}, pinned {pinned}"
+print(f"48x48 split output has the pinned sha256 {pinned[:12]}...")
+EOF
 
 echo "ci_smoke: every check passed under $root"
