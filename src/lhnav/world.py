@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import getitem
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ SUCCESS_CONE_DEG = 60.0   # frontal cone for task success; task semantics, not c
 
 OCCUPIED = "#"
 FREE = "."
+_GRID_CHARS = frozenset((OCCUPIED, FREE))
 
 
 class Action(IntEnum):
@@ -266,14 +266,11 @@ class Scene:
         if not self.grid or not self.grid[0]:
             raise SceneValidationError("grid must be nonempty")
         width = len(self.grid[0])
-        # a set test passes a well-formed grid at once; the rows are walked
-        # one by one only to name the first bad one
-        if not _rows_well_formed(self.grid, width):
-            for i, row in enumerate(self.grid):
-                if len(row) != width:
-                    raise SceneValidationError(f"row {i} has inconsistent width")
-                if any(ch not in (OCCUPIED, FREE) for ch in row):
-                    raise SceneValidationError(f"row {i} contains invalid characters")
+        for i, row in enumerate(self.grid):
+            if len(row) != width:
+                raise SceneValidationError(f"row {i} has inconsistent width")
+            if not _GRID_CHARS.issuperset(row):
+                raise SceneValidationError(f"row {i} contains invalid characters")
         border = (
             all(ch == OCCUPIED for ch in self.grid[0])
             and all(ch == OCCUPIED for ch in self.grid[-1])
@@ -283,18 +280,18 @@ class Scene:
             raise SceneValidationError("grid must be bordered by occupied cells")
         if len(self._regions_by_id) != len(self.regions):
             raise SceneValidationError("region ids must be unique")
-        # likewise the region cells: walked in order only to name the first bad one
-        if not _cells_free_and_distinct(self, [c for r in self.regions for c in r.cells]):
-            seen_cells: set[tuple[int, int]] = set()
-            for r in self.regions:
-                for cell in r.cells:
-                    if not self.is_free(*cell):
-                        raise SceneValidationError(
-                            f"region {r.id!r} contains occupied cell {cell}"
-                        )
-                    if cell in seen_cells:
-                        raise SceneValidationError(f"cell {cell} assigned to two regions")
-                    seen_cells.add(cell)
+        # a cell that is not a pair fails in the is_free call
+        is_free = self.is_free
+        seen_cells: set[tuple[int, int]] = set()
+        for r in self.regions:
+            for cell in r.cells:
+                if not is_free(*cell):
+                    raise SceneValidationError(
+                        f"region {r.id!r} contains occupied cell {cell}"
+                    )
+                if cell in seen_cells:
+                    raise SceneValidationError(f"cell {cell} assigned to two regions")
+                seen_cells.add(cell)
         if len(self._objects_by_id) != len(self.objects):
             raise SceneValidationError("object ids must be unique")
         for o in self.objects:
@@ -352,40 +349,6 @@ class Scene:
             return cls.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path}: not a scene ({exc!r})") from exc
-
-
-_GRID_CHARS = frozenset((OCCUPIED, FREE))
-
-
-def _rows_well_formed(grid, width: int) -> bool:
-    """True when every row is a string of width grid characters, in which
-    case Scene._validate's row-by-row checks pass too."""
-    try:
-        text = "".join(grid)
-    except TypeError:  # a row that is not a string
-        return False
-    return set(map(len, grid)) == {width} and _GRID_CHARS.issuperset(text)
-
-
-def _cells_free_and_distinct(scene: Scene, cells: list) -> bool:
-    """True when the cells are pairs of in-bounds indices of free cells, no
-    two equal, in which case Scene._validate's cell-by-cell checks pass too;
-    False when they fail, or when a cell is not such a pair."""
-    if not cells:
-        return True
-    try:
-        rows, cols = zip(*cells)
-        # zip kept the first two of longer cells: every cell is a pair
-        if sum(map(len, cells)) != 2 * len(cells):
-            return False
-        # a negative index would wrap, and one past the grid raises
-        if min(rows) < 0 or min(cols) < 0:
-            return False
-        marks = "".join(map(getitem, map(scene.grid.__getitem__, rows), cols))
-    except (TypeError, ValueError, IndexError):
-        return False
-    # the cell map has one key per distinct cell
-    return marks == FREE * len(cells) and len(scene._region_of_cell) == len(cells)
 
 
 def validate_state(scene: Scene, state: AgentState) -> None:
@@ -641,13 +604,8 @@ class StepContext:
     stage: int  # ordinal of the current navigation stage
 
     def __init__(self, scene, state, robot, target_id, stage):
-        # a context per pose, filled as observe's records are
-        fields = self.__dict__
-        fields["scene"] = scene
-        fields["state"] = state
-        fields["robot"] = robot
-        fields["target_id"] = target_id
-        fields["stage"] = stage
+        # a context per pose: one dict update costs half an object.__setattr__ per field
+        vars(self).update(scene=scene, state=state, robot=robot, target_id=target_id, stage=stage)
 
     @_kept
     def observation(self) -> Observation:

@@ -12,16 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from conftest import free_cells
-from lhnav.files import InputFileError, read_lines
 from lhnav.memory import CAPACITY, EPS, ShortTermMemory, forget_and_append, weight_decision
 from lhnav.policy import EMBED_DIM, EmbeddingOracle, one_hot
 from lhnav.splitter import Tag
-from lhnav.taskforge import MOVE_TO
-from lhnav.trajectory import StepRecord, SubtaskSpan, Trajectory
+from lhnav.trajectory import StepRecord
 from lhnav.world import (
     ACTION_BY_NAME, ACTION_NAMES, CAMERA_OFFSETS, FREE, OCCUPIED, ROBOTS, Action, AgentState,
     Observation, SceneValidationError, SightedObject, StepResult, View, normalize_heading,
-    stock_robot,
 )
 from lhnav.world import subtask_success
 from lhnav.world import observe as world_observe
@@ -711,10 +708,10 @@ def loop_observe(scene, state, robot):
 
 # -- trajectory reads through per-pose generators and a set difference -------------
 #
-# The Trajectory.load, StepRecord.from_dict and _saved_state that
-# lhnav.trajectory replaced with written-out pose checks and an issuperset
-# key test, kept line for line, so a load can be checked against them record
-# for record and message for message.
+# The StepRecord.from_dict and _saved_state that lhnav.trajectory replaced
+# with written-out pose checks and an issuperset key test, kept line for
+# line, so Trajectory.load can be run through them and checked record for
+# record and message for message.
 
 REFERENCE_STEP_KEYS = {"i", "pose", "holding", "action", "collided"}
 
@@ -745,57 +742,6 @@ def reference_step_from_dict(d):
     )
 
 
-def reference_load_trajectory(path):
-    lines = read_lines(path)
-    number, header = next(lines, (0, None))
-    if not isinstance(header, dict) or "final_pose" not in header:
-        raise InputFileError(f"trajectory file {path} has no header line")
-    try:
-        fields = dict(
-            task_id=header["task_id"],
-            scene_id=header["scene_id"],
-            robot=stock_robot(header["robot"]).name,
-            spans=[SubtaskSpan(**s) for s in header["spans"]],
-            final_state=reference_saved_state(header["final_pose"], header.get("final_holding")),
-            config_hash=header.get("config_hash", ""),
-            seed=header.get("seed", 0),
-        )
-        for key in ("task_id", "scene_id", "config_hash"):
-            if type(fields[key]) is not str:
-                raise TypeError(f"{key} must be a string, not {fields[key]!r}")
-        if type(fields["seed"]) is not int:
-            raise TypeError(f"seed must be an integer, not {fields['seed']!r}")
-        # the spans tile the steps in order; end is where the last stops
-        end = 0
-        for span in fields["spans"]:
-            if span.start != end or not span.start <= span.end:
-                raise ValueError(
-                    f"subtask {span.index} spans steps {span.start}..{span.end}, "
-                    f"not from step {end} on"
-                )
-            end = span.end
-        # a window's actions end at its one stop, if it has one
-        stop_at = {span.end - 1 for span in fields["spans"] if span.kind == MOVE_TO}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(f"{path} line {number}: not a trajectory header ({exc!r})") from exc
-    steps = []
-    for i, (number, record) in enumerate(lines):
-        try:
-            step = reference_step_from_dict(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFileError(f"{path} line {number}: not a step record ({exc!r})") from exc
-        if record["i"] != i:
-            raise InputFileError(f"{path} line {number}: step {record['i']} where {i} was due")
-        if step.action == Action.STOP and i not in stop_at:
-            raise InputFileError(
-                f"{path} line {number}: step {i} is a stop that does not end a move window"
-            )
-        steps.append(step)
-    if end != len(steps):
-        raise InputFileError(f"{path}: the spans end at step {end}, the steps at {len(steps)}")
-    return Trajectory(steps=steps, **fields)
-
-
 # -- records built by the generated frozen-dataclass __init__ -----------------------
 
 
@@ -813,12 +759,12 @@ def dataclass_built(cls, *args, **kwargs):
     return record
 
 
-# -- scene checks, a row and a cell at a time --------------------------------------
+# -- scene checks, a character at a time -------------------------------------------
 #
-# The Scene._validate that lhnav.world replaced with set tests over the whole
-# grid and over every region cell, kept line for line (a function of the
-# scene), so the first bad row or cell that a message names can be checked
-# against it.
+# The Scene._validate that lhnav.world replaced with a set test per row and
+# one bound is_free per region cell, kept line for line (a function of the
+# scene), so each error and the first bad row or cell that its message
+# names can be checked against it.
 
 
 def loop_validate(scene):

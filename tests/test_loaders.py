@@ -4,6 +4,7 @@ report.  The files are valid ones with one entry dropped, one value changed
 to another JSON type, or the text cut short."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from lhnav.policy import ExpertPolicy, LinearSoftmaxBackend
 from lhnav.runner import RunConfig, load_report, run_episode, run_suite
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import load_tasks, sample_task, save_tasks
-from lhnav.trajectory import Trajectory
+from lhnav.trajectory import StepRecord, Trajectory
 from lhnav.world import Scene
 
 from conftest import pad
-from reference_impls import reference_load_trajectory
+from reference_impls import reference_saved_state, reference_step_from_dict
 
 LOADERS = {
     "scene": Scene.load,
@@ -144,13 +145,17 @@ def _outcome(load, path):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_trajectory_load_matches_the_reference_loader(valid, data):
-    # the same records, or the same error and message, as the loader of
-    # per-pose generators and a set difference that Trajectory.load replaced
+    # the same records, or the same error and message, as Trajectory.load
+    # through the per-pose generators and the set difference of the
+    # StepRecord.from_dict and _saved_state that it replaced
     root, texts = valid
     path = root / "mutated-trajectory-against-reference"
     for text in (texts["trajectory"], data.draw(mutated("trajectory", texts["trajectory"]))):
         path.write_text(text, encoding="utf-8")
-        assert _outcome(Trajectory.load, path) == _outcome(reference_load_trajectory, path)
+        with mock.patch("lhnav.trajectory._saved_state", reference_saved_state), \
+                mock.patch.object(StepRecord, "from_dict", staticmethod(reference_step_from_dict)):
+            expected = _outcome(Trajectory.load, path)
+        assert _outcome(Trajectory.load, path) == expected
 
 
 # (loader, the path in the file's first JSON value of the record that gets

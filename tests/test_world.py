@@ -409,8 +409,8 @@ class TestSceneValidation:
     @settings(max_examples=400, deadline=None)
     @given(scene=flawed_scenes())
     def test_checks_match_the_row_and_cell_loop(self, scene):
-        # the same first error, message included, as the loop over every
-        # row and every region cell that the set tests replaced
+        # the same first error, message included, as the per-character row
+        # test and the per-cell method lookup that _validate replaced
         def outcome(check):
             try:
                 check(scene)
