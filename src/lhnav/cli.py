@@ -159,9 +159,8 @@ def cmd_split(args) -> int:
             tagged = [
                 replace(seg, tags=tag_segment(contexts, seg)) for seg in split_trajectory(actions)
             ]
-            target = scene.object(span.target_id).category
             task = render_step_instruction(
-                target, tagged, source_task_id=traj.task_id, source_subtask=span.index
+                contexts[0].goal, tagged, source_task_id=traj.task_id, source_subtask=span.index
             )
             out_tasks.append(vars(task))
     write_document(args.out, out_tasks)

@@ -54,9 +54,6 @@ class EmbeddingOracle:
     embeddings and the fused one.  A process hashes a category once
     (category_index)."""
 
-    def index_for(self, name: str) -> int:
-        return category_index(name)
-
     def _embed_rows(self, pair_lists) -> np.ndarray:
         """One row per list of (category, range) pairs: every category adds
         1/(1+range) to its hashed coordinate, and the row is L2-normalized.
@@ -64,9 +61,9 @@ class EmbeddingOracle:
         rows = np.zeros((len(pair_lists), EMBED_DIM))
         for row, pairs in zip(rows, pair_lists):
             if not pairs:
-                row[self.index_for("__void__")] = 1.0
+                row[category_index("__void__")] = 1.0
             for category, rng in pairs:
-                row[self.index_for(category)] += 1.0 / (1.0 + rng)
+                row[category_index(category)] += 1.0 / (1.0 + rng)
         # a void row has norm 1.0 exactly, so dividing leaves it as it is
         rows /= row_norms(rows)[:, None]
         return rows
@@ -418,10 +415,9 @@ def train_backend(
 def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
     """One decision step of a memory policy, updating it in place: embed
     the context's observation, decide, weight by the mean of the actions
-    retrieved for the target's category, take the argmax, and fold the
-    observation into short-term memory at the largest decision value;
-    policy.row keeps the feature row.  Rollout and the imitation replay
-    both step through here.
+    retrieved for the goal, take the argmax, and fold the observation into
+    short-term memory at the largest decision value; policy.row keeps the
+    feature row.  Rollout and the imitation replay both step through here.
 
     Sensing is memoised for the episode, each part under what it is a pure
     function of, given one scene, robot, oracle and store (the store is
@@ -430,20 +426,19 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
     episode has reached before (after a blocked move, on turning back to a
     heading it has faced, at the start of a window for a new target, or at
     an equal context of a replay) is neither observed nor embedded again.
-    The top-k depends on the target's category and the fused embedding:
-    policy.retrieved keeps it by (category, fused embedding bytes), so
-    poses that see the same objects at the same ranges share one
-    retrieval.  The decision and the fold run on every step, because they
-    read the short-term memory."""
+    The top-k depends on the goal and the fused embedding: policy.retrieved
+    keeps it by (goal, fused embedding bytes), so poses that see the same
+    objects at the same ranges share one retrieval.  The decision and the
+    fold run on every step, because they read the short-term memory."""
     sensed = policy.sensed.get(ctx.state)
     if sensed is None:
         views, fused = policy.oracle.embed(ctx.observation)
         sensed = policy.sensed[ctx.state] = (views, fused, fused.tobytes())
     views, fused, fused_bytes = sensed
-    category = ctx.scene.object(ctx.target_id).category
-    top = policy.retrieved.get((category, fused_bytes))
+    goal = ctx.goal
+    top = policy.retrieved.get((goal, fused_bytes))
     if top is None:
-        top = policy.retrieved[category, fused_bytes] = policy.store.retrieve_topk(category, fused)
+        top = policy.retrieved[goal, fused_bytes] = policy.store.retrieve_topk(goal, fused)
     decision, policy.row = policy.backend.decide(ctx, views, policy.memory)
     confidence = float(np.maximum.reduce(decision))
     if top.mean is not None:
@@ -456,7 +451,10 @@ def memory_policy_step(policy: MemoryPolicy, ctx: StepContext) -> Action:
 
 
 class Policy(Protocol):
-    """Decides one step; a runner builds a fresh policy for every episode."""
+    """Decides one step; a runner builds a fresh policy for every episode.
+    A policy other than the expert reads only what the agent senses: state
+    (odometry: position, heading, holding), observation, stage and goal.
+    scene, robot, target_id and at_target are the expert's and the judge's."""
 
     def act(self, ctx: StepContext) -> Action: ...
 
@@ -494,7 +492,7 @@ class MemoryPolicy:
     (the store must not change while it runs): sensed, a dict from each
     state the episode has reached to the view embeddings, fused embedding
     and fused embedding bytes of its observation, and retrieved, a dict
-    from (target category, fused embedding bytes) to the top-k retrieved
+    from (goal, fused embedding bytes) to the top-k retrieved
     for them.  row is its last feature row.  A runner builds one per
     episode, so the memos live for one episode."""
 

@@ -15,7 +15,6 @@ import json
 import math
 import random
 import re
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -432,7 +431,7 @@ def chat_completion(endpoint: str, system: str, user: str) -> str:
     """One blocking chat-completion round trip; returns the assistant body.
 
     Each call opens its own connection, so concurrent workers never share
-    state.
+    state.  An endpoint that is not a URL raises a network error too.
     """
     if not endpoint:
         raise ValueError("the LLM client needs an endpoint")
@@ -444,19 +443,19 @@ def chat_completion(endpoint: str, system: str, user: str) -> str:
             {"role": "user", "content": user},
         ],
     }
-    req = urllib.request.Request(
-        endpoint,
-        data=json.dumps(body).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
     try:
+        req = urllib.request.Request(
+            endpoint,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
         with urllib.request.urlopen(req, timeout=LLM_TIMEOUT_S) as resp:
             payload = json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
-        raise LlmNetworkError(f"request to {endpoint} failed: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise LlmParseError(f"response is not JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # URLError is an OSError
+        raise LlmNetworkError(f"request to {endpoint} failed: {exc}") from exc
     try:
         return payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:

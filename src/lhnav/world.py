@@ -518,26 +518,22 @@ def observe(scene: Scene, state: AgentState, robot: RobotConfig) -> Observation:
             bearing = (deg - heading) % 360.0
             if bearing > 180.0:
                 bearing -= 360.0
-        # the camera tests in CAMERA_OFFSETS order; bearing - 0.0 is bearing
-        # and bearing - -60.0 is bearing + 60.0, bit for bit
+        # the camera tests in CAMERA_OFFSETS order; bearing is its own front
+        # wrap, and bearing - -60.0 is bearing + 60.0, bit for bit
         off_axis = (bearing - 60.0) % 360.0
         if off_axis > 180.0:
             off_axis -= 360.0
         if low <= off_axis <= half_fov:
             bucket = left
+        elif low <= bearing <= half_fov:
+            bucket = front
         else:
-            off_axis = bearing % 360.0
+            off_axis = (bearing + 60.0) % 360.0
             if off_axis > 180.0:
                 off_axis -= 360.0
-            if low <= off_axis <= half_fov:
-                bucket = front
-            else:
-                off_axis = (bearing + 60.0) % 360.0
-                if off_axis > 180.0:
-                    off_axis -= 360.0
-                if not low <= off_axis <= half_fov:
-                    continue
-                bucket = right
+            if not low <= off_axis <= half_fov:
+                continue
+            bucket = right
         if clear is None:
             clear = line[4] = line_of_sight(scene, position, obj.position)
         if clear:
@@ -593,9 +589,9 @@ class _kept:
 class StepContext:
     """One pose of a move window, with the window's target and stage; run_episode
     makes one per pose, Trajectory.replay one per recorded pose, and every step
-    at that pose shares it.  It senses (observation) and judges (at_target) its
-    pose on the first read of each and keeps the value, so a pose is sensed and
-    judged at most once, and only if something reads it."""
+    at that pose shares it.  observation, at_target and goal (the target's
+    category) are worked out on first read and kept, so a pose is sensed and
+    judged at most once, and only if read; policy.Policy says who reads what."""
 
     scene: Scene
     state: AgentState
@@ -614,6 +610,10 @@ class StepContext:
     @_kept
     def at_target(self) -> bool:
         return subtask_success(self.scene, self.state, self.target_id)
+
+    @_kept
+    def goal(self) -> str:
+        return self.scene.object(self.target_id).category
 
 
 # expert imports this module's names at its top, so it is bound here, last;

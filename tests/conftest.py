@@ -1,9 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lhnav.memory import EMBED_DIM, N_ACTIONS
 from lhnav.policy import LinearSoftmaxBackend
 from lhnav.world import ObjectInstance, Region, Scene
+
+# hypothesis's pytest plugin reports a failing example through
+# hypothesis.extra._patching, whose first import (libcst's) warns a
+# DeprecationWarning; this suite's filterwarnings made that an error, and
+# the pytest run ended in an INTERNALERROR with no report.  Imported here once
+# with that warning ignored, it leaves the filter as it is for the tests.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 class NarrowBackend(LinearSoftmaxBackend):

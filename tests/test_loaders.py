@@ -4,6 +4,7 @@ report.  The files are valid ones with one entry dropped, one value changed
 to another JSON type, or the text cut short."""
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -45,10 +46,27 @@ def _json_type(value) -> str:
     return type(value).__name__
 
 
+class ValidFiles:
+    """A directory, and the text of one valid file per loader; unpacks as
+    (root, texts).  Its repr names the directory only: hypothesis prints a
+    failing example's arguments, this fixture among them, and warns on a
+    repr as long as the six files', which this suite's filterwarnings
+    makes an error.  Raised before the replay's first draw, that error
+    came out as FlakyStrategyDefinition, with no falsifying example."""
+
+    def __init__(self, root: Path, texts: dict) -> None:
+        self.root, self.texts = root, texts
+
+    def __iter__(self):
+        return iter((self.root, self.texts))
+
+    def __repr__(self) -> str:
+        return f"ValidFiles({str(self.root)!r})"
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """A directory, and the text of one valid file per loader written by
-    its own save."""
+    """ValidFiles, each file written by its loader's own save."""
     root = tmp_path_factory.mktemp("loaders")
     scene = generate_scene(seed=3, size=16)
     task = sample_task(scene, seed=1)
@@ -71,7 +89,7 @@ def valid(tmp_path_factory):
         path = root / f"valid-{name}"
         save(path)
         texts[name] = path.read_text(encoding="utf-8")
-    return root, texts
+    return ValidFiles(root, texts)
 
 
 def _paths(value, prefix=()):

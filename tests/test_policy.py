@@ -19,6 +19,7 @@ from lhnav.policy import (
     MemoryPolicy,
     RandomPolicy,
     StepContext,
+    category_index,
     loss_and_grad,
     memory_policy_step,
     one_hot,
@@ -69,8 +70,8 @@ class TestEmbeddingOracle:
         oracle = EmbeddingOracle()
         cats_a = ["box", "lamp"]
         cats_b = ["toy", "mug"]
-        idx_a = {oracle.index_for(c) for c in cats_a}
-        idx_b = {oracle.index_for(c) for c in cats_b}
+        idx_a = {category_index(c) for c in cats_a}
+        idx_b = {category_index(c) for c in cats_b}
         assert not idx_a & idx_b  # verified non-colliding under the salt
         va = oracle._embed_pairs([(c, 1.0) for c in cats_a])
         vb = oracle._embed_pairs([(c, 1.0) for c in cats_b])
@@ -80,13 +81,13 @@ class TestEmbeddingOracle:
         oracle = EmbeddingOracle()
         v = oracle._embed_pairs([])
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert np.flatnonzero(v).tolist() == [oracle.index_for("__void__")]
+        assert np.flatnonzero(v).tolist() == [category_index("__void__")]
 
     def test_closer_objects_weigh_more(self):
         oracle = EmbeddingOracle()
         near = oracle._embed_pairs([("box", 0.5), ("lamp", 3.0)])
-        idx_box = oracle.index_for("box")
-        idx_lamp = oracle.index_for("lamp")
+        idx_box = category_index("box")
+        idx_lamp = category_index("lamp")
         assert near[idx_box] > near[idx_lamp]
 
     def test_normalized(self):
@@ -120,22 +121,21 @@ class TestEmbeddingOracle:
         real = policy.hashlib.sha256
         hashed = []
         monkeypatch.setattr(policy.hashlib, "sha256", lambda data: hashed.append(data) or real(data))
-        oracles = [EmbeddingOracle(), EmbeddingOracle()]
-        for oracle in oracles:
-            for _ in range(3):
-                assert {name: oracle.index_for(name) for name in names} == want
+        for _ in range(3):
+            assert {name: category_index(name) for name in names} == want
         assert len(hashed) == len(names)
-        for obs, (want_views, want_fused) in zip(observations, want_embeddings):
-            views, fused = oracles[1].embed(obs)
-            assert views.tobytes() == want_views.tobytes()
-            assert fused.tobytes() == want_fused.tobytes()
+        for oracle in (EmbeddingOracle(), EmbeddingOracle()):
+            for obs, (want_views, want_fused) in zip(observations, want_embeddings):
+                views, fused = oracle.embed(obs)
+                assert views.tobytes() == want_views.tobytes()
+                assert fused.tobytes() == want_fused.tobytes()
         assert len(hashed) == len(names)
 
     def test_one_pass_matches_the_per_view_embeddings(self):
         from lhnav.scenegen import generate_scene
 
         rng = random.Random(12)
-        oracle = EmbeddingOracle()
+        oracle, hashing = EmbeddingOracle(), HashEveryCall()
         for seed in range(4):
             scene = generate_scene(seed=900 + seed, size=24, regions=4)
             free = free_cells(scene)
@@ -145,8 +145,8 @@ class TestEmbeddingOracle:
                     heading=rng.choice([0.0, 30.0, 90.0, 135.0, 180.0, 300.0]),
                 )
                 obs = observe(scene, state, SPOT)
-                want_views = [reference_embed(oracle, v.objects) for v in obs.views]
-                want_fused = reference_embed(oracle, obs.visible())
+                want_views = [reference_embed(hashing, v.objects) for v in obs.views]
+                want_fused = reference_embed(hashing, obs.visible())
                 views, fused = oracle.embed(obs)
                 assert views.tobytes() == np.concatenate(want_views).tobytes()
                 assert fused.tobytes() == want_fused.tobytes()

@@ -910,3 +910,81 @@ class TestSenseOncePerPose:
         assert same_pose_new_target > 0
         assert shared > 0
         assert (returns > 0) == with_store
+
+
+class SensedOnly:
+    """What policy.Policy lets a non-expert policy read of a step context,
+    and nothing else: state, observation, stage and goal (the window
+    target's category, worked out here from the scene as the judge may).
+    Reading scene, robot, target_id or at_target is an AttributeError."""
+
+    __slots__ = ("state", "observation", "stage", "goal")
+
+    def __init__(self, ctx):
+        self.state, self.observation, self.stage = ctx.state, ctx.observation, ctx.stage
+        self.goal = ctx.scene.object(ctx.target_id).category
+
+
+class ActsOnSensedOnly:
+    """A policy handed SensedOnly records instead of its step contexts."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def act(self, ctx):
+        return self.policy.act(SensedOnly(ctx))
+
+
+class TestSensedInputContract:
+    """Every policy but the expert decides on what the agent senses alone:
+    handed a record without the scene, the robot, the target id or the
+    verdict, it writes the same trajectories, report and rows."""
+
+    @pytest.mark.parametrize("name", sorted(set(POLICIES) - {"expert"}))
+    def test_run_suite_on_sensed_records_writes_the_same_files(self, tmp_path, monkeypatch, name):
+        from lhnav import runner
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        store_path = ""
+        if name == "memory":
+            store_path = str(tmp_path / "store.jsonl")
+            random_store(scenes, seed=4).save(store_path)
+        outputs = []
+        for side in ("plain", "sensed"):
+            if side == "sensed":
+                build = POLICIES[name]
+                monkeypatch.setitem(
+                    runner.POLICIES, name,
+                    lambda cfg, task, store: ActsOnSensedOnly(build(cfg, task, store)),
+                )
+            out = tmp_path / side
+            cfg = RunConfig(
+                policy=name, seed=4, budget=40, store_path=store_path, out_dir=str(out)
+            )
+            report = run_suite(scenes, tasks, cfg)
+            files = sorted((out / "trajectories").glob("*.jsonl"))
+            assert len(files) == len(tasks)
+            outputs.append((report, [f.read_bytes() for f in files]))
+        assert outputs[0] == outputs[1]
+
+    def test_memory_step_on_replayed_sensed_records_gives_the_imitation_rows(self, tmp_path):
+        from lhnav.policy import (
+            LinearSoftmaxBackend, MemoryPolicy, imitation_dataset, memory_policy_step
+        )
+
+        scenes, tasks = small_suite(n_scenes=2, tasks_per_scene=2)
+        for task in tasks:
+            scene = scenes[task.scene_id]
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig(budget=40))
+            traj.save(tmp_path / "t.jsonl")
+            loaded = Trajectory.load(tmp_path / "t.jsonl")
+            backend = LinearSoftmaxBackend(seed=7)
+            memory = MemoryPolicy(backend)
+            rows = []
+            for _, steps, contexts in loaded.replay(scene):
+                for step, ctx in zip(steps, contexts):
+                    memory_policy_step(memory, SensedOnly(ctx))
+                    rows.append((memory.row.tobytes(), int(step.action)))
+            want = imitation_dataset(scene, loaded, backend)
+            assert rows == [(x.tobytes(), y) for x, y in want]
+            assert len(rows) == len(traj.steps) > 0

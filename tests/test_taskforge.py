@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -373,6 +374,25 @@ class TestLlmClient:
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert stub_server in last and "seed 3" in last and "dictionary" in last
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("endpoint", ["foo", "http://[::1"])
+    def test_gen_tasks_malformed_endpoint_is_a_usage_error(
+        self, tmp_path, capsys, two_room_scene, endpoint
+    ):
+        # an endpoint that is not a URL fails before any request is sent,
+        # as a network error that names it, not a ValueError traceback
+        with pytest.raises(LlmNetworkError, match=re.escape(f"request to {endpoint} failed")):
+            generate_via_llm(two_room_scene, SPOT, endpoint)
+        two_room_scene.save(tmp_path / "scene.json")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "gen-tasks", "--scenes", str(tmp_path / "scene.json"), "--count", "1",
+                "--seed", "3", "--llm-endpoint", endpoint, "--out", str(tmp_path / "t.json"),
+            ])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert f"no task from {endpoint} for seed 3" in last
         assert not (tmp_path / "t.json").exists()
 
     def test_reply_with_an_unreachable_target_rejected(self, sealed_scene):

@@ -21,6 +21,7 @@ from lhnav.world import (
     Scene,
     SceneValidationError,
     SightedObject,
+    StepContext,
     UnknownObjectError,
     View,
     apply_action,
@@ -256,6 +257,23 @@ class TestSubtaskSuccess:
                     hits += 1
                     assert obj.id in {o.object_id for o in observe(open_scene, s, SPOT).visible()}
         assert hits > 0  # the property actually fired
+
+
+class TestStepContextGoal:
+    def test_goal_is_the_target_category_looked_up_once(self, corridor_scene, monkeypatch):
+        category = corridor_scene.object("box-0").category
+        ctx = StepContext(corridor_scene, state(0.375, 0.375, 0.0), SPOT, "box-0", 0)
+        looked_up = []
+        lookup = corridor_scene.object
+        monkeypatch.setattr(corridor_scene, "object", lambda i: looked_up.append(i) or lookup(i))
+        assert [ctx.goal, ctx.goal] == [category, category]
+        assert looked_up == ["box-0"]
+
+    def test_a_context_without_a_target_senses_until_its_goal_is_read(self, corridor_scene):
+        ctx = StepContext(corridor_scene, state(0.375, 0.375, 0.0), SPOT, "", 0)
+        assert ctx.observation == observe(corridor_scene, ctx.state, SPOT)
+        with pytest.raises(UnknownObjectError):
+            ctx.goal
 
 
 FLAWS = (

@@ -71,6 +71,12 @@ status=0
 lhnav rollout --scenes "$smoke/scenes" --tasks "$smoke/tasks/tasks.json" --policy expert --store "$smoke/no-such-store.jsonl" --out "$smoke/expert-store-run" || status=$?
 test "$status" -eq 2
 test ! -e "$smoke/expert-store-run"
+# an --llm-endpoint that is not a URL is a usage error naming it: exit 2
+# and no --out file
+status=0
+lhnav gen-tasks --scenes "$smoke/scenes" --count 1 --llm-endpoint foo --out "$smoke/llm-tasks.json" || status=$?
+test "$status" -eq 2
+test ! -e "$smoke/llm-tasks.json"
 # split reads the memory policy's trajectories too, windows of a lone stop included
 lhnav split --trajectories "$smoke/memory/trajectories" --scenes "$smoke/scenes" --out "$smoke/memory-steps.json"
 # every --policy choice runs through the installed command; the stop
