@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .world import FREE, Action, AgentState, RobotConfig, Scene, bearing_to
+from .world import FREE, Action, Scene, StepContext, bearing_to, point_not_free
 
 SQRT2 = math.sqrt(2.0)
 
@@ -146,14 +146,6 @@ def field_from(scene: Scene, source: tuple[int, int]) -> GeodesicField:
     return f  # type: ignore[return-value]
 
 
-def _not_free(scene: Scene, point: tuple[float, float], cell: tuple[int, int]):
-    """The error for a point whose cell is not free.  Queries check first:
-    a flat index of a cell off the grid would wrap onto another cell."""
-    if 0 <= cell[0] < scene.rows and 0 <= cell[1] < scene.cols:
-        return ValueError(f"point {point} lies in an occupied cell")
-    return ValueError(f"point {point} lies outside the grid")
-
-
 def geodesic_distance(
     scene: Scene, a: tuple[float, float], b: tuple[float, float]
 ) -> float:
@@ -168,9 +160,9 @@ def geodesic_distance(
     ca = scene.cell_of(a)
     cb = scene.cell_of(b)
     if not scene.is_free(*ca):
-        raise _not_free(scene, a, ca)
+        raise point_not_free(scene, a, ca)
     if not scene.is_free(*cb):
-        raise _not_free(scene, b, cb)
+        raise point_not_free(scene, b, cb)
     return field_from(scene, cb).value[ca[0] * scene.cols + ca[1]] * scene.cell_size
 
 
@@ -190,34 +182,29 @@ def _next_waypoint(scene: Scene, field: GeodesicField, i: int) -> int | None:
     return best
 
 
-def expert_next_action(
-    scene: Scene,
-    state: AgentState,
-    target: str,
-    robot: RobotConfig,
-    at_target: bool,
-) -> Action:
-    """Greedy pathfinder step toward a target object.
+def expert_next_action(ctx: StepContext) -> Action:
+    """Greedy pathfinder step toward the context's target object.
 
-    Stops when at_target, the caller's subtask_success verdict on this
-    state and target, holds; otherwise turns toward the next waypoint while
-    the heading error exceeds half a turn step, then moves forward.  A 180
-    degree tie turns left.
+    Stops when ctx.at_target, the context's subtask_success verdict, holds;
+    otherwise turns toward the next waypoint of the target's field, read at
+    the pose's cell (both kept on the context, which the verdict looked up
+    already), while the heading error exceeds half a turn step, then moves
+    forward.  A 180 degree tie turns left.
     """
-    if at_target:
+    if ctx.at_target:
         return Action.STOP
-    obj = scene.object(target)
-    field = field_from(scene, scene.cell_of(obj.position))
-    row, col = scene.cell_of(state.position)
-    i = row * scene.cols + col
+    scene = ctx.scene
+    field, i = ctx.field, ctx.cell
     if field.value[i] == UNREACHABLE:
-        raise UnreachableTargetError(f"target {target!r} unreachable from {(row, col)}")
+        raise UnreachableTargetError(
+            f"target {ctx.target_id!r} unreachable from {divmod(i, scene.cols)}"
+        )
     waypoint = _next_waypoint(scene, field, i)
     if waypoint is None:  # only the target cell itself has no descent
-        aim = obj.position
+        aim = scene.object(ctx.target_id).position
     else:
         aim = scene.cell_center(divmod(waypoint, scene.cols))
-    error = bearing_to(state, aim)
-    if abs(error) <= robot.turn_step / 2.0:
+    error = bearing_to(ctx.state, aim)
+    if abs(error) <= ctx.robot.turn_step / 2.0:
         return Action.MOVE_FORWARD
     return Action.TURN_LEFT if error > 0 else Action.TURN_RIGHT

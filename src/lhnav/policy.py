@@ -454,7 +454,8 @@ class Policy(Protocol):
     """Decides one step; a runner builds a fresh policy for every episode.
     A policy other than the expert reads only what the agent senses: state
     (odometry: position, heading, holding), observation, stage and goal.
-    scene, robot, target_id and at_target are the expert's and the judge's."""
+    scene, robot, target_id, at_target, cell and field are the expert's and
+    the judge's."""
 
     def act(self, ctx: StepContext) -> Action: ...
 
@@ -463,9 +464,7 @@ class ExpertPolicy:
     """Direct greedy-pathfinder control; the imitation target."""
 
     def act(self, ctx: StepContext) -> Action:
-        return expert_mod.expert_next_action(
-            ctx.scene, ctx.state, ctx.target_id, ctx.robot, at_target=ctx.at_target
-        )
+        return expert_mod.expert_next_action(ctx)
 
 
 class RandomPolicy:

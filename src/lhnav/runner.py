@@ -53,7 +53,7 @@ POLICIES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     budget: int = 500          # steps per navigation subtask
     seed: int = 0
@@ -71,15 +71,19 @@ class RunConfig:
             raise ValueError(f"only the memory policy reads a store, not {self.policy!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-    def config_hash(self) -> str:
+        # hashed once, here: the config is frozen, and replace builds a new one
         stable = {
             k: v
             for k, v in asdict(self).items()
             if k not in ("workers", "out_dir")
         }
         blob = json.dumps(stable, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:12]
+        object.__setattr__(self, "_hash", hashlib.sha256(blob).hexdigest()[:12])
+
+    def config_hash(self) -> str:
+        """The first 12 hex digits of the sha256 of the config's canonical
+        JSON, leaving out workers and out_dir, which change no output."""
+        return self._hash
 
 
 def make_policy(

@@ -166,7 +166,10 @@ def check_reachable(scene: Scene, task: TaskSpec) -> None:
 
 def _component_objects(scene: Scene) -> list:
     """The objects of the free-space component that holds the most of them,
-    a tie going to the component of the smallest object id."""
+    a tie going to the component of the smallest object id; found once per
+    scene and kept on it."""
+    if scene._component is not None:
+        return scene._component
     best: list = []
     placed: set[str] = set()
     for first in sorted(scene.objects, key=lambda o: o.id):
@@ -179,6 +182,7 @@ def _component_objects(scene: Scene) -> list:
             placed.update(o.id for o in members)
             if len(members) > len(best):
                 best = members
+    scene._component = best
     return best
 
 
@@ -308,12 +312,11 @@ def sample_spawn(scene: Scene, task: TaskSpec) -> AgentState:
     rng = random.Random(f"spawn:{task.scene_id}:{task.seed}")
     first = scene.object(task.move_targets()[0].object_id)
     field = field_from(scene, scene.cell_of(first.position))
+    value, cell_size = field.value, scene.cell_size
     # flat indices sort row-major, as the cells they stand for
-    reachable = sorted(field.steps)
-    meters = {i: field.value[i] * scene.cell_size for i in reachable}
-    eligible = [i for i in reachable if meters[i] >= MIN_TARGET_SEPARATION]
+    eligible = sorted(i for i in field.steps if value[i] * cell_size >= MIN_TARGET_SEPARATION)
     if not eligible:
-        eligible = [max(reachable, key=lambda i: (meters[i], i))]
+        eligible = [max(field.steps, key=lambda i: (value[i] * cell_size, i))]
     cell = divmod(rng.choice(eligible), scene.cols)
     heading = normalize_heading(rng.uniform(0.0, 360.0))
     return AgentState(position=scene.cell_center(cell), heading=heading)

@@ -58,6 +58,13 @@ class StepRecord:
     action: Action
     collided: bool
 
+    def __init__(self, state, action, collided):
+        # one per step; world's note on AgentState says why it is written out
+        fields = self.__dict__
+        fields["state"] = state
+        fields["action"] = action
+        fields["collided"] = collided
+
     def line(self, index: int) -> str:
         """The record's canonical JSON line at place index, without the
         newline; the pose's numbers are Python ints or floats, as every state is."""

@@ -122,20 +122,26 @@ def signed_angle(deg: float) -> float:
     return a - 360.0 if a > 180.0 else a
 
 
+# The records built per step or per sensed pose (AgentState and
+# trajectory.StepRecord once per step, the three records of observe about
+# 6.5 times per sensed pose, StepContext once per pose) each have one
+# hand-written __init__ that fills the instance's __dict__ item by item,
+# where the generated frozen one calls object.__setattr__ once per field.
+# The dataclass still gives each its fields, eq, hash, repr and frozen
+# assignment.
+
+
 @dataclass(frozen=True)
 class AgentState:
     position: tuple[float, float]
     heading: float  # degrees in [0, 360)
     holding: str | None = None
 
-
-# observe builds the three records below, about 6.5 per sensed pose, so each
-# has one hand-written __init__ that fills its __dict__ item by item, where
-# the generated frozen one calls object.__setattr__ once per field.  The
-# dataclass still gives each its fields, eq, hash, repr and frozen assignment.
-# AgentState and StepRecord keep the generated __init__: many of them stay
-# alive, and a filled __dict__ costs 64 bytes more per record than the
-# generated one's inline values.
+    def __init__(self, position, heading, holding=None):
+        fields = self.__dict__
+        fields["position"] = position
+        fields["heading"] = heading
+        fields["holding"] = holding
 
 
 @dataclass(frozen=True)
@@ -210,9 +216,11 @@ class Scene:
         self._region_of_cell = {c: r for r in self.regions for c in r.cells}
         # per-instance caches, pickled with the scene: the expert module's
         # geodesic fields keyed by source cell and legal moves of every flat
-        # cell index, and the sensing lines of the last observed position
+        # cell index, taskforge's objects of the largest free-space
+        # component, and the sensing lines of the last observed position
         self._field_cache: dict[tuple[int, int], object] = {}
         self._moves: list | None = None
+        self._component: list | None = None
         self._sight_memo: tuple | None = None
         self._validate()
 
@@ -349,6 +357,15 @@ class Scene:
             return cls.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFileError(f"{path}: not a scene ({exc!r})") from exc
+
+
+def point_not_free(scene: Scene, point: tuple[float, float], cell: tuple[int, int]) -> ValueError:
+    """The error for a point whose cell is not free.  Geodesic queries
+    check first: a flat index of a cell off the grid would wrap onto
+    another cell."""
+    if 0 <= cell[0] < scene.rows and 0 <= cell[1] < scene.cols:
+        return ValueError(f"point {point} lies in an occupied cell")
+    return ValueError(f"point {point} lies outside the grid")
 
 
 def validate_state(scene: Scene, state: AgentState) -> None:
@@ -554,20 +571,25 @@ def bearing_to(state: AgentState, point: tuple[float, float]) -> float:
     return signed_angle(math.degrees(math.atan2(dy, dx)) - state.heading)
 
 
-def subtask_success(scene: Scene, state: AgentState, target: str) -> bool:
-    """Navigation success predicate for a single target.
+def subtask_success(ctx: StepContext) -> bool:
+    """Navigation success predicate for the context's pose and target.
 
     Requires geodesic distance <= 1 m, bearing inside the 60 degree frontal
     cone, and clear line of sight.  The cone is part of the task definition
-    and does not scale with the camera fov.
+    and does not scale with the camera fov.  The distance is read off the
+    context's field at its cell, so an unknown target raises an
+    UnknownObjectError and a pose off free space a ValueError, as
+    expert.geodesic_distance does.
     """
-    obj = scene.object(target)
-    dist = expert.geodesic_distance(scene, state.position, obj.position)
+    scene, state = ctx.scene, ctx.state
+    position = scene.object(ctx.target_id).position
+    i = ctx.cell
+    dist = ctx.field.value[i] * scene.cell_size
     if not dist <= SUCCESS_RADIUS:  # also rejects unreachable (inf)
         return False
-    if abs(bearing_to(state, obj.position)) > SUCCESS_CONE_DEG / 2.0:
+    if abs(bearing_to(state, position)) > SUCCESS_CONE_DEG / 2.0:
         return False
-    return line_of_sight(scene, state.position, obj.position)
+    return line_of_sight(scene, state.position, position)
 
 
 class _kept:
@@ -589,9 +611,11 @@ class _kept:
 class StepContext:
     """One pose of a move window, with the window's target and stage; run_episode
     makes one per pose, Trajectory.replay one per recorded pose, and every step
-    at that pose shares it.  observation, at_target and goal (the target's
-    category) are worked out on first read and kept, so a pose is sensed and
-    judged at most once, and only if read; policy.Policy says who reads what."""
+    at that pose shares it.  observation, at_target, goal (the target's
+    category), cell (the pose's flat cell index) and field (the target's
+    geodesic field) are worked out on first read and kept, so a pose is sensed,
+    judged and looked up at most once, and only if read; the judge and the
+    expert share cell and field.  policy.Policy says who reads what."""
 
     scene: Scene
     state: AgentState
@@ -600,8 +624,12 @@ class StepContext:
     stage: int  # ordinal of the current navigation stage
 
     def __init__(self, scene, state, robot, target_id, stage):
-        # a context per pose: one dict update costs half an object.__setattr__ per field
-        vars(self).update(scene=scene, state=state, robot=robot, target_id=target_id, stage=stage)
+        fields = self.__dict__
+        fields["scene"] = scene
+        fields["state"] = state
+        fields["robot"] = robot
+        fields["target_id"] = target_id
+        fields["stage"] = stage
 
     @_kept
     def observation(self) -> Observation:
@@ -609,13 +637,29 @@ class StepContext:
 
     @_kept
     def at_target(self) -> bool:
-        return subtask_success(self.scene, self.state, self.target_id)
+        return subtask_success(self)
 
     @_kept
     def goal(self) -> str:
         return self.scene.object(self.target_id).category
 
+    @_kept
+    def cell(self) -> int:
+        """The flat index row * cols + col of the pose's cell; the
+        ValueError of point_not_free when that cell is not free."""
+        scene = self.scene
+        position = self.state.position
+        row, col = scene.cell_of(position)
+        if not scene.is_free(row, col):
+            raise point_not_free(scene, position, (row, col))
+        return row * scene.cols + col
+
+    @_kept
+    def field(self) -> expert.GeodesicField:
+        scene = self.scene
+        return expert.field_from(scene, scene.cell_of(scene.object(self.target_id).position))
+
 
 # expert imports this module's names at its top, so it is bound here, last;
-# subtask_success looks geodesic_distance up on it at call time
+# StepContext.field looks field_from up on it at call time
 from . import expert  # noqa: E402

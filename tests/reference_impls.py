@@ -20,7 +20,9 @@ from lhnav.world import (
     ACTION_BY_NAME, ACTION_NAMES, CAMERA_OFFSETS, FREE, OCCUPIED, ROBOTS, Action, AgentState,
     Observation, SceneValidationError, SightedObject, StepResult, View, normalize_heading,
 )
-from lhnav.world import subtask_success
+from lhnav import expert
+from lhnav.expert import UNREACHABLE, UnreachableTargetError, _next_waypoint, field_from
+from lhnav.world import SUCCESS_CONE_DEG, SUCCESS_RADIUS, bearing_to, line_of_sight
 from lhnav.world import observe as world_observe
 
 
@@ -577,12 +579,63 @@ def reference_next_waypoint(scene, field, cell, moves):
     return best
 
 
+# -- the judge and the expert on (scene, state, target) ----------------------------
+
+# subtask_success and expert_next_action as they were before a step context
+# kept the pose's cell and the target's field, kept line for line: each looks
+# up the target, its field and the pose's cell on its own, so the context's
+# shared lookups can be checked against them.
+
+
+def reference_subtask_success(scene, state, target):
+    """Navigation success predicate for a single target.
+
+    Requires geodesic distance <= 1 m, bearing inside the 60 degree frontal
+    cone, and clear line of sight.  The cone is part of the task definition
+    and does not scale with the camera fov.
+    """
+    obj = scene.object(target)
+    dist = expert.geodesic_distance(scene, state.position, obj.position)
+    if not dist <= SUCCESS_RADIUS:  # also rejects unreachable (inf)
+        return False
+    if abs(bearing_to(state, obj.position)) > SUCCESS_CONE_DEG / 2.0:
+        return False
+    return line_of_sight(scene, state.position, obj.position)
+
+
+def reference_expert_next_action(scene, state, target, robot, at_target):
+    """Greedy pathfinder step toward a target object.
+
+    Stops when at_target, the caller's subtask_success verdict on this
+    state and target, holds; otherwise turns toward the next waypoint while
+    the heading error exceeds half a turn step, then moves forward.  A 180
+    degree tie turns left.
+    """
+    if at_target:
+        return Action.STOP
+    obj = scene.object(target)
+    field = field_from(scene, scene.cell_of(obj.position))
+    row, col = scene.cell_of(state.position)
+    i = row * scene.cols + col
+    if field.value[i] == UNREACHABLE:
+        raise UnreachableTargetError(f"target {target!r} unreachable from {(row, col)}")
+    waypoint = _next_waypoint(scene, field, i)
+    if waypoint is None:  # only the target cell itself has no descent
+        aim = obj.position
+    else:
+        aim = scene.cell_center(divmod(waypoint, scene.cols))
+    error = bearing_to(state, aim)
+    if abs(error) <= robot.turn_step / 2.0:
+        return Action.MOVE_FORWARD
+    return Action.TURN_LEFT if error > 0 else Action.TURN_RIGHT
+
+
 # -- grab and release as their own success checks ----------------------------------
 
 # The grab and release that lhnav.world held before the runner took them
-# over, kept line for line: each judges subtask_success on the state again,
-# so the runner's reuse of its move window's verdict can be checked against
-# them.
+# over, kept line for line: each judges the success predicate on the state
+# again, so the runner's reuse of its move window's verdict can be checked
+# against them.
 
 
 def reference_apply_grab(scene, state, object_id):
@@ -592,7 +645,7 @@ def reference_apply_grab(scene, state, object_id):
         return state, False
     if not obj.portable:
         return state, False
-    if not subtask_success(scene, state, object_id):
+    if not reference_subtask_success(scene, state, object_id):
         return state, False
     return replace(state, holding=object_id), True
 
@@ -602,7 +655,7 @@ def reference_apply_release(scene, state, object_id, place_id):
     scene.object(object_id)
     if state.holding != object_id:
         return state, False
-    if not subtask_success(scene, state, place_id):
+    if not reference_subtask_success(scene, state, place_id):
         return state, False
     return replace(state, holding=None), True
 

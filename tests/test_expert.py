@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhnav.expert import (
     SQRT2,
@@ -16,14 +18,19 @@ from lhnav.policy import ExpertPolicy
 from lhnav.runner import RunConfig, run_episode
 from lhnav.scenegen import generate_scene
 from lhnav.taskforge import MOVE_TO, Subtask, TaskSpec, sample_task
-from lhnav.world import ROBOTS, Action, AgentState, Scene, subtask_success
+from lhnav.world import (
+    ROBOTS, Action, AgentState, RobotConfig, Scene, StepContext, normalize_heading,
+    subtask_success,
+)
 
 from conftest import free_cells, scene_from
 from reference_impls import (
     grid_neighbors,
     reference_compute_field,
+    reference_expert_next_action,
     reference_neighbor_table,
     reference_next_waypoint,
+    reference_subtask_success,
     relaxation_distances,
 )
 
@@ -247,9 +254,38 @@ class TestFieldMatchesReference:
         return unreached
 
 
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def matches_reference(scene, state, target, robot):
+    """The verdict and action (or raised error) of subtask_success and
+    expert_next_action, which read the pose's cell and the target's field
+    off a step context, after checking that they are the reference's, which
+    look each up on their own."""
+    want_verdict = outcome(lambda: reference_subtask_success(scene, state, target))
+    want_action = outcome(lambda: reference_expert_next_action(
+        scene, state, target, robot, reference_subtask_success(scene, state, target)
+    ))
+    # the runner's order: the judge first, then the expert on the same context
+    ctx = StepContext(scene, state, robot, target, 0)
+    assert outcome(lambda: subtask_success(ctx)) == want_verdict
+    assert outcome(lambda: expert_next_action(ctx)) == want_action
+    # the expert first, which judges its context on the way
+    ctx = StepContext(scene, state, robot, target, 1)
+    assert outcome(lambda: expert_next_action(ctx)) == want_action
+    return want_verdict, want_action
+
+
 def expert_step(scene, state, target):
-    """The expert's action with the runner's verdict on the state."""
-    return expert_next_action(scene, state, target, SPOT, subtask_success(scene, state, target))
+    """The expert's action on a fresh step context, which judges the state,
+    once it matches the reference's."""
+    matches_reference(scene, state, target, SPOT)
+    return expert_next_action(StepContext(scene, state, SPOT, target, 0))
 
 
 class TestExpertNextAction:
@@ -269,6 +305,115 @@ class TestExpertNextAction:
         s = AgentState(position=sealed_scene.cell_center((1, 1)), heading=0.0)
         with pytest.raises(UnreachableTargetError):
             expert_step(sealed_scene, s, "jar-0")
+
+
+def nudged(heading, ulps):
+    """A heading moved by ulps units in the last place, wrapped into [0, 360)."""
+    for _ in range(abs(ulps)):
+        heading = math.nextafter(heading, math.copysign(math.inf, ulps))
+    return normalize_heading(heading)
+
+
+ROBOT_CHOICES = [
+    ROBOTS["spot"],
+    ROBOTS["stretch"],
+    RobotConfig(name="spot", turn_step=45.0),
+    RobotConfig(name="spot", turn_step=10.0),
+]
+
+
+@st.composite
+def judged_poses(draw):
+    """(scene, state, target id, robot): a small bordered grid with about a
+    quarter of its inner cells walled, at times with a wall column sealing
+    its right part off; one to three objects at free cell centers; a pose
+    at a free cell's center or off it, at or next to the target, in a wall
+    or outside the grid; and a heading drawn freely, or at 0, 180 or half a
+    turn step either way, give or take one ulp, from a neighbour cell's or
+    the target's direction."""
+    n_rows, n_cols = draw(st.integers(3, 8)), draw(st.integers(3, 9))
+    walls = draw(st.lists(st.integers(0, 3), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    seal = draw(st.integers(2, n_cols - 3)) if n_cols >= 5 and draw(st.booleans()) else None
+    rows = []
+    for r in range(n_rows):
+        row = ""
+        for c in range(n_cols):
+            border = r in (0, n_rows - 1) or c in (0, n_cols - 1)
+            wall = walls[r * n_cols + c] == 0 and (r, c) != (1, 1)
+            row += "#" if border or wall or c == seal else "."
+        rows.append(row)
+    free = [(r, c) for r, row in enumerate(rows) for c, ch in enumerate(row) if ch == "."]
+    occupied = [(r, c) for r, row in enumerate(rows) for c, ch in enumerate(row) if ch == "#"]
+    cells = draw(st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True))
+    objects = [(f"o-{k}", "box", cell, True) for k, cell in enumerate(cells)]
+    scene = scene_from(rows, objects=objects)
+    target = draw(st.sampled_from([o.id for o in scene.objects] + ["nope"]))
+    goal = scene.object(target).position if target != "nope" else scene.objects[0].position
+    offset = st.floats(-0.12, 0.12)
+    kinds = ["center", "off-center", "target", "near-target", "wall", "outside"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "center":
+        position = scene.cell_center(draw(st.sampled_from(free)))
+    elif kind == "off-center":
+        x, y = scene.cell_center(draw(st.sampled_from(free)))
+        position = (x + draw(offset), y + draw(offset))
+    elif kind == "target":
+        position = goal
+    elif kind == "near-target":
+        position = (goal[0] + draw(offset), goal[1] + draw(offset))
+    elif kind == "wall":
+        position = scene.cell_center(draw(st.sampled_from(occupied)))
+    else:
+        position = draw(st.sampled_from([
+            (-0.1, 0.3), (0.3, -0.1), (n_cols * 0.25 + 0.1, 0.3), (0.3, n_rows * 0.25 + 0.1),
+        ]))
+    robot = draw(st.sampled_from(ROBOT_CHOICES))
+    if draw(st.booleans()):
+        heading = draw(st.floats(0.0, 360.0, exclude_max=True))
+    else:
+        toward = math.degrees(math.atan2(goal[1] - position[1], goal[0] - position[0]))
+        base = draw(st.sampled_from([45.0 * k for k in range(8)] + [toward]))
+        half = robot.turn_step / 2.0
+        turn = draw(st.sampled_from([0.0, 180.0, half, -half]))
+        heading = nudged(normalize_heading(base + turn), draw(st.integers(-1, 1)))
+    return scene, AgentState(position, heading), target, robot
+
+
+class TestSharedLookupsMatchTheReference:
+    """matches_reference on generated poses and on the edge cases the
+    expert tests above do not reach: TestExpertNextAction runs its 180
+    degree tie and its unreachable target through it too."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(judged_poses())
+    def test_generated_poses(self, case):
+        matches_reference(*case)
+
+    def test_a_pose_on_the_target_cell(self, corridor_scene):
+        box = corridor_scene.object("box-0").position
+        on = AgentState(box, 0.0)
+        assert matches_reference(corridor_scene, on, "box-0", SPOT) == (True, Action.STOP)
+        # off the target's point, inside its cell, facing away: the expert
+        # aims at the object itself, as no neighbour descends
+        near = AgentState((box[0] - 0.1, box[1]), 180.0)
+        assert matches_reference(corridor_scene, near, "box-0", SPOT) == (False, Action.TURN_LEFT)
+
+    @pytest.mark.parametrize("robot", ROBOT_CHOICES, ids=lambda r: f"{r.name}-{r.turn_step:g}")
+    def test_headings_one_ulp_about_half_a_turn_step(self, corridor_scene, robot):
+        # the next waypoint lies due east (0 degrees); at exactly half a turn
+        # step off it the expert moves.  One ulp below 360 - half it turns
+        # back; one ulp above half, (0 - heading) % 360 rounds to 360 - half
+        # exactly, so it still moves
+        half = robot.turn_step / 2.0
+        actions = {}
+        for heading in (half, normalize_heading(-half)):
+            for ulps in (-1, 0, 1):
+                s = AgentState(corridor_scene.cell_center((1, 1)), nudged(heading, ulps))
+                actions[heading, ulps] = matches_reference(corridor_scene, s, "box-0", robot)[1]
+        back = normalize_heading(-half)
+        assert {actions[half, ulps] for ulps in (-1, 0, 1)} == {Action.MOVE_FORWARD}
+        assert actions[back, 0] == actions[back, 1] == Action.MOVE_FORWARD
+        assert actions[back, -1] == Action.TURN_LEFT
 
 
 class TestExpertRollout:
@@ -331,7 +476,7 @@ class TestExpertProperty:
             for span in moves:
                 assert traj.actions(span)[-1] == Action.STOP
                 final = traj.steps[span.end - 1].state  # pose at the stop
-                assert subtask_success(scene, final, span.target_id)
+                assert StepContext(scene, final, SPOT, span.target_id, 0).at_target
                 ne = geodesic_distance(
                     scene, final.position, scene.object(span.target_id).position
                 )

@@ -26,7 +26,7 @@ from lhnav.policy import (
     train_backend,
 )
 from lhnav.taskforge import MOVE_TO, sample_spawn, sample_task
-from lhnav.world import ROBOTS, Action, AgentState, observe, subtask_success
+from lhnav.world import ROBOTS, Action, AgentState, observe
 
 from conftest import NarrowBackend, free_cells
 from reference_impls import HashEveryCall, loop_loss_and_grad, reference_embed
@@ -47,7 +47,7 @@ class ExpertTeacherBackend:
     fails."""
 
     def decide(self, ctx, views, memory):
-        action = expert_next_action(ctx.scene, ctx.state, ctx.target_id, ctx.robot, ctx.at_target)
+        action = expert_next_action(ctx)
         return one_hot(action), None
 
 
@@ -692,8 +692,9 @@ class TestTraining:
                 stage_hot[stage] = 1.0
                 mean = mem.mean_entry() if len(mem) else np.zeros(EMBED_DIM)
                 x = np.concatenate([oracle.embed_view(v) for v in obs.views] + [mean, stage_hot])
-                at_target = subtask_success(two_room_scene, step.state, target)
-                label = expert_next_action(two_room_scene, step.state, target, stretch, at_target)
+                label = expert_next_action(
+                    StepContext(two_room_scene, step.state, stretch, target, stage)
+                )
                 expected.append((x, int(label)))
                 confidence = float(backend.probabilities(x).max())
                 forget_and_append(mem, oracle.embed_observation(obs), confidence)

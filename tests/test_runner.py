@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -123,10 +125,10 @@ class TestRunEpisode:
         calls = 0
         real = world.subtask_success
 
-        def counting(scene, state, target):
+        def counting(ctx):
             nonlocal calls
             calls += 1
-            return real(scene, state, target)
+            return real(ctx)
 
         monkeypatch.setattr(world, "subtask_success", counting)
         scene = generate_scene(seed=41, size=20, regions=4)
@@ -136,6 +138,39 @@ class TestRunEpisode:
         assert interactions and all(span.interaction_ok for span in interactions)
         assert all(r.success for r in result.records)
         assert calls == len(traj.steps)
+
+    def test_one_field_lookup_per_expert_pose(self, monkeypatch):
+        # the judge and the expert read one kept field per pose: a window
+        # looks its target's field up once for its ground truth, once for
+        # each new pose (the pose it starts on and each one a turn or move
+        # reaches) and once for its navigation error.  Each lookup used to
+        # be made twice per step, by the judge and by the expert
+        from lhnav import expert
+
+        sources = []
+        real = expert.field_from
+        monkeypatch.setattr(
+            expert, "field_from",
+            lambda scene, source: sources.append(source) or real(scene, source),
+        )
+        windows = steps = 0
+        for seed in range(6):
+            scene = generate_scene(seed=200 + seed, size=20, regions=4)
+            task = sample_task(scene, SPOT, seed=seed)
+            start = sample_spawn(scene, task)
+            del sources[:]
+            traj, _ = run_episode(scene, task, ExpertPolicy(), RunConfig(), start=start)
+            expected = []
+            for span in traj.spans:
+                if span.kind == MOVE_TO:
+                    target = scene.cell_of(scene.object(span.target_id).position)
+                    window = traj.steps[span.start : span.end]
+                    poses = 1 + sum(s.action != Action.STOP and not s.collided for s in window)
+                    expected += [target] * (poses + 2)
+                    windows += 1
+            assert sources == expected
+            steps += len(traj.steps)
+        assert len(sources) > 0 and windows > 6 and steps > 100
 
 
 def replay_interactions(scene, traj):
@@ -223,6 +258,41 @@ class TestRunConfig:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_policy_builds(self, policy, two_room_scene):
         make_policy(RunConfig(policy=policy), sample_task(two_room_scene, SPOT, seed=7))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_frozen(self, field):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, getattr(cfg, field))
+        assert cfg == RunConfig()
+
+    # (config, the hash the formula gave when it ran on every call)
+    HASHES = [
+        (RunConfig(), "e4e650e5c340"),
+        (RunConfig(policy="memory", seed=3, budget=40, store_path="s.jsonl", workers=2,
+                   out_dir="x"), "ad87b7c54658"),
+        (RunConfig(policy="random", seed=-7, budget=1), "d41ddeab642f"),
+    ]
+
+    @pytest.mark.parametrize("cfg, pinned", HASHES, ids=["default", "memory", "random"])
+    def test_hash_is_the_formulas(self, cfg, pinned):
+        stable = {k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("workers", "out_dir")}
+        blob = json.dumps(stable, sort_keys=True).encode("utf-8")
+        assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:12] == pinned
+        # a copy through replace is hashed anew, and workers and out_dir
+        # change no hash
+        assert replace(cfg, seed=cfg.seed + 1).config_hash() != pinned
+        assert replace(cfg, workers=3, out_dir="elsewhere").config_hash() == pinned
+
+    def test_a_run_hashes_its_config_once(self, monkeypatch):
+        from lhnav import runner
+
+        scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=3)
+        cfg = RunConfig(budget=40)
+        hashed = []
+        monkeypatch.setattr(runner, "asdict", lambda c: hashed.append(c) or dataclasses.asdict(c))
+        report = run_suite(scenes, tasks, cfg)
+        assert hashed == [] and report["config_hash"] == cfg.config_hash()
 
 
 class TestTrajectoryFiles:
@@ -893,7 +963,7 @@ class TestSenseOncePerPose:
                     same_pose_new_target += 1
             assert len(checked) == len(expected)
             assert all(
-                args[1] is state and args[2] == target
+                args[0].state is state and args[0].target_id == target
                 for (args, _), (state, target) in zip(checked, expected)
             )
             steps += len(traj.steps)

@@ -178,6 +178,35 @@ class TestSampleTask:
             validate_task(scene, task)
         assert scene._field_cache == {}
 
+    def test_the_component_is_found_once_per_scene(self, monkeypatch):
+        # the largest component's objects are kept on the scene: a second
+        # sample_task queries geodesics only to pick its targets, and
+        # samples the task that a freshly loaded scene samples
+        scene = generate_scene(seed=2, size=24, regions=5, objects_per_region=6)
+        picking, queries = [], []
+        pick, query = taskforge._pick_target, taskforge.geodesic_distance
+
+        def picked(*args):
+            picking.append(True)
+            try:
+                return pick(*args)
+            finally:
+                picking.pop()
+
+        monkeypatch.setattr(taskforge, "_pick_target", picked)
+        monkeypatch.setattr(
+            taskforge, "geodesic_distance",
+            lambda *args: queries.append(bool(picking)) or query(*args),
+        )
+        first = sample_task(scene, SPOT, seed=1)
+        assert queries.count(False) >= len(scene.objects)
+        del queries[:]
+        second = sample_task(scene, SPOT, seed=2)
+        assert queries and all(queries)
+        fresh = Scene.from_dict(scene.to_dict())
+        assert second == sample_task(fresh, SPOT, seed=2)
+        assert first == sample_task(fresh, SPOT, seed=1)
+
 
 class TestValidateTask:
     def test_grab_while_holding_rejected(self, two_room_scene):

@@ -226,24 +226,29 @@ class TestObserve:
         assert {o.object_id for o in obs.visible()} == set()  # ~6.6 m away, range is 5
 
 
+def judged(scene, s, target):
+    """subtask_success on a fresh step context of the state and target."""
+    return subtask_success(StepContext(scene, s, SPOT, target, 0))
+
+
 class TestSubtaskSuccess:
     def test_close_and_facing(self, corridor_scene):
         # 2 cells west of the box, facing it
-        assert subtask_success(corridor_scene, state(1.375, 0.375, 0.0), "box-0")
+        assert judged(corridor_scene, state(1.375, 0.375, 0.0), "box-0")
 
     def test_bearing_outside_cone(self, open_scene):
         obj = open_scene.object("box-0")
         ax, ay = obj.position[0] + 0.5, obj.position[1]  # 0.5 m east, facing west
-        assert subtask_success(open_scene, state(ax, ay, 180.0), "box-0")
-        assert not subtask_success(open_scene, state(ax, ay, 135.0), "box-0")
+        assert judged(open_scene, state(ax, ay, 180.0), "box-0")
+        assert not judged(open_scene, state(ax, ay, 135.0), "box-0")
 
     def test_distance_bound(self, corridor_scene):
         # 6 cells away: 1.5 m geodesic, facing straight at it
-        assert not subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "box-0")
+        assert not judged(corridor_scene, state(0.375, 0.375, 0.0), "box-0")
 
     def test_unknown_target_raises(self, corridor_scene):
         with pytest.raises(UnknownObjectError):
-            subtask_success(corridor_scene, state(0.375, 0.375, 0.0), "nope")
+            judged(corridor_scene, state(0.375, 0.375, 0.0), "nope")
 
     def test_success_implies_visible(self, open_scene):
         rng = random.Random(9)
@@ -253,7 +258,7 @@ class TestSubtaskSuccess:
             cell = rng.choice(free)
             s = state(*open_scene.cell_center(cell), heading=rng.choice(range(0, 360, 15)))
             for obj in open_scene.objects:
-                if subtask_success(open_scene, s, obj.id):
+                if judged(open_scene, s, obj.id):
                     hits += 1
                     assert obj.id in {o.object_id for o in observe(open_scene, s, SPOT).visible()}
         assert hits > 0  # the property actually fired

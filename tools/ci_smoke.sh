@@ -120,6 +120,28 @@ lhnav gen-tasks --scenes "$big/scenes" --count 20 --out "$big/tasks.json"
 lhnav rollout --scenes "$big/scenes" --tasks "$big/tasks.json" --policy expert --out "$big/serial"
 lhnav rollout --scenes "$big/scenes" --tasks "$big/tasks.json" --policy expert --workers 2 --out "$big/parallel"
 diff -r "$big/serial" "$big/parallel"
+# the rollout's bytes are pinned: its windows are longer than the benchmark's,
+# so the expert's lookups and the judge's verdicts run over more poses
+python - "$big/serial" <<'EOF'
+import hashlib, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+trajectories = hashlib.sha256()
+for path in sorted((root / "trajectories").glob("*.jsonl")):
+    trajectories.update(path.name.encode())
+    trajectories.update(path.read_bytes())
+pinned = {
+    "report.json": "4a04106b6dffb7a2a591bba8d68c8b8fc2852877e343c1d7f78b8dfb7fe88d6b",
+    "trajectories": "1e0fd56c0ba72dac9edb8d5f4bbb5ef15408027f14e29e35a8cb7625c69a1b0d",
+}
+got = {
+    "report.json": hashlib.sha256((root / "report.json").read_bytes()).hexdigest(),
+    "trajectories": trajectories.hexdigest(),
+}
+for name, digest in pinned.items():
+    assert got[name] == digest, f"{root}/{name}: sha256 {got[name]}, pinned {digest}"
+print("48x48 expert rollout's report and trajectories have their pinned sha256")
+EOF
 lhnav split --trajectories "$big/serial/trajectories" --scenes "$big/scenes" --out "$big/steps.json"
 # one step task per move_to span that has a non-stop action, in file order
 python - "$big/serial/trajectories" "$big/steps.json" <<'EOF'
