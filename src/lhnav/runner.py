@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -258,6 +257,9 @@ def run_suite(
 
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
+        # the pool, and multiprocessing with it, loads on a parallel run only
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(job, tasks, chunksize=math.ceil(len(tasks) / workers)))
     else:

@@ -15,7 +15,6 @@ import json
 import math
 import random
 import re
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -435,7 +434,11 @@ def chat_completion(endpoint: str, system: str, user: str) -> str:
 
     Each call opens its own connection, so concurrent workers never share
     state.  An endpoint that is not a URL raises a network error too.
+    The HTTP client is imported here, on the first call, and outside the
+    try: an import that fails is not a network error.
     """
+    import urllib.request
+
     if not endpoint:
         raise ValueError("the LLM client needs an endpoint")
     body = {

@@ -495,19 +495,18 @@ class TestRunSuite:
 
     def test_worker_pool_capped_at_task_count(self, monkeypatch):
         # under fork a pool starts all of its processes at the first submit
-        from concurrent.futures import ProcessPoolExecutor
-
-        from lhnav import runner
+        import concurrent.futures
 
         started = []
 
-        class RecordingPool(ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 if self._processes is not None:
                     started.append(len(self._processes))
                 super().shutdown(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        # run_suite imports the pool from concurrent.futures when it is called
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         scenes, tasks = small_suite(n_scenes=1, tasks_per_scene=2)
         cfg = RunConfig(policy="stop", workers=3)
         serial = run_suite(scenes, tasks, replace(cfg, workers=1))

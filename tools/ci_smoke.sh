@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The offline end-to-end checks of the lhnav command: a smoke run of every
-# subcommand and policy, then an expert rollout and split on a 48x48 scene.
+# The offline end-to-end checks of the lhnav command: the modules an import
+# of it loads, a smoke run of every subcommand and policy, then an expert
+# rollout and split on a 48x48 scene.
 # Each check that fails ends the script with a nonzero status.
 #
 #     bash tools/ci_smoke.sh
@@ -15,6 +16,19 @@ if ! command -v lhnav >/dev/null; then
   lhnav() { python -m lhnav.cli "$@"; }
 fi
 root="${RUNNER_TEMP:-$(mktemp -d)}"
+
+# -- what a process loads -------------------------------------------------------
+# importing the package and its command loads neither the LLM client's HTTP
+# stack nor the worker pool's multiprocessing: both load on first use
+python -c '
+import sys
+import lhnav, lhnav.cli
+listed = ("urllib.request", "http.client", "ssl", "multiprocessing", "concurrent.futures.process")
+loaded = [name for name in listed if name in sys.modules]
+if loaded:
+    sys.exit(f"importing {lhnav.__file__} loaded {loaded}")
+print("importing lhnav.cli loads neither the LLM client nor the worker pool")
+'
 
 # -- smoke run ------------------------------------------------------------------
 smoke="$root/lhnav-smoke"
